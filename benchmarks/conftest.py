@@ -3,12 +3,12 @@
 The CPI campaign (32 microarchitectures x 10 workloads on the
 cycle-accurate simulator) backs Figures 5-8; it runs once per session at
 a moderate workload scale and is cached on disk next to the benchmarks
-so repeated runs skip straight to the analysis.
+(a sqlite result store) so repeated runs skip straight to the analysis.
 
 ``REPRO_BENCH_SCALE`` overrides the campaign scale (smaller for smoke
-runs, larger for publication-grade numbers).  The disk cache is keyed by
-a fingerprint over the scale, seed, architectural parameters and config
-set, so results from different scales never alias.
+runs, larger for publication-grade numbers).  Every cached config is
+keyed by a fingerprint over its scale, seed and architectural
+parameters, so results from different scales never alias.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import pytest
 
 from repro.dse.cpi import CpiTable
 from repro.dse.sweep import sweep
-from repro.pipeline.config import all_configs
 
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "24"))
-_CACHE = os.path.join(os.path.dirname(__file__), ".cpi_cache.json")
+_CACHE = os.path.join(os.path.dirname(__file__), ".cpi_cache.sqlite")
 
 
 @pytest.fixture(scope="session")
@@ -32,9 +31,7 @@ def bench_scale() -> int:
 
 @pytest.fixture(scope="session")
 def cpi_table() -> CpiTable:
-    return CpiTable(
-        scale=BENCH_SCALE, cache_path=_CACHE, configs=all_configs()
-    )
+    return CpiTable(scale=BENCH_SCALE, cache_path=_CACHE)
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,11 @@ show up as diffs:
 * **Table 3 suite cycles/sec**: the full ten-workload suite run
   end-to-end through the fused ``System`` loop, interpreter vs JIT,
   with simulation time isolated from workload build/validation;
-* **campaign wall-clock** for a CPI campaign over several configs.  The
-  parallel-vs-serial comparison is only measured (and the speedup only
-  claimed) when the host actually has more than one CPU; on 1-core
-  hosts the harness records the serial number and says so instead of
-  reporting a vacuous ``speedup: 1.0``.
+* **campaign wall-clock** for a CPI campaign over several configs, on
+  a serial (no-fork) campaign service and on a pooled one.  The pooled
+  leg is only measured (and the speedup only claimed) when the pool is
+  wider than one worker; on 1-core hosts the harness records the serial
+  number and says so instead of reporting a vacuous ``speedup: 1.0``.
 
 Usage::
 
@@ -42,10 +42,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.asm import assemble
 from repro.dse.cpi import CpiTable
 from repro.jit import clear_cache
-from repro.parallel import resolve_workers
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
+from repro.serve.client import InProcessClient
+from repro.serve.service import CampaignService, resolve_workers
 from repro.workloads.suite import WORKLOADS, get_workload
 
 LOOP = """
@@ -171,23 +172,17 @@ def measure_campaign(
     """
     configs = all_configs()[:num_configs]
 
-    os.environ["REPRO_SERIAL"] = "1"
-    try:
-        table = CpiTable(scale=scale)
-        start = time.perf_counter()
-        table.populate(configs)
-        serial = time.perf_counter() - start
-    finally:
-        del os.environ["REPRO_SERIAL"]
+    def timed(service: CampaignService) -> float:
+        with service:
+            start = time.perf_counter()
+            CpiTable(scale=scale).populate(
+                configs, service=InProcessClient(service))
+            return time.perf_counter() - start
 
+    serial = timed(CampaignService(None, serial=True))
     if workers <= 1:
         return serial, None
-
-    table = CpiTable(scale=scale)
-    start = time.perf_counter()
-    table.populate(configs, workers=workers)
-    parallel = time.perf_counter() - start
-    return serial, parallel
+    return serial, timed(CampaignService(None, workers=workers))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                              "interp-vs-JIT measurement")
     parser.add_argument("--workers", type=int, default=None,
                         help="pool width for the parallel campaign "
-                             "(default: repro.parallel policy)")
+                             "(default: REPRO_WORKERS, else one per CPU)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny measurements for CI smoke runs")
     parser.add_argument("--out", default=None,
@@ -215,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     suite_scale = 12 if args.quick else args.suite_scale
     num_configs = 2 if args.quick else 8
     repeats = 1 if args.quick else 3
-    workers = resolve_workers(args.workers)
+    workers = args.workers or resolve_workers(num_configs)
 
     clear_cache()
     reference = measure_throughput(cycles, fast_path=False, repeats=repeats)

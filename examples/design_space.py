@@ -41,7 +41,7 @@ def main() -> None:
     configs = all_configs() if full else [config_by_name(n) for n in SUBSET]
     print(f"measuring CPI for {len(configs)} microarchitectures on the "
           f"ten-workload suite (cycle-accurate)...")
-    table = CpiTable(scale=24, cache_path=".dse_cpi_cache.json")
+    table = CpiTable(scale=24, cache_path=".dse_cpi_cache.sqlite")
     points = sweep(configs=configs, cpi_table=table)
     frontier = pareto_frontier(points)
     span = frontier_span(frontier)

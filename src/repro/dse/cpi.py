@@ -3,57 +3,28 @@
 CPI depends only on the microarchitecture (not on voltage or frequency),
 so the design-space sweep needs one simulation campaign per config: all
 ten Table 3 workloads, counters read from the designated worker PE,
-averaged — exactly how Figure 5's stacks are built.  Results are cached
-in memory and optionally on disk, because a full 32-config campaign is
-the expensive part of regenerating Figures 6-8.
+averaged — exactly how Figure 5's stacks are built.  A full 32-config
+campaign is the expensive part of regenerating Figures 6-8.
 
-The campaign is embarrassingly parallel across configs — nothing is
-shared between two microarchitectures' simulations — so
-:meth:`CpiTable.populate` fans the per-config work across a process
-pool (see :mod:`repro.parallel` for the worker-count policy and the
-``REPRO_SERIAL`` escape hatch).  Parallel and serial populations
-produce identical tables: the per-config worker is a pure function of
-``(config, scale, seed, params)``.
-
-The disk cache is keyed by a fingerprint over everything the numbers
-depend on (scale, seed, every architectural parameter, and the config
-set), so a stale cache written at another scale or under edited
-parameters can never be mistaken for current results.
+Each config is one ``cpi-config`` task on the campaign service
+(:func:`repro.serve.service.run_campaign`): the caller's ``service=``
+client, or a throwaway in-process service whose durable result store is
+the table's ``cache_path``.  Results are identical either way, because
+the per-config worker is a pure function of ``(config, scale, seed,
+params)``.  Each task's store key is a fingerprint over exactly those
+inputs, so a cache written at another scale or under edited parameters
+can never be mistaken for current results, and an interrupted campaign
+resumes from the configs already stored.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 
-from repro.parallel import Checkpoint, resilient_map
 from repro.params import ArchParams, DEFAULT_PARAMS
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import PipelinedPE
 from repro.workloads.suite import WORKLOADS, run_workload
-
-
-def table_fingerprint(
-    scale: int,
-    seed: int,
-    params: ArchParams,
-    configs: list[PipelineConfig] | None = None,
-) -> str:
-    """Digest of every input the cached CPI numbers depend on."""
-    blob = json.dumps(
-        {
-            "scale": scale,
-            "seed": seed,
-            "params": dataclasses.asdict(params),
-            "configs": (
-                None if configs is None else sorted(c.name for c in configs)
-            ),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _campaign(
@@ -82,18 +53,14 @@ def _campaign(
     )
 
 
-def _simulate_config(
-    task: tuple[PipelineConfig, int, int, ArchParams],
-) -> tuple[str, float, dict[str, float]]:
-    """Process-pool worker: one config's full campaign (module level so
-    it pickles)."""
-    config, scale, seed, params = task
-    cpi, stack = _campaign(config, scale, seed, params)
-    return config.name, cpi, stack
-
-
 class CpiTable:
-    """Lazily simulated, cached per-config CPI (and CPI stacks)."""
+    """Lazily simulated, cached per-config CPI (and CPI stacks).
+
+    ``cache_path`` names the sqlite result store that persists the
+    table across runs.  A file there that is not a store (a legacy JSON
+    cache, a torn write) is moved to ``<cache_path>.corrupt`` and the
+    table repopulates.
+    """
 
     def __init__(
         self,
@@ -101,125 +68,47 @@ class CpiTable:
         seed: int = 0,
         params: ArchParams = DEFAULT_PARAMS,
         cache_path: str | None = None,
-        configs: list[PipelineConfig] | None = None,
     ) -> None:
         self.scale = scale
         self.seed = seed
         self.params = params
         self.cache_path = cache_path
-        self.fingerprint = table_fingerprint(scale, seed, params, configs)
         self._cpi: dict[str, float] = {}
         self._stacks: dict[str, dict[str, float]] = {}
-        if cache_path and os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("fingerprint") == self.fingerprint:
-                self._cpi = payload["cpi"]
-                self._stacks = payload["stacks"]
 
-    def _save(self) -> None:
-        if not self.cache_path:
-            return
-        with open(self.cache_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "fingerprint": self.fingerprint,
-                    "scale": self.scale,
-                    "seed": self.seed,
-                    "cpi": self._cpi,
-                    "stacks": self._stacks,
-                },
-                handle,
-                indent=1,
-            )
-
-    def populate(
-        self,
-        configs: list[PipelineConfig],
-        workers: int | None = None,
-        profile=None,
-        service=None,
-    ) -> None:
-        """Simulate every config not already in the table, in parallel.
-
-        Results are identical to serial lazy evaluation (the worker is a
-        pure function and results are merged in input order); the disk
-        cache is written once at the end rather than per config.
-
-        The campaign is hardened: killed workers are retried with the
-        pool rebuilt (degrading to serial execution as a last resort),
-        and when a disk cache path is configured, per-config results are
-        checkpointed beside it so an interrupted campaign resumes from
-        the configs already simulated instead of restarting.
-
-        ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`)
-        records per-config wall-clock and worker utilization without
-        changing any result.
+    def populate(self, configs: list[PipelineConfig], service=None) -> None:
+        """Simulate every config not already in the table.
 
         ``service`` (a :class:`repro.serve.client.InProcessClient` or
-        :class:`~repro.serve.client.HttpClient`) routes the campaign
-        through the supervised campaign service instead of a private
-        process pool: identical results, but deduped against the
-        service's durable store and supervised for worker crashes and
-        hangs (``cpi-config`` task kind).
+        :class:`~repro.serve.client.HttpClient`) runs the campaign on
+        that service and its store; without one, a throwaway service
+        over ``cache_path`` runs it (see
+        :func:`repro.serve.service.run_campaign`).  Configs already in
+        the store are not simulated again.
         """
         missing = [c for c in configs if c.name not in self._cpi]
         if not missing:
             return
-        if service is not None:
-            import dataclasses
+        from repro.serve.service import run_campaign
 
-            results = service.map("cpi-config", [
-                {
-                    "config": c.name,
-                    "scale": self.scale,
-                    "seed": self.seed,
-                    "params": dataclasses.asdict(self.params),
-                }
-                for c in missing
-            ])
-            for name, cpi, stack in results:
-                self._cpi[name] = cpi
-                self._stacks[name] = stack
-            self._save()
-            return
-        tasks = [(c, self.scale, self.seed, self.params) for c in missing]
-        checkpoint = None
-        if self.cache_path:
-            checkpoint = Checkpoint(
-                self.cache_path + ".partial",
-                fingerprint=self.fingerprint,
-                decode=tuple,
-            )
-        results = resilient_map(
-            _simulate_config,
-            tasks,
-            workers,
-            checkpoint=checkpoint,
-            key=lambda task: task[0].name,
-            profile=profile,
-        )
+        params = dataclasses.asdict(self.params)
+        results = run_campaign(service, "cpi-config", [
+            {"config": c.name, "scale": self.scale, "seed": self.seed,
+             "params": params}
+            for c in missing
+        ], store=self.cache_path)
         for name, cpi, stack in results:
             self._cpi[name] = cpi
             self._stacks[name] = stack
-        self._save()
-        if checkpoint is not None:
-            checkpoint.clear()
-
-    def _simulate(self, config: PipelineConfig) -> None:
-        cpi, stack = _campaign(config, self.scale, self.seed, self.params)
-        self._cpi[config.name] = cpi
-        self._stacks[config.name] = stack
-        self._save()
 
     def cpi(self, config: PipelineConfig) -> float:
         """Workload-average worker CPI for one microarchitecture."""
         if config.name not in self._cpi:
-            self._simulate(config)
+            self.populate([config])
         return self._cpi[config.name]
 
     def stack(self, config: PipelineConfig) -> dict[str, float]:
         """Workload-average CPI stack (the Figure 5 bar) for one config."""
         if config.name not in self._stacks:
-            self._simulate(config)
+            self.populate([config])
         return self._stacks[config.name]

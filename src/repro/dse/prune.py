@@ -143,8 +143,6 @@ def pruned_sweep(
     oracle: PruneOracle,
     tech=None,
     include_fmax_points: bool = True,
-    workers: int | None = None,
-    profile=None,
     service=None,
 ):
     """The ``sweep(prune=...)`` evaluation loop.
@@ -152,8 +150,8 @@ def pruned_sweep(
     Points arrive in ascending-static-lower-bound config order (not the
     caller's order — documented on :func:`repro.dse.sweep.sweep`).  The
     CPI campaign for each batch of surviving configs goes through
-    ``cpi_table.populate`` unchanged, so parallel workers, campaign
-    profiling, and the ``service=`` path all compose with pruning.
+    ``cpi_table.populate`` unchanged, so the ``service=`` path and the
+    table's store compose with pruning.
     """
     from repro.dse.design_point import DesignPoint
     from repro.dse.sweep import close_grid
@@ -187,7 +185,7 @@ def pruned_sweep(
         if not survivors:
             continue
         cpi_table.populate([config for config, _, _ in survivors],
-                           workers=workers, profile=profile, service=service)
+                           service=service)
         for config, lower, grid in survivors:
             cpi = cpi_table.cpi(config)
             kept = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.dse.cpi import CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.errors import SynthesisError
-from repro.parallel import resilient_map
 from repro.pipeline.config import PipelineConfig, all_configs
 from repro.vlsi.synthesis import fmax, synthesize
 from repro.vlsi.technology import TECH65, Technology, VtFlavor
@@ -71,51 +70,25 @@ def close_grid(
     return results
 
 
-def _close_config(
-    task: tuple[PipelineConfig, float, Technology, bool],
-) -> list[DesignPoint]:
-    """Process-pool worker: close one config's (VT, VDD, f) grid.
-
-    Module level so it pickles; the point order within a config is the
-    serial loop's order, so config-major concatenation of the per-config
-    lists reproduces the serial sweep exactly.
-    """
-    config, cpi, tech, include_fmax_points = task
-    return [
-        DesignPoint(synthesis=result, cpi=cpi)
-        for result in close_grid(config, tech, include_fmax_points)
-    ]
-
-
 def sweep(
     configs: list[PipelineConfig] | None = None,
     cpi_table: CpiTable | None = None,
     tech: Technology = TECH65,
     include_fmax_points: bool = True,
-    workers: int | None = None,
-    profile=None,
     service=None,
     prune=None,
 ) -> list[DesignPoint]:
     """Close every feasible design point in the characterized space.
 
-    The per-config work (the CPI campaign and the synthesis grid) fans
-    out across a process pool; ``workers`` follows the
-    :func:`repro.parallel.resolve_workers` policy (``REPRO_SERIAL=1``
-    forces the in-process serial path).  The returned point list is
-    identical at any worker count; killed workers are retried (the
-    :func:`repro.parallel.resilient_map` policy), degrading to serial
-    execution if the pool keeps dying.
+    The per-config CPI campaign runs through ``cpi_table.populate``
+    (``cpi-config`` tasks on the campaign service); the synthesis grids
+    are then closed in-process by :func:`close_grid`, config-major, so
+    the returned point list is identical however the campaign ran.
 
-    ``profile`` (a :class:`repro.obs.campaign.CampaignProfile`)
-    accumulates per-task timing across *both* phases — the CPI campaign
-    and the synthesis closure — into one structured campaign report.
-
-    ``service`` (a :mod:`repro.serve` client) routes both phases —
-    ``cpi-config`` and ``dse-close`` task kinds — through the
-    supervised campaign service: results are unchanged, but identical
-    work is deduped against the durable store and an interrupted sweep
-    resumes from its completed tasks.
+    ``service`` (a :mod:`repro.serve` client) runs the CPI campaign on
+    that service: results are unchanged, but identical work is deduped
+    against its durable store and an interrupted sweep resumes from its
+    completed configs.
 
     ``prune`` (a :class:`repro.dse.prune.PruneOracle`) short-circuits
     the CPI campaign for configs whose entire best-case grid — projected
@@ -135,32 +108,14 @@ def sweep(
 
         return pruned_sweep(
             configs, cpi_table, prune, tech=tech,
-            include_fmax_points=include_fmax_points, workers=workers,
-            profile=profile, service=service,
+            include_fmax_points=include_fmax_points, service=service,
         )
-    # Fill the CPI table first (parallel across configs) so the closure
-    # tasks below are cheap, pure and picklable.
-    cpi_table.populate(configs, workers=workers, profile=profile,
-                       service=service)
-    if service is not None:
-        per_config = service.map("dse-close", [
-            {
-                "config": config.name,
-                "cpi": cpi_table.cpi(config),
-                "tech": tech.name,
-                "include_fmax": include_fmax_points,
-            }
-            for config in configs
-        ])
-    else:
-        tasks = [
-            (config, cpi_table.cpi(config), tech, include_fmax_points)
-            for config in configs
-        ]
-        per_config = resilient_map(
-            _close_config, tasks, workers, profile=profile
-        )
+    cpi_table.populate(configs, service=service)
     points: list[DesignPoint] = []
-    for sublist in per_config:
-        points.extend(sublist)
+    for config in configs:
+        cpi = cpi_table.cpi(config)
+        points.extend(
+            DesignPoint(synthesis=result, cpi=cpi)
+            for result in close_grid(config, tech, include_fmax_points)
+        )
     return points

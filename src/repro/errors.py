@@ -110,11 +110,11 @@ class SynthesisError(ReproError):
 
 
 class CampaignError(ReproError):
-    """A parallel campaign task failed permanently.
+    """A campaign task failed permanently.
 
     ``worker_traceback`` preserves the original traceback text from the
-    worker process, which ``concurrent.futures`` would otherwise reduce
-    to a bare exception repr.
+    worker process, which would otherwise reduce to a bare exception
+    repr at the process boundary.
     """
 
     def __init__(self, message: str, worker_traceback: str | None = None):
@@ -122,6 +122,25 @@ class CampaignError(ReproError):
         if worker_traceback:
             message = f"{message}\n--- worker traceback ---\n{worker_traceback}"
         super().__init__(message)
+
+
+class WorkerTraceback(Exception):
+    """Carrier for a worker process's original traceback text.
+
+    Set as the ``__cause__`` of the :class:`CampaignError` a failed
+    campaign task raises, so the worker-side traceback survives the
+    pickle boundary *in the exception chain* (the same trick
+    ``concurrent.futures`` uses with ``_RemoteTraceback``) — ``raise``
+    displays the original frames under "direct cause" instead of
+    flattening them into message text only.
+    """
+
+    def __init__(self, tb: str) -> None:
+        self.tb = tb
+        super().__init__(tb)
+
+    def __str__(self) -> str:
+        return f"\n{self.tb}"
 
 
 def attribute_error(

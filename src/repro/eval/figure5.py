@@ -67,7 +67,7 @@ def render(cpi_table: CpiTable | None = None) -> str:
     for partition, variants in stacks.items():
         for variant, stack in variants.items():
             label = partition if variant == "base" else f"{partition} {variant}"
-            cpi = sum(stack.values())
+            cpi = sum(stack[key] for key in STACK_KEYS)
             lines.append(
                 f"{label:22s} {cpi:6.2f} {stack['retired']:5.2f} "
                 f"{stack['quashed']:5.2f} {stack['predicate_hazard']:5.2f} "

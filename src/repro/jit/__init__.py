@@ -9,8 +9,6 @@ queue-policy, params) content fingerprint:
   descriptor, ALU semantics baked in).
 * :mod:`repro.jit.cache` — sha256 content fingerprinting and the
   compile-once module cache.
-* :mod:`repro.jit.batch` — lockstep batching of N independent PE
-  instances through one compiled module for fuzz/DSE campaigns.
 
 Select it per PE with ``PipelinedPE(..., backend="jit")`` (the
 ``REPRO_JIT`` environment variable flips the process-wide default).
@@ -18,7 +16,6 @@ Instrumented paths — fault hooks, telemetry sinks — transparently fall
 back to the interpreter, cycle for cycle.
 """
 
-from repro.jit.batch import JitBatch
 from repro.jit.cache import (
     JitProgram,
     block_exit_counts,
@@ -32,7 +29,6 @@ from repro.jit.codegen import CODEGEN_VERSION, generate_source
 
 __all__ = [
     "CODEGEN_VERSION",
-    "JitBatch",
     "JitProgram",
     "block_exit_counts",
     "cache_stats",

@@ -1,5 +1,5 @@
 """Unified observability: event bus, metrics registry, trace exporters,
-and campaign profiling.
+and campaign-service spans.
 
 The layer is strictly opt-in — nothing is recorded (and nothing is paid
 beyond a ``None`` test at each seam) until a :class:`Telemetry` sink is
@@ -23,7 +23,6 @@ JSON-logged; :func:`export_campaign_trace` renders the whole campaign
 Perfetto timeline.  ``python -m repro.obs --smoke-service`` gates it.
 """
 
-from repro.obs.campaign import CampaignProfile, format_campaign_report
 from repro.obs.events import Telemetry, TelemetryEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runner import InstrumentedRun, run_instrumented
@@ -43,8 +42,6 @@ from repro.obs.trace_export import (
 )
 
 __all__ = [
-    "CampaignProfile",
-    "format_campaign_report",
     "Telemetry",
     "TelemetryEvent",
     "MetricsRegistry",

@@ -34,8 +34,6 @@ import os
 import sys
 import tempfile
 
-from repro.dse.cpi import CpiTable
-from repro.obs.campaign import CampaignProfile, format_campaign_report
 from repro.obs.events import Telemetry
 from repro.obs.runner import run_instrumented
 from repro.obs.trace_export import export_chrome_trace
@@ -166,21 +164,6 @@ def _smoke(args) -> int:
         if bare.worker_counters.as_dict() != run.worker_counters.as_dict():
             return _fail(f"{workload}: worker counters diverge under telemetry")
         print(f"  bit-identical: {bare.cycles} cycles with telemetry on or off")
-
-    # 5. Campaign profiling on a tiny CPI campaign.
-    print("\n[campaign] profiled CPI campaign (2 configs)...")
-    profile = CampaignProfile(label="smoke-cpi")
-    table = CpiTable(scale=min(scale, 8))
-    table.populate(all_configs()[:2], workers=1, profile=profile)
-    report = profile.report()
-    if report["completed_tasks"] != 2:
-        return _fail(
-            f"campaign profile recorded {report['completed_tasks']} tasks, "
-            "expected 2"
-        )
-    if report["worker_utilization"] is None:
-        return _fail("campaign profile has no utilization")
-    print(format_campaign_report(report))
 
     print(f"\nobservability gate passed ({len(workloads)} workloads)")
     return 0

@@ -4,8 +4,8 @@
 
 1. a fault-injection campaign over the default microarchitecture set
    (single-cycle, +P, +Q, and +P+Q at full depth), executed twice —
-   serially and with two workers — and fails unless the two result
-   lists are bit-identical (campaign determinism);
+   serially in-process and on a two-worker campaign service — and fails
+   unless the two result lists are bit-identical (campaign determinism);
 2. a fast-path vs reference divergence sweep over the same
    microarchitectures; any divergence fails the build.
 
@@ -27,6 +27,8 @@ from repro.resilience.campaign import (
     format_summary,
 )
 from repro.resilience.divergence import assert_no_divergence
+from repro.serve.client import InProcessClient
+from repro.serve.service import CampaignService
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,7 +50,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="trials per campaign cell")
     parser.add_argument("--workloads", nargs="+", default=["gcd", "stream"])
     parser.add_argument("--checkpoint", default=None,
-                        help="checkpoint file for campaign resume")
+                        help="result store (sqlite file) the serial "
+                             "campaign resumes from")
     args = parser.parse_args(argv)
 
     print(
@@ -62,10 +65,11 @@ def main(argv: list[str] | None = None) -> int:
         trials=args.trials,
         scale=args.scale,
         seed=args.seed,
-        checkpoint_path=args.checkpoint,
     )
-    serial = fault_campaign(workers=1, **common)
-    pooled = fault_campaign(workers=2, **common)
+    with CampaignService(args.checkpoint, serial=True) as service:
+        serial = fault_campaign(service=InProcessClient(service), **common)
+    with CampaignService(None, workers=2) as service:
+        pooled = fault_campaign(service=InProcessClient(service), **common)
     print(format_summary(serial))
     if serial != pooled:
         print("FAIL: campaign results differ between worker counts",

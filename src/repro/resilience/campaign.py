@@ -14,22 +14,20 @@ and classifies the outcome:
 * ``not-applied`` — no planned fault found state to corrupt (e.g. a
   queue fault scheduled while all queues were empty).
 
-Trials are pure functions of their task tuple, fanned out through
-:func:`repro.parallel.resilient_map`, so a campaign is bit-identical
-across runs and worker counts and survives killed workers; with a
-checkpoint path it also resumes after interruption.
+Trials are pure functions of their fields, run as ``fault-trial``
+tasks on the campaign service (:func:`repro.serve.service.run_campaign`),
+so a campaign is bit-identical across runs and worker counts and
+survives killed workers; on a service whose store is a file it also
+resumes after interruption.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import DeadlockError, SimulationError
-from repro.parallel import Checkpoint, resilient_map
 from repro.pipeline.config import PipelineConfig, config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.resilience.faults import FaultClass, inject, plan_faults
@@ -95,7 +93,7 @@ class TrialResult:
 
 
 def run_trial(trial: FaultTrial) -> TrialResult:
-    """Execute one fault-injection trial (module level so it pickles)."""
+    """Execute one fault-injection trial."""
     workload = get_workload(trial.workload)
     config = config_by_name(trial.config)
 
@@ -157,12 +155,6 @@ def run_trial(trial: FaultTrial) -> TrialResult:
     return result(NOT_APPLIED, "no planned fault found state to corrupt", cycles)
 
 
-def campaign_fingerprint(tasks: list[FaultTrial]) -> str:
-    """Digest of every input a checkpointed campaign depends on."""
-    blob = json.dumps([dataclasses.astuple(task) for task in tasks])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def fault_campaign(
     configs=DEFAULT_CONFIGS,
     faults=DEFAULT_FAULTS,
@@ -170,23 +162,24 @@ def fault_campaign(
     trials: int = 1,
     scale: int = 8,
     seed: int = 0,
-    workers: int | None = None,
-    checkpoint_path: str | None = None,
     service=None,
     **trial_kwargs,
 ) -> list[TrialResult]:
     """Run the full config x fault x workload x trial grid.
 
     ``configs`` accepts paper-style names or :class:`PipelineConfig`
-    objects.  Results are in deterministic grid order regardless of
-    worker count; with ``checkpoint_path`` an interrupted campaign
-    resumes from its completed cells.
+    objects.  Results are in deterministic grid order however the
+    trials ran.
 
     ``service`` (a :mod:`repro.serve` client) runs the grid as
-    ``fault-trial`` tasks on the supervised campaign service instead of
-    a private pool — same results, plus durable-store dedup/resume and
-    supervision against crashed or hung trial workers.
+    ``fault-trial`` tasks on that service — same results, plus
+    durable-store dedup and supervision against crashed or hung trial
+    workers.  A service whose store is a file is the campaign's
+    checkpoint: an interrupted campaign rerun on it executes only the
+    trials it has not stored.
     """
+    from repro.serve.service import run_campaign
+
     names = [
         config.name if isinstance(config, PipelineConfig) else config
         for config in configs
@@ -206,28 +199,9 @@ def fault_campaign(
         for workload in workloads
         for trial in range(trials)
     ]
-    if service is not None:
-        return service.map(
-            "fault-trial", [dataclasses.asdict(task) for task in tasks]
-        )
-    checkpoint = None
-    if checkpoint_path:
-        checkpoint = Checkpoint(
-            checkpoint_path,
-            fingerprint=campaign_fingerprint(tasks),
-            encode=dataclasses.asdict,
-            decode=lambda payload: TrialResult(**payload),
-        )
-    results = resilient_map(
-        run_trial,
-        tasks,
-        workers,
-        checkpoint=checkpoint,
-        key=lambda task: task.key,
+    return run_campaign(
+        service, "fault-trial", [dataclasses.asdict(task) for task in tasks]
     )
-    if checkpoint is not None:
-        checkpoint.clear()
-    return results
 
 
 def summarize(results: list[TrialResult]) -> dict[tuple[str, str], Counter]:

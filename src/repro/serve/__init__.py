@@ -1,9 +1,10 @@
 """``repro.serve`` — the supervised simulation-as-a-service tier.
 
-One hardened execution tier for every campaign in the tree (CPI tables,
+The one execution tier for every campaign in the tree (CPI tables,
 DSE sweeps, fault campaigns, fuzz runs):
 
-* :mod:`~repro.serve.service` — the asyncio campaign service;
+* :mod:`~repro.serve.service` — the campaign service and
+  :func:`~repro.serve.service.run_campaign`, the campaigns' entry;
 * :mod:`~repro.serve.supervisor` — health-checked worker pool with
   kill/respawn, deterministic backoff retries, poison-task quarantine,
   and serial degradation;
@@ -21,36 +22,35 @@ DSE sweeps, fault campaigns, fuzz runs):
 kill -9 resume demonstration; ``--serve`` runs the HTTP frontend.
 """
 
-from repro.serve import chaos as _chaos   # register chaos task kinds
-from repro.serve.admission import AdmissionController, AdmissionError
-from repro.serve.client import HttpClient, InProcessClient
-from repro.serve.service import CampaignService, Job
-from repro.serve.store import ResultStore, canonical_json, task_fingerprint
-from repro.serve.supervisor import SupervisedTask, Supervisor, TaskOutcome
-from repro.serve.tasks import (
-    execute,
-    execute_traced,
-    register,
-    registered_kinds,
-)
+import importlib
 
-del _chaos
+#: Public name -> defining module.  Imported on first access, so a
+#: campaign that only needs the service, store and supervisor never
+#: loads the HTTP frontend, ``asyncio`` or ``urllib``.
+_EXPORTS = {
+    "AdmissionController": "repro.serve.admission",
+    "AdmissionError": "repro.serve.admission",
+    "CampaignService": "repro.serve.service",
+    "HttpClient": "repro.serve.client",
+    "InProcessClient": "repro.serve.client",
+    "Job": "repro.serve.service",
+    "ResultStore": "repro.serve.store",
+    "SupervisedTask": "repro.serve.supervisor",
+    "Supervisor": "repro.serve.supervisor",
+    "TaskOutcome": "repro.serve.supervisor",
+    "canonical_json": "repro.serve.store",
+    "execute": "repro.serve.tasks",
+    "execute_traced": "repro.serve.tasks",
+    "register": "repro.serve.tasks",
+    "registered_kinds": "repro.serve.tasks",
+    "task_fingerprint": "repro.serve.store",
+}
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "CampaignService",
-    "HttpClient",
-    "InProcessClient",
-    "Job",
-    "ResultStore",
-    "SupervisedTask",
-    "Supervisor",
-    "TaskOutcome",
-    "canonical_json",
-    "execute",
-    "execute_traced",
-    "register",
-    "registered_kinds",
-    "task_fingerprint",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -8,7 +8,8 @@ POST     ``/jobs``               submit ``{kind, payloads, priority,
                                  client}``; 202 + ``{job_id}`` on
                                  admission, 429/503 + ``{reason,
                                  retry_after}`` when load is shed
-GET      ``/jobs/<id>``          job status (state, progress, profile)
+GET      ``/jobs/<id>``          job status (state and progress counts;
+                                 constant size, whatever the job's size)
 GET      ``/jobs/<id>/results``  ordered results once finished (409 while
                                  running, 500 with the failure otherwise)
 GET      ``/jobs/<id>/events``   Server-Sent-Events live progress: a

@@ -5,10 +5,18 @@
 durable store (:mod:`repro.serve.store`) decides how little of it needs
 to run, and the supervised pool (:mod:`repro.serve.supervisor`) runs
 the remainder and survives the workers.  The service itself is a plain
-synchronous state machine pumped by :meth:`CampaignService.pump`; the
-``async`` surface (:meth:`wait`, :meth:`drive`) is a thin timing
-wrapper, so the same service instance backs the in-process client, the
-HTTP frontend, and the tests' hand-cranked pumps.
+synchronous state machine pumped by :meth:`CampaignService.pump`;
+:meth:`~CampaignService.run_job` and the ``async`` surface
+(:meth:`~CampaignService.wait`, :meth:`~CampaignService.drive`) are thin
+timing loops around it, so the same service instance backs the
+in-process client, the HTTP frontend, and the tests' hand-cranked pumps.
+
+It is also the only campaign executor: :func:`run_campaign` is how
+:class:`repro.dse.cpi.CpiTable`, :func:`repro.dse.sweep.sweep`,
+:func:`repro.resilience.campaign.fault_campaign` and
+:func:`repro.verify.runner.fuzz_run` run their tasks — on the caller's
+``service=`` client, or on a throwaway in-process service that runs
+serially, without forking, when it is one worker wide.
 
 Execution sharing: every task is keyed by its content fingerprint.  A
 fingerprint already in the store resolves instantly; one already in
@@ -22,15 +30,12 @@ run, or another job's identical task.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import json
+import os
 import time
 
-from repro.errors import CampaignError
-from repro.obs.campaign import CampaignProfile
-from repro.obs.svc import JobEventStream, stats_metrics
-from repro.parallel import WorkerTraceback
+from repro.errors import CampaignError, WorkerTraceback
 from repro.serve import tasks as task_registry
 from repro.serve.admission import AdmissionController
 from repro.serve.store import ResultStore, canonical_json, task_fingerprint
@@ -67,22 +72,24 @@ class Job:
         self.executed = 0
         self.shared = 0       # slots resolved by another task's execution
         self.submitted = time.time()
-        self.profile = CampaignProfile(label=job_id)
         #: Trace correlation (obs-attached services; ``trace_id == job_id``).
         self.trace_id: str | None = None
         self.span = None              # the job's root span
         self.task_spans: dict = {}    # slot -> open task span
-        self._subscribers: list[JobEventStream] = []
+        self._subscribers: list = []
 
     # -- SSE event fan-out ------------------------------------------------
 
-    def subscribe(self, max_buffer: int = 256) -> JobEventStream:
-        """Attach one SSE subscriber; always unsubscribe it."""
+    def subscribe(self, max_buffer: int = 256):
+        """Attach one SSE subscriber (a :class:`repro.obs.svc.JobEventStream`);
+        always unsubscribe it."""
+        from repro.obs.svc import JobEventStream
+
         stream = JobEventStream(max_buffer=max_buffer)
         self._subscribers.append(stream)
         return stream
 
-    def unsubscribe(self, stream: JobEventStream) -> None:
+    def unsubscribe(self, stream) -> None:
         with contextlib.suppress(ValueError):
             self._subscribers.remove(stream)
 
@@ -129,7 +136,6 @@ class Job:
             "shared": self.shared,
             "failed": len(self.errors) - len(self.quarantined),
             "quarantined": len(self.quarantined),
-            "profile": self.profile.report(),
         }
 
 
@@ -221,25 +227,28 @@ class CampaignService:
     # -- the pump --------------------------------------------------------
 
     def pump(self) -> None:
-        """One scheduling pass: activate, poll the pool, land results."""
+        """One scheduling pass: activate, poll the pool, land results.
+
+        A serial pool runs one task per poll, so the pass polls until no
+        ready task is left, landing each result as it completes.
+        """
         while True:
             job = self.admission.next_job()
             if job is None:
                 break
             self._activate(job)
-        for outcome in self.supervisor.poll():
-            self._land(outcome)
+        while True:
+            for outcome in self.supervisor.poll():
+                self._land(outcome)
+            if not (self.supervisor.serial and self.supervisor.pending):
+                break
 
     def _activate(self, job: Job) -> None:
         job.state = Job.ACTIVE
-        job.profile.begin(
-            total=job.total, workers=self.supervisor.worker_count
-        )
         for slot, fingerprint in enumerate(job.fingerprints):
             stored = self.store.get(fingerprint, default=_PENDING)
             if stored is not _PENDING:
                 job.from_store += 1
-                job.profile.checkpoint_hit()
                 if self.obs is not None and job.trace_id is not None:
                     now = self.obs.tracer.clock()
                     self.obs.tracer.record(
@@ -295,8 +304,6 @@ class CampaignService:
             for index, (job, slot) in enumerate(waiters):
                 if index == 0:
                     job.executed += 1
-                    job.profile.task_done(slot, task.fingerprint,
-                                          outcome.seconds)
                 else:
                     job.shared += 1
                 self._close_task_span(job, slot, status="done")
@@ -329,7 +336,6 @@ class CampaignService:
         if job.finished or job.resolved < job.total:
             return
         job.state = Job.FAILED if (job.errors or job.quarantined) else Job.DONE
-        job.profile.finish()
         if self.obs is not None and job.span is not None:
             self.obs.tracer.end(
                 job.span, state=job.state, executed=job.executed,
@@ -391,36 +397,51 @@ class CampaignService:
             for value in job.results
         ]
 
-    # -- async surface ---------------------------------------------------
+    # -- waiting ---------------------------------------------------------
+
+    def _advance(self, job: Job, deadline: float | None) -> bool:
+        """Pump once unless ``job`` has finished; True once it has."""
+        if job.finished:
+            return True
+        if deadline is not None and time.monotonic() > deadline:
+            raise CampaignError(
+                f"timed out waiting for job {job.job_id} "
+                f"({job.resolved}/{job.total} resolved)"
+            )
+        self.pump()
+        return job.finished
+
+    def run_job(self, kind: str, payloads: list, *, client: str = "local",
+                priority: int = 0, timeout: float | None = None):
+        """Synchronous submit-and-wait (the in-process client's core).
+
+        A serial pump runs every ready task, so a serial job never
+        sleeps; a pooled one sleeps ``poll_interval`` between pumps.
+        """
+        job = self.submit(kind, payloads, client=client, priority=priority)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._advance(job, deadline):
+            time.sleep(self.poll_interval)
+        return self.results(job)
 
     async def wait(self, job: Job | str, timeout: float | None = None):
         """Drive the service until ``job`` finishes; return its results."""
+        import asyncio
+
         if isinstance(job, str):
             job = self.jobs[job]
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not job.finished:
-            if deadline is not None and time.monotonic() > deadline:
-                raise CampaignError(
-                    f"timed out waiting for job {job.job_id} "
-                    f"({job.resolved}/{job.total} resolved)"
-                )
-            self.pump()
-            if job.finished:
-                break
+        while not self._advance(job, deadline):
             await asyncio.sleep(self.poll_interval)
         return self.results(job)
 
     async def drive(self) -> None:
         """Run the pump forever (the HTTP frontend's background task)."""
+        import asyncio
+
         while not self._closed:
             self.pump()
             await asyncio.sleep(self.poll_interval)
-
-    def run_job(self, kind: str, payloads: list, *, client: str = "local",
-                priority: int = 0, timeout: float | None = None):
-        """Synchronous submit-and-wait (the in-process client's core)."""
-        job = self.submit(kind, payloads, client=client, priority=priority)
-        return asyncio.run(self.wait(job, timeout=timeout))
 
     # -- introspection / lifecycle ---------------------------------------
 
@@ -458,6 +479,7 @@ class CampaignService:
         :class:`~repro.obs.svc.ServiceObs` is attached.
         """
         from repro.jit.cache import jit_metrics
+        from repro.obs.svc import stats_metrics
 
         text = stats_metrics(self.stats(), jit=jit_metrics()).prometheus_text()
         if self.obs is not None:
@@ -474,3 +496,32 @@ class CampaignService:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def resolve_workers(tasks: int) -> int:
+    """Width of a campaign's throwaway service: ``REPRO_WORKERS`` (else
+    the CPU count), capped at the campaign's task count, at least 1."""
+    try:
+        workers = int(os.environ.get("REPRO_WORKERS", ""))
+    except ValueError:
+        workers = os.cpu_count() or 1
+    return max(1, min(workers, tasks))
+
+
+def run_campaign(service, kind: str, payloads: list,
+                 store: ResultStore | str | None = None) -> list:
+    """Run one campaign's tasks; ordered, decoded results.
+
+    ``service`` is any client with ``map(kind, payloads)`` (an
+    :class:`~repro.serve.client.InProcessClient` or
+    :class:`~repro.serve.client.HttpClient`).  Without one, the
+    campaign gets a throwaway in-process service over ``store``,
+    :func:`resolve_workers` wide; one worker wide it runs serially in
+    this process, without forking.  Results are identical either way.
+    """
+    if service is not None:
+        return service.map(kind, payloads)
+    workers = resolve_workers(len(payloads))
+    with CampaignService(store, workers=workers,
+                         serial=workers == 1) as local:
+        return local.run_job(kind, payloads)

@@ -1,10 +1,11 @@
 """Durable, content-fingerprint-keyed result store.
 
-This generalizes the ``.cpi_cache.json`` discipline into a real store:
-every task a campaign executes is keyed by a sha256 fingerprint over its
-``(kind, payload)`` content, and the result of executing it is written
-durably — sqlite, one row per fingerprint, committed per put — before
-the service acknowledges the task as done.  Three properties follow:
+The cache and checkpoint of every campaign, the CPI table's
+``cache_path`` included.  Every task a campaign executes is keyed by a
+sha256 fingerprint over its ``(kind, payload)`` content, and the result
+of executing it is written durably — sqlite, one row per fingerprint,
+committed per put — before the service acknowledges the task as done.
+Three properties follow:
 
 * **dedup** — identical ``(kind, payload)`` work submitted by different
   jobs (or twice within one job) executes once; later submissions are
@@ -23,8 +24,8 @@ the service acknowledges the task as done.  Three properties follow:
 A corrupt or truncated database file (torn by a mid-write power cut on
 a non-atomic filesystem, or just garbage) is moved aside to
 ``<path>.corrupt`` and the store restarts empty rather than wedging the
-service — the same tolerate-and-recover policy as
-:class:`repro.parallel.Checkpoint`.
+service; a legacy JSON CPI cache at a table's ``cache_path`` is moved
+aside the same way, and the table repopulates.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class ResultStore:
             conn.execute(_SCHEMA)
             conn.commit()
             return conn
+        except sqlite3.OperationalError:
+            raise   # locked or unopenable: the file itself may be fine
         except sqlite3.DatabaseError:
             # Torn/garbage file: preserve it for forensics, start fresh.
             if self.path is None:

@@ -1,23 +1,25 @@
 """Supervised worker pool: health checks, kill/respawn, retry, quarantine.
 
-:func:`repro.parallel.resilient_map` hardens one *batch*; a service
-needs a pool that outlives any batch and any individual worker.  The
-:class:`Supervisor` owns N forked worker processes, each with a private
-inbox/outbox pair (``multiprocessing.SimpleQueue``), and is pumped by a
-non-blocking :meth:`Supervisor.poll` from the service's asyncio loop —
-every poll drains results, reaps crashed workers, kills workers whose
-in-flight task blew its deadline, respawns capacity, promotes
-backed-off retries, and dispatches ready tasks to idle workers.
+Every campaign in the tree runs on this pool, through
+:class:`repro.serve.service.CampaignService`.  The :class:`Supervisor`
+owns N forked worker processes, each with a private inbox/outbox pair
+(``multiprocessing.SimpleQueue``), and is pumped by a non-blocking
+:meth:`Supervisor.poll` — every poll drains results, reaps crashed
+workers, kills workers whose in-flight task blew its deadline, respawns
+capacity, promotes backed-off retries, and dispatches ready tasks to
+idle workers.  With ``serial=True`` nothing is forked: each poll runs
+one ready task in-process (the mode a one-wide campaign, a debugger or
+a profiler uses).
 
 Failure taxonomy (the part tests pin down):
 
 * **task exception** — deterministic campaign input; the task fails
-  *immediately* with the worker's traceback (same no-retry policy as
-  ``resilient_map``), and the worker stays healthy;
+  *immediately* with the worker's traceback (never retried), and the
+  worker stays healthy;
 * **worker crash** — the process died (``os._exit``, segfault, OOM
   kill) with a task in flight; the task retries on a fresh worker after
   a capped, deterministically jittered exponential backoff
-  (:func:`repro.parallel.retry_delay`);
+  (:func:`retry_delay`);
 * **hung worker** — the in-flight task exceeded ``task_timeout``; the
   worker is SIGKILLed and respawned, and the task retries like a crash;
 * **poison task** — a task that crashed/hung workers
@@ -39,15 +41,37 @@ from __future__ import annotations
 import collections
 import contextlib
 import heapq
-import multiprocessing
+import random
 import time
 import traceback
 
-from repro.parallel import retry_delay
 from repro.serve import tasks as task_registry
 
 #: Worker -> supervisor message tag.
 _DONE = "done"
+
+
+def retry_delay(
+    base: float,
+    attempt: int,
+    cap: float | None = None,
+    token: str = "",
+    seed: int = 0,
+) -> float:
+    """Capped exponential backoff with *deterministic* seeded jitter.
+
+    The jitter (up to +25% of the exponential delay) decorrelates
+    retries that would otherwise stampede in lockstep, but is a pure
+    function of ``(seed, token, attempt)`` — replaying a campaign
+    replays the exact same sleep schedule, which keeps retry behaviour
+    reproducible in tests and chaos runs.  ``attempt`` is 1-based.
+    """
+    rng = random.Random(f"{seed}:{token}:{attempt}")
+    delay = base * (2 ** max(0, attempt - 1))
+    delay *= 1.0 + rng.uniform(0.0, 0.25)
+    if cap is not None:
+        delay = min(delay, cap)
+    return delay
 
 
 def _worker_main(worker_id: int, inbox, outbox) -> None:
@@ -273,6 +297,9 @@ class Supervisor:
     # -- worker lifecycle ------------------------------------------------
 
     def _spawn_worker(self) -> _Worker | None:
+        # Imported here: a serial supervisor never pays for it.
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         worker = _Worker(self._next_worker_id, ctx)
         self._next_worker_id += 1
@@ -403,7 +430,8 @@ class Supervisor:
         return outcomes
 
     def _poll_serial(self) -> list[TaskOutcome]:
-        """Serial degradation: run one pending task in-process per poll."""
+        """Serial mode: run one pending task in-process per poll (the
+        service's pump polls again while ready tasks remain)."""
         now = self.clock()
         while self._delayed and self._delayed[0][0] <= now:
             self._enqueue(heapq.heappop(self._delayed)[2])

@@ -15,16 +15,17 @@ This module maps each ``kind`` to:
   computed serially, by a worker, or replayed from the durable store.
 
 Worker processes are forked from the service, so kinds registered
-before the pool spawns — including test-only chaos kinds — are visible
-in every worker without import gymnastics.
+before the pool spawns are visible in every worker without import
+gymnastics.  The test-only chaos kinds (:mod:`repro.serve.chaos`)
+register themselves on the first lookup of a name the registry does not
+know, so campaigns never load them.
 
-Registered campaign kinds mirror the four in-tree campaign clients:
+Registered campaign kinds mirror the in-tree campaign clients:
 
 ========================  ==================================================
 ``cpi-config``            one microarchitecture's full Table 3 CPI campaign
-                          (:mod:`repro.dse.cpi`)
-``dse-close``             one config's (VT, VDD, f) synthesis closure
-                          (:mod:`repro.dse.sweep`)
+                          (:mod:`repro.dse.cpi`, which also feeds
+                          :func:`repro.dse.sweep.sweep`)
 ``fault-trial``           one fault-injection trial
                           (:mod:`repro.resilience.campaign`)
 ``fuzz-case``             one differential-fuzzing seed
@@ -60,6 +61,10 @@ class TaskKind:
 _REGISTRY: dict[str, TaskKind] = {}
 
 
+def _load_chaos_kinds() -> None:
+    import repro.serve.chaos  # noqa: F401  (registers the chaos kinds)
+
+
 def register(name: str, run: Callable[[dict], object],
              decode: Callable[[object], object] | None = None,
              traced: Callable[[dict], tuple] | None = None) -> TaskKind:
@@ -70,6 +75,8 @@ def register(name: str, run: Callable[[dict], object],
 
 
 def get_kind(name: str) -> TaskKind:
+    if name not in _REGISTRY:
+        _load_chaos_kinds()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -79,6 +86,7 @@ def get_kind(name: str) -> TaskKind:
 
 
 def registered_kinds() -> list[str]:
+    _load_chaos_kinds()
     return sorted(_REGISTRY)
 
 
@@ -128,45 +136,6 @@ def _run_cpi_config(payload: dict):
         config, payload["scale"], payload["seed"], _params_from(payload)
     )
     return [config.name, cpi, stack]
-
-
-def _run_dse_close(payload: dict):
-    from repro.dse.sweep import _close_config
-    from repro.pipeline.config import config_by_name
-    from repro.vlsi.technology import Technology
-
-    points = _close_config((
-        config_by_name(payload["config"]),
-        payload["cpi"],
-        Technology(name=payload.get("tech", "tsmc65gp-model")),
-        payload.get("include_fmax", True),
-    ))
-    return [
-        {
-            "synthesis": {
-                **dataclasses.asdict(point.synthesis),
-                "vt": point.synthesis.vt.value,
-            },
-            "cpi": point.cpi,
-        }
-        for point in points
-    ]
-
-
-def _decode_dse_close(result):
-    from repro.dse.design_point import DesignPoint
-    from repro.vlsi.synthesis import SynthesisResult
-    from repro.vlsi.technology import VtFlavor
-
-    return [
-        DesignPoint(
-            synthesis=SynthesisResult(
-                **{**entry["synthesis"], "vt": VtFlavor(entry["synthesis"]["vt"])}
-            ),
-            cpi=entry["cpi"],
-        )
-        for entry in result
-    ]
 
 
 def _run_fault_trial(payload: dict):
@@ -263,7 +232,6 @@ def _run_workload_traced(payload: dict) -> tuple:
 
 
 register("cpi-config", _run_cpi_config, decode=tuple)
-register("dse-close", _run_dse_close, decode=_decode_dse_close)
 register("fault-trial", _run_fault_trial, decode=_decode_fault_trial)
 register("fuzz-case", _run_fuzz_case)
 register("workload-run", _run_workload, traced=_run_workload_traced)

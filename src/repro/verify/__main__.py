@@ -16,7 +16,7 @@ into the corpus directory for triage.
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 import time
 
@@ -76,9 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="first case seed (cases use seed..seed+N-1)")
     parser.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("REPRO_WORKERS", "0")) or None,
-        help="worker processes (default: one per CPU)",
+        "--workers", type=int, default=None,
+        help="campaign service workers; 1 runs serially in-process "
+             "(default: REPRO_WORKERS, else one per CPU)",
     )
     parser.add_argument("--ref-configs", type=int, default=2,
                         help="configs per case that also run the reference "
@@ -114,8 +114,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fuzz {count} cases, seed {seed}, "
               f"{len(CONFIGS)} configs each{suffix}...")
 
-    results = fuzz_run(count, seed=seed, workers=args.workers,
-                       ref_configs=args.ref_configs, jit=args.jit)
+    with contextlib.ExitStack() as stack:
+        client = None
+        if args.workers is not None:
+            from repro.serve.client import InProcessClient
+            from repro.serve.service import CampaignService
+
+            client = InProcessClient(stack.enter_context(CampaignService(
+                None, workers=args.workers, serial=args.workers <= 1,
+            )))
+        results = fuzz_run(count, seed=seed, ref_configs=args.ref_configs,
+                           jit=args.jit, service=client)
     summary = summarize_run(results)
     elapsed = time.monotonic() - started
     print(f"checked {summary['cases']} cases / "

@@ -19,8 +19,9 @@ dataclass walk to bit-identical state *and counters* against the fast
 path.  Every case is also pushed through the assembler/disassembler and
 binary encode/decode round trips.
 
-Workers return plain dicts (never raise) so a fuzz campaign can fan out
-through :func:`repro.parallel.resilient_map` and aggregate failures.
+Workers return plain JSON dicts (never raise) so a fuzz campaign can
+run as ``fuzz-case`` tasks on the campaign service and aggregate
+failures.
 """
 
 from __future__ import annotations

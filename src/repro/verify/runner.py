@@ -1,43 +1,41 @@
-"""Campaign driver: fan a batch of fuzz cases over worker processes.
+"""Fuzz campaigns: run a batch of fuzz cases on the campaign service.
 
 The per-case check is pure (a seed fully determines the case and its
-result), so a campaign is an order-preserving :func:`resilient_map`
-over seeds — byte-identical results at any worker count, with the
-parallel layer's timeout/retry/serial-degradation hardening for free.
+result), so a campaign is one ``fuzz-case`` task per seed on the
+campaign service (:func:`repro.serve.service.run_campaign`) — identical
+results at any worker count, with the supervisor's crash, hang and
+retry handling for free.
 """
 
 from __future__ import annotations
 
-from repro.parallel import resilient_map
 from repro.params import DEFAULT_PARAMS
 from repro.verify.generator import generate_case
 from repro.verify.harness import check_case, real_divergences
 
 
 def _check_seed(task: tuple[int, int, bool]) -> dict:
-    """Module-level worker (must pickle): generate and check one seed."""
+    """The ``fuzz-case`` task body: generate and check one seed."""
     seed, ref_configs, jit = task
     case = generate_case(seed, DEFAULT_PARAMS)
     return check_case(case, DEFAULT_PARAMS, ref_configs=ref_configs, jit=jit)
 
 
-def fuzz_run(count: int, seed: int = 0, workers: int | None = None,
-             ref_configs: int = 4, timeout: float | None = 120.0,
+def fuzz_run(count: int, seed: int = 0, ref_configs: int = 4,
              jit: bool = False, service=None) -> list[dict]:
     """Check ``count`` generated cases; returns per-case result dicts.
 
-    With ``service`` (a :mod:`repro.serve` client) the batch runs as
-    ``fuzz-case`` tasks on the supervised campaign service: identical
-    per-case dicts, deduped against the durable store, so re-fuzzing an
-    overlapping seed range only executes the new seeds.
+    ``service`` (a :mod:`repro.serve` client) runs the batch on that
+    service, deduped against its durable store, so re-fuzzing an
+    overlapping seed range only executes the new seeds; without one, a
+    throwaway in-process service runs it.
     """
-    if service is not None:
-        return service.map("fuzz-case", [
-            {"seed": seed + index, "ref_configs": ref_configs, "jit": jit}
-            for index in range(count)
-        ])
-    tasks = [(seed + index, ref_configs, jit) for index in range(count)]
-    return resilient_map(_check_seed, tasks, workers, timeout=timeout)
+    from repro.serve.service import run_campaign
+
+    return run_campaign(service, "fuzz-case", [
+        {"seed": seed + index, "ref_configs": ref_configs, "jit": jit}
+        for index in range(count)
+    ])
 
 
 def summarize_run(results: list[dict]) -> dict:

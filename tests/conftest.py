@@ -17,10 +17,31 @@ settings.load_profile("ci")
 
 @pytest.fixture(scope="session")
 def cpi_table(tmp_path_factory) -> CpiTable:
-    cache = tmp_path_factory.mktemp("cpi") / "cpi_cache.json"
+    cache = tmp_path_factory.mktemp("cpi") / "cpi_cache.sqlite"
     return CpiTable(scale=12, cache_path=str(cache))
 
 
 @pytest.fixture()
 def params():
     return DEFAULT_PARAMS
+
+
+@pytest.fixture()
+def cpi_runs(monkeypatch) -> list[str]:
+    """Names of the configs whose CPI campaign runs from here on.
+
+    ``REPRO_WORKERS=1`` keeps every campaign serial and in this process,
+    where the count is taken.
+    """
+    import repro.dse.cpi as cpi_module
+
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    runs: list[str] = []
+    campaign = cpi_module._campaign
+
+    def counted(config, *args):
+        runs.append(config.name)
+        return campaign(config, *args)
+
+    monkeypatch.setattr(cpi_module, "_campaign", counted)
+    return runs

@@ -1,5 +1,7 @@
 """Design-space exploration: grids, sweep feasibility, Pareto extraction."""
 
+import json
+
 import pytest
 
 from repro.dse.cpi import CpiTable
@@ -154,7 +156,7 @@ class TestPruning:
         # (mechanism test only — an unsound oracle voids the frontier
         # guarantee, so nothing else is asserted about the output).
         fast, slow = config_by_name("TDX"), config_by_name("T|D|X1|X2")
-        table = CpiTable(scale=8, cache_path=str(tmp_path / "cpi.json"))
+        table = CpiTable(scale=8, cache_path=str(tmp_path / "cpi.sqlite"))
         oracle = PruneOracle({fast.name: 1.0, slow.name: 1000.0}, batch=1)
         points = sweep(configs=[fast, slow], cpi_table=table, prune=oracle)
         assert oracle.stats.configs_pruned == 1
@@ -184,21 +186,39 @@ class TestPruning:
 
 
 class TestCpiTable:
-    def test_caches_across_instances(self, tmp_path):
-        cache = tmp_path / "cpi.json"
-        table = CpiTable(scale=8, cache_path=str(cache))
+    def test_caches_across_instances(self, cpi_runs, tmp_path):
+        cache = str(tmp_path / "cpi.sqlite")
         config = config_by_name("TDX")
-        first = table.cpi(config)
-        # A new table with the same cache must not re-simulate (and must agree).
-        again = CpiTable(scale=8, cache_path=str(cache))
-        assert config.name in again._cpi
+        first = CpiTable(scale=8, cache_path=cache).cpi(config)
+        assert cpi_runs == [config.name]
+        # A new table on the same store must not re-simulate (and must agree).
+        again = CpiTable(scale=8, cache_path=cache)
         assert again.cpi(config) == first
+        assert cpi_runs == [config.name]
 
-    def test_cache_invalidated_by_scale_change(self, tmp_path):
+    def test_cache_invalidated_by_scale_change(self, cpi_runs, tmp_path):
+        cache = str(tmp_path / "cpi.sqlite")
+        config = config_by_name("TDX")
+        CpiTable(scale=8, cache_path=cache).cpi(config)
+        CpiTable(scale=10, cache_path=cache).cpi(config)
+        assert cpi_runs == [config.name, config.name]
+
+    @pytest.mark.parametrize("content", [
+        '{"fingerprint": "3f2a", "scale": 8, "cpi": {"TD',
+        json.dumps({"fingerprint": "3f2a", "scale": 8, "seed": 0,
+                    "cpi": {"TDX": 9.0}, "stacks": {"TDX": {}}}),
+    ], ids=["torn", "legacy-json"])
+    def test_unreadable_cache_is_moved_aside(self, content, tmp_path):
         cache = tmp_path / "cpi.json"
-        CpiTable(scale=8, cache_path=str(cache)).cpi(config_by_name("TDX"))
-        other = CpiTable(scale=10, cache_path=str(cache))
-        assert not other._cpi
+        cache.write_text(content)
+        configs = [config_by_name("TDX"), config_by_name("T|DX +P")]
+        table = CpiTable(scale=4, cache_path=str(cache))
+        table.populate(configs)
+        assert (tmp_path / "cpi.json.corrupt").read_text() == content
+        fresh = CpiTable(scale=4)
+        fresh.populate(configs)
+        assert table._cpi == fresh._cpi
+        assert table._stacks == fresh._stacks
 
     def test_stack_components_sum_to_cpi(self, cpi_table):
         config = config_by_name("T|D|X +P")

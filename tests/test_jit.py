@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from repro.asm import assemble
 from repro.jit import (
     CODEGEN_VERSION,
-    JitBatch,
     cache_stats,
     clear_cache,
     fingerprint,
@@ -192,23 +191,3 @@ def test_fingerprint_caching_makes_recompiles_free():
     assert first._jit.key == key == others[0]._jit.key
     src = generate_source(first.instructions, cfg, P)
     assert f"codegen v{CODEGEN_VERSION}" in src.splitlines()[0]
-
-
-def test_jit_batch_steps_lanes_in_lockstep():
-    """SoA batch mode: N lanes advance together and match a solo PE
-    running the same program exactly."""
-    cfg = config_by_name("T|D|X1|X2 +P+Q")
-    program = assemble(_LOOP, P)
-    batch = JitBatch(cfg, P)
-    for lane in range(4):
-        batch.add(program.instructions, name=f"lane{lane}")
-    cycles = batch.run(10_000)
-    assert batch.halted
-    solo = PipelinedPE(cfg, P, name="solo", backend="jit")
-    program.configure(solo)
-    solo.run_cycles(10_000)
-    assert solo.halted
-    for pe in batch.pes:
-        assert pe.counters == solo.counters
-        assert pe.regs.snapshot() == solo.regs.snapshot()
-        assert pe.counters.cycles <= cycles

@@ -1,5 +1,6 @@
 """Observability layer: event bus, metrics registry, trace export,
-campaign profiling, and the bit-identical-when-disabled guarantee."""
+campaign profiling through service spans, and the
+bit-identical-when-disabled guarantee."""
 
 import json
 
@@ -9,11 +10,10 @@ from repro.asm import assemble
 from repro.dse.cpi import CpiTable
 from repro.errors import SimulationError
 from repro.obs import (
-    CampaignProfile,
     MetricsRegistry,
+    ServiceObs,
     Telemetry,
     chrome_trace,
-    format_campaign_report,
     run_instrumented,
 )
 from repro.pipeline import PipelinedPE, config_by_name
@@ -292,31 +292,36 @@ def test_stage_intervals_tile_without_overlap(stream_run):
 
 
 # ----------------------------------------------------------------------
-# Campaign profiling
+# Campaign profiling: the service's spans time every campaign task
 # ----------------------------------------------------------------------
 
 def test_campaign_profile_records_cpi_population():
-    profile = CampaignProfile(label="unit")
-    table = CpiTable(scale=6)
+    from repro.serve import CampaignService, InProcessClient
+
+    obs = ServiceObs()
     configs = all_configs()[:3]
-    table.populate(configs, workers=1, profile=profile)
-    report = profile.report()
-    assert report["completed_tasks"] == 3
-    assert report["planned_tasks"] == 3
-    assert report["elapsed_seconds"] > 0
-    assert 0.0 < report["worker_utilization"] <= 1.0
-    assert report["pool_retries"] == 0 and report["timeouts"] == 0
-    assert len(report["tasks"]) == 3
-    text = format_campaign_report(report)
-    assert "unit" in text and "3/3" in text
+    with CampaignService(None, serial=True, obs=obs) as service:
+        CpiTable(scale=6).populate(configs, service=InProcessClient(service))
+    [job] = obs.tracer.by_name("job")
+    assert job.attrs["executed"] == 3 and job.attrs["state"] == "done"
+    executes = obs.tracer.by_name("execute")
+    assert len(executes) == 3
+    assert all(span.seconds > 0 for span in executes)
+    assert sum(span.seconds for span in executes) <= job.seconds
+    assert obs.tracer.check_nesting() == []
 
 
 def test_campaign_profile_accumulates_across_calls():
-    profile = CampaignProfile(label="accum")
+    from repro.serve import CampaignService, InProcessClient
+
+    obs = ServiceObs()
     table = CpiTable(scale=6)
-    table.populate(all_configs()[:1], workers=1, profile=profile)
-    table.populate(all_configs()[1:2], workers=1, profile=profile)
-    assert profile.report()["completed_tasks"] == 2
+    with CampaignService(None, serial=True, obs=obs) as service:
+        client = InProcessClient(service)
+        table.populate(all_configs()[:1], service=client)
+        table.populate(all_configs()[1:2], service=client)
+    assert obs.tracer.summary()["job"] == 2
+    assert len(obs.tracer.by_name("execute")) == 2
 
 
 # ----------------------------------------------------------------------

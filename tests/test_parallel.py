@@ -1,199 +1,151 @@
-"""Worker-count policy and campaign parallelism determinism."""
+"""Campaign parallelism on the campaign service: the width policy,
+serial-versus-pooled identity, retry backoff, and the worker traceback
+chain."""
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.dse.cpi import CpiTable, table_fingerprint
-from repro.parallel import parallel_map, resolve_workers
+from repro.dse.cpi import CpiTable
+from repro.errors import CampaignError, WorkerTraceback
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline.config import all_configs
+from repro.serve.client import InProcessClient
+from repro.serve.service import CampaignService, resolve_workers, run_campaign
+from repro.serve.store import task_fingerprint
+from repro.serve.supervisor import retry_delay
 
 
 @pytest.fixture()
 def clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SERIAL", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
 
-def _square(x):   # module level: must pickle for the pool path
-    return x * x
-
-
 class TestResolveWorkers:
-    def test_serial_env_forces_one(self, clean_env, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        assert resolve_workers(8) == 1
-
-    def test_explicit_argument_wins_over_workers_env(self, clean_env, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
     def test_workers_env_applies_when_unspecified(self, clean_env, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers() == 5
+        assert resolve_workers(8) == 5
+        assert resolve_workers(3) == 3     # never wider than the campaign
 
     def test_defaults_to_cpu_count(self, clean_env):
-        assert resolve_workers() == max(1, os.cpu_count() or 1)
+        assert resolve_workers(1000) == max(1, os.cpu_count() or 1)
 
-    def test_never_below_one(self, clean_env):
+    def test_never_below_one(self, clean_env, monkeypatch):
         assert resolve_workers(0) == 1
-        assert resolve_workers(-3) == 1
+        monkeypatch.setenv("REPRO_WORKERS", "-3")
+        assert resolve_workers(8) == 1
 
     def test_garbage_workers_env_falls_through(self, clean_env, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")
-        assert resolve_workers() == max(1, os.cpu_count() or 1)
+        assert resolve_workers(1000) == max(1, os.cpu_count() or 1)
 
 
 class TestParallelMap:
-    def test_serial_path_preserves_order(self, clean_env):
-        assert parallel_map(_square, range(10), workers=1) == [
-            x * x for x in range(10)
+    """``run_campaign`` without a service: the order-preserving campaign
+    map, serial at width 1 and forked wider."""
+
+    def test_serial_path_preserves_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        payloads = [{"value": x} for x in range(10)]
+        assert run_campaign(None, "chaos-echo", payloads) == [
+            {"echo": x} for x in range(10)
         ]
 
-    def test_pool_path_matches_serial(self, clean_env):
-        items = list(range(12))
-        assert parallel_map(_square, items, workers=2) == [
-            x * x for x in items
+    def test_pool_path_matches_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        payloads = [{"value": x} for x in range(12)]
+        assert run_campaign(None, "chaos-echo", payloads) == [
+            {"echo": x} for x in range(12)
         ]
 
-    def test_empty_input(self, clean_env):
-        assert parallel_map(_square, [], workers=4) == []
+    def test_empty_input(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        assert run_campaign(None, "chaos-echo", []) == []
 
 
 class TestCpiTableParallelism:
     CONFIGS = all_configs()[:3]
     SCALE = 5
 
-    def test_populate_matches_lazy_serial_evaluation(self, clean_env):
+    def test_populate_matches_lazy_serial_evaluation(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         lazy = CpiTable(scale=self.SCALE)
         for config in self.CONFIGS:
             lazy.cpi(config)
         pooled = CpiTable(scale=self.SCALE)
-        pooled.populate(self.CONFIGS, workers=2)
+        with CampaignService(None, workers=2) as service:
+            pooled.populate(self.CONFIGS, service=InProcessClient(service))
         assert pooled._cpi == lazy._cpi
         assert pooled._stacks == lazy._stacks
 
     def test_fingerprint_covers_scale_params_and_configs(self):
-        base = table_fingerprint(8, 0, P, self.CONFIGS)
-        assert table_fingerprint(9, 0, P, self.CONFIGS) != base
-        assert table_fingerprint(8, 1, P, self.CONFIGS) != base
-        assert table_fingerprint(8, 0, P, self.CONFIGS[:2]) != base
-        assert table_fingerprint(8, 0, P, self.CONFIGS) == base
+        def fingerprint(config="TDX", scale=8, seed=0, params=P):
+            return task_fingerprint("cpi-config", {
+                "config": config, "scale": scale, "seed": seed,
+                "params": dataclasses.asdict(params),
+            })
 
-    def test_stale_disk_cache_is_not_loaded(self, clean_env, tmp_path):
-        path = str(tmp_path / "cache.json")
-        first = CpiTable(scale=self.SCALE, cache_path=path)
-        first.populate(self.CONFIGS[:1])
-        assert CpiTable(scale=self.SCALE, cache_path=path)._cpi == first._cpi
-        assert CpiTable(scale=self.SCALE + 1, cache_path=path)._cpi == {}
+        base = fingerprint()
+        assert fingerprint(scale=9) != base
+        assert fingerprint(seed=1) != base
+        wider = dataclasses.replace(P, num_regs=P.num_regs + 1)
+        assert fingerprint(params=wider) != base
+        assert fingerprint(config="TD|X") != base
+        assert fingerprint() == base
+
+    def test_stale_disk_cache_is_not_loaded(self, cpi_runs, tmp_path):
+        path = str(tmp_path / "cache.sqlite")
+        CpiTable(scale=self.SCALE, cache_path=path).populate(self.CONFIGS)
+        cpi_runs.clear()
+        CpiTable(scale=self.SCALE, cache_path=path).populate(self.CONFIGS)
+        assert cpi_runs == []
+        CpiTable(scale=self.SCALE + 1, cache_path=path).populate(self.CONFIGS)
+        assert cpi_runs == [config.name for config in self.CONFIGS]
+        cpi_runs.clear()
+        CpiTable(scale=self.SCALE, seed=1, cache_path=path).populate(
+            self.CONFIGS)
+        assert cpi_runs == [config.name for config in self.CONFIGS]
 
 
 class TestRetryDelay:
     def test_deterministic_for_same_inputs(self):
-        from repro.parallel import retry_delay
-
         a = retry_delay(0.25, 2, cap=5.0, token="pool", seed=0)
         b = retry_delay(0.25, 2, cap=5.0, token="pool", seed=0)
         assert a == b
 
     def test_jitter_decorrelates_tokens_and_attempts(self):
-        from repro.parallel import retry_delay
-
         base = retry_delay(0.25, 1, token="a")
         assert retry_delay(0.25, 1, token="b") != base
         assert retry_delay(0.25, 1, token="a", seed=1) != base
         assert retry_delay(0.25, 2, token="a") != base
 
     def test_exponential_growth_within_jitter_bounds(self):
-        from repro.parallel import retry_delay
-
         for attempt in range(1, 6):
             delay = retry_delay(0.1, attempt, token="t")
             exponential = 0.1 * 2 ** (attempt - 1)
             assert exponential <= delay <= exponential * 1.25
 
     def test_cap_bounds_the_delay(self):
-        from repro.parallel import retry_delay
-
         assert retry_delay(1.0, 10, cap=2.0, token="t") == 2.0
 
 
-class TestCheckpointCrashSafety:
-    def _checkpoint(self, path, **kwargs):
-        from repro.parallel import Checkpoint
-
-        return Checkpoint(str(path), fingerprint="fp", **kwargs)
-
-    def test_roundtrip_survives_reload(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        first = self._checkpoint(path)
-        first.put("a", [1, 2])
-        first.put("b", [3])
-        resumed = self._checkpoint(path)
-        assert len(resumed) == 2
-        assert resumed.get("a") == [1, 2]
-
-    def test_truncated_checkpoint_tolerated_as_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = self._checkpoint(path)
-        ckpt.put("a", [1])
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) // 2])   # torn mid-write
-        assert len(self._checkpoint(path)) == 0
-
-    def test_garbage_checkpoint_tolerated_as_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("\x00\xff not json")
-        assert len(self._checkpoint(path)) == 0
-
-    def test_non_dict_json_tolerated_as_empty(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("[1, 2, 3]")
-        assert len(self._checkpoint(path)) == 0
-        path.write_text('{"fingerprint": "fp", "results": [1, 2]}')
-        assert len(self._checkpoint(path)) == 0
-
-    def test_fingerprint_mismatch_discards_results(self, tmp_path):
-        from repro.parallel import Checkpoint
-
-        path = tmp_path / "ckpt.json"
-        self._checkpoint(path).put("a", [1])
-        assert len(Checkpoint(str(path), fingerprint="other")) == 0
-
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = self._checkpoint(path)
-        for index in range(5):
-            ckpt.put(f"k{index}", index)
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-        assert path.exists()
-
-
-def _fails(item):   # module level: must pickle for the pool path
-    raise ValueError(f"bad item {item}")
-
-
 class TestWorkerTracebackChain:
-    def test_serial_failure_chains_worker_traceback(self):
-        from repro.errors import CampaignError
-        from repro.parallel import WorkerTraceback, resilient_map
-
+    def test_serial_failure_chains_worker_traceback(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         with pytest.raises(CampaignError) as err:
-            resilient_map(_fails, [7], workers=1)
+            run_campaign(None, "chaos-fail", [{"message": "bad item 7"}])
         assert "ValueError" in str(err.value)
         assert "bad item 7" in str(err.value)
         cause = err.value.__cause__
         assert isinstance(cause, WorkerTraceback)
         assert "ValueError: bad item 7" in cause.tb
 
-    def test_pool_failure_chains_worker_traceback(self, clean_env):
-        from repro.errors import CampaignError
-        from repro.parallel import WorkerTraceback, resilient_map
-
-        with pytest.raises(CampaignError) as err:
-            resilient_map(_fails, [1, 2, 3], workers=2)
+    def test_pool_failure_chains_worker_traceback(self):
+        with CampaignService(None, workers=2) as service:
+            with pytest.raises(CampaignError) as err:
+                run_campaign(InProcessClient(service), "chaos-fail",
+                             [{"message": f"bad item {i}"} for i in range(3)])
         assert isinstance(err.value.__cause__, WorkerTraceback)
         assert err.value.worker_traceback
         assert "ValueError" in err.value.worker_traceback

@@ -1,9 +1,9 @@
-"""The resilience layer: fault injection, invariants, forensics, and the
-hardened campaign machinery (``resilient_map`` / ``Checkpoint``)."""
+"""The resilience layer: fault injection, invariants, forensics, and
+fault campaigns on the campaign service."""
 
+import dataclasses
 import os
 import signal
-import time
 
 import pytest
 
@@ -11,14 +11,12 @@ from repro.arch import FunctionalPE
 from repro.arch.queue import QueueEntry, TaggedQueue
 from repro.asm import assemble
 from repro.errors import (
-    CampaignError,
     DeadlockError,
     DivergenceError,
     InvariantViolation,
     SimulationError,
 )
 from repro.fabric import System
-from repro.parallel import Checkpoint, resilient_map
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.resilience import (
@@ -43,59 +41,29 @@ from repro.resilience.campaign import (
     NOT_APPLIED,
 )
 from repro.resilience.forensics import forensic_report, format_report
+from repro.serve.client import InProcessClient
+from repro.serve.service import CampaignService
+from repro.serve.tasks import get_kind, register
 from repro.workloads.suite import get_workload
 
 OUTCOMES = {DETECTED, HUNG, CORRUPTED, MASKED, NOT_APPLIED}
 
 
 # ---------------------------------------------------------------------------
-# Process-pool worker functions (module level so they pickle)
+# A task kind that kills its first worker (registered before any fork)
 # ---------------------------------------------------------------------------
 
-def _double(x):
-    return x * 2
-
-
-def _boom(x):
-    raise ValueError(f"bad input {x}")
-
-
-def _kill_once(task):
-    """SIGKILL the worker on the very first attempt, then behave."""
-    value, flag_dir = task
-    flag = os.path.join(flag_dir, "killed")
+def _trial_kill_once(payload):
+    """Run one fault trial, SIGKILLing the first worker that tries."""
+    flag = os.path.join(payload["flag_dir"], "killed")
     if not os.path.exists(flag):
         open(flag, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
-    return value * 2
+    return get_kind("fault-trial").run(payload["trial"])
 
 
-def _kill_in_pool(task):
-    """Die whenever running in a pool child; succeed only in-process."""
-    value, main_pid = task
-    if os.getpid() != main_pid:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return value + 10
-
-
-def _stall_once(task):
-    """Stall far past the task timeout on the first attempt only."""
-    value, flag_dir = task
-    flag = os.path.join(flag_dir, f"stalled-{value}")
-    if not os.path.exists(flag):
-        open(flag, "w").close()
-        time.sleep(5)
-    return value + 1
-
-
-def _trial_kill_once(task):
-    """Run one campaign trial, SIGKILLing the first worker that tries."""
-    trial, flag_dir = task
-    flag = os.path.join(flag_dir, "killed")
-    if not os.path.exists(flag):
-        open(flag, "w").close()
-        os.kill(os.getpid(), signal.SIGKILL)
-    return run_trial(trial)
+register("test-fault-trial-kill-once", _trial_kill_once,
+         decode=get_kind("fault-trial").decode)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +385,13 @@ SMALL_CAMPAIGN_KWARGS = dict(
 
 
 class TestFaultCampaign:
-    def test_bit_identical_across_runs_and_worker_counts(self):
-        serial = fault_campaign(workers=1, **CAMPAIGN_KWARGS)
-        rerun = fault_campaign(workers=1, **CAMPAIGN_KWARGS)
-        pooled = fault_campaign(workers=2, **CAMPAIGN_KWARGS)
+    def test_bit_identical_across_runs_and_worker_counts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = fault_campaign(**CAMPAIGN_KWARGS)
+        rerun = fault_campaign(**CAMPAIGN_KWARGS)
+        with CampaignService(None, workers=2) as service:
+            pooled = fault_campaign(service=InProcessClient(service),
+                                    **CAMPAIGN_KWARGS)
         assert serial == rerun
         assert serial == pooled
         assert len(serial) == 6
@@ -433,17 +404,20 @@ class TestFaultCampaign:
             for i in range(3)
         ]
         serial = [run_trial(trial) for trial in tasks]
-        survived = resilient_map(
-            _trial_kill_once,
-            [(trial, str(tmp_path)) for trial in tasks],
-            workers=2,
-            retries=3,
-        )
+        with CampaignService(None, workers=2, backoff_base=0.01,
+                             backoff_cap=0.05) as service:
+            survived = InProcessClient(service).map(
+                "test-fault-trial-kill-once",
+                [{"trial": dataclasses.asdict(trial), "flag_dir": str(tmp_path)}
+                 for trial in tasks],
+            )
+            stats = service.stats()
         assert os.path.exists(tmp_path / "killed")    # a worker really died
+        assert stats["supervisor"]["worker_crashes"] >= 1
         assert survived == serial
 
     def test_summary_covers_every_cell(self):
-        results = fault_campaign(workers=1, **SMALL_CAMPAIGN_KWARGS)
+        results = fault_campaign(**SMALL_CAMPAIGN_KWARGS)
         summary = summarize(results)
         assert set(summary) == {
             (config, fault.value)
@@ -453,84 +427,19 @@ class TestFaultCampaign:
         text = format_summary(results)
         assert "reg-bit-flip" in text and "TDX" in text
 
-    def test_checkpoint_cleared_after_completion(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
-        results = fault_campaign(
-            workers=1, checkpoint_path=path, **SMALL_CAMPAIGN_KWARGS
-        )
-        assert results == fault_campaign(workers=1, **SMALL_CAMPAIGN_KWARGS)
-        assert not os.path.exists(path)
+    def test_file_store_resumes_without_reexecution(self, tmp_path):
+        path = str(tmp_path / "campaign.sqlite")
+        with CampaignService(path, serial=True) as service:
+            first = fault_campaign(service=InProcessClient(service),
+                                   **SMALL_CAMPAIGN_KWARGS)
+        with CampaignService(path, serial=True) as service:
+            resumed = fault_campaign(service=InProcessClient(service),
+                                     **SMALL_CAMPAIGN_KWARGS)
+            stats = service.stats()
+        assert resumed == first
+        assert stats["supervisor"]["tasks_done"] == 0
 
     def test_trial_key_is_stable(self):
         trial = FaultTrial(config="TDX", workload="gcd",
                            fault="queue-drop", trial=3, scale=4, seed=0)
         assert trial.key == "TDX/gcd/queue-drop/t3"
-
-
-# ---------------------------------------------------------------------------
-# resilient_map and Checkpoint
-# ---------------------------------------------------------------------------
-
-class TestResilientMap:
-    def test_matches_serial_at_any_worker_count(self):
-        items = list(range(8))
-        expected = [_double(item) for item in items]
-        assert resilient_map(_double, items, workers=1) == expected
-        assert resilient_map(_double, items, workers=3) == expected
-
-    def test_killed_worker_is_retried(self, tmp_path):
-        items = [(value, str(tmp_path)) for value in range(4)]
-        results = resilient_map(_kill_once, items, workers=2, retries=3)
-        assert results == [0, 2, 4, 6]
-
-    def test_degrades_to_serial_when_pool_keeps_dying(self):
-        items = [(value, os.getpid()) for value in range(3)]
-        results = resilient_map(_kill_in_pool, items, workers=2,
-                                retries=0, backoff=0.01)
-        assert results == [10, 11, 12]
-
-    def test_task_timeout_triggers_retry(self, tmp_path):
-        items = [(value, str(tmp_path)) for value in range(2)]
-        results = resilient_map(_stall_once, items, workers=2,
-                                timeout=0.5, retries=2, backoff=0.01)
-        assert results == [1, 2]
-
-    def test_worker_exception_carries_traceback(self):
-        with pytest.raises(CampaignError) as info:
-            resilient_map(_boom, list(range(4)), workers=2)
-        assert "ValueError" in info.value.worker_traceback
-        assert "_boom" in info.value.worker_traceback
-        assert "bad input" in str(info.value)
-
-    def test_serial_exception_carries_traceback_too(self):
-        with pytest.raises(CampaignError) as info:
-            resilient_map(_boom, [1], workers=1)
-        assert "ValueError" in info.value.worker_traceback
-
-    def test_checkpoint_resume_skips_completed_work(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        first = Checkpoint(path, fingerprint="f")
-        items = [1, 2, 3]
-        resilient_map(_double, items, workers=1, checkpoint=first, key=str)
-        resumed = Checkpoint(path, fingerprint="f")
-        assert len(resumed) == 3
-        # Every item is checkpointed, so the poison task never runs.
-        results = resilient_map(_boom, items, workers=1,
-                                checkpoint=resumed, key=str)
-        assert results == [2, 4, 6]
-
-    def test_checkpoint_fingerprint_mismatch_discards_results(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        stale = Checkpoint(path, fingerprint="old")
-        stale.put("1", 2)
-        assert len(Checkpoint(path, fingerprint="new")) == 0
-        assert len(Checkpoint(path, fingerprint="old")) == 1
-
-    def test_checkpoint_clear_removes_file(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        checkpoint = Checkpoint(path, fingerprint="f")
-        checkpoint.put("a", 1)
-        assert os.path.exists(path)
-        checkpoint.clear()
-        assert not os.path.exists(path)
-        assert len(checkpoint) == 0

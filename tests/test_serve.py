@@ -14,12 +14,15 @@ import asyncio
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.errors import CampaignError, ConfigError
-from repro.parallel import WorkerTraceback
+import repro
+from repro.errors import CampaignError, ConfigError, WorkerTraceback
 from repro.serve import (
     AdmissionController,
     AdmissionError,
@@ -88,6 +91,13 @@ class TestResultStore:
             store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
             assert store.get(fp) == {"echo": 1}
         assert os.path.exists(path + ".corrupt")
+
+    def test_unopenable_path_raises_and_moves_nothing(self, tmp_path):
+        import sqlite3
+
+        with pytest.raises(sqlite3.OperationalError):
+            ResultStore(str(tmp_path / "missing" / "store.sqlite"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_stats_shape(self):
         with ResultStore() as store:
@@ -235,6 +245,19 @@ class TestServiceBasics:
         assert stats["jobs"] == {"done": 1}
         assert stats["store"]["rows"] == 1
 
+    def test_status_size_does_not_grow_with_the_job(self):
+        # GET /jobs/<id> and the SSE snapshot serve this dict, and
+        # clients poll it.
+        sizes = []
+        with CampaignService(None, serial=True) as service:
+            for count in (4, 400):
+                job = service.submit(
+                    "chaos-echo", [{"value": i} for i in range(count)]
+                )
+                asyncio.run(service.wait(job, timeout=60.0))
+                sizes.append(len(json.dumps(job.status())))
+        assert abs(sizes[1] - sizes[0]) <= 64
+
 
 class TestFailureTaxonomy:
     def test_crashed_worker_respawns_and_task_retries(self, tmp_path):
@@ -311,8 +334,7 @@ class TestFailureTaxonomy:
             Process = _UnstartableProcess
 
         monkeypatch.setattr(
-            supervisor_mod.multiprocessing, "get_context",
-            lambda method: _NoProcessCtx(),
+            multiprocessing, "get_context", lambda method: _NoProcessCtx(),
         )
         with CampaignService(None, workers=2) as service:
             results = _run(
@@ -323,6 +345,18 @@ class TestFailureTaxonomy:
         assert stats["serial"] is True
         assert stats["supervisor"]["serial_fallback"] is True
         assert stats["supervisor"]["worker_spawns"] == 0
+
+    def test_serial_job_runs_every_ready_task_without_sleeping(self):
+        # A serial pump drains every ready task, so no poll sleep is
+        # paid per task (at 0.5 s a sleep per task would take 9.5 s).
+        with CampaignService(None, serial=True,
+                             poll_interval=0.5) as service:
+            started = time.monotonic()
+            results = _run(service, "chaos-echo",
+                           [{"value": i} for i in range(20)])
+            elapsed = time.monotonic() - started
+        assert results == [{"echo": i} for i in range(20)]
+        assert elapsed < 1.0
 
     def test_serial_mode_still_quarantines_poison(self):
         # chaos-fail raises (rather than os._exit, which would kill the
@@ -373,6 +407,14 @@ class TestResume:
 
 
 class TestCampaignClients:
+    """Each campaign's default path (serial, in-process, under
+    ``REPRO_WORKERS=1``) against the same campaign on a two-worker
+    service."""
+
+    @pytest.fixture(autouse=True)
+    def _serial_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+
     def test_fault_campaign_matches_direct_run(self):
         from repro.resilience.campaign import fault_campaign
 
@@ -380,7 +422,7 @@ class TestCampaignClients:
             configs=("TDX",), faults=("reg-bit-flip",), workloads=("gcd",),
             trials=2, scale=4, seed=3,
         )
-        direct = fault_campaign(workers=1, **kwargs)
+        direct = fault_campaign(**kwargs)
         with CampaignService(None, workers=2) as service:
             served = fault_campaign(
                 service=InProcessClient(service), **kwargs
@@ -390,7 +432,7 @@ class TestCampaignClients:
     def test_fuzz_run_matches_direct_run(self):
         from repro.verify.runner import fuzz_run
 
-        direct = fuzz_run(2, seed=11, workers=1, ref_configs=2)
+        direct = fuzz_run(2, seed=11, ref_configs=2)
         with CampaignService(None, workers=2) as service:
             served = fuzz_run(
                 2, seed=11, ref_configs=2, service=InProcessClient(service)
@@ -403,7 +445,7 @@ class TestCampaignClients:
 
         configs = [config_by_name("TDX"), config_by_name("T|DX +P")]
         direct = CpiTable(scale=4, seed=0)
-        direct.populate(configs, workers=1)
+        direct.populate(configs)
         with CampaignService(None, workers=2) as service:
             served = CpiTable(scale=4, seed=0)
             served.populate(configs, service=InProcessClient(service))
@@ -417,9 +459,7 @@ class TestCampaignClients:
         from repro.pipeline.config import config_by_name
 
         configs = [config_by_name("TDX")]
-        direct = sweep(
-            configs, cpi_table=CpiTable(scale=4, seed=0), workers=1,
-        )
+        direct = sweep(configs, cpi_table=CpiTable(scale=4, seed=0))
         with CampaignService(None, workers=2) as service:
             served = sweep(
                 configs, cpi_table=CpiTable(scale=4, seed=0),
@@ -555,9 +595,47 @@ class TestChaosKill:
         ) == 0
 
 
+class TestImportFootprint:
+    """The campaign path stays light: the report and gate entry points
+    load no service code until a campaign runs, and a serial campaign
+    loads neither ``asyncio``, ``multiprocessing`` nor ``urllib``, nor
+    the HTTP frontend or the chaos kinds."""
+
+    @staticmethod
+    def _loaded(code: str, **env) -> set[str]:
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (code + "\nimport json, sys\n"
+                  "print(json.dumps(sorted(sys.modules)))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=300, check=True,
+            env={**os.environ, "PYTHONPATH": src, **env},
+        )
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_entry_points_load_no_service(self):
+        loaded = self._loaded(
+            "import repro.eval.report, repro.verify, repro.analyze"
+        )
+        assert not {"repro.serve", "sqlite3"} & loaded
+
+    def test_serial_campaigns_load_no_pool_or_http(self):
+        loaded = self._loaded(
+            "from repro.dse.cpi import CpiTable\n"
+            "from repro.pipeline.config import all_configs\n"
+            "from repro.verify import fuzz_run\n"
+            "CpiTable(scale=2).populate(all_configs()[:2])\n"
+            "fuzz_run(2)",
+            REPRO_WORKERS="1",
+        )
+        assert "repro.serve.service" in loaded
+        assert not {"asyncio", "multiprocessing", "urllib.request",
+                    "repro.serve.http", "repro.serve.chaos"} & loaded
+
+
 def test_registered_kinds_cover_the_campaign_clients():
     kinds = registered_kinds()
-    for expected in ("cpi-config", "dse-close", "fault-trial", "fuzz-case",
+    for expected in ("cpi-config", "fault-trial", "fuzz-case",
                      "workload-run", "chaos-echo", "chaos-crash-once",
                      "chaos-hang-once", "chaos-always-crash", "chaos-fail"):
         assert expected in kinds

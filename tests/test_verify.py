@@ -5,6 +5,8 @@ import os
 
 from repro.isa.opcodes import OPS
 from repro.params import DEFAULT_PARAMS
+from repro.serve.client import InProcessClient
+from repro.serve.service import CampaignService
 from repro.verify.corpus import load_corpus
 from repro.verify.generator import case_source, generate_case
 from repro.verify.harness import check_case, real_divergences
@@ -79,9 +81,12 @@ class TestGenerator:
 
 
 class TestRunner:
-    def test_results_identical_at_any_worker_count(self):
-        serial = fuzz_run(6, seed=50, workers=1, ref_configs=1)
-        pooled = fuzz_run(6, seed=50, workers=2, ref_configs=1)
+    def test_results_identical_at_any_worker_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = fuzz_run(6, seed=50, ref_configs=1)
+        with CampaignService(None, workers=2) as service:
+            pooled = fuzz_run(6, seed=50, ref_configs=1,
+                              service=InProcessClient(service))
         assert serial == pooled
         summary = summarize_run(serial)
         assert summary["cases"] == 6
