@@ -97,10 +97,6 @@ class DeadlockError(SimulationError):
         super().__init__(message)
 
 
-class DivergenceError(SimulationError):
-    """Fast-path and reference simulations disagreed on final state."""
-
-
 class ConfigError(ReproError):
     """An illegal microarchitecture or system configuration."""
 

@@ -10,8 +10,7 @@ queue-policy, params) content fingerprint:
 * :mod:`repro.jit.cache` — sha256 content fingerprinting and the
   compile-once module cache.
 
-Select it per PE with ``PipelinedPE(..., backend="jit")`` (the
-``REPRO_JIT`` environment variable flips the process-wide default).
+Select it per PE with ``PipelinedPE(..., backend="jit")``.
 Instrumented paths — fault hooks, telemetry sinks — transparently fall
 back to the interpreter, cycle for cycle.
 """

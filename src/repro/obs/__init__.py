@@ -12,6 +12,7 @@ to uninstrumented ones.
     print(run.metrics.format())                 # cross-PE metrics report
     run.metrics.to_json("metrics.json")         # structured export
     export_chrome_trace(run.telemetry, "trace.json", run.system)
+    print(pipeline_diagram(run.telemetry, run.system.pe("worker")))
 
 ``python -m repro.obs`` wraps the same flow as a CLI.
 
@@ -39,6 +40,7 @@ from repro.obs.trace_export import (
     chrome_trace,
     export_campaign_trace,
     export_chrome_trace,
+    pipeline_diagram,
 )
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
     "run_instrumented",
     "chrome_trace",
     "export_chrome_trace",
+    "pipeline_diagram",
     "campaign_trace",
     "export_campaign_trace",
     "ServiceObs",

@@ -9,9 +9,10 @@ generalization.  A :class:`Telemetry` sink attaches to a
   ``issue`` / ``retire`` / ``quash``, speculative ``rollback``, queue
   ``enqueue`` / ``dequeue`` with tags, and memory ``port_grant``s;
 * **per-cycle samples** — queue-occupancy timelines (delta-compressed),
-  queue high-water marks, memory-port/LSQ busy cycles, and per-PE
-  pipeline-stage occupancy intervals (the raw material for the Chrome
-  trace export).
+  queue high-water marks, memory-port/LSQ busy cycles, per-PE
+  pipeline-stage occupancy intervals, and per-PE cycle outcomes (the raw
+  material for the Chrome trace export and the ASCII pipeline diagram,
+  :func:`repro.obs.trace_export.pipeline_diagram`).
 
 The instrumentation contract is strictly opt-in: every emitting
 component carries a ``telemetry`` attribute that defaults to ``None``
@@ -24,6 +25,13 @@ are bit-identical (``tests/test_obs.py`` holds them to that).
 """
 
 from __future__ import annotations
+
+#: What a pipelined PE did in one cycle, named after the counter that
+#: moved, in classification order (the counters tile every cycle).
+_OUTCOMES = (
+    "issued", "predicate hazard", "data hazard", "forbidden", "no trigger",
+)
+_NO_COUNTS = (0,) * (len(_OUTCOMES) + 1)
 
 
 class TelemetryEvent:
@@ -83,6 +91,13 @@ class Telemetry:
         #: (start_cycle, end_cycle, label, slot, seq), end inclusive.
         self.stage_intervals: dict[str, list[list[tuple]]] = {}
         self._stage_open: dict[str, list] = {}
+        #: Delta-compressed cycle outcomes per pipelined PE:
+        #: (cycle, outcome, predicates, speculating) rows, appended only
+        #: when one of the last three changes; :meth:`cycle_rows`
+        #: expands them to one per cycle.
+        self.pe_rows: dict[str, list[tuple]] = {}
+        #: pe name -> (last sampled cycle, its cycle and outcome counters).
+        self._pe_counts: dict[str, tuple] = {}
         self._attached: list = []
 
     # ------------------------------------------------------------------
@@ -175,9 +190,15 @@ class Telemetry:
             snapshot = getattr(pe, "stage_snapshot", None)
             if snapshot is not None:
                 self._sample_stages(pe.name, snapshot(), cycle)
+                self._sample_row(pe, cycle)
 
     def sample_pe(self, pe) -> None:
-        """Single-PE variant of :meth:`sample_system` (no fabric)."""
+        """Single-PE variant of :meth:`sample_system` (no fabric).
+
+        Called by :meth:`repro.pipeline.core.PipelinedPE.run_cycles`
+        after each cycle's queue commit, so a lone PE records what it
+        would inside a :class:`~repro.fabric.system.System`.
+        """
         cycle = pe.counters.cycles
         self.now = cycle
         if cycle % self.sample_interval:
@@ -188,6 +209,7 @@ class Telemetry:
         snapshot = getattr(pe, "stage_snapshot", None)
         if snapshot is not None:
             self._sample_stages(pe.name, snapshot(), cycle)
+            self._sample_row(pe, cycle)
 
     def _sample_queue(self, queue, cycle: int) -> None:
         name = queue.name
@@ -218,6 +240,41 @@ class Telemetry:
             if current is None and occupant is not None:
                 current = [cycle, cycle, occupant.label, occupant.slot, seq]
             open_entries[stage] = current
+
+    def _sample_row(self, pe, cycle: int) -> None:
+        counters = pe.counters
+        counts = (
+            counters.cycles, counters.issued, counters.pred_hazard_cycles,
+            counters.data_hazard_cycles, counters.forbidden_cycles,
+            counters.none_triggered_cycles,
+        )
+        last = self._pe_counts.get(pe.name)
+        before = _NO_COUNTS if last is None else last[1]
+        if counts[0] == before[0]:
+            return   # a halted PE no longer steps
+        self._pe_counts[pe.name] = (cycle, counts)
+        for outcome, now, was in zip(_OUTCOMES, counts[1:], before[1:]):
+            if now > was:
+                break
+        else:
+            outcome = "halted" if pe.halted else "-"
+        row = (cycle, outcome, pe.preds.state, bool(pe._specs))
+        rows = self.pe_rows.setdefault(pe.name, [])
+        if not rows or rows[-1][1:] != row[1:]:
+            rows.append(row)
+
+    def cycle_rows(self, pe_name: str) -> list[tuple]:
+        """``pe_rows`` expanded to one row per sampled PE cycle."""
+        rows = self.pe_rows.get(pe_name, [])
+        if not rows:
+            return []
+        ends = [row[0] for row in rows[1:]]
+        ends.append(self._pe_counts[pe_name][0] + 1)
+        return [
+            (cycle, *row[1:])
+            for row, end in zip(rows, ends)
+            for cycle in range(row[0], end)
+        ]
 
     def finish(self) -> None:
         """Close any open stage intervals (call once the run completes)."""

@@ -23,11 +23,12 @@ store commit?  Four cooperating pieces, bundled by :class:`ServiceObs`:
   *oldest* events (progress is monotone, the newest frame supersedes
   them) and the drop count is surfaced, never silent.
 
-The seam discipline is PR 3's: services take ``obs=None`` by default,
-every emit site is a single ``is not None`` test, and with ``obs``
-unset the serve tier's message formats and results are byte-identical
-to the uninstrumented build — enforced by
-``benchmarks/test_bench_obs_overhead.py``.
+The seam discipline is the simulator's: services take ``obs=None`` by
+default, every emit site is a single ``is not None`` test, and with
+``obs`` unset the serve tier's results are byte-identical to a traced
+run's — enforced by ``benchmarks/test_bench_obs_overhead.py``.  It is
+the service tier's only observation seam: every supervisor and job
+lifecycle event is a span or a JSON-log record here.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import sys
 import time
 from collections import deque
 from collections.abc import Callable
+
+from repro.obs.trace_export import stage_names
 
 __all__ = [
     "JobEventStream",
@@ -547,18 +550,12 @@ def sim_trace_data(run) -> dict:
     The exporter later scales cycles into the execute span's wall-clock
     window so sim tracks align under the service spans.
     """
-    stage_names: dict[str, list[str]] = {}
-    for pe in run.system.pes:
-        config = getattr(pe, "config", None)
-        if config is not None:
-            stage_names[pe.name] = ["".join(stage) for stage in config.stages]
+    pes = {pe.name: pe for pe in run.system.pes}
     return {
         "cycles": run.cycles,
         "pes": {
             pe_name: {
-                "stages": stage_names.get(
-                    pe_name, [f"stage{i}" for i in range(len(per_stage))]
-                ),
+                "stages": stage_names(pes.get(pe_name), len(per_stage)),
                 "intervals": [
                     [list(interval) for interval in stage]
                     for stage in per_stage

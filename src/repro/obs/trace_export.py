@@ -1,8 +1,17 @@
-"""Chrome trace-event / Perfetto JSON export of a telemetry stream.
+"""Renderers of a telemetry stream: pipeline diagrams and Perfetto JSON.
 
-Renders what the ASCII pipeline diagram (:mod:`repro.pipeline.trace`)
-shows for one PE — but for the whole fabric, zoomable, in any Chrome
-``about:tracing`` or Perfetto UI:
+:func:`pipeline_diagram` is the per-PE debug monitor of the paper's
+prototype (Section 6.1) as text: one row per cycle, one column per
+pipeline stage, then the predicate state and what the trigger stage
+did::
+
+     cycle  T       D       X            preds  event
+         4  ins1    -       -                0  issued
+         5  ins0    ins1    -                1  issued
+         6  -       ins0    ins1             1  predicate hazard
+
+:func:`chrome_trace` shows the same for the whole fabric, zoomable, in
+any Chrome ``about:tracing`` or Perfetto UI:
 
 * one *process* per PE with one *thread* (track) per pipeline stage;
   each instruction's residence in a stage becomes a complete ("X")
@@ -53,12 +62,55 @@ def _metadata(pid: int, name: str, tid: int | None = None,
     return events
 
 
+def stage_names(pe, depth: int) -> list[str]:
+    """Track names for ``pe``'s ``depth`` stages: its partition names
+    (``T``, ``D``, ``X1`` ...) when it is pipelined, else ``stage0``,
+    ``stage1``, ..."""
+    config = getattr(pe, "config", None)
+    if config is None:
+        return [f"stage{i}" for i in range(depth)]
+    return ["".join(stage) for stage in config.stages]
+
+
+def pipeline_diagram(telemetry: Telemetry, pe, first: int = 0,
+                     count: int | None = None) -> str:
+    """The pipeline diagram of ``pe`` over a window of its sampled cycles.
+
+    Rows come from :meth:`Telemetry.cycle_rows`, stage labels from the
+    stage-occupancy intervals; ``first``/``count`` index the rows.
+    """
+    telemetry.finish()
+    per_stage = telemetry.stage_intervals.get(pe.name, [])
+    names = stage_names(pe, len(per_stage))
+    width = max(8, max(len(name) for name in names) + 2)
+    header = f"{'cycle':>6}  " + "".join(f"{n:<{width}}" for n in names)
+    lines = [header + f"{'preds':>10}  event"]
+    rows = telemetry.cycle_rows(pe.name)
+    rows = rows[first:first + count if count else None]
+    if not rows:
+        return lines[0]
+    low, high = rows[0][0], rows[-1][0]
+    labels = [["-"] * (high - low + 1) for _ in names]
+    for stage, intervals in enumerate(per_stage):
+        for start, end, label, __, __ in intervals:
+            for cycle in range(max(start, low), min(end, high) + 1):
+                labels[stage][cycle - low] = label
+    for cycle, outcome, predicates, speculating in rows:
+        row = f"{cycle:>6}  " + "".join(
+            f"{column[cycle - low]:<{width}}" for column in labels
+        )
+        row += f"{predicates:>10b}  {outcome}"
+        if speculating:
+            row += " (spec)"
+        lines.append(row)
+    return "\n".join(lines)
+
+
 def chrome_trace(telemetry: Telemetry, system=None) -> dict:
     """Build the trace-event JSON object from a telemetry sink.
 
     ``system`` is optional and only used to label stage tracks with
-    their partition names (``T``, ``D``, ``X1`` ...); without it tracks
-    are named ``stage0``, ``stage1``, ...
+    their partition names (see :func:`stage_names`).
     """
     telemetry.finish()
     events: list[dict] = []
@@ -69,27 +121,17 @@ def chrome_trace(telemetry: Telemetry, system=None) -> dict:
             pids[name] = len(pids) + 1
         return pids[name]
 
-    stage_names: dict[str, list[str]] = {}
-    if system is not None:
-        for pe in system.pes:
-            config = getattr(pe, "config", None)
-            if config is not None:
-                stage_names[pe.name] = [
-                    "".join(stage) for stage in config.stages
-                ]
+    pes = {} if system is None else {pe.name: pe for pe in system.pes}
 
     # -- stage tracks: one process per PE, one thread per stage ----------
     for pe_name, per_stage in telemetry.stage_intervals.items():
         pid = pid_of(pe_name)
-        names = stage_names.get(
-            pe_name, [f"stage{i}" for i in range(len(per_stage))]
-        )
+        names = stage_names(pes.get(pe_name), len(per_stage))
         events.extend(_metadata(pid, pe_name))
         for stage, intervals in enumerate(per_stage):
             tid = stage + 1
-            label = names[stage] if stage < len(names) else f"stage{stage}"
             events.extend(
-                _metadata(pid, pe_name, tid=tid, thread_name=label)[1:]
+                _metadata(pid, pe_name, tid=tid, thread_name=names[stage])[1:]
             )
             for start, end, name, slot, seq in intervals:
                 events.append(

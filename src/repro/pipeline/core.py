@@ -33,7 +33,6 @@ restored with the actual outcome.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -121,23 +120,11 @@ class _Speculation:
 
 
 def _resolve_backend(backend: str) -> str:
-    """Validate the executor choice, honoring the ``REPRO_JIT`` override.
-
-    ``REPRO_JIT=1`` forces the specialization backend process-wide and
-    ``REPRO_JIT=0`` forces the interpreter, regardless of what callers
-    request — the escape hatches the differential harnesses use to run
-    one corpus through both executors without threading a flag through
-    every constructor.
-    """
+    """Validate the executor choice."""
     if backend not in ("interp", "jit"):
         raise SimulationError(
             f"unknown backend {backend!r}; choose 'interp' or 'jit'"
         )
-    override = os.environ.get("REPRO_JIT")
-    if override == "1":
-        return "jit"
-    if override == "0":
-        return "interp"
     return backend
 
 
@@ -304,7 +291,9 @@ class PipelinedPE:
         drivers follow); returns the number of cycles consumed.  On the
         jit backend this dispatches to the generated block loop; with a
         fault hook or telemetry sink attached — or on the interpreter
-        backend — it steps cycle by cycle through :meth:`step`.
+        backend — it steps cycle by cycle through :meth:`step`, and an
+        attached sink samples the PE after each commit, as a
+        :class:`~repro.fabric.system.System` would.
         """
         before = self.counters.cycles
         if (
@@ -327,6 +316,8 @@ class PipelinedPE:
                 if queue._staged:
                     queue.commit()
                     stop = True
+            if self.telemetry is not None:
+                self.telemetry.sample_pe(self)
             if stop and stop_on_enqueue:
                 break
         return self.counters.cycles - before
@@ -848,8 +839,9 @@ class PipelinedPE:
         stage (``None`` for an empty stage).
 
         This is the supported way to inspect in-flight state — the
-        tracer, the telemetry sampler, and the trace exporters all read
-        it — so external tooling never reaches into the private pipe.
+        telemetry sampler reads it, and the pipeline diagram and trace
+        exporters render what it sampled — so external tooling never
+        reaches into the private pipe.
         Sampling is non-invasive: nothing simulated changes.
         """
         snapshot = []

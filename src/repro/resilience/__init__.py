@@ -5,17 +5,14 @@ Three pillars (see the module docstrings for detail):
 * :mod:`repro.resilience.faults` — deterministic, seeded fault
   injection into functional and pipelined PEs;
 * :mod:`repro.resilience.invariants` /
-  :mod:`repro.resilience.forensics` /
-  :mod:`repro.resilience.divergence` — runtime invariant checking, the
-  deadlock watchdog's structured dumps, and fast-path-vs-reference
-  cross-checking;
+  :mod:`repro.resilience.forensics` — runtime invariant checking and
+  the deadlock watchdog's structured dumps;
 * :mod:`repro.resilience.campaign` — seeded campaigns classifying
   which fault classes each microarchitecture detects, masks, or
   silently corrupts under.
 
 Run ``python -m repro.resilience --smoke`` for the CI gate: a small
-campaign checked for bit-identical results across worker counts, plus a
-fast-path divergence sweep.
+campaign checked for bit-identical results across worker counts.
 """
 
 from repro.resilience.campaign import (
@@ -27,11 +24,6 @@ from repro.resilience.campaign import (
     format_summary,
     run_trial,
     summarize,
-)
-from repro.resilience.divergence import (
-    DivergenceReport,
-    assert_no_divergence,
-    check_divergence,
 )
 from repro.resilience.faults import (
     ALL_FAULT_CLASSES,
@@ -48,15 +40,12 @@ __all__ = [
     "ALL_FAULT_CLASSES",
     "DEFAULT_CONFIGS",
     "DEFAULT_FAULTS",
-    "DivergenceReport",
     "FaultClass",
     "FaultInjector",
     "FaultSpec",
     "FaultTrial",
     "InvariantChecker",
     "TrialResult",
-    "assert_no_divergence",
-    "check_divergence",
     "fault_campaign",
     "forensic_report",
     "format_report",

@@ -29,6 +29,7 @@ import argparse
 import asyncio
 import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
@@ -70,7 +71,7 @@ def _fail(message: str) -> int:
 # ----------------------------------------------------------------------
 
 def run_smoke(scale: int, seed: int, workdir: str) -> int:
-    from repro.obs.events import Telemetry
+    from repro.obs.svc import JsonLogger, ServiceObs
     from repro.pipeline.config import config_by_name  # noqa: F401 (validates)
 
     configs = ["TDX", "T|DX +P", "TD|X +Q", "T|D|X1|X2 +P+Q"]
@@ -87,9 +88,9 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
 
     print("\n[2/5] supervised campaign with forced worker crash + hang...")
     store_path = os.path.join(workdir, "serve-smoke.sqlite")
-    telemetry = Telemetry()
+    log = io.StringIO()
     with CampaignService(
-        store_path, workers=2, telemetry=telemetry,
+        store_path, workers=2, obs=ServiceObs(logger=JsonLogger(log)),
         task_timeout=5.0, backoff_base=0.01, backoff_cap=0.1,
     ) as service:
         client = InProcessClient(service)
@@ -119,8 +120,10 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
         return _fail("hung worker was never killed")
     if stats["supervisor"]["task_retries"] < 2:
         return _fail("crash/hang retries did not happen")
-    if not telemetry.events_of("worker_spawn"):
-        return _fail("no telemetry streamed to the obs event bus")
+    events = [json.loads(line)["event"]
+              for line in log.getvalue().splitlines()]
+    if "worker_spawn" not in events:
+        return _fail("no worker_spawn record in the service log")
 
     print("\n[3/5] resume: fresh service over the same store...")
     with CampaignService(store_path, workers=2) as resumed_service:

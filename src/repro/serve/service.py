@@ -148,7 +148,6 @@ class CampaignService:
         workers: int = 2,
         *,
         admission: AdmissionController | None = None,
-        telemetry=None,
         obs=None,
         poll_interval: float = 0.005,
         **supervisor_kwargs,
@@ -156,7 +155,6 @@ class CampaignService:
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
-        self.telemetry = telemetry
         #: Optional :class:`repro.obs.svc.ServiceObs`, threaded through
         #: admission and the supervised pool (None-default seam).
         self.obs = obs
@@ -164,8 +162,7 @@ class CampaignService:
         if obs is not None and self.admission.obs is None:
             self.admission.obs = obs
         self.supervisor = Supervisor(
-            workers=workers, telemetry=telemetry, obs=obs,
-            **supervisor_kwargs
+            workers=workers, obs=obs, **supervisor_kwargs
         )
         self.poll_interval = poll_interval
         self.jobs: dict[str, Job] = {}
@@ -173,12 +170,6 @@ class CampaignService:
         #: fingerprint -> waiters [(job, slot), ...] for in-flight tasks.
         self._inflight: dict[str, list[tuple[Job, int]]] = {}
         self._closed = False
-
-    # -- events ----------------------------------------------------------
-
-    def _emit(self, kind: str, **data) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(kind, "serve.service", **data)
 
     # -- submission ------------------------------------------------------
 
@@ -220,8 +211,6 @@ class CampaignService:
                          kind=kind, tasks=job.total, client=client,
                          priority=priority)
         self.jobs[job.job_id] = job
-        self._emit("job_admitted", job=job.job_id, task_kind=kind,
-                   tasks=job.total, client=client, priority=priority)
         return job
 
     # -- the pump --------------------------------------------------------
@@ -348,12 +337,6 @@ class CampaignService:
                 from_store=job.from_store, shared=job.shared,
                 failed=len(job.errors), quarantined=len(job.quarantined),
             )
-        self._emit(
-            "job_done", job=job.job_id, state=job.state,
-            executed=job.executed, from_store=job.from_store,
-            shared=job.shared, failed=len(job.errors),
-            quarantined=len(job.quarantined),
-        )
         # Terminal SSE frame; its event name equals the final state, so
         # the HTTP handler (and any client) closes on "done"/"failed".
         job.publish(job.state, executed=job.executed,

@@ -74,43 +74,42 @@ def retry_delay(
     return delay
 
 
+def _remote(ctx: dict | None, started: float, sim) -> dict | None:
+    """A traced reply's worker-side window and simulator payload."""
+    if ctx is None:
+        return None
+    return {"start": started, "end": time.monotonic(), "sim": sim}
+
+
 def _worker_main(worker_id: int, inbox, outbox) -> None:
     """Worker process loop: execute tasks from the inbox until ``None``.
 
-    Messages are 3-tuples ``(task_id, kind, payload)`` on an
-    uninstrumented pool; with a :class:`~repro.obs.svc.ServiceObs`
-    attached a 4th element carries trace context (``{"trace", "span",
-    "sim"}``) and the reply grows a matching 6th element with the
-    worker-side monotonic window (comparable across ``fork`` on Linux —
+    Messages are ``(task_id, kind, payload, ctx)``, where ``ctx`` is the
+    trace context (``{"trace", "span", "sim"}``) when a
+    :class:`~repro.obs.svc.ServiceObs` is attached and ``None``
+    otherwise.  Replies are ``(_DONE, task_id, ok, payload, seconds,
+    remote)``, where ``payload`` is the result, or the error tuple when
+    ``ok`` is false; for a traced task ``remote`` carries the worker-side
+    monotonic window (comparable across ``fork`` on Linux —
     CLOCK_MONOTONIC is system-wide) plus the optional simulator
-    stage-track payload.  The byte format of the uninstrumented flow is
-    untouched.
+    stage-track payload, else it is ``None``.
     """
     while True:
         message = inbox.get()
         if message is None:
             return
-        if len(message) == 4:
-            task_id, kind, payload, ctx = message
-        else:
-            task_id, kind, payload = message
-            ctx = None
+        task_id, kind, payload, ctx = message
         start = time.perf_counter()
-        started_mono = time.monotonic() if ctx is not None else 0.0
+        started = time.monotonic()
         try:
             sim = None
-            if ctx is not None and ctx.get("sim"):
+            if ctx is not None and ctx["sim"]:
                 result, sim = task_registry.execute_traced(kind, payload)
             else:
                 result = task_registry.execute(kind, payload)
             seconds = time.perf_counter() - start
-            if ctx is None:
-                outbox.put((_DONE, task_id, True, result, seconds))
-            else:
-                outbox.put((_DONE, task_id, True, result, seconds, {
-                    "start": started_mono, "end": time.monotonic(),
-                    "sim": sim,
-                }))
+            outbox.put((_DONE, task_id, True, result, seconds,
+                        _remote(ctx, started, sim)))
         except Exception as exc:
             # DeadlockError-style exceptions carry a structured forensic
             # report; ride it back for the quarantine/failure record.
@@ -122,13 +121,8 @@ def _worker_main(worker_id: int, inbox, outbox) -> None:
                 report if isinstance(report, dict) else None,
             )
             seconds = time.perf_counter() - start
-            if ctx is None:
-                outbox.put((_DONE, task_id, False, error, seconds))
-            else:
-                outbox.put((_DONE, task_id, False, error, seconds, {
-                    "start": started_mono, "end": time.monotonic(),
-                    "sim": None,
-                }))
+            outbox.put((_DONE, task_id, False, error, seconds,
+                        _remote(ctx, started, None)))
 
 
 class SupervisedTask:
@@ -222,7 +216,6 @@ class Supervisor:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         seed: int = 0,
-        telemetry=None,
         obs=None,
         clock=time.monotonic,
         serial: bool = False,
@@ -233,7 +226,6 @@ class Supervisor:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.seed = seed
-        self.telemetry = telemetry
         #: Optional :class:`repro.obs.svc.ServiceObs`; None-default seam.
         self.obs = obs
         self.clock = clock
@@ -253,12 +245,6 @@ class Supervisor:
             "tasks_quarantined": 0,
             "serial_fallback": serial,
         }
-
-    # -- events ----------------------------------------------------------
-
-    def _emit(self, kind: str, **data) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(kind, "serve.supervisor", **data)
 
     # -- submission ------------------------------------------------------
 
@@ -311,14 +297,12 @@ class Supervisor:
             worker.close_queues()
             self.serial = True
             self.metrics["serial_fallback"] = True
-            self._emit("serial_fallback", error=f"{type(exc).__name__}: {exc}")
             if self.obs is not None:
                 self.obs.log("serial_fallback", level="warning",
                              error=f"{type(exc).__name__}: {exc}")
             return None
         self.metrics["worker_spawns"] += 1
         self._workers[worker.worker_id] = worker
-        self._emit("worker_spawn", worker=worker.worker_id)
         if self.obs is not None:
             self.obs.log("worker_spawn", worker=worker.worker_id)
         return worker
@@ -330,7 +314,6 @@ class Supervisor:
 
     def _kill_worker(self, worker: _Worker, reason: str) -> None:
         self.metrics["worker_kills"] += 1
-        self._emit("worker_kill", worker=worker.worker_id, reason=reason)
         if self.obs is not None:
             self.obs.log("worker_kill", level="warning",
                          worker=worker.worker_id, reason=reason)
@@ -377,8 +360,6 @@ class Supervisor:
                              trace_id=task.trace_id, span_id=task.span_id,
                              task=task.task_id, kind=task.kind,
                              failure=failure, attempts=len(task.failures))
-            self._emit("task_quarantined", task=task.task_id,
-                       task_kind=task.kind, attempts=len(task.failures))
             return TaskOutcome(
                 task, TaskOutcome.QUARANTINED, forensic=forensic,
                 error=(failure, detail, "", report),
@@ -388,8 +369,6 @@ class Supervisor:
             self.backoff_base, len(task.failures), cap=self.backoff_cap,
             token=task.fingerprint, seed=self.seed,
         )
-        self._emit("task_retry", task=task.task_id, failure=failure,
-                   attempt=len(task.failures), delay=delay)
         if self.obs is not None and task.trace_id is not None:
             now = self.clock()
             self.obs.tracer.record(
@@ -479,8 +458,6 @@ class Supervisor:
     def _task_done(self, task: SupervisedTask, result,
                    seconds: float) -> TaskOutcome:
         self.metrics["tasks_done"] += 1
-        self._emit("task_done", task=task.task_id, task_kind=task.kind,
-                   seconds=seconds, attempts=task.attempts)
         if self.obs is not None:
             self.obs.metrics.observe("repro_serve_task_seconds", seconds,
                                      kind=task.kind)
@@ -494,8 +471,6 @@ class Supervisor:
     def _task_failed(self, task: SupervisedTask, error: tuple,
                      seconds: float) -> TaskOutcome:
         self.metrics["tasks_failed"] += 1
-        self._emit("task_failed", task=task.task_id, task_kind=task.kind,
-                   error=error[0], attempts=task.attempts)
         if self.obs is not None:
             self.obs.metrics.observe("repro_serve_task_seconds", seconds,
                                      kind=task.kind)
@@ -518,11 +493,7 @@ class Supervisor:
                     break
                 if not (isinstance(message, tuple) and message[0] == _DONE):
                     continue
-                if len(message) == 6:
-                    __, task_id, ok, payload, seconds, remote = message
-                else:
-                    __, task_id, ok, payload, seconds = message
-                    remote = None
+                __, task_id, ok, payload, seconds, remote = message
                 task = worker.current
                 if task is None or task.task_id != task_id:
                     continue   # stale result from a superseded dispatch
@@ -557,8 +528,6 @@ class Supervisor:
                 continue
             exitcode = worker.process.exitcode
             self.metrics["worker_crashes"] += 1
-            self._emit("worker_crash", worker=worker.worker_id,
-                       exitcode=exitcode)
             task = worker.current
             if self.obs is not None:
                 self.obs.tracer.end(worker.span, ok=False, error="crashed",
@@ -619,8 +588,7 @@ class Supervisor:
                 None if self.task_timeout is None
                 else now + self.task_timeout
             )
-            self._emit("task_dispatch", task=task.task_id, task_kind=task.kind,
-                       worker=worker.worker_id, attempt=task.attempts)
+            ctx = None
             if self.obs is not None and task.trace_id is not None:
                 self._close_queue_span(task)
                 worker.span = self.obs.tracer.begin(
@@ -628,7 +596,7 @@ class Supervisor:
                     track=f"worker {worker.worker_id}", task=task.task_id,
                     kind=task.kind, attempt=task.attempts,
                 )
-                message = (task.task_id, task.kind, task.payload, {
+                ctx = {
                     "trace": task.trace_id,
                     "span": worker.span.span_id,
                     "sim": bool(
@@ -636,11 +604,9 @@ class Supervisor:
                         and task_registry.get_kind(task.kind).traced
                         is not None
                     ),
-                })
-            else:
-                message = (task.task_id, task.kind, task.payload)
+                }
             try:
-                worker.inbox.put(message)
+                worker.inbox.put((task.task_id, task.kind, task.payload, ctx))
             except (OSError, ValueError):
                 # Worker died between reap and dispatch; next poll reaps.
                 worker.current = None

@@ -160,14 +160,26 @@ def _run_fuzz_case(payload: dict):
     ))
 
 
+def _workload_result(payload: dict, config, run) -> dict:
+    """The run's cycle count, worker CPI, and worker counter block."""
+    counters = run.worker_counters
+    counters.check_consistency()
+    return {
+        "workload": payload["workload"],
+        "config": config.name,
+        "cycles": run.cycles,
+        "cpi": counters.cpi,
+        "counters": counters.as_dict(),
+    }
+
+
 def _run_workload(payload: dict):
     """One (workload, config) simulation: the smoke/chaos campaign unit.
 
-    Returns the run's cycle count, worker CPI, and the worker counter
-    block — a pure function of the payload, cheap at small scales, and
-    rich enough that a single flipped bit anywhere in the simulation
-    changes the result (what the chaos gate's byte-identity check
-    needs).
+    Returns :func:`_workload_result` — a pure function of the payload,
+    cheap at small scales, and rich enough that a single flipped bit
+    anywhere in the simulation changes the result (what the chaos
+    gate's byte-identity check needs).
     """
     from repro.pipeline.config import config_by_name
     from repro.pipeline.core import PipelinedPE
@@ -186,23 +198,15 @@ def _run_workload(payload: dict):
         seed=payload.get("seed", 0),
         params=params,
     )
-    counters = run.worker_counters
-    counters.check_consistency()
-    return {
-        "workload": payload["workload"],
-        "config": config.name,
-        "cycles": run.cycles,
-        "cpi": counters.cpi,
-        "counters": counters.as_dict(),
-    }
+    return _workload_result(payload, config, run)
 
 
 def _run_workload_traced(payload: dict) -> tuple:
     """Instrumented twin of :func:`_run_workload`.
 
     Runs the same simulation through
-    :func:`repro.obs.runner.run_instrumented` — PR 3 guarantees a
-    telemetry-attached run is bit-identical, so the result dict is
+    :func:`repro.obs.runner.run_instrumented` — a telemetry-attached
+    run is bit-identical, so the same :func:`_workload_result` is
     byte-for-byte what :func:`_run_workload` returns and dedup stays
     sound.  The stage-track payload rides the worker's outbox side
     channel only; it is never stored.
@@ -219,16 +223,7 @@ def _run_workload_traced(payload: dict) -> tuple:
         seed=payload.get("seed", 0),
         params=_params_from(payload),
     )
-    counters = run.worker_counters
-    counters.check_consistency()
-    result = {
-        "workload": payload["workload"],
-        "config": config.name,
-        "cycles": run.cycles,
-        "cpi": counters.cpi,
-        "counters": counters.as_dict(),
-    }
-    return result, sim_trace_data(run)
+    return _workload_result(payload, config, run), sim_trace_data(run)
 
 
 register("cpi-config", _run_cpi_config, decode=tuple)

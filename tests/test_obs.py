@@ -1,5 +1,5 @@
-"""Observability layer: event bus, metrics registry, trace export,
-campaign profiling through service spans, and the
+"""Observability layer: event bus, metrics registry, pipeline diagrams,
+trace export, campaign profiling through service spans, and the
 bit-identical-when-disabled guarantee."""
 
 import json
@@ -9,11 +9,13 @@ import pytest
 from repro.asm import assemble
 from repro.dse.cpi import CpiTable
 from repro.errors import SimulationError
+from repro.fabric import System
 from repro.obs import (
     MetricsRegistry,
     ServiceObs,
     Telemetry,
     chrome_trace,
+    pipeline_diagram,
     run_instrumented,
 )
 from repro.pipeline import PipelinedPE, config_by_name
@@ -289,6 +291,177 @@ def test_stage_intervals_tile_without_overlap(stream_run):
             for (s1, e1, *_), (s2, __, *_) in zip(spans, spans[1:]):
                 assert e1 >= s1
                 assert s2 > e1  # no overlap within one stage track
+
+
+# ----------------------------------------------------------------------
+# Pipeline diagram: the per-PE debug monitor rendered from Telemetry
+# ----------------------------------------------------------------------
+
+#: The LOOP program's diagrams, byte for byte: a change to the format or
+#: to what Telemetry samples shows up here.
+GOLDEN_DIAGRAMS = {
+    "T|D|X": """\
+ cycle  T       D       X            preds  event
+     1  ins0    -       -                1  issued
+     2  -       ins0    -                1  predicate hazard
+     3  -       -       ins0             1  predicate hazard
+     4  ins1    -       -                0  issued
+     5  ins0    ins1    -                1  issued
+     6  -       ins0    ins1             1  predicate hazard
+     7  -       ins0    -                1  predicate hazard
+     8  -       -       ins0             1  predicate hazard
+     9  ins1    -       -                0  issued
+    10  ins0    ins1    -                1  issued
+    11  -       ins0    ins1             1  predicate hazard
+    12  -       ins0    -                1  predicate hazard
+    13  -       -       ins0             1  predicate hazard
+    14  ins1    -       -                0  issued
+    15  ins0    ins1    -                1  issued
+    16  -       ins0    ins1             1  predicate hazard
+    17  -       ins0    -                1  predicate hazard
+    18  -       -       ins0             1  predicate hazard
+    19  ins1    -       -                0  issued
+    20  ins0    ins1    -                1  issued
+    21  -       ins0    ins1             1  predicate hazard
+    22  -       ins0    -                1  predicate hazard
+    23  -       -       ins0             1  predicate hazard
+    24  ins1    -       -                0  issued
+    25  ins0    ins1    -                1  issued
+    26  -       ins0    ins1             1  predicate hazard
+    27  -       ins0    -                1  predicate hazard
+    28  -       -       ins0             1  predicate hazard
+    29  ins2    -       -                1  issued
+    30  -       ins2    -                1  no trigger
+    31  -       -       ins2             1  no trigger
+    32  -       -       -                1  no trigger""",
+    "T|D|X1|X2 +P": """\
+ cycle  T       D       X1      X2           preds  event
+     1  ins0    -       -       -                1  issued (spec)
+     2  ins2    ins0    -       -                1  issued (spec)
+     3  ins1    -       ins0    -                0  issued
+     4  ins0    ins1    -       ins0            11  issued (spec)
+     5  ins1    ins0    ins1    -                0  issued (spec)
+     6  ins1    ins0    -       ins1             0  data hazard (spec)
+     7  ins0    ins1    ins0    -               11  issued (spec)
+     8  ins1    ins0    ins1    ins0             0  issued (spec)
+     9  ins1    ins0    -       ins1             0  data hazard (spec)
+    10  ins0    ins1    ins0    -               11  issued (spec)
+    11  ins1    ins0    ins1    ins0             0  issued (spec)
+    12  ins1    ins0    -       ins1             0  data hazard (spec)
+    13  ins0    ins1    ins0    -               11  issued (spec)
+    14  ins1    ins0    ins1    ins0             0  issued (spec)
+    15  ins1    ins0    -       ins1             0  data hazard (spec)
+    16  ins0    ins1    ins0    -               11  issued (spec)
+    17  ins1    ins0    ins1    ins0             0  issued (spec)
+    18  ins1    ins0    -       ins1             0  data hazard (spec)
+    19  ins2    -       ins0    -                1  issued
+    20  -       ins2    -       ins0             1  no trigger
+    21  -       -       ins2    -                1  no trigger
+    22  -       -       -       ins2             1  no trigger
+    23  -       -       -       -                1  no trigger""",
+    "TDX": """\
+ cycle  TDX          preds  event
+     1  ins0             1  issued
+     2  ins1             0  issued
+     3  ins0             1  issued
+     4  ins1             0  issued
+     5  ins0             1  issued
+     6  ins1             0  issued
+     7  ins0             1  issued
+     8  ins1             0  issued
+     9  ins0             1  issued
+    10  ins1             0  issued
+    11  ins0             1  issued
+    12  ins2             1  issued
+    13  -                1  no trigger""",
+}
+
+
+def diagrammed(config_name):
+    """The LOOP program run standalone on ``config_name``, sampled."""
+    pe = PipelinedPE(config_by_name(config_name), name="t")
+    assemble(LOOP).configure(pe)
+    telemetry = Telemetry()
+    telemetry.attach_pe(pe)
+    pe.run_cycles(1_000)
+    assert pe.halted
+    return telemetry, pe
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIAGRAMS))
+def test_pipeline_diagram_matches_golden(name):
+    telemetry, pe = diagrammed(name)
+    assert pipeline_diagram(telemetry, pe) == GOLDEN_DIAGRAMS[name]
+
+
+def test_diagram_window_slices_the_rows():
+    telemetry, pe = diagrammed("T|D|X")
+    lines = GOLDEN_DIAGRAMS["T|D|X"].splitlines()
+    window = pipeline_diagram(telemetry, pe, first=3, count=5)
+    assert window.splitlines() == [lines[0], *lines[4:9]]
+
+
+def test_diagram_rows_tile_the_cycle_counters():
+    for name in ("T|D|X", "T|D|X1|X2 +P", "TDX +Q"):
+        telemetry, pe = diagrammed(name)
+        counters = pe.counters
+        rows = telemetry.cycle_rows(pe.name)
+        assert [row[0] for row in rows] == list(range(1, counters.cycles + 1))
+        outcomes = [row[1] for row in rows]
+        assert outcomes.count("issued") == counters.issued
+        assert outcomes.count("predicate hazard") == \
+            counters.pred_hazard_cycles
+        assert outcomes.count("data hazard") == counters.data_hazard_cycles
+        assert outcomes.count("forbidden") == counters.forbidden_cycles
+        assert outcomes.count("no trigger") == counters.none_triggered_cycles
+
+
+def test_rows_stop_when_a_pe_halts():
+    """In a fabric, a PE that halts early records no rows after it."""
+    run = run_instrumented("merge", config=CONFIG, scale=6, seed=0)
+    assert min(pe.counters.cycles for pe in run.system.pes) < run.cycles
+    for pe in run.system.pes:
+        assert len(run.telemetry.cycle_rows(pe.name)) == pe.counters.cycles
+
+
+def test_diagram_header_matches_partition():
+    for name, columns in (("T|D|X1|X2", ["T", "D", "X1", "X2"]),
+                          ("TDX", ["TDX"])):
+        telemetry, pe = diagrammed(name)
+        header = pipeline_diagram(telemetry, pe).splitlines()[0]
+        assert header.split() == ["cycle", *columns, "preds", "event"]
+
+
+def test_diagram_flags_speculation():
+    telemetry, pe = diagrammed("T|D|X1|X2 +P")
+    lines = pipeline_diagram(telemetry, pe).splitlines()
+    assert any(line.endswith(" (spec)") for line in lines)
+    telemetry, pe = diagrammed("T|D|X1|X2")
+    assert "(spec)" not in pipeline_diagram(telemetry, pe)
+
+
+def test_diagram_ends_on_an_empty_pipe():
+    telemetry, pe = diagrammed("T|D|X1|X2")
+    last = pipeline_diagram(telemetry, pe).splitlines()[-1].split()
+    assert last[0] == str(pe.counters.cycles)
+    assert last[1:5] == ["-"] * 4
+
+
+def test_run_cycles_records_like_a_one_pe_system():
+    """A lone PE driven by run_cycles samples what a System would."""
+    for config in all_configs(include_padded=True):
+        telemetry, pe = diagrammed(config.name)
+        telemetry.finish()
+        twin = PipelinedPE(config, name="t")
+        assemble(LOOP).configure(twin)
+        system = System()
+        system.add_pe(twin)
+        in_system = Telemetry()
+        in_system.attach_system(system)
+        system.run()
+        assert in_system.pe_rows == telemetry.pe_rows, config.name
+        assert in_system.stage_intervals == telemetry.stage_intervals, \
+            config.name
 
 
 # ----------------------------------------------------------------------

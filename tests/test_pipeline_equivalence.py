@@ -233,6 +233,7 @@ def _workload_fingerprint(run):
         "stack": counters.stack(),
         "pes": tuple(pes),
         "memory": tuple(run.system.memory._words),
+        "memory_stores": run.system.memory.stores,
     }
 
 

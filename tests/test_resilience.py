@@ -12,7 +12,6 @@ from repro.arch.queue import QueueEntry, TaggedQueue
 from repro.asm import assemble
 from repro.errors import (
     DeadlockError,
-    DivergenceError,
     InvariantViolation,
     SimulationError,
 )
@@ -20,12 +19,10 @@ from repro.fabric import System
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.resilience import (
-    DivergenceReport,
     FaultClass,
     FaultSpec,
     FaultTrial,
     InvariantChecker,
-    check_divergence,
     fault_campaign,
     format_summary,
     inject,
@@ -337,27 +334,6 @@ class TestForensics:
         assert worker["model"] == "pipelined"
         assert "pipeline" in worker and "speculations" in worker
         assert all("occupancy" in queue for queue in worker["inputs"])
-
-
-# ---------------------------------------------------------------------------
-# Divergence detection
-# ---------------------------------------------------------------------------
-
-class TestDivergence:
-    def test_fast_path_matches_reference(self):
-        report = check_divergence(config_by_name("T|DX +P"), "gcd", scale=4)
-        assert not report.diverged
-        report.raise_if_diverged()    # no-op when clean
-
-    def test_divergence_raises(self):
-        report = DivergenceReport(
-            config="T|DX +P",
-            workload="gcd",
-            mismatches=["cycles: fast=10 reference=11"],
-        )
-        assert report.diverged
-        with pytest.raises(DivergenceError, match="cycles"):
-            report.raise_if_diverged()
 
 
 # ---------------------------------------------------------------------------

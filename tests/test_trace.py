@@ -1,8 +1,10 @@
-"""Pipeline tracer / debug monitor."""
+"""Per-cycle pipeline trace: the Telemetry outcome rows of one PE."""
+
+from collections import Counter
 
 from repro.asm import assemble
+from repro.obs import Telemetry
 from repro.pipeline import PipelinedPE, config_by_name
-from repro.pipeline.trace import PipelineTracer
 
 LOOP = """
 when %p == XXXXXXX0:
@@ -14,94 +16,37 @@ when %p == XXXXXX01:
 """
 
 
-def traced(config_name):
+def traced(config_name, limit=1 << 20):
+    """The LOOP program run to its halt on ``config_name``, sampled."""
     pe = PipelinedPE(config_by_name(config_name), name="t")
     assemble(LOOP).configure(pe)
-    tracer = PipelineTracer(pe)
-    tracer.run()
-    return tracer
+    telemetry = Telemetry(limit=limit)
+    telemetry.attach_pe(pe)
+    pe.run_cycles(1_000)
+    assert pe.halted
+    return telemetry, pe
 
 
 def test_records_every_cycle():
-    tracer = traced("T|D|X")
-    assert len(tracer.records) == tracer.pe.counters.cycles
+    telemetry, pe = traced("T|D|X")
+    rows = telemetry.cycle_rows(pe.name)
+    assert len(rows) == pe.counters.cycles
+    assert [row[0] for row in rows] == list(range(1, pe.counters.cycles + 1))
 
 
 def test_event_histogram_tiles_cycles():
-    tracer = traced("T|D|X")
-    histogram = tracer.event_histogram()
-    assert sum(histogram.values()) == tracer.pe.counters.cycles
-    assert histogram["issued"] == tracer.pe.counters.issued
-    assert histogram.get("predicate hazard", 0) == \
-        tracer.pe.counters.pred_hazard_cycles
-
-
-def test_stage_names_match_partition():
-    assert traced("T|D|X1|X2").stage_names() == ["T", "D", "X1", "X2"]
-    assert traced("TDX").stage_names() == ["TDX"]
-
-
-def test_render_is_a_table():
-    tracer = traced("T|D|X")
-    text = tracer.render(count=5)
-    lines = text.splitlines()
-    assert "cycle" in lines[0] and "event" in lines[0]
-    assert len(lines) == 6
-
-
-def test_utilization_bounded():
-    tracer = traced("T|D|X1|X2")
-    assert 0.0 < tracer.utilization() <= 1.0
-
-
-def test_speculation_flagged_in_records():
-    pe = PipelinedPE(config_by_name("T|D|X1|X2 +P"), name="t")
-    assemble(LOOP).configure(pe)
-    tracer = PipelineTracer(pe)
-    tracer.run()
-    assert any(record.speculating for record in tracer.records)
-
-
-def test_limit_caps_memory():
-    pe = PipelinedPE(config_by_name("T|D|X"), name="t")
-    assemble(LOOP).configure(pe)
-    tracer = PipelineTracer(pe, limit=3)
-    tracer.run()
-    assert len(tracer.records) == 3
-
-
-def test_truncation_is_surfaced():
-    pe = PipelinedPE(config_by_name("T|D|X"), name="t")
-    assemble(LOOP).configure(pe)
-    tracer = PipelineTracer(pe, limit=3)
-    tracer.run()
-    assert tracer.truncated
-    assert tracer.dropped == pe.counters.cycles - 3
-    assert "truncated" in tracer.render()
-    assert f"{tracer.dropped} later cycles" in tracer.render()
-
-
-def test_untruncated_trace_stays_silent():
-    tracer = traced("T|D|X")
-    assert not tracer.truncated and tracer.dropped == 0
-    assert "truncated" not in tracer.render()
+    telemetry, pe = traced("T|D|X")
+    histogram = Counter(row[1] for row in telemetry.cycle_rows(pe.name))
+    assert sum(histogram.values()) == pe.counters.cycles
+    assert histogram["issued"] == pe.counters.issued
+    assert histogram["predicate hazard"] == pe.counters.pred_hazard_cycles
 
 
 def test_histogram_accurate_past_the_limit():
-    """Event classification continues after storage stops, so the
-    histogram tiles the whole run even on a truncated trace."""
-    pe = PipelinedPE(config_by_name("T|D|X"), name="t")
-    assemble(LOOP).configure(pe)
-    tracer = PipelineTracer(pe, limit=3)
-    tracer.run()
-    histogram = tracer.event_histogram()
+    """Cycle sampling continues after event storage stops, so the
+    outcome histogram tiles the whole run even on a truncated trace."""
+    telemetry, pe = traced("T|D|X", limit=3)
+    assert telemetry.truncated and len(telemetry.events) == 3
+    histogram = Counter(row[1] for row in telemetry.cycle_rows(pe.name))
     assert sum(histogram.values()) == pe.counters.cycles
     assert histogram["issued"] == pe.counters.issued
-
-
-def test_stage_snapshot_backs_the_trace():
-    tracer = traced("T|D|X1|X2")
-    depth = len(tracer.pe.config.stages)
-    assert all(len(record.stages) == depth for record in tracer.records)
-    # The final record reflects the drained pipe.
-    assert tracer.records[-1].stages == ("-",) * depth
