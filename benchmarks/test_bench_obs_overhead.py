@@ -15,7 +15,7 @@ Two properties keep telemetry honest:
 import time
 
 from repro.asm import assemble
-from repro.obs import Telemetry, run_instrumented
+from repro.obs import Telemetry
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.workloads.suite import run_workload
 
@@ -57,7 +57,8 @@ def test_disabled_telemetry_is_bit_identical():
         return PipelinedPE(CONFIG, name=name)
 
     bare = run_workload("string_search", make_pe=factory, scale=12, seed=0)
-    traced = run_instrumented("string_search", config=CONFIG, scale=12, seed=0)
+    traced = run_workload("string_search", make_pe=factory, scale=12, seed=0,
+                          telemetry=Telemetry())
     assert bare.cycles == traced.cycles
     assert bare.worker_counters.as_dict() == traced.worker_counters.as_dict()
     for pe in bare.system.pes:

@@ -6,8 +6,8 @@ Modes (combinable; findings are concatenated):
 * ``--workloads [NAME ...]`` — build the named Table 3 workloads (all
   ten when no names are given) and run the full program + fabric
   analysis over each system;
-* ``--corpus DIR`` — lint every saved fuzz case in a corpus directory
-  and cross-validate analyzer reachability against a golden-model run;
+* ``--corpus DIR`` — cross-validate analyzer reachability against a
+  golden-model run for every saved fuzz case in a corpus directory;
 * ``--fuzz N`` — generate ``N`` fresh cases (``--seed`` selects the
   stream) and cross-validate each the same way;
 * ``--perf`` — static CPI/throughput bounds and the performance finding
@@ -64,13 +64,13 @@ def _workload_findings(names: list[str]) -> list[Finding]:
     return findings
 
 
-def _case_findings(case: dict, lint: bool) -> list[Finding]:
-    """Cross-validate one fuzz case; optionally lint it too.
+def _case_findings(case: dict) -> list[Finding]:
+    """Cross-validate one fuzz case.
 
-    Lint findings on generated programs are informational (the generator
-    explores odd-but-legal shapes); a retirement from an
-    analyzer-unreachable slot is always an error — it falsifies either
-    the interpreter or the scheduler.
+    Generated programs are not linted (the generator explores
+    odd-but-legal shapes); a retirement from an analyzer-unreachable
+    slot is always an error — it falsifies either the interpreter or
+    the scheduler.
     """
     from repro.arch import FunctionalPE
     from repro.asm.assembler import assemble
@@ -83,8 +83,7 @@ def _case_findings(case: dict, lint: bool) -> list[Finding]:
     except ReproError:
         # Shrinker reductions can leave dangling states; not analyzable.
         return []
-    findings = list(analyze_program(program, DEFAULT_PARAMS, pe=name)
-                    ) if lint else []
+    findings = []
     streams = case_streams(case)
     pe = FunctionalPE(DEFAULT_PARAMS, name=name)
     program.configure(pe)
@@ -107,7 +106,7 @@ def _corpus_findings(directory: str) -> list[Finding]:
         raise ReproError(f"no corpus cases (*.json) under {directory!r}")
     for path in paths:
         case = json.loads(path.read_text())
-        findings += _case_findings(case, lint=False)
+        findings += _case_findings(case)
     return findings
 
 
@@ -116,7 +115,7 @@ def _fuzz_findings(count: int, seed: int) -> list[Finding]:
 
     findings = []
     for index in range(count):
-        findings += _case_findings(generate_case(seed + index), lint=False)
+        findings += _case_findings(generate_case(seed + index))
     return findings
 
 

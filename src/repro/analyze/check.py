@@ -1,4 +1,4 @@
-"""Bounded explicit-state equivalence checker (ROADMAP item 4).
+"""Bounded explicit-state equivalence checker.
 
 The differential fuzzer samples one claim — every pipelined
 microarchitecture retires identically to the single-cycle reference —

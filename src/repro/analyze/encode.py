@@ -42,8 +42,8 @@ def describe_pe_state(pe_state: tuple) -> dict:
 
     Works for both models: the functional snapshot is a 6-tuple, the
     pipelined one an 11-tuple (see the two ``snapshot_arch_state``
-    implementations).  Used by witness reports, so a counterexample is
-    reviewable without re-simulating.
+    implementations), so a counterexample state is reviewable without
+    re-simulating.
     """
     common = {
         "regs": list(pe_state[0]),

@@ -8,8 +8,8 @@ queue and the consumer's input queue are the *same*
 gives every channel a one-cycle traversal independent of step order.
 
 The run loop plays the role of the paper's Linux driver + userspace
-library: program the PEs, preload memory, run to completion, read back
-performance counters from the designated worker PE.
+library: program the PEs, preload memory, run to completion, audit
+every PE's cycle accounting, read back performance counters.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ class System:
         #: :meth:`step` samples fabric state at every cycle boundary.
         #: Attach via :meth:`repro.obs.events.Telemetry.attach_system`.
         self.telemetry = None
-        #: Opt-in cycle-accounting audit: when enabled (see
-        #: :meth:`enable_counter_checks`), :meth:`run` verifies every
-        #: PE's ``PipelineCounters.check_consistency`` after completion,
-        #: so accounting leaks fail loudly instead of skewing CPI stacks.
-        self.counter_checks = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -257,16 +252,6 @@ class System:
     def attach_invariant_checker(self, checker) -> None:
         """Enable opt-in per-cycle invariant checking (resilience layer)."""
         self.invariant_checker = checker
-
-    def enable_counter_checks(self, enabled: bool = True) -> None:
-        """Opt into end-of-run cycle-accounting verification.
-
-        Like :meth:`attach_invariant_checker`, this is off by default;
-        tests and campaigns that want accounting leaks to fail loudly
-        flip it on, and :meth:`run` then calls every PE counter block's
-        ``check_consistency`` once the run completes.
-        """
-        self.counter_checks = enabled
 
     def step(self) -> bool:
         """Advance the whole system one cycle; True if anything progressed."""
@@ -628,6 +613,10 @@ class System:
         stretches delegated to the PE's generated block loop while no
         memory port can make progress.  Both drivers produce identical
         architectural state, counters, and cycle counts.
+
+        Every completed run audits each PE's cycle accounting
+        (``PipelineCounters.check_consistency``), so a leak raises a
+        :class:`SimulationError` naming the PE.
         """
         if not self.pes:
             raise ConfigError("system has no PEs")
@@ -654,17 +643,16 @@ class System:
         """End-of-run bookkeeping: telemetry close-out, counter audits."""
         if self.telemetry is not None:
             self.telemetry.finish()
-        if self.counter_checks:
-            for pe in self.pes:
-                check = getattr(pe.counters, "check_consistency", None)
-                if check is None:
-                    continue
-                try:
-                    check()
-                except AssertionError as exc:
-                    raise attribute_error(
-                        SimulationError(str(exc)), pe.name, self.cycles
-                    ) from exc
+        for pe in self.pes:
+            check = getattr(pe.counters, "check_consistency", None)
+            if check is None:
+                continue
+            try:
+                check()
+            except AssertionError as exc:
+                raise attribute_error(
+                    SimulationError(str(exc)), pe.name, self.cycles
+                ) from exc
 
     def forensic_report(self) -> dict:
         """Structured dump of everything a hang post-mortem needs."""

@@ -1,4 +1,4 @@
-"""Per-config specialization backend for the pipelined PE (ROADMAP item 1).
+"""Per-config specialization backend for the pipelined PE.
 
 ``repro.jit`` turns the interpreter's per-cycle generality into
 straight-line Python generated once per (program, partition, ±P,

@@ -1,4 +1,4 @@
-"""Per-config Python code generation for the pipelined PE (ROADMAP item 1).
+"""Per-config Python code generation for the pipelined PE.
 
 For a fixed (program, partition, ±P, queue-policy) tuple every decision
 the interpreter in :mod:`repro.pipeline.core` makes per cycle — which

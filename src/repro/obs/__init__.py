@@ -6,13 +6,18 @@ beyond a ``None`` test at each seam) until a :class:`Telemetry` sink is
 attached — and strictly read-only: instrumented runs are bit-identical
 to uninstrumented ones.
 
-    from repro.obs import Telemetry, MetricsRegistry, run_instrumented
+    from repro.obs import Telemetry, MetricsRegistry
+    from repro.workloads import run_workload
 
-    run = run_instrumented("stream", config_by_name("T|D|X1|X2 +P+Q"))
-    print(run.metrics.format())                 # cross-PE metrics report
-    run.metrics.to_json("metrics.json")         # structured export
-    export_chrome_trace(run.telemetry, "trace.json", run.system)
-    print(pipeline_diagram(run.telemetry, run.system.pe("worker")))
+    config = config_by_name("T|D|X1|X2 +P+Q")
+    telemetry = Telemetry()
+    run = run_workload("stream", lambda name: PipelinedPE(config, name=name),
+                       telemetry=telemetry)
+    metrics = MetricsRegistry.from_system(run.system)
+    print(metrics.format())                     # cross-PE metrics report
+    metrics.to_json("metrics.json")             # structured export
+    export_chrome_trace(telemetry, "trace.json", run.system)
+    print(pipeline_diagram(telemetry, run.system.pe("worker")))
 
 ``python -m repro.obs`` wraps the same flow as a CLI.
 
@@ -26,7 +31,6 @@ Perfetto timeline.  ``python -m repro.obs --smoke-service`` gates it.
 
 from repro.obs.events import Telemetry, TelemetryEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runner import InstrumentedRun, run_instrumented
 from repro.obs.svc import (
     JobEventStream,
     JsonLogger,
@@ -47,8 +51,6 @@ __all__ = [
     "Telemetry",
     "TelemetryEvent",
     "MetricsRegistry",
-    "InstrumentedRun",
-    "run_instrumented",
     "chrome_trace",
     "export_chrome_trace",
     "pipeline_diagram",

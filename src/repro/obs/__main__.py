@@ -35,35 +35,44 @@ import sys
 import tempfile
 
 from repro.obs.events import Telemetry
-from repro.obs.runner import run_instrumented
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_export import export_chrome_trace
 from repro.pipeline.config import all_configs, config_by_name
+from repro.pipeline.core import PipelinedPE
 from repro.workloads.suite import WORKLOADS, run_workload
+
+
+def _pe_factory(config):
+    """PEs of ``config``; ``None`` keeps the workload's functional model."""
+    if config is None:
+        return None
+    return lambda name: PipelinedPE(config, name=name)
 
 
 def _run(args) -> int:
     config = config_by_name(args.config) if args.config else None
-    run = run_instrumented(
+    telemetry = Telemetry(limit=args.event_limit)
+    run = run_workload(
         args.workload,
-        config=config,
+        make_pe=_pe_factory(config),
         scale=args.scale,
         seed=args.seed,
-        telemetry=Telemetry(limit=args.event_limit),
-        check_counters=args.check_counters,
+        telemetry=telemetry,
     )
+    metrics = MetricsRegistry.from_system(run.system)
     print(
         f"{args.workload} @ {args.config or 'functional'}: "
         f"{run.cycles} cycles, result validated"
     )
-    print(run.metrics.format())
+    print(metrics.format())
     if args.report:
         if args.report == "-":
-            print(run.metrics.to_json())
+            print(metrics.to_json())
         else:
-            run.metrics.to_json(args.report)
+            metrics.to_json(args.report)
             print(f"wrote metrics report to {args.report}")
     if args.trace:
-        trace = export_chrome_trace(run.telemetry, args.trace, run.system)
+        trace = export_chrome_trace(telemetry, args.trace, run.system)
         print(
             f"wrote {len(trace['traceEvents'])} trace events to "
             f"{args.trace} (open in Perfetto / chrome://tracing)"
@@ -81,6 +90,7 @@ def _smoke(args) -> int:
     scale = args.scale or int(os.environ.get("REPRO_BENCH_SCALE", "8"))
     config = config_by_name(args.config or "T|D|X1|X2 +P+Q")
     workloads = args.workloads or ["stream", "string_search"]
+    factory = _pe_factory(config)
     print(
         f"observability gate: scale={scale} seed={args.seed} "
         f"config={config.name!r} workloads={workloads}"
@@ -88,14 +98,14 @@ def _smoke(args) -> int:
 
     for workload in workloads:
         print(f"\n[{workload}] instrumented run...")
-        run = run_instrumented(
-            workload, config=config, scale=scale, seed=args.seed,
-            check_counters=True,
+        telemetry = Telemetry()
+        run = run_workload(
+            workload, make_pe=factory, scale=scale, seed=args.seed,
+            telemetry=telemetry,
         )
-        telemetry = run.telemetry
 
         # 1. Metrics JSON round-trips and is self-consistent.
-        decoded = json.loads(run.metrics.to_json())
+        decoded = json.loads(MetricsRegistry.from_system(run.system).to_json())
         if decoded["aggregate"]["retired"] <= 0:
             return _fail(f"{workload}: nothing retired in metrics snapshot")
         if not decoded["queues"]:
@@ -148,11 +158,6 @@ def _smoke(args) -> int:
         )
 
         # 4. Telemetry-disabled runs are bit-identical.
-        def factory(name, config=config):
-            from repro.pipeline.core import PipelinedPE
-
-            return PipelinedPE(config, name=name)
-
         bare = run_workload(
             workload, make_pe=factory, scale=scale, seed=args.seed
         )
@@ -368,17 +373,13 @@ def main(argv: list[str] | None = None) -> int:
         help="write a Chrome trace-event / Perfetto JSON file",
     )
     parser.add_argument(
-        "--check-counters", action="store_true",
-        help="verify per-PE cycle accounting after the run",
-    )
-    parser.add_argument(
         "--event-limit", type=int, default=1 << 20,
         help="telemetry event buffer bound",
     )
     parser.add_argument(
         "--smoke", action="store_true",
         help="run the CI smoke gate (identities, trace round-trip, "
-             "bit-identical disabled path, campaign profiling)",
+             "bit-identical disabled path)",
     )
     parser.add_argument(
         "--workloads", nargs="+", default=None,

@@ -57,18 +57,13 @@ class Telemetry:
 
     ``limit`` bounds the stored event list; past it events are counted
     in ``dropped_events`` (and ``truncated`` is set) rather than stored,
-    so a pathological run cannot exhaust memory.  ``sample_interval``
-    thins the per-cycle fabric sampling for very long runs; event
-    emission is unaffected by it.
+    so a pathological run cannot exhaust memory.
     """
 
-    def __init__(self, limit: int = 1 << 20, sample_interval: int = 1) -> None:
+    def __init__(self, limit: int = 1 << 20) -> None:
         if limit < 1:
             raise ValueError("telemetry event limit must be positive")
-        if sample_interval < 1:
-            raise ValueError("sample interval must be positive")
         self.limit = limit
-        self.sample_interval = sample_interval
         #: Current cycle, maintained by the instrumented steppers so
         #: sources that do not know the time (queues, ports) still stamp
         #: their events correctly.
@@ -175,8 +170,6 @@ class Telemetry:
         """
         cycle = system.cycles
         self.now = cycle
-        if cycle % self.sample_interval:
-            return
         self.sampled_cycles += 1
         for queue in system._all_channels():
             self._sample_queue(queue, cycle)
@@ -201,8 +194,6 @@ class Telemetry:
         """
         cycle = pe.counters.cycles
         self.now = cycle
-        if cycle % self.sample_interval:
-            return
         self.sampled_cycles += 1
         for queue in list(pe.inputs) + list(pe.outputs):
             self._sample_queue(queue, cycle)

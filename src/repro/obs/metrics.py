@@ -72,18 +72,18 @@ def _pe_metrics(pe) -> dict:
 
 
 class MetricsRegistry:
-    """Aggregates a system's (or single PE's) observable state.
+    """Aggregates a system's observable state.
 
     Build one over a finished run::
 
-        registry = MetricsRegistry.from_system(system, telemetry)
+        registry = MetricsRegistry.from_system(system)
         print(registry.format())
         registry.to_json("metrics.json")
 
-    ``telemetry`` is optional: without it the registry still aggregates
-    counters across PEs; with it the snapshot gains queue-occupancy
-    timelines, high-water marks, port busy fractions, and the event
-    census.
+    Without a telemetry sink on the system the registry still
+    aggregates counters across PEs; with one the snapshot gains
+    queue-occupancy timelines, high-water marks, port busy fractions,
+    and the event census.
     """
 
     def __init__(self) -> None:
@@ -94,26 +94,12 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_system(cls, system, telemetry=None) -> "MetricsRegistry":
+    def from_system(cls, system) -> "MetricsRegistry":
         registry = cls()
         registry.cycles = system.cycles
-        registry.telemetry = (
-            telemetry if telemetry is not None
-            else getattr(system, "telemetry", None)
-        )
+        registry.telemetry = system.telemetry
         for pe in system.pes:
             registry.add_pe(pe)
-        return registry
-
-    @classmethod
-    def from_pe(cls, pe, telemetry=None) -> "MetricsRegistry":
-        registry = cls()
-        registry.cycles = pe.counters.cycles
-        registry.telemetry = (
-            telemetry if telemetry is not None
-            else getattr(pe, "telemetry", None)
-        )
-        registry.add_pe(pe)
         return registry
 
     def add_pe(self, pe) -> None:

@@ -82,19 +82,6 @@ class Span:
     def seconds(self) -> float | None:
         return None if self.end is None else self.end - self.start
 
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "track": self.track,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-        }
-
     def __repr__(self) -> str:
         state = "open" if self.end is None else f"{self.seconds:.6f}s"
         return (f"<Span {self.name} {self.span_id} "
@@ -542,15 +529,17 @@ class ServiceObs:
 
 
 def sim_trace_data(run) -> dict:
-    """Compact JSON-pure stage-track payload from an
-    :class:`~repro.obs.runner.InstrumentedRun`.
+    """Compact JSON-pure stage-track payload from a
+    :class:`~repro.workloads.base.WorkloadRun` whose system carries a
+    :class:`~repro.obs.events.Telemetry` sink.
 
     This is what a traced worker ships back over its outbox: per-PE
     stage names plus the PR 3 stage-occupancy intervals, in cycles.
     The exporter later scales cycles into the execute span's wall-clock
     window so sim tracks align under the service spans.
     """
-    pes = {pe.name: pe for pe in run.system.pes}
+    system = run.system
+    pes = {pe.name: pe for pe in system.pes}
     return {
         "cycles": run.cycles,
         "pes": {
@@ -561,6 +550,6 @@ def sim_trace_data(run) -> dict:
                     for stage in per_stage
                 ],
             }
-            for pe_name, per_stage in run.telemetry.stage_intervals.items()
+            for pe_name, per_stage in system.telemetry.stage_intervals.items()
         },
     }

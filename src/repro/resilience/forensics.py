@@ -15,29 +15,12 @@ campaign tooling can aggregate hangs without parsing text.
 from __future__ import annotations
 
 
-def _pe_report(pe) -> dict:
-    """One PE's snapshot; PEs expose ``snapshot_state`` but any object
-    with the PE interface degrades to a minimal generic dump."""
-    snapshot = getattr(pe, "snapshot_state", None)
-    if snapshot is not None:
-        return snapshot()
-    return {
-        "name": pe.name,
-        "model": type(pe).__name__,
-        "halted": pe.halted,
-        "retired": pe.counters.retired,
-        "predicates": f"{pe.preds.state:b}",
-        "inputs": [queue.snapshot() for queue in pe.inputs],
-        "outputs": [queue.snapshot() for queue in pe.outputs],
-    }
-
-
 def forensic_report(system) -> dict:
     """Structured dump of a system's architectural and micro state."""
     report = {
         "cycle": system.cycles,
         "all_halted": system.all_halted,
-        "pes": [_pe_report(pe) for pe in system.pes],
+        "pes": [pe.snapshot_state() for pe in system.pes],
         "read_ports": [
             {
                 "name": port.name,

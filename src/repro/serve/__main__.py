@@ -104,8 +104,8 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
         chaos_job = service.submit("chaos-crash-once", chaos_payloads)
         hang_job = service.submit("chaos-hang-once", hang_payloads)
         results = client.map("workload-run", payloads, timeout=600.0)
-        asyncio.run(service.wait(chaos_job, timeout=120.0))
-        asyncio.run(service.wait(hang_job, timeout=120.0))
+        service.wait(chaos_job, timeout=120.0)
+        service.wait(hang_job, timeout=120.0)
         stats = service.stats()
     if results != reference:
         return _fail("supervised results differ from serial reference")
@@ -128,7 +128,7 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
     print("\n[3/5] resume: fresh service over the same store...")
     with CampaignService(store_path, workers=2) as resumed_service:
         job = resumed_service.submit("workload-run", payloads)
-        resumed = asyncio.run(resumed_service.wait(job, timeout=600.0))
+        resumed = resumed_service.wait(job, timeout=600.0)
         status = job.status()
     if resumed != reference:
         return _fail("resumed results differ from serial reference")
@@ -183,7 +183,7 @@ def run_child(spec_path: str) -> int:
             for entry in spec["jobs"]
         ]
         all_results = [
-            asyncio.run(service.wait(job, timeout=3600.0)) for job in jobs
+            service.wait(job, timeout=3600.0) for job in jobs
         ]
     print(json.dumps({
         "digests": [_digest(results) for results in all_results],
@@ -299,7 +299,7 @@ def run_chaos(scale: int, seed: int, workdir: str,
     print("\n[3/3] verifying resume, byte-identity, and dedup...")
     with CampaignService(store_path, workers=1) as service:
         job = service.submit("workload-run", payloads)
-        results = asyncio.run(service.wait(job, timeout=600.0))
+        results = service.wait(job, timeout=600.0)
         status = job.status()
     if status["executed"] != 0:
         return _fail(f"resume executed {status['executed']} tasks "

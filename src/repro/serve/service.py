@@ -396,26 +396,23 @@ class CampaignService:
 
     def run_job(self, kind: str, payloads: list, *, client: str = "local",
                 priority: int = 0, timeout: float | None = None):
-        """Synchronous submit-and-wait (the in-process client's core).
+        """Synchronous submit-and-wait (the in-process client's core)."""
+        return self.wait(
+            self.submit(kind, payloads, client=client, priority=priority),
+            timeout,
+        )
+
+    def wait(self, job: Job | str, timeout: float | None = None):
+        """Drive the service until ``job`` finishes; return its results.
 
         A serial pump runs every ready task, so a serial job never
         sleeps; a pooled one sleeps ``poll_interval`` between pumps.
         """
-        job = self.submit(kind, payloads, client=client, priority=priority)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._advance(job, deadline):
-            time.sleep(self.poll_interval)
-        return self.results(job)
-
-    async def wait(self, job: Job | str, timeout: float | None = None):
-        """Drive the service until ``job`` finishes; return its results."""
-        import asyncio
-
         if isinstance(job, str):
             job = self.jobs[job]
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._advance(job, deadline):
-            await asyncio.sleep(self.poll_interval)
+            time.sleep(self.poll_interval)
         return self.results(job)
 
     async def drive(self) -> None:

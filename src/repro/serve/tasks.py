@@ -160,26 +160,14 @@ def _run_fuzz_case(payload: dict):
     ))
 
 
-def _workload_result(payload: dict, config, run) -> dict:
-    """The run's cycle count, worker CPI, and worker counter block."""
-    counters = run.worker_counters
-    counters.check_consistency()
-    return {
-        "workload": payload["workload"],
-        "config": config.name,
-        "cycles": run.cycles,
-        "cpi": counters.cpi,
-        "counters": counters.as_dict(),
-    }
+def _simulate(payload: dict, telemetry=None) -> tuple:
+    """One (workload, config) simulation: ``(result, run)``.
 
-
-def _run_workload(payload: dict):
-    """One (workload, config) simulation: the smoke/chaos campaign unit.
-
-    Returns :func:`_workload_result` — a pure function of the payload,
-    cheap at small scales, and rich enough that a single flipped bit
-    anywhere in the simulation changes the result (what the chaos
-    gate's byte-identity check needs).
+    The result — cycle count, worker CPI and worker counter block — is a
+    pure function of the payload, cheap at small scales, and rich enough
+    that a single flipped bit anywhere in the simulation changes it
+    (what the chaos gate's byte-identity check needs).  A ``telemetry``
+    sink leaves it unchanged: instrumented runs are bit-identical.
     """
     from repro.pipeline.config import config_by_name
     from repro.pipeline.core import PipelinedPE
@@ -197,33 +185,36 @@ def _run_workload(payload: dict):
         scale=payload["scale"],
         seed=payload.get("seed", 0),
         params=params,
+        telemetry=telemetry,
     )
-    return _workload_result(payload, config, run)
+    counters = run.worker_counters
+    return {
+        "workload": payload["workload"],
+        "config": config.name,
+        "cycles": run.cycles,
+        "cpi": counters.cpi,
+        "counters": counters.as_dict(),
+    }, run
+
+
+def _run_workload(payload: dict):
+    """The smoke/chaos campaign unit: :func:`_simulate`'s result."""
+    return _simulate(payload)[0]
 
 
 def _run_workload_traced(payload: dict) -> tuple:
     """Instrumented twin of :func:`_run_workload`.
 
-    Runs the same simulation through
-    :func:`repro.obs.runner.run_instrumented` — a telemetry-attached
-    run is bit-identical, so the same :func:`_workload_result` is
-    byte-for-byte what :func:`_run_workload` returns and dedup stays
-    sound.  The stage-track payload rides the worker's outbox side
-    channel only; it is never stored.
+    The same simulation with a telemetry sink attached returns the
+    byte-identical result, so dedup stays sound.  The stage-track
+    payload rides the worker's outbox side channel only; it is never
+    stored.
     """
-    from repro.obs.runner import run_instrumented
+    from repro.obs.events import Telemetry
     from repro.obs.svc import sim_trace_data
-    from repro.pipeline.config import config_by_name
 
-    config = config_by_name(payload["config"])
-    run = run_instrumented(
-        payload["workload"],
-        config=config,
-        scale=payload["scale"],
-        seed=payload.get("seed", 0),
-        params=_params_from(payload),
-    )
-    return _workload_result(payload, config, run), sim_trace_data(run)
+    result, run = _simulate(payload, Telemetry())
+    return result, sim_trace_data(run)
 
 
 register("cpi-config", _run_cpi_config, decode=tuple)

@@ -71,13 +71,20 @@ class Workload(abc.ABC):
         scale: int | None = None,
         seed: int = 0,
         max_cycles: int = 4_000_000,
+        telemetry=None,
     ) -> WorkloadRun:
-        """Build, execute to completion, validate, and report."""
+        """Build, execute to completion, validate, and report.
+
+        A ``telemetry`` sink (:class:`repro.obs.events.Telemetry`) is
+        attached after ``build``, once wiring has replaced the queues.
+        """
         if make_pe is None:
             make_pe = self.default_pe_factory()
         if scale is None:
             scale = self.default_scale
         system = self.build(make_pe, scale, seed)
+        if telemetry is not None:
+            telemetry.attach_system(system)
         cycles = system.run(max_cycles=max_cycles)
         self.check(system, scale, seed)
         worker = system.pe(self.worker_name)

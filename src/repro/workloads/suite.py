@@ -51,6 +51,9 @@ def run_workload(
     scale: int | None = None,
     seed: int = 0,
     params: ArchParams = DEFAULT_PARAMS,
+    telemetry=None,
 ) -> WorkloadRun:
     """Convenience: instantiate, run and validate one workload."""
-    return get_workload(name, params).run(make_pe=make_pe, scale=scale, seed=seed)
+    return get_workload(name, params).run(
+        make_pe=make_pe, scale=scale, seed=seed, telemetry=telemetry
+    )

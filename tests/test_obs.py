@@ -16,7 +16,6 @@ from repro.obs import (
     Telemetry,
     chrome_trace,
     pipeline_diagram,
-    run_instrumented,
 )
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
@@ -26,10 +25,15 @@ from repro.workloads.suite import run_workload
 CONFIG = config_by_name("T|D|X1|X2 +P+Q")
 
 
+def pipelined(name):
+    return PipelinedPE(CONFIG, name=name)
+
+
 @pytest.fixture(scope="module")
 def stream_run():
     """One instrumented multi-PE run shared by the read-only tests."""
-    return run_instrumented("stream", config=CONFIG, scale=8, seed=0)
+    return run_workload("stream", make_pe=pipelined, scale=8, seed=0,
+                        telemetry=Telemetry())
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +41,7 @@ def stream_run():
 # ----------------------------------------------------------------------
 
 def test_event_counts_match_pipeline_counters(stream_run):
-    counts = stream_run.telemetry.event_counts
+    counts = stream_run.system.telemetry.event_counts
     issued = sum(pe.counters.issued for pe in stream_run.system.pes)
     retired = sum(pe.counters.retired for pe in stream_run.system.pes)
     quashed = sum(pe.counters.quashed for pe in stream_run.system.pes)
@@ -47,7 +51,7 @@ def test_event_counts_match_pipeline_counters(stream_run):
 
 
 def test_events_carry_source_and_cycle(stream_run):
-    telemetry = stream_run.telemetry
+    telemetry = stream_run.system.telemetry
     pe_names = {pe.name for pe in stream_run.system.pes}
     for event in telemetry.events_of("retire"):
         assert event.source in pe_names
@@ -61,7 +65,7 @@ def test_queue_conservation(stream_run):
     (The stream workload starts with empty queues, so the events alone
     must account for every entry ever present.)
     """
-    telemetry = stream_run.telemetry
+    telemetry = stream_run.system.telemetry
     enq: dict[str, int] = {}
     deq: dict[str, int] = {}
     for event in telemetry.events:
@@ -76,7 +80,7 @@ def test_queue_conservation(stream_run):
 
 
 def test_port_grants_recorded(stream_run):
-    grants = stream_run.telemetry.events_of("port_grant")
+    grants = stream_run.system.telemetry.events_of("port_grant")
     assert grants
     assert all(event.data["op"] in ("load", "store") for event in grants)
 
@@ -86,7 +90,7 @@ def test_port_grants_recorded(stream_run):
 # ----------------------------------------------------------------------
 
 def test_aggregate_sums_per_pe_counters(stream_run):
-    registry = stream_run.metrics
+    registry = MetricsRegistry.from_system(stream_run.system)
     aggregate = registry.aggregate()
     assert aggregate["retired"] == sum(
         entry["counters"]["retired"] for entry in registry.pes.values()
@@ -98,7 +102,8 @@ def test_aggregate_sums_per_pe_counters(stream_run):
 
 
 def test_hazard_breakdown_covers_every_pe(stream_run):
-    breakdown = stream_run.metrics.hazard_breakdown()
+    registry = MetricsRegistry.from_system(stream_run.system)
+    breakdown = registry.hazard_breakdown()
     assert set(breakdown) == {pe.name for pe in stream_run.system.pes}
     for hazards in breakdown.values():
         assert "data_hazard_cycles" in hazards
@@ -106,7 +111,7 @@ def test_hazard_breakdown_covers_every_pe(stream_run):
 
 
 def test_queue_metrics_have_timelines_and_high_water(stream_run):
-    queues = stream_run.metrics.queue_metrics()
+    queues = MetricsRegistry.from_system(stream_run.system).queue_metrics()
     assert queues
     for entry in queues.values():
         assert entry["high_water"] <= entry["capacity"]
@@ -117,7 +122,7 @@ def test_queue_metrics_have_timelines_and_high_water(stream_run):
 
 
 def test_port_busy_fraction_bounded(stream_run):
-    ports = stream_run.metrics.port_metrics()
+    ports = MetricsRegistry.from_system(stream_run.system).port_metrics()
     assert ports  # stream uses a write port
     for entry in ports.values():
         assert 0.0 < entry["busy_fraction"] <= 1.0
@@ -125,7 +130,7 @@ def test_port_busy_fraction_bounded(stream_run):
 
 def test_metrics_json_round_trip(tmp_path, stream_run):
     path = tmp_path / "metrics.json"
-    text = stream_run.metrics.to_json(str(path))
+    text = MetricsRegistry.from_system(stream_run.system).to_json(str(path))
     decoded = json.loads(path.read_text())
     assert decoded == json.loads(text)
     assert decoded["aggregate"]["retired"] > 0
@@ -133,8 +138,8 @@ def test_metrics_json_round_trip(tmp_path, stream_run):
 
 
 def test_functional_model_metrics():
-    run = run_instrumented("gcd", config=None, scale=4, seed=1)
-    registry = run.metrics
+    run = run_workload("gcd", scale=4, seed=1, telemetry=Telemetry())
+    registry = MetricsRegistry.from_system(run.system)
     entry = registry.pes["worker"]
     assert entry["model"] == "functional"
     assert registry.aggregate()["none_triggered_cycles"] == \
@@ -148,7 +153,7 @@ def test_functional_model_metrics():
 
 def test_chrome_trace_round_trips_as_json(stream_run):
     trace = json.loads(json.dumps(
-        chrome_trace(stream_run.telemetry, stream_run.system)
+        chrome_trace(stream_run.system.telemetry, stream_run.system)
     ))
     events = trace["traceEvents"]
     phases = {event["ph"] for event in events}
@@ -158,7 +163,7 @@ def test_chrome_trace_round_trips_as_json(stream_run):
 
 
 def test_trace_spans_stay_inside_the_run(stream_run):
-    trace = chrome_trace(stream_run.telemetry, stream_run.system)
+    trace = chrome_trace(stream_run.system.telemetry, stream_run.system)
     spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert spans
     for span in spans:
@@ -168,7 +173,7 @@ def test_trace_spans_stay_inside_the_run(stream_run):
 
 
 def test_trace_has_one_track_per_stage(stream_run):
-    trace = chrome_trace(stream_run.telemetry, stream_run.system)
+    trace = chrome_trace(stream_run.system.telemetry, stream_run.system)
     names = {
         (event["pid"], event["tid"])
         for event in trace["traceEvents"] if event["ph"] == "X"
@@ -187,11 +192,9 @@ def test_trace_has_one_track_per_stage(stream_run):
 # ----------------------------------------------------------------------
 
 def test_disabled_run_bit_identical():
-    def factory(name):
-        return PipelinedPE(CONFIG, name=name)
-
-    bare = run_workload("stream", make_pe=factory, scale=8, seed=0)
-    instrumented = run_instrumented("stream", config=CONFIG, scale=8, seed=0)
+    bare = run_workload("stream", make_pe=pipelined, scale=8, seed=0)
+    instrumented = run_workload("stream", make_pe=pipelined, scale=8, seed=0,
+                                telemetry=Telemetry())
     assert bare.cycles == instrumented.cycles
     assert bare.worker_counters.as_dict() == \
         instrumented.worker_counters.as_dict()
@@ -199,8 +202,8 @@ def test_disabled_run_bit_identical():
 
 def test_detach_restores_class_default(stream_run):
     telemetry = Telemetry()
-    run = run_instrumented("stream", config=CONFIG, scale=8, seed=0,
-                           telemetry=telemetry)
+    run = run_workload("stream", make_pe=pipelined, scale=8, seed=0,
+                       telemetry=telemetry)
     telemetry.detach()
     assert TaggedQueue.telemetry is None
     for pe in run.system.pes:
@@ -212,22 +215,16 @@ def test_detach_restores_class_default(stream_run):
 
 def test_event_limit_truncates_but_keeps_counts():
     telemetry = Telemetry(limit=4)
-    run = run_instrumented("stream", config=CONFIG, scale=8, seed=0,
-                           telemetry=telemetry)
+    run = run_workload("stream", make_pe=pipelined, scale=8, seed=0,
+                       telemetry=telemetry)
     assert telemetry.truncated
     assert len(telemetry.events) == 4
     assert telemetry.dropped_events > 0
     # Counts keep tiling the full run even though storage stopped.
     total = sum(telemetry.event_counts.values())
     assert total == len(telemetry.events) + telemetry.dropped_events
-    assert run.metrics.snapshot()["events"]["truncated"] is True
-
-
-def test_sample_interval_thins_fabric_sampling():
-    telemetry = Telemetry(sample_interval=4)
-    run = run_instrumented("stream", config=CONFIG, scale=8, seed=0,
-                           telemetry=telemetry)
-    assert 0 < telemetry.sampled_cycles <= run.cycles // 4 + 1
+    snapshot = MetricsRegistry.from_system(run.system).snapshot()
+    assert snapshot["events"]["truncated"] is True
 
 
 # ----------------------------------------------------------------------
@@ -235,18 +232,34 @@ def test_sample_interval_thins_fabric_sampling():
 # ----------------------------------------------------------------------
 
 def test_counter_checks_pass_on_clean_run():
-    run = run_instrumented("stream", config=CONFIG, scale=8, seed=0,
-                           check_counters=True)
+    run = run_workload("stream", make_pe=pipelined, scale=8, seed=0)
     assert run.cycles > 0
 
 
 def test_counter_checks_catch_corruption():
-    run = run_instrumented("stream", config=CONFIG, scale=8, seed=0,
-                           check_counters=True)
+    run = run_workload("stream", make_pe=pipelined, scale=8, seed=0)
     system = run.system
     system.pe("worker").counters.data_hazard_cycles += 7
     with pytest.raises(SimulationError, match="pe=worker"):
         system.run()  # already halted: goes straight to the audit
+
+
+def test_counter_checks_audit_every_pe():
+    """A default run audits the non-worker PEs too: one unclassified
+    cycle on stream's address generator fails it, naming that PE."""
+    def bump_once(pe):
+        pe.counters.data_hazard_cycles += 1
+        pe.fault_hook = None
+
+    def factory(name):
+        pe = pipelined(name)
+        if name == "indexer":
+            pe.fault_hook = bump_once
+        return pe
+
+    with pytest.raises(SimulationError, match="pe=indexer") as info:
+        run_workload("stream", make_pe=factory, scale=8, seed=0)
+    assert "cycle accounting leak" in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +298,7 @@ def test_stage_snapshot_shape_and_content():
 
 
 def test_stage_intervals_tile_without_overlap(stream_run):
-    for per_stage in stream_run.telemetry.stage_intervals.values():
+    for per_stage in stream_run.system.telemetry.stage_intervals.values():
         for intervals in per_stage:
             spans = sorted(intervals)
             for (s1, e1, *_), (s2, __, *_) in zip(spans, spans[1:]):
@@ -418,10 +431,12 @@ def test_diagram_rows_tile_the_cycle_counters():
 
 def test_rows_stop_when_a_pe_halts():
     """In a fabric, a PE that halts early records no rows after it."""
-    run = run_instrumented("merge", config=CONFIG, scale=6, seed=0)
+    telemetry = Telemetry()
+    run = run_workload("merge", make_pe=pipelined, scale=6, seed=0,
+                       telemetry=telemetry)
     assert min(pe.counters.cycles for pe in run.system.pes) < run.cycles
     for pe in run.system.pes:
-        assert len(run.telemetry.cycle_rows(pe.name)) == pe.counters.cycles
+        assert len(telemetry.cycle_rows(pe.name)) == pe.counters.cycles
 
 
 def test_diagram_header_matches_partition():
@@ -720,7 +735,7 @@ def test_campaign_trace_without_sim_tracks():
 
 
 def test_metrics_registry_exposes_jit_cache_section(stream_run):
-    snapshot = stream_run.metrics.snapshot()
+    snapshot = MetricsRegistry.from_system(stream_run.system).snapshot()
     jit = snapshot["jit"]
     assert set(jit) >= {"hits", "misses", "compile_seconds", "entries",
                         "block_exits"}

@@ -220,7 +220,7 @@ class TestServiceBasics:
     def test_dedup_within_one_job(self):
         with CampaignService(None, workers=2) as service:
             job = service.submit("chaos-echo", [{"value": 1}] * 4)
-            results = asyncio.run(service.wait(job, timeout=60.0))
+            results = service.wait(job, timeout=60.0)
         assert results == [{"echo": 1}] * 4
         assert job.executed == 1
         assert job.shared == 3
@@ -230,14 +230,14 @@ class TestServiceBasics:
             client = InProcessClient(service)
             client.map("chaos-echo", [{"value": 1}, {"value": 2}])
             second = service.submit("chaos-echo", [{"value": 2}, {"value": 3}])
-            asyncio.run(service.wait(second, timeout=60.0))
+            service.wait(second, timeout=60.0)
         assert second.from_store == 1
         assert second.executed == 1
 
     def test_status_and_stats_report_progress(self):
         with CampaignService(None, workers=1) as service:
             job = service.submit("chaos-echo", [{"value": 1}])
-            asyncio.run(service.wait(job, timeout=60.0))
+            service.wait(job, timeout=60.0)
             status = service.job_status(job.job_id)
             stats = service.stats()
         assert status["state"] == "done"
@@ -254,7 +254,7 @@ class TestServiceBasics:
                 job = service.submit(
                     "chaos-echo", [{"value": i} for i in range(count)]
                 )
-                asyncio.run(service.wait(job, timeout=60.0))
+                service.wait(job, timeout=60.0)
                 sizes.append(len(json.dumps(job.status())))
         assert abs(sizes[1] - sizes[0]) <= 64
 
@@ -294,7 +294,7 @@ class TestFailureTaxonomy:
         ) as service:
             job = service.submit("chaos-always-crash", [{"exit_code": 29}])
             with pytest.raises(CampaignError) as err:
-                asyncio.run(service.wait(job, timeout=60.0))
+                service.wait(job, timeout=60.0)
             status = job.status()
             stats = service.stats()
         assert status["state"] == "failed"
@@ -379,7 +379,7 @@ class TestResume:
         # Fresh service, same store: zero re-executions.
         with CampaignService(path, workers=2) as service:
             job = service.submit("chaos-echo", payloads)
-            replayed = asyncio.run(service.wait(job, timeout=60.0))
+            replayed = service.wait(job, timeout=60.0)
         assert replayed == first
         assert job.executed == 0
         assert job.from_store == len(payloads)
@@ -657,7 +657,7 @@ class TestServiceObservability:
             job = service.submit(
                 "chaos-echo", [{"value": 1}, {"value": 2}, {"value": 1}]
             )
-            asyncio.run(service.wait(job, timeout=60.0))
+            service.wait(job, timeout=60.0)
         summary = obs.tracer.summary()
         assert summary["job"] == 1 and summary["admission"] == 1
         # Two distinct fingerprints execute; the third slot shares one.
@@ -725,7 +725,7 @@ class TestServiceObservability:
         ) as service:
             job = service.submit("chaos-always-crash", [{"exit_code": 7}])
             with pytest.raises(CampaignError) as err:
-                asyncio.run(service.wait(job, timeout=60.0))
+                service.wait(job, timeout=60.0)
         [report] = err.value.quarantine_reports
         assert report["trace"]["trace_id"] == job.job_id
         assert report["trace"]["span_id"]
@@ -744,7 +744,7 @@ class TestServiceObservability:
         obs = ServiceObs(logger=JsonLogger(sink))
         with CampaignService(None, workers=1, obs=obs) as service:
             job = service.submit("chaos-echo", [{"value": 1}])
-            asyncio.run(service.wait(job, timeout=60.0))
+            service.wait(job, timeout=60.0)
         records = [json.loads(line) for line in sink.getvalue().splitlines()]
         events = [r["event"] for r in records]
         assert "job_admitted" in events and "job_done" in events
@@ -808,7 +808,7 @@ class TestSseStreams:
             job = service.submit("chaos-echo", [{"value": i}
                                                 for i in range(3)])
             stream = job.subscribe()
-            asyncio.run(service.wait(job, timeout=60.0))
+            service.wait(job, timeout=60.0)
             events = stream.pop_all()
             job.unsubscribe(stream)
         names = [e["event"] for e in events]
@@ -822,7 +822,7 @@ class TestSseStreams:
     def test_unsubscribed_job_pays_nothing(self):
         with CampaignService(None, workers=1) as service:
             job = service.submit("chaos-echo", [{"value": 1}])
-            asyncio.run(service.wait(job, timeout=60.0))
+            service.wait(job, timeout=60.0)
         assert job._subscribers == []
 
     def test_slow_consumer_drops_oldest_not_newest(self):
@@ -830,7 +830,7 @@ class TestSseStreams:
             job = service.submit("chaos-echo", [{"value": i}
                                                 for i in range(8)])
             stream = job.subscribe(max_buffer=2)
-            asyncio.run(service.wait(job, timeout=60.0))
+            service.wait(job, timeout=60.0)
             events = stream.pop_all()
             job.unsubscribe(stream)
         # 10 frames published (active + 8 progress + done); 2 kept.
