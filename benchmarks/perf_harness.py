@@ -41,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.asm import assemble
 from repro.dse.cpi import CpiTable
-from repro.jit import clear_cache
+from repro.jit import reset_metrics
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
@@ -91,7 +91,7 @@ def measure_jit_throughput(cycles: int, repeats: int = 3) -> tuple[float, float]
     step/commit loop as the interpreter; *block mode* dispatches the
     generated ``run`` block loop via ``run_cycles`` — the form the fused
     ``System`` loop uses.  Codegen happens outside the timed region
-    (amortization is covered separately by ``test_bench_jit``).
+    (promotion economics are covered by ``test_bench_jit``).
     """
     best_step = best_block = 0.0
     for _ in range(repeats):
@@ -112,7 +112,10 @@ def measure_jit_throughput(cycles: int, repeats: int = 3) -> tuple[float, float]
 
 
 def measure_suite(scale: int, repeats: int = 2) -> dict:
-    """Table 3 suite cycles/sec, interpreter vs JIT, simulation time only.
+    """Table 3 suite cycles/sec, default vs forced JIT, simulation time
+    only.  The default backend starts every PE interpreted and promotes
+    the busy PEs of long runs; ``backend="jit"`` compiles every PE from
+    cycle 0 (before the timed region).
 
     Each workload is built (and validated) outside the timed region;
     only ``System.run`` is timed.  The aggregate is cycle-weighted:
@@ -212,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.quick else 3
     workers = args.workers or resolve_workers(num_configs)
 
-    clear_cache()
+    reset_metrics()
     reference = measure_throughput(cycles, fast_path=False, repeats=repeats)
     fast = measure_throughput(cycles, fast_path=True, repeats=repeats)
     jit_step, jit_block = measure_jit_throughput(cycles, repeats=repeats)

@@ -1,19 +1,18 @@
-"""JIT economics: codegen amortization and cache reuse (not a paper
-exhibit).
+"""Hot-PE promotion economics (not a paper exhibit).
 
-Guards the claim that makes the ``repro.jit`` backend usable by
-default in campaigns: specialization pays for itself within the first
-workload-scale run (cold cache, codegen time included in the JIT
-side), and content fingerprinting makes every later instantiation of
-the same (program, config, params) tuple a free cache hit — zero
-recompiles across a whole suite re-run.
+Guards the claims that make promotion the simulator's default: on a
+workload-scale suite pass, compiling the PEs still busy at the
+promotion mark pays for itself (compile time included), and a pass
+compiles only those PEs, holding each module no longer than its run.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
-from repro.jit import cache_stats, clear_cache
+import repro.fabric.system as fabric_system
+from repro.jit import jit_metrics
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.workloads.suite import WORKLOADS, get_workload
@@ -21,50 +20,47 @@ from repro.workloads.suite import WORKLOADS, get_workload
 CONFIG = "T|D|X1|X2 +P+Q"
 
 
-def _run_suite(backend: str, scale: int) -> float:
-    """Wall-clock for one full Table 3 suite pass, build + run + check.
-
-    Deliberately *includes* program load (and therefore codegen, when
-    the cache is cold) so the JIT side pays its own compile bill.
-    """
+def _run_suite(scale: int) -> float:
+    """Wall-clock for one full Table 3 suite pass, build + run + check,
+    on default (interpreter-backend) PEs, so promotion compiles inside
+    the timed window."""
     cfg = config_by_name(CONFIG)
     start = time.perf_counter()
     for name in WORKLOADS():
         workload = get_workload(name)
         system = workload.build(
-            lambda n: PipelinedPE(cfg, DEFAULT_PARAMS, name=n,
-                                  backend=backend),
-            scale, 1,
-        )
+            lambda n: PipelinedPE(cfg, DEFAULT_PARAMS, name=n), scale, 1)
         system.run(max_cycles=8_000_000)
         workload.check(system, scale, 1)
     return time.perf_counter() - start
 
 
-def test_jit_amortizes_within_one_suite_run(bench_scale):
-    """Cold-cache JIT (codegen included) beats the interpreter within a
-    single workload-scale suite pass."""
+def test_promotion_pays_for_itself_within_one_suite_run(bench_scale,
+                                                        monkeypatch):
+    """A promoting suite pass (compiles included) beats the same pass
+    with promotion held off."""
     scale = max(bench_scale, 48)
-    interp = min(_run_suite("interp", scale) for _ in range(2))
-    clear_cache()
-    jit_cold = _run_suite("jit", scale)
-    assert jit_cold < interp, (
-        f"cold JIT pass ({jit_cold:.2f}s incl codegen) did not amortize "
-        f"within one scale-{scale} suite run (interp {interp:.2f}s)"
+    promoting = min(_run_suite(scale) for _ in range(2))
+    monkeypatch.setattr(fabric_system, "PROMOTE_AT_CYCLE", 1 << 62)
+    interpreted = min(_run_suite(scale) for _ in range(2))
+    assert promoting < interpreted, (
+        f"promoting pass ({promoting:.2f}s incl compiles) did not beat "
+        f"the interpreter (interp {interpreted:.2f}s) at scale {scale}"
     )
 
 
-def test_fingerprint_cache_makes_suite_recompiles_free(bench_scale):
-    """A second suite pass compiles nothing: every program resolves to
-    a cache hit by content fingerprint."""
-    clear_cache()
-    _run_suite("jit", bench_scale)
-    after_first = cache_stats()
-    assert after_first["misses"] > 0
-    _run_suite("jit", bench_scale)
-    after_second = cache_stats()
-    assert after_second["misses"] == after_first["misses"], (
-        "second suite pass recompiled programs that were already cached"
-    )
-    assert after_second["hits"] > after_first["hits"]
-    assert after_second["entries"] == after_first["entries"]
+def test_suite_pass_compiles_only_hot_pes_and_holds_no_module(bench_scale):
+    """Every compile of a suite pass is a promotion, a repeated pass
+    compiles exactly as many, and no module outlives its run."""
+    gc.collect()
+    before = jit_metrics()
+    _run_suite(bench_scale)
+    first = jit_metrics()
+    _run_suite(bench_scale)
+    second = jit_metrics()
+    compiles = first["misses"] - before["misses"]
+    assert compiles == first["promotions"] - before["promotions"]
+    assert second["misses"] - first["misses"] == compiles
+    # Far fewer modules than PEs: the suite builds 22 PEs per pass.
+    assert compiles <= 5
+    assert second["entries"] == before["entries"]

@@ -447,12 +447,15 @@ def _explore(pe, streams: tuple[tuple, ...], capacity: int,
 def check_program(program, streams: dict[int, list[tuple[int, int]]],
                   params: ArchParams = DEFAULT_PARAMS,
                   configs=None, bounds: CheckBounds = DEFAULT_BOUNDS,
-                  name: str = "program") -> CheckReport:
+                  name: str = "program",
+                  backend: str = "interp") -> CheckReport:
     """Prove (or refute) retirement equivalence for one program.
 
     ``program`` is an assembled :class:`~repro.asm.program.Program`;
     ``streams`` the input-token plan (queue index -> [(value, tag)...]).
     ``configs`` defaults to the full 48-configuration matrix.
+    ``backend`` selects the pipelined PE's executor: ``"jit"`` proves
+    the compiled step that long fabric runs promote busy PEs to.
     """
     cparams = replace(params, queue_capacity=bounds.queue_capacity)
     streams_t = _normalize_streams(streams, cparams.num_input_queues)
@@ -495,7 +498,8 @@ def check_program(program, streams: dict[int, list[tuple[int, int]]],
 
     forbidden: set[tuple[int, int]] = set()
     for config in configs:
-        pe = PipelinedPE(config, cparams, name=f"{name}-{config.name}")
+        pe = PipelinedPE(config, cparams, name=f"{name}-{config.name}",
+                         backend=backend)
         program.configure(pe)
         exp, verdict = _explore(pe, streams_t, bounds.queue_capacity,
                                 bounds, reference, config.name)

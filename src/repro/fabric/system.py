@@ -26,6 +26,16 @@ from repro.errors import (
 from repro.fabric.lsq import LoadStoreQueue
 from repro.fabric.memory import Memory, MemoryReadPort, MemoryWritePort
 
+PROMOTE_AT_CYCLE = 512
+"""Fabric cycles into a run at which :meth:`System.run` compiles the PEs
+still busy.  Short kernels, fuzz runs and checker steps finish before
+it, so they never compile."""
+
+PROMOTE_MIN_ISSUES = PROMOTE_AT_CYCLE // 4
+"""Instructions a PE must have issued in the run by
+:data:`PROMOTE_AT_CYCLE` to be compiled.  PEs that mostly wait stay
+interpreted: udiv's feeder issues about 216 times in 7.4k cycles."""
+
 
 @dataclass
 class ChannelInfo:
@@ -311,9 +321,11 @@ class System:
                 )
         return False
 
-    def _run_jit(self, max_cycles: int, stall_limit: int) -> bool:
-        """Hoisted-state cycle loop for all-jit systems (no system-level
-        instrumentation attached).
+    def _run_fused(self, max_cycles: int, stall_limit: int,
+                   hot: dict) -> bool:
+        """Hoisted-state cycle loop for fabrics of fast-path pipelined PEs
+        with no instrumentation attached.  Returns True when every PE
+        halted within the budget.
 
         Per cycle this performs exactly :meth:`step`'s schedule — PEs in
         order, read ports, write ports, LSQs, channel commits — but with
@@ -321,22 +333,31 @@ class System:
         skipped (an idle read port only advances its private clock, which
         is relative to acceptance time; a write port missing an operand
         does nothing), and the progress predicate folded into the same
-        occupancy tests.  On single-PE systems without LSQs, whenever no
-        port can make progress until the PE next enqueues, the loop
+        occupancy tests.  Interpreted PEs step through their class's
+        ``step``, looked up here, and compiled PEs through their
+        module's.  On single-PE systems without LSQs, whenever no port
+        can make progress until a compiled PE next enqueues, the loop
         delegates to the PE's generated block run — which commits the
         PE's queues each cycle, exactly as the channel-commit pass here
         would — and resumes interleaving the moment traffic appears.
+
+        Once the run reaches :data:`PROMOTE_AT_CYCLE` cycles, every live
+        interpreted PE that issued at least :data:`PROMOTE_MIN_ISSUES`
+        instructions so far is compiled, and the loop carries on with
+        the same idle streak and budget.  ``hot`` maps each PE running
+        compiled to its cycle count when it began to.
         """
-        live = [(pe._jit.step, pe) for pe in self.pes if not pe.halted]
+        for pe in self.pes:
+            if pe._jit is not None:
+                hot[pe] = pe.counters.cycles
+        promote_at = self.cycles + PROMOTE_AT_CYCLE
+        issued_at_start = [pe.counters.issued for pe in self.pes]
+        live = self._steppers()
         rports = self.read_ports
         wports = self.write_ports
         lsqs = self.lsqs
         channels = self._all_channels()
-        solo = self.pes[0] if (
-            len(self.pes) == 1
-            and not lsqs
-            and self.pes[0]._jit_block is not None
-        ) else None
+        solo = self._solo()
         counters = [pe.counters for pe in self.pes]
         dq_prev = -1
         idle_streak = 0
@@ -344,6 +365,11 @@ class System:
         while remaining > 0:
             if not live:
                 return True
+            if self.cycles >= promote_at:
+                promote_at = float("inf")
+                if self._promote(hot, issued_at_start):
+                    live = self._steppers()
+                    solo = self._solo()
             if solo is not None:
                 for port in rports:
                     if port._in_flight or (
@@ -384,9 +410,9 @@ class System:
                             if solo.halted:
                                 live = []
                             continue
-                        # Zero cycles: the block refused (a hook is
-                        # attached or entries are staged) — take the
-                        # interleaved path for this cycle.
+                        # Zero cycles: the block refused (entries are
+                        # staged) — take the interleaved path for this
+                        # cycle.
             prog = False
             pruned = False
             moved = False
@@ -459,9 +485,9 @@ class System:
                 # cycle — it may fire then, so it is not quiescent.
                 if deq:
                     continue
-                # Exactly one PE progressed, it is last in step order,
-                # and every other live PE is quiescent (empty pipe, no
-                # hooks, none-triggered this cycle): the runner's block
+                # Exactly one PE progressed, it is compiled and last in
+                # step order, and every other live PE is quiescent (empty
+                # pipe, none-triggered this cycle): the runner's block
                 # entry point can batch cycles on its own.  Its enqueues
                 # and dequeues are the only events that can change what
                 # the quiescent PEs observe, and the block stops at the
@@ -474,22 +500,12 @@ class System:
                 if multi or cand is not live[-1]:
                     continue
                 cp = cand[1]
-                if (
-                    cp._jit_block is None
-                    or cp.fault_hook is not None
-                    or cp.telemetry is not None
-                ):
+                if cp._jit_block is None:
                     continue
                 ok = True
                 for entry in live:
                     p = entry[1]
-                    if p is cp:
-                        continue
-                    if (
-                        p.fault_hook is not None
-                        or p.telemetry is not None
-                        or any(p._pipe)
-                    ):
+                    if p is not cp and any(p._pipe):
                         ok = False
                         break
                 if ok:
@@ -534,18 +550,13 @@ class System:
             # No PE issued or retired this cycle and nothing changed any
             # state a trigger can observe (no queue commit, no request
             # dequeue, no store).  If on top of that every live PE has
-            # an empty pipeline and no per-PE hooks, its decision walk
-            # is a pure function of frozen state: each further cycle in
-            # this regime only increments its cycle and none-triggered
-            # counters, until a memory response commits.  Batch those
-            # wait cycles stepping only the in-flight read ports.
+            # an empty pipeline, its decision walk is a pure function of
+            # frozen state: each further cycle in this regime only
+            # increments its cycle and none-triggered counters, until a
+            # memory response commits.  Batch those wait cycles stepping
+            # only the in-flight read ports.
             for entry in live:
-                p = entry[1]
-                if (
-                    p.fault_hook is not None
-                    or p.telemetry is not None
-                    or any(p._pipe)
-                ):
+                if any(entry[1]._pipe):
                     break
             else:
                 for port in rports:
@@ -592,6 +603,51 @@ class System:
                                 break
         return False
 
+    def _steppers(self) -> list[tuple]:
+        """(step function, PE) for every live PE, in step order."""
+        return [(pe._jit.step if pe._jit is not None else type(pe).step, pe)
+                for pe in self.pes if not pe.halted]
+
+    def _solo(self):
+        """The PE whose block run may stand in for whole stretches of a
+        single-PE, LSQ-free system, or None."""
+        if len(self.pes) == 1 and not self.lsqs \
+                and self.pes[0]._jit_block is not None:
+            return self.pes[0]
+        return None
+
+    def _promote(self, hot: dict, issued_at_start: list[int]) -> bool:
+        """Compile each live interpreted PE that issued at least
+        :data:`PROMOTE_MIN_ISSUES` instructions since the run began;
+        True if any was."""
+        busy = [
+            pe for pe, issued in zip(self.pes, issued_at_start)
+            if pe._jit is None and not pe.halted
+            and pe.counters.issued - issued >= PROMOTE_MIN_ISSUES
+        ]
+        if not busy:
+            return False
+        from repro.jit.cache import STATS, acquire
+
+        for pe in busy:
+            pe._bind_compiled(acquire(pe))
+            hot[pe] = pe.counters.cycles
+        STATS.promotions += len(busy)
+        return True
+
+    @staticmethod
+    def _release(hot: dict) -> None:
+        """End of a fused run: count the cycles each PE ran compiled and
+        unbind the PEs the run promoted, which releases their modules."""
+        if not hot:
+            return
+        from repro.jit.cache import STATS
+
+        for pe, since in hot.items():
+            STATS.compiled_cycles += pe.counters.cycles - since
+            if pe.backend != "jit":
+                pe._bind_compiled(None)
+
     def run(
         self,
         max_cycles: int = 2_000_000,
@@ -606,13 +662,15 @@ class System:
         — on deadlock (no architectural progress for ``stall_limit``
         cycles) or timeout.
 
-        When every PE carries a jit specialization and no system-level
-        instrumentation is attached, the cycle loop runs through
-        :meth:`_run_jit` — the same per-cycle schedule as :meth:`step`
-        with the fabric state hoisted, and, on single-PE systems, whole
-        stretches delegated to the PE's generated block loop while no
-        memory port can make progress.  Both drivers produce identical
-        architectural state, counters, and cycle counts.
+        When every PE is a fast-path pipelined PE and nothing is
+        attached — no invariant checker, telemetry sink or fault hook —
+        the cycle loop runs through :meth:`_run_fused`: the same
+        per-cycle schedule as :meth:`step` with the fabric state
+        hoisted, idle stretches batched, and the PEs still busy at
+        :data:`PROMOTE_AT_CYCLE` compiled for the rest of the run.  Any
+        other fabric runs the reference loop, one :meth:`step` per
+        cycle.  Both drivers produce identical architectural state,
+        counters, and cycle counts.
 
         Every completed run audits each PE's cycle accounting
         (``PipelineCounters.check_consistency``), so a leak raises a
@@ -620,13 +678,24 @@ class System:
         """
         if not self.pes:
             raise ConfigError("system has no PEs")
-        use_jit = (
+        fused = (
             self.invariant_checker is None
             and self.telemetry is None
-            and all(getattr(pe, "_jit", None) is not None for pe in self.pes)
+            and all(
+                getattr(pe, "fast_path", False)
+                and pe.fault_hook is None
+                and pe.telemetry is None
+                for pe in self.pes
+            )
         )
-        completed = (self._run_jit(max_cycles, stall_limit) if use_jit
-                     else self._run_interleaved(max_cycles, stall_limit))
+        if fused:
+            hot: dict = {}
+            try:
+                completed = self._run_fused(max_cycles, stall_limit, hot)
+            finally:
+                self._release(hot)
+        else:
+            completed = self._run_interleaved(max_cycles, stall_limit)
         if not completed:
             raise self._deadlock_error(f"timeout after {max_cycles} cycles")
         # Let in-flight memory traffic land (stores issued just before halt).

@@ -1,39 +1,40 @@
 """Per-config specialization backend for the pipelined PE.
 
 ``repro.jit`` turns the interpreter's per-cycle generality into
-straight-line Python generated once per (program, partition, ±P,
-queue-policy, params) content fingerprint:
+straight-line Python generated for one (program, partition, ±P,
+queue-policy, params) tuple:
 
-* :mod:`repro.jit.codegen` — emits the specialized ``step``/``run``
-  source (stage walk unrolled, trigger resolution inlined per
-  descriptor, ALU semantics baked in).
-* :mod:`repro.jit.cache` — sha256 content fingerprinting and the
-  compile-once module cache.
+* :mod:`repro.jit.codegen` — emits the specialized module source: one
+  cycle function (stage walk unrolled, trigger resolution inlined per
+  descriptor, ALU semantics baked in) behind a per-cycle ``step`` and a
+  block-mode ``run``.
+* :mod:`repro.jit.cache` — compiles a module, shares it among the live
+  PEs that hold it, releases it with the last one, and keeps the JIT's
+  process counters.
 
-Select it per PE with ``PipelinedPE(..., backend="jit")``.
-Instrumented paths — fault hooks, telemetry sinks — transparently fall
-back to the interpreter, cycle for cycle.
+A PE runs compiled in two ways.  ``PipelinedPE(..., backend="jit")``
+compiles it from cycle 0.  Otherwise :meth:`repro.fabric.system.System.run`
+promotes the PEs that are still issuing once a run passes a fixed cycle
+mark, for the rest of that run.  Instrumented paths — fault hooks,
+telemetry sinks — transparently fall back to the interpreter, cycle for
+cycle.
 """
 
 from repro.jit.cache import (
     JitProgram,
+    acquire,
     block_exit_counts,
-    cache_stats,
-    clear_cache,
-    fingerprint,
-    get_compiled,
     jit_metrics,
+    reset_metrics,
 )
 from repro.jit.codegen import CODEGEN_VERSION, generate_source
 
 __all__ = [
     "CODEGEN_VERSION",
     "JitProgram",
+    "acquire",
     "block_exit_counts",
-    "cache_stats",
-    "clear_cache",
-    "fingerprint",
     "generate_source",
-    "get_compiled",
     "jit_metrics",
+    "reset_metrics",
 ]

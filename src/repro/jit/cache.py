@@ -1,66 +1,67 @@
-"""Content-addressed compilation cache for generated PE modules.
+"""Compiled PE modules: build one, share it while it is held, release it.
 
-The specialized source emitted by :mod:`repro.jit.codegen` depends only
-on the *content* of the (program, pipeline config, arch params) tuple —
-two PEs running the same program under the same configuration share one
-compiled module (the generated functions take the PE as their first
-argument and hold no per-PE state).  This module owns that keying:
+:func:`acquire` returns the generated module (:mod:`repro.jit.codegen`)
+for a PE's loaded program under its pipeline configuration.  PEs alive
+at the same time with equal (program, config, params) share one module,
+because the generated functions take the PE as their first argument and
+hold no per-PE state.  A module lives only while some PE holds it:
 
-* :func:`fingerprint` — a sha256 over the canonical lowered form of the
-  program (the ``CompiledTrigger``/``CompiledDatapath`` fields the
-  generator consumes), every numeric the config contributes to codegen,
-  the full ``ArchParams`` tuple and ``CODEGEN_VERSION``.
-* :func:`get_compiled` — fingerprint → compile once → reuse.  Recompiles
-  of previously seen content are dictionary hits, which is what makes
-  fuzz/DSE campaigns (thousands of short programs, many repeated) pay
-  the ``compile()`` cost only per *distinct* program.
+* a ``PipelinedPE(backend="jit")`` holds its module from program load,
+  so it runs compiled from cycle 0;
+* a PE that :class:`~repro.fabric.system.System` promotes mid-run holds
+  its module until that run ends.
+
+When the last holder lets go, the module's namespace is cleared.  That
+breaks the reference cycle between the namespace and the functions
+defined in it, so the memory returns at once instead of at the next
+full garbage collection.
+
+:func:`jit_metrics` reports the process-wide counters: modules compiled
+(``misses``) and shared (``hits``), compile seconds, live modules
+(``entries``), PEs promoted, PE cycles run compiled, and why block runs
+returned control.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-from dataclasses import dataclass
+import time
+import weakref
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from repro.isa.instruction import Instruction
-from repro.params import ArchParams
-from repro.pipeline.config import PipelineConfig
-
-from repro.jit.codegen import (
-    CODEGEN_VERSION,
-    generate_source,
-    semantics_table,
-)
-from repro.arch.trigger_cache import compile_datapaths, compile_program
+from repro.isa.alu import AluResult, alu_execute
+from repro.jit.codegen import _Codegen
+from repro.pipeline.core import PipelinedPE, _InFlight, _Speculation
 
 
-@dataclass(frozen=True)
 class JitProgram:
-    """One compiled specialization: its key, source and entry points."""
+    """One compiled module's entry points."""
 
-    key: str
-    source: str
-    step: Callable[..., bool]
-    run: Callable[..., int]
+    __slots__ = ("step", "run", "__weakref__")
+
+    def __init__(self, step: Callable[..., bool],
+                 run: Callable[..., int]) -> None:
+        self.step = step
+        self.run = run
 
 
 @dataclass
-class CacheStats:
+class JitStats:
+    #: Binds served by a module another live PE already held.
     hits: int = 0
+    #: Modules compiled.
     misses: int = 0
     compile_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "compile_seconds": self.compile_seconds,
-        }
+    #: PEs a System run compiled mid-run.
+    promotions: int = 0
+    #: PE cycles run on a compiled binding, added when each run ends.
+    compiled_cycles: int = 0
 
 
-_CACHE: dict[str, JitProgram] = {}
-STATS = CacheStats()
+STATS = JitStats()
+
+#: (program, config, params) -> the module live PEs hold for it.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 #: Why generated block runs returned control: reason -> count.  Filled
 #: by the :func:`_counted_run` wrapper around every compiled ``run``;
@@ -73,12 +74,11 @@ BLOCK_EXITS: dict[str, int] = {}
 def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
     """Wrap a generated block entry point with exit-reason accounting.
 
-    The generated ``run`` has no hook to report *why* it stopped, and
-    regenerating it would bump ``CODEGEN_VERSION`` for pure accounting —
-    so the reason is inferred from post-call PE state instead, one dict
-    update per block entry (amortized over the cycles the block ran).
-    The wrapper keeps the exact positional signature the fused system
-    loop uses and stays a plain function so ``__get__`` binding in
+    The generated ``run`` has no hook to report *why* it stopped, so the
+    reason is inferred from post-call PE state instead, one dict update
+    per block entry (amortized over the cycles the block ran).  The
+    wrapper keeps the exact positional signature the fused system loop
+    uses and stays a plain function so ``__get__`` binding in
     ``PipelinedPE`` works unchanged.
     """
 
@@ -115,60 +115,65 @@ def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
     return run
 
 
-def fingerprint(
-    instructions: list[Instruction],
-    config: PipelineConfig,
-    params: ArchParams,
-) -> str:
-    """Content key over everything the generator bakes into the source."""
-    compiled = compile_program(instructions)
-    dp_meta = compile_datapaths(instructions, params)
-    triggers = tuple(
-        (
-            d.index, d.pred_on, d.pred_off, d.watched,
-            d.required_queues, d.tag_checks, d.out_queue, d.side_effects,
-        )
-        for d in compiled.descriptors
-    )
-    datapaths = tuple(
-        (
-            meta.op.mnemonic, meta.late_result, meta.is_halt,
-            meta.operand_plan, meta.reg_srcs, meta.deq,
-            meta.dst_kind, meta.dst_index, meta.out_tag, meta.out_queue,
-            meta.pred_update.set_mask, meta.pred_update.clear_mask,
-            meta.writes_reg, meta.writes_pred, meta.semantics is None,
-        )
-        for meta in dp_meta
-    )
-    canon = (
-        CODEGEN_VERSION,
-        triggers,
-        datapaths,
-        config.name,
-        tuple(config.stages),
-        config.predicate_prediction,
-        config.queue_policy.value,
-        config.speculative_depth,
-        config.depth,
-        config.decode_stage,
-        config.early_result_stage,
-        config.late_result_stage,
-        dataclasses.astuple(params),
-    )
-    return hashlib.sha256(repr(canon).encode()).hexdigest()
+def _issue(pe, c, s_):
+    """Issue slot ``s_``: the new pipeline entry, and the in-flight queue
+    bookings the status views read (the state version moves only with
+    them).  The fire site applies the slot's predicate update itself."""
+    m_ = pe._dp_meta[s_]
+    e = pe._pipe[0] = _InFlight(pe.instructions[s_], m_, s_, pe._next_seq, 0)
+    pe._next_seq += 1
+    c.issued += 1
+    pe.recent_fires.append((c.cycles, s_))
+    if m_.deq or m_.out_queue >= 0:
+        qs = pe._queue_state
+        for q_ in m_.deq:
+            qs.pending_deqs[q_] += 1
+            qs.sched_deqs[q_] += 1
+            pe._state_version += 1
+        if m_.out_queue >= 0:
+            qs.pending_enqs[m_.out_queue] += 1
+            pe._state_version += 1
+    return e
+
+
+def _offer(pe, e, i_):
+    """Offer a prediction for predicate ``i_`` at a predicate-writing
+    issue (+P): the predictor's fast path inlined; forced inversions
+    (fault campaigns) take the full method for its flag handling."""
+    specs = pe._specs
+    if len(specs) < pe._spec_depth:
+        pr = pe.predictor
+        if pr.force_invert_next:
+            p_ = pr.predict(i_)
+        else:
+            pr.last_forced = False
+            p_ = 1 if pr.counters[i_] >= 2 else 0
+        specs.append(_Speculation(e.seq, i_, p_, pe.preds.state,
+                                  pr.last_forced))
+        if p_:
+            pe.preds.state |= 1 << i_
+        else:
+            pe.preds.state &= ~(1 << i_)
+
+
+def _fwd(pe, r_, scan):
+    """Register ``r_`` with forwarding: the youngest in-flight producer
+    among the ``scan`` stages (in-order pipe, so the first found past
+    decode), None while its result is not ready, else the register."""
+    pipe = pe._pipe
+    for j_ in scan:
+        o_ = pipe[j_]
+        if o_ is not None and o_.writes_reg and o_.meta.dst_index == r_:
+            return o_.result.value if o_.result_ready else None
+    return pe.regs._regs[r_]
 
 
 def _namespace() -> dict[str, Any]:
     """Globals injected into every generated module."""
-    # Imported here (not at module top) to keep repro.jit importable
-    # without dragging the full pipeline in, and to avoid import cycles
-    # when pipeline.core lazily imports this module.
-    from repro.isa.alu import AluResult, alu_execute
-    from repro.pipeline.core import PipelinedPE, _InFlight, _Speculation
-
     return {
-        "_InFlight": _InFlight,
-        "_Speculation": _Speculation,
+        "_issue": _issue,
+        "_offer": _offer,
+        "_fwd": _fwd,
         "AluResult": AluResult,
         "_ALU_EXEC": alu_execute,
         # The *class* function — calling it with a PE positionally runs
@@ -177,53 +182,43 @@ def _namespace() -> dict[str, Any]:
     }
 
 
-def get_compiled(
-    instructions: list[Instruction],
-    config: PipelineConfig,
-    params: ArchParams,
-) -> JitProgram:
-    """Return the compiled specialization, generating it on first use."""
-    key = fingerprint(instructions, config, params)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        STATS.hits += 1
-        return cached
-    STATS.misses += 1
-    import time
+def acquire(pe) -> JitProgram:
+    """The compiled module for ``pe``'s loaded program and config.
 
+    Returns the module a live PE already holds for the same content, or
+    compiles one.  The caller holds the returned object for as long as
+    the PE runs compiled; dropping the last reference releases it.
+    """
+    key = (tuple(pe.instructions), pe.config, pe.params)
+    program = _LIVE.get(key)
+    if program is not None:
+        STATS.hits += 1
+        return program
+    STATS.misses += 1
     started = time.perf_counter()
-    source = generate_source(instructions, config, params)
+    source = _Codegen(pe.instructions, pe.config, pe.params,
+                      compiled=pe._compiled, dp_meta=pe._dp_meta).generate()
     namespace = _namespace()
-    namespace["SEM"] = semantics_table(instructions, params)
-    code = compile(source, f"<jit:{key[:12]}>", "exec")
-    exec(code, namespace)
+    exec(compile(source, f"<jit:{pe.config.name}>", "exec"), namespace)
+    program = JitProgram(namespace["step"], _counted_run(namespace["run"]))
+    weakref.finalize(program, namespace.clear)
+    _LIVE[key] = program
     STATS.compile_seconds += time.perf_counter() - started
-    program = JitProgram(
-        key=key, source=source,
-        step=namespace["step"], run=_counted_run(namespace["run"]),
-    )
-    _CACHE[key] = program
     return program
 
 
-def clear_cache() -> None:
-    """Drop all compiled modules and reset the hit/miss statistics."""
-    _CACHE.clear()
-    STATS.hits = 0
-    STATS.misses = 0
-    STATS.compile_seconds = 0.0
+def reset_metrics() -> None:
+    """Zero the counters and block-exit tallies (live modules stay)."""
+    vars(STATS).update(vars(JitStats()))
     BLOCK_EXITS.clear()
 
 
-def cache_stats() -> dict[str, Any]:
-    return {**STATS.as_dict(), "entries": len(_CACHE)}
-
-
 def block_exit_counts() -> dict[str, int]:
-    """Block-run exit reasons recorded since the last cache clear."""
+    """Block-run exit reasons recorded since the last reset."""
     return dict(sorted(BLOCK_EXITS.items()))
 
 
 def jit_metrics() -> dict[str, Any]:
-    """One JSON-ready dict: cache stats plus block-exit reasons."""
-    return {**cache_stats(), "block_exits": block_exit_counts()}
+    """One JSON-ready dict: counters, live modules, block-exit reasons."""
+    return {**asdict(STATS), "entries": len(_LIVE),
+            "block_exits": block_exit_counts()}

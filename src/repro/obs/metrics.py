@@ -157,13 +157,14 @@ class MetricsRegistry:
         }
 
     def jit_metrics(self) -> dict:
-        """Process-wide jit backend health: compile-cache hit/miss and
-        compile-seconds totals plus block-exit-reason counts.
+        """Process-wide jit backend health: modules compiled and shared,
+        compile seconds, live modules, PEs promoted, cycles run compiled,
+        and block-exit-reason counts.
 
         Imported lazily — the registry never drags the jit backend in
         for interpreter-only runs (and the counters are process-global,
-        not per-run: they cover every PE compiled since the last
-        ``repro.jit.clear_cache()``).
+        not per-run: they cover everything since the last
+        ``repro.jit.reset_metrics()``).
         """
         from repro.jit.cache import jit_metrics
 
@@ -242,9 +243,11 @@ class MetricsRegistry:
                 for reason, count in jit.get("block_exits", {}).items()
             )
             lines.append(
-                f"  jit cache: {jit['hits']} hits / {jit['misses']} misses, "
-                f"{jit['entries']} entries, "
-                f"{jit['compile_seconds']:.3f}s compiling"
+                f"  jit: {jit['misses']} modules compiled, {jit['hits']} "
+                f"shared, {jit['entries']} live, "
+                f"{jit['compile_seconds']:.3f}s compiling; "
+                f"{jit['promotions']} PEs promoted, "
+                f"{jit['compiled_cycles']} cycles compiled"
                 + (f"; block exits: {exits}" if exits else "")
             )
         events = snapshot.get("events")

@@ -189,7 +189,7 @@ class PipelinedPE:
         # trigger decision keyed on everything `evaluate` can observe.
         self.fast_path = fast_path
         self.backend = _resolve_backend(backend)
-        self._jit = None          # compiled specialization (repro.jit)
+        self._jit = None          # compiled module (repro.jit), if bound
         self._jit_block = None    # bound block-stepping entry point
         self._compiled = None
         self._dp_meta: list[CompiledDatapath] = []
@@ -227,25 +227,38 @@ class PipelinedPE:
         self._bind_backend()
 
     def _bind_backend(self) -> None:
-        """Attach (or detach) the specialized executor for this program.
+        """Attach (or detach) the compiled module for this program.
 
-        On the ``jit`` backend the content-cached generated ``step``
-        shadows the interpreter via an instance binding, and the block
-        entry point becomes available to drivers through ``_jit_block``.
-        Both defer to the interpreter whenever a fault hook or telemetry
-        sink is attached, so instrumented runs stay bit-identical.
+        On the ``jit`` backend the PE runs compiled from cycle 0.  On the
+        interpreter backend it starts interpreted; a
+        :class:`~repro.fabric.system.System` run may promote it for the
+        rest of that run (:meth:`_bind_compiled`).
         """
+        program = None
         if self.backend == "jit" and self.instructions:
-            from repro.jit.cache import get_compiled
+            from repro.jit.cache import acquire
 
-            jit = get_compiled(self.instructions, self.config, self.params)
-            self._jit = jit
-            self.step = jit.step.__get__(self)
-            self._jit_block = jit.run.__get__(self)
-        else:
-            self._jit = None
+            program = acquire(self)
+        self._bind_compiled(program)
+
+    def _bind_compiled(self, program) -> None:
+        """Run on a compiled module's entry points, or, given None, on
+        the interpreter again.
+
+        The module's ``step`` shadows the interpreter through an
+        instance binding, and its block entry point becomes available to
+        drivers through ``_jit_block``.  Both defer to the interpreter
+        whenever a fault hook or telemetry sink is attached, so
+        instrumented runs stay bit-identical.  Unbinding drops this PE's
+        hold on the module.
+        """
+        self._jit = program
+        if program is None:
             self._jit_block = None
             self.__dict__.pop("step", None)
+        else:
+            self.step = program.step.__get__(self)
+            self._jit_block = program.run.__get__(self)
 
     def invalidate_schedule_cache(self) -> None:
         """Drop memoized trigger decisions (call after external rewiring).

@@ -5,8 +5,14 @@ import pytest
 from repro.arch import FunctionalPE
 from repro.arch.queue import TaggedQueue
 from repro.asm import assemble
-from repro.errors import ConfigError, SimMemoryError, SimulationError
+from repro.errors import (
+    ConfigError,
+    DeadlockError,
+    SimMemoryError,
+    SimulationError,
+)
 from repro.fabric import Memory, MemoryReadPort, MemoryWritePort, System
+from repro.pipeline import PipelinedPE, config_by_name
 
 
 class TestMemory:
@@ -165,6 +171,54 @@ class TestSystem:
         system.add_pe(pe)
         with pytest.raises(SimulationError, match="deadlock"):
             system.run(stall_limit=100)
+
+    @pytest.mark.parametrize("config", ["T|D|X1|X2 +P+Q", "TD|X"])
+    def test_pipelined_deadlock_past_promotion_matches_reference(
+            self, config):
+        """A pipelined fabric that streams past the promotion mark and
+        then waits forever: the fused loop (with its busy PE compiled)
+        must raise at the same cycle, with the same forensic report, as
+        the reference walk."""
+        from repro.jit.cache import STATS
+
+        def build(fast_path):
+            system = System()
+            producer = PipelinedPE(config_by_name(config), name="producer",
+                                   fast_path=fast_path)
+            consumer = PipelinedPE(config_by_name(config), name="consumer",
+                                   fast_path=fast_path)
+            # 300 tokens out, then wait on an input nobody sends.
+            assemble("""
+            when %p == XXXXX000:
+                ult %p1, %r0, $300; set %p = ZZZZZZZ1;
+            when %p == XXXXX011:
+                mov %o0.0, %r0; set %p = ZZZZZ100;
+            when %p == XXXXX100:
+                add %r0, %r0, $1; set %p = ZZZZZ000;
+            when %p == XXXXX001 with %i0.0:
+                halt;
+            """).configure(producer)
+            # Sums every token, and waits for more once they stop.
+            assemble("""
+            when %p == XXXXXXXX with %i0.0:
+                add %r1, %r1, %i0; deq %i0;
+            """).configure(consumer)
+            system.add_pe(producer)
+            system.add_pe(consumer)
+            system.connect(producer, 0, consumer, 0)
+            return system
+
+        errors = {}
+        for fast_path in (True, False):
+            promoted = STATS.promotions
+            with pytest.raises(DeadlockError) as info:
+                build(fast_path).run(stall_limit=200)
+            errors[fast_path] = info.value
+            assert (STATS.promotions > promoted) is fast_path
+        fused, reference = errors[True], errors[False]
+        assert str(fused) == str(reference)
+        assert fused.report == reference.report
+        assert fused.report["cycle"] > 512
 
     def test_final_stores_are_flushed(self):
         """A store issued on the halting instruction's cycle must land."""

@@ -1,30 +1,30 @@
-"""Differential tests for the ``repro.jit`` specialization backend.
+"""Differential tests for the ``repro.jit`` specialization backend, and
+the policy that promotes busy PEs to it mid-run.
 
 The JIT emits straight-line per-trigger Python for a fixed (program,
 partition, ±P, queue-policy) tuple and dispatches it instead of the
 generic compiled-trigger walk.  Nothing about it may be architecturally
 observable: every test here holds the JIT to bit-identical state,
 cycles, and counters against the interpreter fast path (itself held to
-the reference dataclass walk by ``test_pipeline_equivalence``).
+the reference dataclass walk by ``test_pipeline_equivalence``), and the
+promotion tests pin down which runs compile what, and for how long.
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 
+import repro.jit.cache as jit_cache
 from repro.asm import assemble
-from repro.jit import (
-    CODEGEN_VERSION,
-    cache_stats,
-    clear_cache,
-    fingerprint,
-    generate_source,
-)
+from repro.jit import CODEGEN_VERSION, generate_source, jit_metrics
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
-from repro.workloads.suite import WORKLOADS, run_workload
+from repro.workloads.base import WorkloadRun
+from repro.workloads.suite import WORKLOADS, get_workload, run_workload
 from tests.test_pipeline_equivalence import _run, chain_programs
 from tests.test_pipeline_equivalence import (
     _workload_fingerprint as workload_fingerprint,
@@ -172,22 +172,159 @@ def test_block_run_refuses_staged_entries_and_still_completes():
     assert results["jit"] == results["interp"]
 
 
-def test_fingerprint_caching_makes_recompiles_free():
-    clear_cache()
+def test_live_pes_share_one_module_until_the_last_lets_go():
     cfg = config_by_name("T|D|X1|X2 +P+Q")
     program = assemble(_LOOP, P)
-    first = PipelinedPE(cfg, P, name="pe0", backend="jit")
-    program.configure(first)
-    base = cache_stats()
-    others = []
-    for i in (1, 2):
-        pe = PipelinedPE(cfg, P, name=f"pe{i}", backend="jit")
-        program.configure(pe)
-        others.append(pe)
-    stats = cache_stats()
-    assert stats["misses"] == base["misses"], "recompile was not a cache hit"
-    assert stats["hits"] >= base["hits"] + 2
-    key = fingerprint(first.instructions, cfg, P)
-    assert first._jit.key == key == others[0]._jit.key
-    src = generate_source(first.instructions, cfg, P)
+    gc.collect()
+    gc.disable()          # modules must go without the cycle collector
+    try:
+        base = jit_metrics()
+        pes = []
+        for i in range(3):
+            pe = PipelinedPE(cfg, P, name=f"pe{i}", backend="jit")
+            program.configure(pe)
+            pes.append(pe)
+        stats = jit_metrics()
+        assert stats["misses"] == base["misses"] + 1
+        assert stats["hits"] == base["hits"] + 2
+        assert stats["entries"] == base["entries"] + 1
+        assert pes[0]._jit is pes[1]._jit is pes[2]._jit
+        for pe in pes:
+            pe._bind_compiled(None)
+        assert jit_metrics()["entries"] == base["entries"]
+    finally:
+        gc.enable()
+    src = generate_source(program.instructions, cfg, P)
     assert f"codegen v{CODEGEN_VERSION}" in src.splitlines()[0]
+
+
+# ---------------------------------------------------------------------------
+# Hot-PE promotion: which runs compile, what they compile, how long the
+# modules live.
+# ---------------------------------------------------------------------------
+
+_CFG = config_by_name("T|D|X1|X2 +P+Q")
+
+
+def _pipelined(name: str) -> PipelinedPE:
+    return PipelinedPE(_CFG, P, name=name)
+
+
+@pytest.fixture
+def compiled(monkeypatch) -> list[str]:
+    """Names of the PEs modules are acquired for during the test."""
+    names: list[str] = []
+    original = jit_cache.acquire
+
+    def spy(pe):
+        names.append(pe.name)
+        return original(pe)
+
+    monkeypatch.setattr(jit_cache, "acquire", spy)
+    return names
+
+
+def test_promotion_compiles_only_busy_pes_and_releases_their_modules(
+        compiled):
+    """udiv's worker passes the mark issuing; its feeder mostly waits.
+    Only the worker is compiled, and its module is gone when the run
+    ends — without waiting for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = jit_metrics()
+        run = run_workload("udiv", scale=8, make_pe=_pipelined)
+        after = jit_metrics()
+    finally:
+        gc.enable()
+    assert compiled == ["worker"]
+    assert after["promotions"] == before["promotions"] + 1
+    assert after["compiled_cycles"] > before["compiled_cycles"]
+    assert after["entries"] == before["entries"]
+    for pe in run.system.pes:
+        assert pe._jit is None and "step" not in vars(pe)
+
+
+def test_fuzz_batches_and_short_kernels_never_compile(compiled, monkeypatch):
+    from repro.verify import fuzz_run, real_divergences
+
+    monkeypatch.setenv("REPRO_WORKERS", "1")    # run the batch in-process
+    before = jit_metrics()
+    results = fuzz_run(3, 7700, ref_configs=0)
+    run_workload("gcd", scale=24, make_pe=_pipelined)
+    assert not any(real_divergences(result) for result in results)
+    assert compiled == []
+    assert jit_metrics()["promotions"] == before["promotions"]
+
+
+def _udiv_run(instrument: str) -> WorkloadRun:
+    """udiv at scale 8 on the fused loop, or with one instrument that
+    sends it to the reference loop."""
+    from repro.obs.events import Telemetry
+    from repro.resilience.invariants import InvariantChecker
+
+    workload = get_workload("udiv")
+    if instrument == "reference":
+        return workload.run(
+            make_pe=lambda n: PipelinedPE(_CFG, P, name=n, fast_path=False),
+            scale=8)
+    if instrument == "telemetry":
+        return workload.run(make_pe=_pipelined, scale=8,
+                            telemetry=Telemetry())
+    system = workload.build(_pipelined, 8, 0)
+    if instrument == "invariants":
+        system.attach_invariant_checker(InvariantChecker())
+    elif instrument == "fault_hook":
+        system.pe("worker").fault_hook = lambda pe: None
+    cycles = system.run()
+    workload.check(system, 8, 0)
+    worker = system.pe(workload.worker_name)
+    return WorkloadRun(workload.name, cycles, worker.name, worker.counters,
+                       system)
+
+
+@pytest.mark.parametrize(
+    "instrument", ["telemetry", "invariants", "fault_hook", "reference"])
+def test_instrumented_runs_never_promote_and_stay_bit_identical(
+        instrument, compiled):
+    promoted = _udiv_run("none")
+    assert compiled == ["worker"]
+    compiled.clear()
+    instrumented = _udiv_run(instrument)
+    assert compiled == []
+    assert (workload_fingerprint(instrumented)
+            == workload_fingerprint(promoted))
+
+
+def test_module_memory_stays_bounded_after_a_cpi_campaign(monkeypatch):
+    from repro.dse.cpi import CpiTable
+
+    monkeypatch.setenv("REPRO_WORKERS", "1")    # run the tasks in-process
+    gc.collect()
+    gc.disable()
+    try:
+        before = jit_metrics()
+        CpiTable(scale=8).populate(all_configs()[:8])
+        after = jit_metrics()
+    finally:
+        gc.enable()
+    assert after["promotions"] >= before["promotions"] + 8
+    assert after["entries"] == before["entries"]
+
+
+def test_compiled_step_proves_the_checkable_kernels_like_the_interpreter():
+    """gcd, stream and udiv at queue capacity 2 over all 48 configs: the
+    compiled step is proved, through the same state spaces."""
+    from repro.analyze import CheckBounds, check_program, checkable_workloads
+
+    bounds = CheckBounds(queue_capacity=2)
+    for name, program, streams, params in checkable_workloads():
+        jit = check_program(program, streams, params, bounds=bounds,
+                            name=name, backend="jit")
+        interp = check_program(program, streams, params, bounds=bounds,
+                               name=name)
+        assert jit.verdict == interp.verdict == "proved", name
+        assert len(jit.configs) == 48
+        assert ([(c.config, c.states, c.transitions) for c in jit.configs]
+                == [(c.config, c.states, c.transitions)
+                    for c in interp.configs]), name

@@ -212,7 +212,10 @@ import pytest
 from repro.pipeline.config import all_configs
 from repro.workloads.suite import WORKLOADS, run_workload
 
-_DIFF_SCALE = 6
+#: Large enough that udiv promotes its worker on every config and bst on
+#: all but the two ``T|D|X1|X2`` ones without +P, where its worker issues
+#: less than once in four cycles, so the sweep covers promoted runs.
+_DIFF_SCALE = 10
 
 
 def _workload_fingerprint(run):
@@ -241,7 +244,11 @@ def _workload_fingerprint(run):
 def test_fast_path_is_bit_identical_across_the_workload_suite(config):
     """All 8 partitions x {baseline, +P, +Q, +P+Q}, all ten workloads:
     the fast path must reproduce the reference path bit for bit — same
-    CPI stacks, same counters, same final architectural state."""
+    CPI stacks, same counters, same final architectural state — through
+    the fused loop, including runs that promote busy PEs mid-run."""
+    from repro.jit.cache import STATS
+
+    promoted = STATS.promotions
     for name in WORKLOADS():
         fast = run_workload(
             name, scale=_DIFF_SCALE,
@@ -254,6 +261,7 @@ def test_fast_path_is_bit_identical_across_the_workload_suite(config):
         assert _workload_fingerprint(fast) == _workload_fingerprint(reference), (
             f"{config.name} / {name}: fast path diverged from reference"
         )
+    assert STATS.promotions > promoted, f"{config.name}: nothing promoted"
 
 
 @settings(max_examples=30, deadline=None)
