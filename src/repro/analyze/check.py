@@ -156,12 +156,16 @@ class _Explorer:
         self.transitions = 0
         self.complete = False
         self.forbidden_pairs: set[tuple[int, int]] = set()
+        #: The snapshot of the state the PE is in, or None once it has
+        #: been touched since the last snapshot.
+        self.held: tuple | None = None
 
     # -- state plumbing -------------------------------------------------
 
     def _root(self) -> tuple:
+        self.held = self.pe.snapshot_arch_state()
         return node_key(
-            self.pe.snapshot_arch_state(),
+            self.held,
             (0,) * self.num_inputs,
             ((),) * self.num_outputs,
         )
@@ -251,7 +255,8 @@ class _Explorer:
         successors: list[tuple] = []
         edges: list[tuple] = []
         for deliver in self._deliver_options(state, delivered):
-            pe.restore_arch_state(state)
+            pe.restore_arch_state(state, held=self.held)
+            self.held = None
             for q, count in enumerate(deliver):
                 for i in range(count):
                     value, tag = self.streams[q][delivered[q] + i]
@@ -275,10 +280,8 @@ class _Explorer:
             new_produced = []
             for q, queue in enumerate(pe.outputs):
                 log = produced[q]
-                fresh = tuple(
-                    (e.value, e.tag)
-                    for e in list(queue._live)[len(state[self.out_index][q][0]):]
-                )
+                fresh = queue.arch_state()[0][
+                    len(state[self.out_index][q][0]):]
                 if self.reference is not None and fresh:
                     ref = self.reference["produced"][q]
                     for offset, entry in enumerate(fresh):
@@ -294,7 +297,7 @@ class _Explorer:
                             )
                 new_produced.append(log + fresh)
             new_produced = tuple(new_produced)
-            new_state = pe.snapshot_arch_state()
+            new_state = self.held = pe.snapshot_arch_state()
             if pe.halted:
                 fingerprint = self._fingerprint(
                     new_state, new_delivered, new_produced)

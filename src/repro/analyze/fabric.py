@@ -40,7 +40,7 @@ def _program_of(pe) -> Program:
     """The Program a PE runs, preferring the assembler's source-carrying
     object (left by ``Program.configure``) over a bare reconstruction."""
     loaded = getattr(pe, "loaded_program", None)
-    if loaded is not None and loaded.instructions == pe.instructions:
+    if loaded is not None and tuple(loaded.instructions) == pe.instructions:
         return loaded
     return Program(
         instructions=list(pe.instructions),

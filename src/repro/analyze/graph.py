@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from repro.analyze.abstract import Reachability
 from repro.isa.instruction import DestinationType, Instruction, OperandType
@@ -118,24 +119,32 @@ def cycle_mean(
     Karp's theorem: with ``d_k(v)`` the extremal weight of a *k*-edge
     walk ending at ``v`` (from any start, the multi-source variant),
     the minimum cycle mean is ``min_v max_k (d_n(v) - d_k(v))/(n-k)``.
-    Weights are turned into exact fractions so ties (every weight here
-    is a small rational) never wobble on float rounding.
+    Weights are turned into exact fractions (every weight here is a
+    small rational) and scaled by their common denominator, so the walk
+    runs on integers and means compare by cross-multiplication: ties
+    never wobble on float rounding, and only the result is a fraction.
     """
     if not nodes or not edges:
         return None
     index = {node: i for i, node in enumerate(nodes)}
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in nodes]
+    exact = {weight: Fraction(weight).limit_denominator()
+             for weight in {edge.weight for edge in edges}}
+    scale = lcm(*(weight.denominator for weight in exact.values()))
     sign = -1 if maximize else 1
+    scaled = {weight: sign * rational.numerator
+              * (scale // rational.denominator)
+              for weight, rational in exact.items()}
+    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
     for edge in edges:
-        adj[index[edge.src]].append(
-            (index[edge.dst], sign * Fraction(edge.weight).limit_denominator()))
+        adj[index[edge.src]].append((index[edge.dst], scaled[edge.weight]))
     n = len(nodes)
     inf = None
-    # d[k][v]: min weight of a k-edge walk ending at v (None = no walk).
-    prev: list[Fraction | None] = [Fraction(0)] * n
-    table: list[list[Fraction | None]] = [prev]
+    # d[k][v]: min scaled weight of a k-edge walk ending at v (None = no
+    # walk).
+    prev: list[int | None] = [0] * n
+    table: list[list[int | None]] = [prev]
     for _ in range(n):
-        cur: list[Fraction | None] = [inf] * n
+        cur: list[int | None] = [inf] * n
         for u in range(n):
             du = prev[u]
             if du is inf:
@@ -146,25 +155,27 @@ def cycle_mean(
                     cur[v] = cand
         table.append(cur)
         prev = cur
-    best: Fraction | None = None
+    # Means are kept as (numerator, length) pairs with length > 0.
+    best: tuple[int, int] | None = None
     final = table[n]
     for v in range(n):
         dn = final[v]
         if dn is inf:
             continue
-        worst: Fraction | None = None
+        worst: tuple[int, int] | None = None
         for k in range(n):
             dk = table[k][v]
             if dk is inf:
                 continue
-            mean = (dn - dk) / (n - k)
-            if worst is None or mean > worst:
-                worst = mean
-        if worst is not None and (best is None or worst < best):
+            num, length = dn - dk, n - k
+            if worst is None or num * worst[1] > worst[0] * length:
+                worst = (num, length)
+        if worst is not None and (
+                best is None or worst[0] * best[1] < best[0] * worst[1]):
             best = worst
     if best is None:
         return None
-    return float(sign * best)
+    return float(Fraction(sign * best[0], best[1] * scale))
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ CPI it reports directly.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.arch.predicates import PredicateFile
-from repro.arch.queue import TaggedQueue
+from repro.arch.queue import TaggedQueue, restore_queues
 from repro.arch.regfile import RegisterFile
 from repro.arch.scheduler import ArchQueueView, Scheduler, TriggerKind
 from repro.arch.scratchpad import Scratchpad
@@ -24,8 +25,8 @@ from repro.arch.trigger_cache import (
     IN,
     REG,
     CompiledDatapath,
-    compile_datapaths,
-    compile_program,
+    Lowering,
+    lower_program,
 )
 from repro.errors import SimulationError
 from repro.isa.alu import alu_execute
@@ -101,7 +102,7 @@ class FunctionalPE:
         self.preds = PredicateFile(params, initial_predicates)
         self.scratchpad = Scratchpad(params) if has_scratchpad else None
         self.scheduler = Scheduler(params)
-        self.instructions: list[Instruction] = []
+        self.instructions: tuple[Instruction, ...] = ()
         self.counters = FunctionalCounters()
         self.halted = False
         self._initial_predicates = initial_predicates
@@ -109,11 +110,11 @@ class FunctionalPE:
         # through the (stable) input/output lists, so rebuilding it per
         # cycle was pure allocation churn.
         self._view = ArchQueueView(self.inputs, self.outputs)
-        # Fast path: triggers compiled at load time plus a memoized
+        # Fast path: the program's lowered triggers plus a memoized
         # trigger decision keyed on predicate state and a queue-status
         # signature built from monotone queue version counters.
         self._compiled = None
-        self._dp_meta: list[CompiledDatapath] = []
+        self._dp_meta: tuple[CompiledDatapath, ...] = ()
         self._decision_cache: dict[tuple, object] = {}
         self._sig_queues = self.inputs + self.outputs
         #: Resilience seam: called with this PE at the top of every live
@@ -131,19 +132,21 @@ class FunctionalPE:
     # Host interface (the userspace library's role)
     # ------------------------------------------------------------------
 
-    def load_program(self, instructions: list[Instruction]) -> None:
-        """Program the instruction memory (validates against parameters)."""
-        if len(instructions) > self.params.num_instructions:
+    def load_program(self, program: Lowering | Sequence[Instruction]) -> None:
+        """Program the instruction memory.
+
+        ``program`` is a :class:`~repro.arch.trigger_cache.Lowering` for
+        this PE's parameters (what ``Program.configure`` passes) or a raw
+        instruction list, validated and lowered here.
+        """
+        if not isinstance(program, Lowering):
+            program = lower_program(program, self.params)
+        elif program.params != self.params:
             raise SimulationError(
-                f"{self.name}: program of {len(instructions)} instructions "
-                f"exceeds NIns = {self.params.num_instructions}"
-            )
-        for ins in instructions:
-            if ins.valid:
-                ins.validate(self.params)
-        self.instructions = list(instructions)
-        self._compiled = compile_program(self.instructions)
-        self._dp_meta = compile_datapaths(self.instructions, self.params)
+                f"{self.name}: program lowered for other parameters")
+        self.instructions = program.instructions
+        self._compiled = program.compiled
+        self._dp_meta = program.datapaths
         self._decision_cache.clear()
 
     def invalidate_schedule_cache(self) -> None:
@@ -277,11 +280,7 @@ class FunctionalPE:
         """
         scratch = ()
         if self.scratchpad is not None:
-            scratch = tuple(
-                (address, word)
-                for address, word in enumerate(self.scratchpad.dump())
-                if word
-            )
+            scratch = self.scratchpad.nonzero()
         return (
             self.regs.snapshot(),
             self.preds.state,
@@ -291,26 +290,30 @@ class FunctionalPE:
             tuple(queue.arch_state() for queue in self.outputs),
         )
 
-    def restore_arch_state(self, state: tuple) -> None:
+    def restore_arch_state(self, state: tuple,
+                           held: tuple | None = None) -> None:
         """Restore a :meth:`snapshot_arch_state` snapshot onto this PE.
+
+        ``held`` is the snapshot of the state the PE is in now: the
+        caller's last :meth:`snapshot_arch_state`, with nothing run or
+        written since.  Given it, only the components that differ from
+        it are written; without it, all of them are.
 
         Counters and forensic rings are left untouched (they are not
         architectural); the memoized trigger-decision cache is dropped so
         a stale decision can never alias the restored queue state.
         """
         regs, preds, scratch, halted, inputs, outputs = state
-        for index, value in enumerate(regs):
-            self.regs.write(index, value)
+        h_regs, _, h_scratch, _, h_inputs, h_outputs = (
+            held or (None,) * len(state))
+        if regs != h_regs:
+            self.regs.restore(regs)
         self.preds.state = preds
-        if self.scratchpad is not None:
-            self.scratchpad.reset()
-            for address, word in scratch:
-                self.scratchpad.store(address, word)
+        if self.scratchpad is not None and scratch != h_scratch:
+            self.scratchpad.restore(scratch, h_scratch)
         self.halted = halted
-        for queue, enc in zip(self.inputs, inputs):
-            queue.restore_arch(enc)
-        for queue, enc in zip(self.outputs, outputs):
-            queue.restore_arch(enc)
+        restore_queues(self.inputs, inputs, h_inputs)
+        restore_queues(self.outputs, outputs, h_outputs)
         self._decision_cache.clear()
 
     def snapshot_state(self) -> dict:

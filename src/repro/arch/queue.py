@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.errors import QueueError
 
@@ -52,6 +53,9 @@ class TaggedQueue:
         #: schedulers sum these versions into a cheap state signature:
         #: an unchanged sum guarantees unchanged queue status.
         self.version = 0
+        # arch_state() as of version _arch_version.
+        self._arch: tuple = ((), ())
+        self._arch_version = 0
 
     # -- producer side --------------------------------------------------
 
@@ -184,8 +188,9 @@ class TaggedQueue:
     def drain(self) -> list[QueueEntry]:
         """Remove and return every visible entry (host-side helper)."""
         items = list(self._live)
-        self._live.clear()
-        self.version += 1
+        if items:
+            self._live.clear()
+            self.version += 1
         return items
 
     def arch_state(self) -> tuple:
@@ -193,12 +198,16 @@ class TaggedQueue:
 
         The bounded model checker's state encoding; restore with
         :meth:`restore_arch`.  Capacity and name are configuration, not
-        state, so they are not included.
+        state, so they are not included.  Memoized on ``version``, which
+        every mutator bumps.
         """
-        return (
-            tuple((entry.value, entry.tag) for entry in self._live),
-            tuple((entry.value, entry.tag) for entry in self._staged),
-        )
+        if self._arch_version != self.version:
+            self._arch = (
+                tuple((entry.value, entry.tag) for entry in self._live),
+                tuple((entry.value, entry.tag) for entry in self._staged),
+            )
+            self._arch_version = self.version
+        return self._arch
 
     def restore_arch(self, state: tuple) -> None:
         """Restore an :meth:`arch_state` snapshot (bumps ``version`` so
@@ -208,6 +217,8 @@ class TaggedQueue:
         self._live.extend(QueueEntry(value, tag) for value, tag in live)
         self._staged[:] = [QueueEntry(value, tag) for value, tag in staged]
         self.version += 1
+        self._arch = state
+        self._arch_version = self.version
 
     def entries(self) -> tuple[QueueEntry, ...]:
         """Non-destructive view of every pending entry, live then staged.
@@ -247,3 +258,16 @@ class TaggedQueue:
             f"TaggedQueue({self.name!r}, occ={len(self._live)}, "
             f"staged={len(self._staged)}, cap={self.capacity})"
         )
+
+
+def restore_queues(queues: list[TaggedQueue], states: tuple,
+                   held: tuple | None = None) -> None:
+    """:meth:`TaggedQueue.restore_arch` each queue to its entry of
+    ``states``.
+
+    ``held`` is the :meth:`TaggedQueue.arch_state` tuple the queues hold
+    now; given it, a queue whose entry is unchanged is left alone.
+    """
+    for queue, state, now in zip(queues, states, held or repeat(None)):
+        if state != now:
+            queue.restore_arch(state)

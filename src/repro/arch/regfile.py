@@ -30,5 +30,9 @@ class RegisterFile:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self._regs)
 
+    def restore(self, values: tuple[int, ...]) -> None:
+        """Restore a :meth:`snapshot`."""
+        self._regs[:] = values
+
     def __len__(self) -> int:
         return len(self._regs)

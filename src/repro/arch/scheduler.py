@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.arch.queue import TaggedQueue
-from repro.arch.trigger_cache import CompiledProgram
 from repro.isa.instruction import Instruction
 from repro.params import ArchParams
+
+if TYPE_CHECKING:
+    from repro.arch.trigger_cache import CompiledProgram
 
 
 class QueueStatusView:
@@ -88,6 +91,10 @@ class TriggerOutcome:
         return self.kind is TriggerKind.FIRED
 
 
+NONE_TRIGGERED = TriggerOutcome(TriggerKind.NONE_TRIGGERED)
+"""The one outcome of a cycle in which nothing triggered."""
+
+
 class Scheduler:
     """Priority-ordered trigger resolution over one PE's instruction list."""
 
@@ -130,7 +137,7 @@ class Scheduler:
                 if forbid_side_effects and ins.dp.has_side_effects_before_retire:
                     return TriggerOutcome(TriggerKind.FORBIDDEN, index)
                 return TriggerOutcome(TriggerKind.FIRED, index)
-        return TriggerOutcome(TriggerKind.NONE_TRIGGERED)
+        return NONE_TRIGGERED
 
     def _evaluate_compiled(
         self,
@@ -177,11 +184,11 @@ class Scheduler:
             if (~pred_state & off_stable) != off_stable:
                 continue
             if watched & pending_predicates:
-                return TriggerOutcome(TriggerKind.PREDICATE_HAZARD, d.index)
+                return d.hazard
             if forbid_side_effects and d.side_effects:
-                return TriggerOutcome(TriggerKind.FORBIDDEN, d.index)
-            return TriggerOutcome(TriggerKind.FIRED, d.index)
-        return TriggerOutcome(TriggerKind.NONE_TRIGGERED)
+                return d.forbidden
+            return d.fired
+        return NONE_TRIGGERED
 
     def triggered_indices(
         self,

@@ -12,6 +12,8 @@ class Scratchpad:
     def __init__(self, params: ArchParams) -> None:
         self._params = params
         self._words = [0] * params.scratchpad_words
+        # nonzero() until the next write; None when stale.
+        self._nonzero: tuple | None = ()
 
     def load(self, address: int) -> int:
         self._check(address)
@@ -20,6 +22,7 @@ class Scratchpad:
     def store(self, address: int, value: int) -> None:
         self._check(address)
         self._words[address] = value & self._params.word_mask
+        self._nonzero = None
 
     def preload(self, values: list[int], base: int = 0) -> None:
         """Host-side bulk initialization (the userspace library's role)."""
@@ -30,6 +33,37 @@ class Scratchpad:
             )
         for offset, value in enumerate(values):
             self._words[base + offset] = value & self._params.word_mask
+        self._nonzero = None
+
+    def nonzero(self) -> tuple[tuple[int, int], ...]:
+        """``(address, word)`` for every non-zero word, by address.
+
+        The checker's scratchpad encoding; restore with :meth:`restore`.
+        Memoized until the next write.
+        """
+        if self._nonzero is None:
+            self._nonzero = tuple(
+                (address, word)
+                for address, word in enumerate(self._words)
+                if word
+            )
+        return self._nonzero
+
+    def restore(self, nonzero: tuple, held: tuple | None = None) -> None:
+        """Make a :meth:`nonzero` snapshot the whole contents.
+
+        ``held`` is the :meth:`nonzero` value the scratchpad holds now;
+        given it, only the words it names are cleared, not all of them.
+        """
+        words = self._words
+        if held is None:
+            words[:] = [0] * len(words)
+        else:
+            for address, _word in held:
+                words[address] = 0
+        for address, word in nonzero:
+            words[address] = word
+        self._nonzero = nonzero
 
     def dump(self, base: int = 0, count: int | None = None) -> list[int]:
         if count is None:
@@ -41,6 +75,7 @@ class Scratchpad:
     def reset(self) -> None:
         for i in range(len(self._words)):
             self._words[i] = 0
+        self._nonzero = ()
 
     def _check(self, address: int) -> None:
         if not 0 <= address < len(self._words):

@@ -8,23 +8,30 @@ comparisons, property calls that rebuild frozensets, attribute chases
 through ``ins.trigger`` and ``ins.dp``.  None of that varies after
 ``load_program``.
 
-This module lowers each instruction's trigger once, at program-load
-time, into a flat :class:`CompiledTrigger` descriptor of plain integers
-and tuples.  Per-cycle eligibility then reduces to integer mask tests
-and small tuple walks with no dataclass traffic.  The compiled form is
-semantically exact: for every (predicate state, queue status, pending
-mask) the scheduler's compiled path returns bit-for-bit the same
+This module lowers each instruction's trigger once into a flat
+:class:`CompiledTrigger` descriptor of plain integers and tuples.
+Per-cycle eligibility then reduces to integer mask tests and small tuple
+walks with no dataclass traffic.  The compiled form is semantically
+exact: for every (predicate state, queue status, pending mask) the
+scheduler's compiled path returns bit-for-bit the same
 :class:`~repro.arch.scheduler.TriggerOutcome` as the reference path
 over the original instructions — the differential suite in
 ``tests/test_pipeline_equivalence.py`` holds both paths to that.
 
-A :class:`CompiledProgram` remembers the instruction list it was
-compiled from (by identity), so holders can cheaply detect staleness
-after a reload.
+:func:`lower_program` is the one place a program is validated and
+lowered.  Nothing it computes reads a pipeline config, so one
+:class:`Lowering` serves the golden model, every pipelined config and
+the JIT; :meth:`Program.configure <repro.asm.program.Program.configure>`
+keeps one per :class:`~repro.params.ArchParams`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+from repro.arch.scheduler import TriggerKind, TriggerOutcome
+from repro.errors import SimulationError
 from repro.isa.alu import _SEMANTICS
 from repro.isa.instruction import DestinationType, Instruction, OperandType
 from repro.params import ArchParams
@@ -46,7 +53,9 @@ class CompiledTrigger:
       effective head tag;
     * ``out_queue`` — output queue needing a free slot, or ``-1``;
     * ``side_effects`` — whether issue is forbidden during speculation
-      (pre-retirement side effects, i.e. dequeues).
+      (pre-retirement side effects, i.e. dequeues);
+    * ``fired`` / ``hazard`` / ``forbidden`` — the outcomes naming this
+      slot, built once so the walk allocates nothing per cycle.
     """
 
     __slots__ = (
@@ -58,6 +67,9 @@ class CompiledTrigger:
         "tag_checks",
         "out_queue",
         "side_effects",
+        "fired",
+        "hazard",
+        "forbidden",
     )
 
     def __init__(self, index: int, ins: Instruction) -> None:
@@ -74,6 +86,9 @@ class CompiledTrigger:
         out = ins.output_queue
         self.out_queue = -1 if out is None else out
         self.side_effects = ins.dp.has_side_effects_before_retire
+        self.fired = TriggerOutcome(TriggerKind.FIRED, index)
+        self.hazard = TriggerOutcome(TriggerKind.PREDICATE_HAZARD, index)
+        self.forbidden = TriggerOutcome(TriggerKind.FORBIDDEN, index)
 
 
 class CompiledProgram:
@@ -81,7 +96,7 @@ class CompiledProgram:
 
     __slots__ = ("source", "descriptors")
 
-    def __init__(self, instructions: list[Instruction]) -> None:
+    def __init__(self, instructions: Sequence[Instruction]) -> None:
         self.source = instructions
         self.descriptors: tuple[CompiledTrigger, ...] = tuple(
             CompiledTrigger(index, ins)
@@ -89,7 +104,7 @@ class CompiledProgram:
             if ins.valid
         )
 
-    def matches(self, instructions: list[Instruction]) -> bool:
+    def matches(self, instructions: Sequence[Instruction]) -> bool:
         """Whether this compilation still describes ``instructions``."""
         return self.source is instructions
 
@@ -97,7 +112,7 @@ class CompiledProgram:
         return len(self.descriptors)
 
 
-def compile_program(instructions: list[Instruction]) -> CompiledProgram:
+def compile_program(instructions: Sequence[Instruction]) -> CompiledProgram:
     """Lower a program's triggers for the scheduler fast path."""
     return CompiledProgram(instructions)
 
@@ -122,7 +137,7 @@ class CompiledDatapath:
     Issue, operand capture, hazard checks and retirement all chase
     ``ins.dp`` enums and properties on every cycle an instruction is in
     flight; this flattens everything they read into plain ints and
-    tuples once at program-load time.
+    tuples once, when the program is lowered.
     """
 
     __slots__ = (
@@ -176,7 +191,47 @@ class CompiledDatapath:
 
 
 def compile_datapaths(
-    instructions: list[Instruction], params: ArchParams
+    instructions: Sequence[Instruction], params: ArchParams
 ) -> list[CompiledDatapath]:
     """Lower every slot's datapath (invalid slots included, by position)."""
     return [CompiledDatapath(ins, params) for ins in instructions]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Lowering:
+    """One program validated and lowered for one set of parameters.
+
+    ``instructions`` is the program as the PEs hold it, ``compiled`` its
+    trigger descriptors and ``datapaths`` its per-slot datapath
+    descriptors (by position).  PEs, the JIT code generator and the
+    checker all read it; none of them writes it.
+    """
+
+    instructions: tuple[Instruction, ...]
+    params: ArchParams
+    compiled: CompiledProgram
+    datapaths: tuple[CompiledDatapath, ...]
+
+
+def lower_program(
+    instructions: Sequence[Instruction], params: ArchParams
+) -> Lowering:
+    """Validate ``instructions`` against ``params`` and lower them.
+
+    Raises :class:`~repro.errors.SimulationError` for a program longer
+    than NIns and :class:`~repro.errors.EncodingError` for the first
+    invalid instruction.
+    """
+    if len(instructions) > params.num_instructions:
+        raise SimulationError(
+            f"program of {len(instructions)} instructions "
+            f"exceeds NIns = {params.num_instructions}"
+        )
+    for ins in instructions:
+        if ins.valid:
+            ins.validate(params)
+    instructions = tuple(instructions)
+    return Lowering(
+        instructions, params, compile_program(instructions),
+        tuple(compile_datapaths(instructions, params)),
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import EncodingError
 from repro.isa.opcodes import Op, op_by_name
@@ -330,13 +331,14 @@ class Instruction:
             what += f" ({where})"
         return what
 
-    @property
+    @cached_property
     def required_input_queues(self) -> frozenset[int]:
         """Input queues that must hold data for this instruction to fire.
 
         The union of trigger-checked queues, queue source operands, and
         dequeued queues — the availability condition the scheduler derives
-        from the combinationally exposed instruction fields.
+        from the combinationally exposed instruction fields.  Computed
+        once per instruction (instructions are frozen).
         """
         queues = {check.queue for check in self.trigger.tag_checks}
         queues.update(self.dp.reads_queues)

@@ -196,8 +196,7 @@ def acquire(pe) -> JitProgram:
         return program
     STATS.misses += 1
     started = time.perf_counter()
-    source = _Codegen(pe.instructions, pe.config, pe.params,
-                      compiled=pe._compiled, dp_meta=pe._dp_meta).generate()
+    source = _Codegen(pe._lowering, pe.config).generate()
     namespace = _namespace()
     exec(compile(source, f"<jit:{pe.config.name}>", "exec"), namespace)
     program = JitProgram(namespace["step"], _counted_run(namespace["run"]))

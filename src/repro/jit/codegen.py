@@ -40,8 +40,8 @@ from repro.arch.trigger_cache import (
     LIT,
     CompiledDatapath,
     CompiledTrigger,
-    compile_datapaths,
-    compile_program,
+    Lowering,
+    lower_program,
 )
 from repro.isa.instruction import Instruction
 from repro.params import ArchParams
@@ -170,27 +170,18 @@ def _alu_lines(
 
 
 class _Codegen:
-    """Emits one generated module for a (program, config, params) tuple.
+    """Emits one generated module for a (lowered program, config) pair.
 
-    ``compiled`` and ``dp_meta`` take the lowered program a PE already
-    holds, so promoting a PE does not lower it again.
+    It reads the :class:`~repro.arch.trigger_cache.Lowering` the PE
+    already holds, so promoting a PE does not lower it again.
     """
 
-    def __init__(
-        self,
-        instructions: list[Instruction],
-        config: PipelineConfig,
-        params: ArchParams,
-        compiled=None,
-        dp_meta: list[CompiledDatapath] | None = None,
-    ) -> None:
-        self.instructions = instructions
+    def __init__(self, lowering: Lowering, config: PipelineConfig) -> None:
+        self.instructions = lowering.instructions
         self.config = config
-        self.params = params
-        self.compiled = (compile_program(instructions) if compiled is None
-                         else compiled)
-        self.dp_meta = (compile_datapaths(instructions, params)
-                        if dp_meta is None else dp_meta)
+        self.params = params = lowering.params
+        self.compiled = lowering.compiled
+        self.dp_meta = lowering.datapaths
         self.depth = config.depth
         self.dd = config.decode_stage
         self.early = config.early_result_stage
@@ -645,4 +636,4 @@ def generate_source(
     params: ArchParams,
 ) -> str:
     """Emit the specialized module source for one (program, config) tuple."""
-    return _Codegen(instructions, config, params).generate()
+    return _Codegen(lower_program(instructions, params), config).generate()

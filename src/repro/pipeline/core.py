@@ -34,10 +34,11 @@ restored with the actual outcome.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.arch.predicates import PredicateFile
-from repro.arch.queue import TaggedQueue
+from repro.arch.queue import TaggedQueue, restore_queues
 from repro.arch.regfile import RegisterFile
 from repro.arch.scheduler import Scheduler, TriggerKind
 from repro.arch.scratchpad import Scratchpad
@@ -49,8 +50,8 @@ from repro.arch.trigger_cache import (
     LIT,
     REG,
     CompiledDatapath,
-    compile_datapaths,
-    compile_program,
+    Lowering,
+    lower_program,
 )
 from repro.errors import SimulationError
 from repro.isa.alu import AluResult, alu_execute
@@ -162,7 +163,7 @@ class PipelinedPE:
         self.scratchpad = Scratchpad(params) if has_scratchpad else None
         self.scheduler = Scheduler(params)
         self.predictor = PredicatePredictor(params)
-        self.instructions: list[Instruction] = []
+        self.instructions: tuple[Instruction, ...] = ()
         self.counters = PipelineCounters()
         self.halted = False
         self._initial_predicates = initial_predicates
@@ -185,14 +186,15 @@ class PipelinedPE:
         # every cycle was pure allocation churn.
         self._view = make_queue_view(config, self.inputs, self.outputs,
                                      self._queue_state)
-        # Fast path: triggers compiled at load time plus a memoized
+        # Fast path: the program's lowered triggers plus a memoized
         # trigger decision keyed on everything `evaluate` can observe.
         self.fast_path = fast_path
         self.backend = _resolve_backend(backend)
         self._jit = None          # compiled module (repro.jit), if bound
         self._jit_block = None    # bound block-stepping entry point
+        self._lowering: Lowering | None = None
         self._compiled = None
-        self._dp_meta: list[CompiledDatapath] = []
+        self._dp_meta: tuple[CompiledDatapath, ...] = ()
         self._decision_cache: dict[tuple, object] = {}
         self._state_version = 0   # bumps when in-flight queue bookings change
         self._sig_queues = self.inputs + self.outputs
@@ -211,18 +213,22 @@ class PipelinedPE:
     # Host interface
     # ------------------------------------------------------------------
 
-    def load_program(self, instructions: list[Instruction]) -> None:
-        if len(instructions) > self.params.num_instructions:
+    def load_program(self, program: Lowering | Sequence[Instruction]) -> None:
+        """Program the instruction memory.
+
+        ``program`` is a :class:`~repro.arch.trigger_cache.Lowering` for
+        this PE's parameters (what ``Program.configure`` passes) or a raw
+        instruction list, validated and lowered here.
+        """
+        if not isinstance(program, Lowering):
+            program = lower_program(program, self.params)
+        elif program.params != self.params:
             raise SimulationError(
-                f"{self.name}: program of {len(instructions)} instructions "
-                f"exceeds NIns = {self.params.num_instructions}"
-            )
-        for ins in instructions:
-            if ins.valid:
-                ins.validate(self.params)
-        self.instructions = list(instructions)
-        self._compiled = compile_program(self.instructions) if self.fast_path else None
-        self._dp_meta = compile_datapaths(self.instructions, self.params)
+                f"{self.name}: program lowered for other parameters")
+        self._lowering = program
+        self.instructions = program.instructions
+        self._compiled = program.compiled if self.fast_path else None
+        self._dp_meta = program.datapaths
         self._decision_cache.clear()
         self._bind_backend()
 
@@ -758,11 +764,7 @@ class PipelinedPE:
             ))
         scratch = ()
         if self.scratchpad is not None:
-            scratch = tuple(
-                (address, word)
-                for address, word in enumerate(self.scratchpad.dump())
-                if word
-            )
+            scratch = self.scratchpad.nonzero()
         return (
             self.regs.snapshot(),
             self.preds.state,
@@ -785,8 +787,14 @@ class PipelinedPE:
             (tuple(self.predictor.counters), self.predictor.force_invert_next),
         )
 
-    def restore_arch_state(self, state: tuple) -> None:
+    def restore_arch_state(self, state: tuple,
+                           held: tuple | None = None) -> None:
         """Restore a :meth:`snapshot_arch_state` snapshot onto this PE.
+
+        ``held`` is the snapshot of the state the PE is in now: the
+        caller's last :meth:`snapshot_arch_state`, with nothing run or
+        written since.  Given it, only the components that differ from
+        it are written; without it, all of them are.
 
         The loaded program must be the one the snapshot was taken under
         (pipeline entries are rebuilt from instruction slots).  Counters
@@ -795,51 +803,54 @@ class PipelinedPE:
         """
         (regs, preds, scratch, halted, halt_pending, inputs, outputs,
          queue_state, pipe, specs, predictor) = state
-        for index, value in enumerate(regs):
-            self.regs.write(index, value)
+        (h_regs, _, h_scratch, _, _, h_inputs, h_outputs, h_queue_state,
+         h_pipe, h_specs, h_predictor) = held or (None,) * len(state)
+        if regs != h_regs:
+            self.regs.restore(regs)
         self.preds.state = preds
-        if self.scratchpad is not None:
-            self.scratchpad.reset()
-            for address, word in scratch:
-                self.scratchpad.store(address, word)
+        if self.scratchpad is not None and scratch != h_scratch:
+            self.scratchpad.restore(scratch, h_scratch)
         self.halted = halted
         self._halt_pending = halt_pending
-        for queue, enc in zip(self.inputs, inputs):
-            queue.restore_arch(enc)
-        for queue, enc in zip(self.outputs, outputs):
-            queue.restore_arch(enc)
-        pending_deqs, sched_deqs, pending_enqs = queue_state
-        self._queue_state.pending_deqs[:] = pending_deqs
-        self._queue_state.sched_deqs[:] = sched_deqs
-        self._queue_state.pending_enqs[:] = pending_enqs
-        self._pipe = [None] * self._depth
-        next_seq = 0
-        for stage, enc in enumerate(pipe):
-            if enc is None:
-                continue
-            (slot, seq, captured, operands, result, result_ready,
-             pred_committed) = enc
-            entry = _InFlight(self.instructions[slot], self._dp_meta[slot],
-                              slot, seq, stage)
-            entry.captured = captured
-            entry.operands = operands
-            if result is not None:
-                entry.result = AluResult(*result)
-            entry.result_ready = result_ready
-            entry.pred_committed = pred_committed
-            self._pipe[stage] = entry
-            next_seq = max(next_seq, seq + 1)
-        self._specs = []
-        for owner_seq, pred_index, predicted, fallback, forced in specs:
-            self._specs.append(_Speculation(
-                owner_seq=owner_seq, pred_index=pred_index,
-                predicted=predicted, fallback=fallback, forced=forced,
-            ))
-            next_seq = max(next_seq, owner_seq + 1)
-        self._next_seq = next_seq
-        counters, force_invert = predictor
-        self.predictor.counters[:] = counters
-        self.predictor.force_invert_next = force_invert
+        restore_queues(self.inputs, inputs, h_inputs)
+        restore_queues(self.outputs, outputs, h_outputs)
+        if queue_state != h_queue_state:
+            pending_deqs, sched_deqs, pending_enqs = queue_state
+            self._queue_state.pending_deqs[:] = pending_deqs
+            self._queue_state.sched_deqs[:] = sched_deqs
+            self._queue_state.pending_enqs[:] = pending_enqs
+        # Snapshots number in-flight entries and speculation owners by
+        # relative age, so the two are rebuilt together or not at all.
+        if pipe != h_pipe or specs != h_specs:
+            self._pipe = [None] * self._depth
+            next_seq = 0
+            for stage, enc in enumerate(pipe):
+                if enc is None:
+                    continue
+                (slot, seq, captured, operands, result, result_ready,
+                 pred_committed) = enc
+                entry = _InFlight(self.instructions[slot],
+                                  self._dp_meta[slot], slot, seq, stage)
+                entry.captured = captured
+                entry.operands = operands
+                if result is not None:
+                    entry.result = AluResult(*result)
+                entry.result_ready = result_ready
+                entry.pred_committed = pred_committed
+                self._pipe[stage] = entry
+                next_seq = max(next_seq, seq + 1)
+            self._specs = []
+            for owner_seq, pred_index, predicted, fallback, forced in specs:
+                self._specs.append(_Speculation(
+                    owner_seq=owner_seq, pred_index=pred_index,
+                    predicted=predicted, fallback=fallback, forced=forced,
+                ))
+                next_seq = max(next_seq, owner_seq + 1)
+            self._next_seq = next_seq
+        if predictor != h_predictor:
+            counters, force_invert = predictor
+            self.predictor.counters[:] = counters
+            self.predictor.force_invert_next = force_invert
         self._decision_cache.clear()
         self._state_version += 1
 

@@ -114,8 +114,9 @@ def _run_model(pe, streams: dict[int, list[tuple[int, int]]],
         pe.commit_queues()
         if plan is None:
             for index, queue in enumerate(pe.outputs):
-                for entry in queue.drain():
-                    collected[index].append((entry.value, entry.tag))
+                if queue._live:
+                    collected[index].extend(
+                        (entry.value, entry.tag) for entry in queue.drain())
         else:
             for index, count in (plan.get("drain") or {}).items():
                 index = int(index)
@@ -207,12 +208,16 @@ def _diff_states(golden: dict, candidate: dict) -> list[str]:
 def check_roundtrip(case: dict,
                     params: ArchParams = DEFAULT_PARAMS) -> list[dict]:
     """Assembler/disassembler and binary encode/decode round trips."""
+    program = assemble(case_source(case, params), params, name=case["name"])
+    return _roundtrip_divergences(program, params)
+
+
+def _roundtrip_divergences(program, params: ArchParams) -> list[dict]:
+    """:func:`check_roundtrip` on an assembled case."""
     divergences = []
-    source = case_source(case, params)
-    program = assemble(source, params, name=case["name"])
     redisassembled = disassemble(program.instructions, params,
                                  program.initial_predicates)
-    reassembled = assemble(redisassembled, params, name=case["name"])
+    reassembled = assemble(redisassembled, params, name=program.name)
     first = [encode_instruction(ins, params) for ins in program.instructions]
     second = [encode_instruction(ins, params)
               for ins in reassembled.instructions]
@@ -263,7 +268,9 @@ def check_case(case: dict, params: ArchParams = DEFAULT_PARAMS,
         "divergences": [],
     }
     try:
-        divergences = check_roundtrip(case, params)
+        program = assemble(case_source(case, params), params,
+                           name=case["name"])
+        divergences = _roundtrip_divergences(program, params)
     except Exception as exc:     # noqa: BLE001 -- any build failure means
         # the *case* is malformed (shrinker reductions routinely produce
         # programs with dangling states), not that the harness is broken.
@@ -274,9 +281,6 @@ def check_case(case: dict, params: ArchParams = DEFAULT_PARAMS,
         })
         return result
     result["divergences"].extend(divergences)
-
-    source = case_source(case, params)
-    program = assemble(source, params, name=case["name"])
     streams = case_streams(case)
 
     golden = FunctionalPE(params, name=f"{case['name']}-golden")

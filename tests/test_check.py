@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+from dataclasses import replace
 
 import repro.pipeline.queue_status as qs
 from repro.analyze.check import (
@@ -17,7 +18,7 @@ from repro.analyze.encode import describe_pe_state, node_digest, roundtrips
 from repro.analyze.lints import speculation_pairs
 from repro.analyze.witness import Witness, replay_witness, schedule_step
 from repro.analyze.crossval import crossval_case, stream_tag_sets
-from repro.arch import FunctionalPE
+from repro.arch import FunctionalPE, Scratchpad, TaggedQueue
 from repro.asm.assembler import assemble
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, all_configs
@@ -129,6 +130,63 @@ class TestCanonicalState:
             trace_b.append(pe.snapshot_arch_state())
         assert trace_a == trace_b
 
+    def test_restore_with_held_is_exact(self):
+        """Restoring B onto a PE that holds A, told so, leaves exactly
+        B: the same snapshot, and the same next cycles as a full
+        restore of B on a fresh PE.  A is reached by stepping, as in
+        the checker, so the PE's own sequence numbers are not the
+        snapshot's relative ones."""
+        case = _corpus_case("fuzz-125-min")
+        params = replace(DEFAULT_PARAMS, queue_capacity=2)
+        program = assemble(case_source(case, params), params,
+                           name=case["name"])
+        streams = case_streams(case)
+        for name in ("T|D|X", "T|D|X +Q", "T|D|X +P", "T|D|X +P+Q"):
+            config = next(c for c in ALL_CONFIGS if c.name == name)
+            transitions = _short_exploration(program, config, params,
+                                             streams)
+            states = list(dict.fromkeys(
+                child for _, _, child in transitions))
+            assert len(states) > 10, name
+            expected = {}
+            for state in states:
+                fresh = PipelinedPE(config, params, name="fresh")
+                program.configure(fresh)
+                fresh.restore_arch_state(state)
+                expected[state] = _next_cycles(fresh)
+            pe = PipelinedPE(config, params, name="held")
+            program.configure(pe)
+            for parent, deliver, child in transitions[::4]:
+                for state in states[::5]:
+                    pe.restore_arch_state(parent)
+                    _deliver(pe, streams, deliver)
+                    pe.step()
+                    pe.commit_queues()
+                    held = pe.snapshot_arch_state()
+                    assert held == child, name
+                    pe.restore_arch_state(state, held=held)
+                    assert pe.snapshot_arch_state() == state, name
+                    assert _next_cycles(pe) == expected[state], name
+            # The same pipe under other speculation records: the two
+            # share sequence numbers, so both must be rewritten.
+            for parent, deliver, child in transitions:
+                if not child[9]:
+                    continue
+                (rank, index, predicted, fallback, forced), *rest = child[9]
+                state = child[:9] + (
+                    ((rank, index, predicted, fallback ^ 1, forced),
+                     *rest),) + child[10:]
+                fresh = PipelinedPE(config, params, name="fresh")
+                program.configure(fresh)
+                fresh.restore_arch_state(state)
+                pe.restore_arch_state(parent)
+                _deliver(pe, streams, deliver)
+                pe.step()
+                pe.commit_queues()
+                pe.restore_arch_state(state, held=pe.snapshot_arch_state())
+                assert pe.snapshot_arch_state() == state, name
+                assert _next_cycles(pe) == _next_cycles(fresh), name
+
     def test_describe_and_digest(self):
         pe = FunctionalPE(DEFAULT_PARAMS, name="d")
         state = pe.snapshot_arch_state()
@@ -139,7 +197,135 @@ class TestCanonicalState:
             (state, (0,) * 4, ((),) * 4))
 
 
+def _deliver(pe, streams, deliver):
+    """Enqueue the next ``deliver[q]`` stream tokens onto each input."""
+    for q, (start, count) in deliver.items():
+        for value, tag in streams[q][start:start + count]:
+            pe.inputs[q].enqueue(value, tag)
+
+
+def _short_exploration(program, config, params, streams, depth=6):
+    """``(parent, deliver, child)`` transitions of a small BFS: each
+    cycle delivers nothing or the next token of one stream."""
+    pe = PipelinedPE(config, params, name="explore")
+    program.configure(pe)
+    root = (pe.snapshot_arch_state(), tuple(0 for _ in streams))
+    queues = sorted(streams)
+    seen = {root}
+    frontier = [root]
+    transitions = []
+    for _ in range(depth):
+        successors = []
+        for state, delivered in frontier:
+            for pick in [None, *range(len(queues))]:
+                deliver = {}
+                if pick is not None:
+                    q = queues[pick]
+                    if (delivered[pick] >= len(streams[q])
+                            or pe.inputs[q].capacity
+                            - len(state[5][q][0]) - len(state[5][q][1]) < 1):
+                        continue
+                    deliver = {q: (delivered[pick], 1)}
+                pe.restore_arch_state(state)
+                _deliver(pe, streams, deliver)
+                pe.step()
+                pe.commit_queues()
+                child = pe.snapshot_arch_state()
+                transitions.append((state, deliver, child))
+                now = tuple(d + (pick == i) for i, d in enumerate(delivered))
+                if (child, now) not in seen and not pe.halted:
+                    seen.add((child, now))
+                    successors.append((child, now))
+        frontier = successors
+    return transitions
+
+
+def _next_cycles(pe, cycles=6):
+    trace = []
+    for _ in range(cycles):
+        pe.step()
+        pe.commit_queues()
+        trace.append(pe.snapshot_arch_state())
+    return trace
+
+
+class TestStateMemos:
+    """The memoized encodings snapshots read must never go stale."""
+
+    @staticmethod
+    def _encoded(queue):
+        return (tuple((e.value, e.tag) for e in queue._live),
+                tuple((e.value, e.tag) for e in queue._staged))
+
+    def test_every_queue_mutation_changes_arch_state(self):
+        q = TaggedQueue(4)
+        mutations = [
+            lambda: q.enqueue(1, 0),
+            q.commit,
+            lambda: q.enqueue(2, 1),
+            q.commit,
+            q.dequeue,
+            lambda: q.enqueue(3, 0),
+            q.commit,
+            lambda: q.inject_tag_flip(0, 0),
+            lambda: q.inject_value_flip(1, 2),
+            lambda: q.inject_duplicate(0),
+            lambda: q.inject_drop(1),
+            q.drain,
+            lambda: q.restore_arch((((7, 1), (8, 0)), ((9, 1),))),
+            q.reset,
+        ]
+        before = q.arch_state()
+        for mutate in mutations:
+            mutate()
+            after = q.arch_state()
+            assert after != before
+            assert after == self._encoded(q)
+            before = after
+
+    def test_every_scratchpad_write_changes_nonzero(self):
+        pad = Scratchpad(DEFAULT_PARAMS)
+        writes = [
+            lambda: pad.store(3, 5),
+            lambda: pad.store(3, 6),
+            lambda: pad.preload([1, 2], base=10),
+            lambda: pad.store(10, 0),
+            lambda: pad.restore(((0, 9),), pad.nonzero()),
+            lambda: pad.restore(((1, 4), (7, 7))),
+            pad.reset,
+        ]
+        before = pad.nonzero()
+        for write in writes:
+            write()
+            after = pad.nonzero()
+            assert after != before
+            assert after == tuple(
+                (address, word)
+                for address, word in enumerate(pad.dump()) if word)
+            before = after
+
+
 class TestProofs:
+    def test_workload_state_counts_pinned(self):
+        """The checker explores exactly the states and transitions it
+        always has on the workloads at queue capacity 2: skipping
+        unchanged components on restore must not change the search."""
+        totals = {
+            name: check_program(program, streams, params,
+                                bounds=CheckBounds(queue_capacity=2),
+                                name=name)
+            for name, program, streams, params in checkable_workloads()
+        }
+        assert {
+            name: (report.verdict, report.states_total,
+                   sum(c.transitions for c in report.configs))
+            for name, report in totals.items()
+        } == {
+            "gcd": ("proved", 7_239, 17_800),
+            "stream": ("proved", 2_671, 4_342),
+            "udiv": ("proved", 10_056, 15_286),
+        }
+
     def test_known_equivalent_microprogram_proves(self):
         """A corpus case (already fuzz-clean) must prove outright on the
         full 48-configuration matrix."""

@@ -1,9 +1,11 @@
 """Static CPI bounds: cycle means, graph weights, bracket validation."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analyze.graph import (
     Edge,
@@ -35,6 +37,40 @@ from repro.pipeline.config import all_configs, config_by_name
 # Cycle-mean analysis (Karp).
 # ----------------------------------------------------------------------
 
+def _fraction_karp(nodes, edges, maximize):
+    """Karp's minimum cycle mean walked over exact Fractions: the oracle
+    for :func:`cycle_mean`, which walks scaled integers."""
+    if not nodes or not edges:
+        return None
+    index = {node: i for i, node in enumerate(nodes)}
+    sign = -1 if maximize else 1
+    adj = [[] for _ in nodes]
+    for edge in edges:
+        adj[index[edge.src]].append(
+            (index[edge.dst],
+             sign * Fraction(edge.weight).limit_denominator()))
+    n = len(nodes)
+    table = [[Fraction(0)] * n]
+    for _ in range(n):
+        cur = [None] * n
+        for u, du in enumerate(table[-1]):
+            if du is None:
+                continue
+            for v, w in adj[u]:
+                if cur[v] is None or du + w < cur[v]:
+                    cur[v] = du + w
+        table.append(cur)
+    best = None
+    for v in range(n):
+        if table[n][v] is None:
+            continue
+        means = [(table[n][v] - table[k][v]) / (n - k)
+                 for k in range(n) if table[k][v] is not None]
+        if means and (best is None or max(means) < best):
+            best = max(means)
+    return None if best is None else float(sign * best)
+
+
 class TestCycleMean:
     def test_two_node_cycle(self):
         edges = [Edge(0, 1, 1.0), Edge(1, 0, 4.0)]
@@ -63,6 +99,23 @@ class TestCycleMean:
         edges = [Edge(0, 1, 1.0), Edge(1, 0, 2.0),
                  Edge(0, 2, 2.0), Edge(2, 0, 1.0)]
         assert cycle_mean([0, 1, 2], edges) == pytest.approx(1.5)
+
+    @given(st.data())
+    def test_integer_karp_equals_exact_rationals(self, data):
+        nodes = sorted(data.draw(
+            st.sets(st.integers(0, 30), min_size=1, max_size=7)))
+        weight = st.one_of(
+            st.integers(-3, 12).map(float),
+            st.fractions(-3, 12, max_denominator=7).map(float),
+            st.sampled_from([1 / 3, 2 / 3, 0.1, 1.5, 5 / 7]),
+        )
+        edges = data.draw(st.lists(
+            st.builds(Edge, st.sampled_from(nodes), st.sampled_from(nodes),
+                      weight),
+            max_size=14))
+        for maximize in (False, True):
+            assert (cycle_mean(nodes, edges, maximize=maximize)
+                    == _fraction_karp(nodes, edges, maximize))
 
     def test_graph_helpers(self):
         graph = FiringGraph(nodes=[0, 1],

@@ -141,6 +141,17 @@ class TestVersionCounter:
         q.commit()
         assert q.version == v
 
+    def test_empty_drain_leaves_version_alone(self):
+        q = TaggedQueue(4)
+        q.enqueue(1)             # staged only: drain sees nothing
+        v = q.version
+        assert q.drain() == []
+        assert q.version == v
+        q.commit()
+        v = q.version
+        assert [e.value for e in q.drain()] == [1]
+        assert q.version > v
+
     @given(st.data())
     def test_version_is_strictly_monotone(self, data):
         q = TaggedQueue(4)

@@ -1,5 +1,13 @@
-"""Program lowering: compiled triggers and datapaths match their source."""
+"""Program lowering: compiled triggers and datapaths match their source,
+and one lowering serves every PE a program is configured onto."""
 
+import pickle
+import sys
+from dataclasses import replace
+
+import pytest
+
+from repro.arch import FunctionalPE, trigger_cache
 from repro.arch.trigger_cache import (
     DST_OUT,
     DST_PRED,
@@ -10,7 +18,10 @@ from repro.arch.trigger_cache import (
     CompiledDatapath,
     compile_datapaths,
     compile_program,
+    lower_program,
 )
+from repro.asm import assemble
+from repro.errors import EncodingError, SimulationError
 from repro.isa.alu import alu_execute
 from repro.isa.instruction import (
     DatapathOp,
@@ -24,6 +35,8 @@ from repro.isa.instruction import (
 )
 from repro.isa.opcodes import op_by_name
 from repro.params import DEFAULT_PARAMS as P
+from repro.pipeline import PipelinedPE, all_configs
+from repro.workloads.gcd import gcd_program
 
 
 def _ins(**kwargs):
@@ -132,3 +145,80 @@ class TestCompiledDatapath:
         metas = compile_datapaths(program, P)
         assert len(metas) == 3
         assert metas[1].op is program[1].dp.op
+
+
+class TestLoweringIsShared:
+    """One lowering per program and parameters, never a stale one."""
+
+    @staticmethod
+    def _count_lowerings(monkeypatch) -> list:
+        calls = []
+        real = trigger_cache.lower_program
+
+        def counting(instructions, params):
+            calls.append(params)
+            return real(instructions, params)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "lower_program", None) is real:
+                monkeypatch.setattr(module, "lower_program", counting)
+        return calls
+
+    def test_one_lowering_for_every_pe(self, monkeypatch):
+        calls = self._count_lowerings(monkeypatch)
+        program = gcd_program(P)
+        golden = FunctionalPE(P)
+        program.configure(golden)
+        pes = [PipelinedPE(config, P)
+               for config in all_configs(include_padded=True)]
+        pes.append(PipelinedPE(pes[-1].config, P, fast_path=False))
+        for pe in pes:
+            program.configure(pe)
+        assert len(pes) == 49
+        assert calls == [P]
+        assert all(pe.instructions is golden.instructions for pe in pes)
+        assert pes[-1]._compiled is None      # the reference walk
+
+    def test_replacing_an_instruction_lowers_again(self, monkeypatch):
+        calls = self._count_lowerings(monkeypatch)
+        program = gcd_program(P)
+        program.configure(FunctionalPE(P))
+        replacement = _ins()
+        program.instructions[0] = replacement
+        pe = PipelinedPE(params=P)
+        program.configure(pe)
+        assert len(calls) == 2
+        assert pe.instructions[0] is replacement
+        program.configure(FunctionalPE(P))
+        assert len(calls) == 2
+
+    def test_other_params_are_validated_afresh(self):
+        # udiv's checkable params: the same ISA at an 8-bit word.
+        narrow = replace(P, word_width=8)
+        program = assemble("when %p == XXXXXXXX:\n    add %r0, %r0, $300;")
+        program.configure(FunctionalPE(P))
+        for pe in (FunctionalPE(narrow), PipelinedPE(params=narrow)):
+            with pytest.raises(EncodingError, match="does not fit"):
+                program.configure(pe)
+
+    def test_lowering_for_other_params_is_refused(self):
+        lowering = lower_program(gcd_program(P).instructions, P)
+        narrow = replace(P, word_width=8)
+        for pe in (FunctionalPE(narrow), PipelinedPE(params=narrow)):
+            with pytest.raises(SimulationError, match="other parameters"):
+                pe.load_program(lowering)
+
+    def test_configured_program_still_pickles(self):
+        program = gcd_program(P)
+        program.configure(FunctionalPE(P))
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone == program
+        clone.configure(PipelinedPE(params=P))
+
+    def test_raw_list_lowers_like_a_program(self):
+        program = gcd_program(P)
+        pe = PipelinedPE(params=P)
+        pe.load_program(program.instructions)
+        assert pe.instructions == tuple(program.instructions)
+        with pytest.raises(SimulationError, match="NIns"):
+            pe.load_program([_ins()] * (P.num_instructions + 1))
