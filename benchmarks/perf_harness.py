@@ -7,8 +7,8 @@ show up as diffs:
 
 * **cycles/sec** of the pipelined PE on a register-loop microbenchmark,
   for the reference dataclass walk (fast path off), the compiled-trigger
-  + memoized fast path, and the JIT backend in per-cycle and block
-  dispatch modes;
+  + memoized fast path, and the JIT backend stepped per cycle and run
+  as a one-PE ``System`` (block dispatch);
 * **Table 3 suite cycles/sec**: the full ten-workload suite run
   end-to-end through the fused ``System`` loop, interpreter vs JIT,
   with simulation time isolated from workload build/validation;
@@ -41,6 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.asm import assemble
 from repro.dse.cpi import CpiTable
+from repro.fabric import System
 from repro.jit import reset_metrics
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
@@ -61,12 +62,13 @@ when %p == XXXXXX01:
 BENCH_CONFIG = "T|D|X1|X2 +P+Q"
 
 
-def _make_pe(fast_path: bool = True, backend: str = "interp") -> PipelinedPE:
+def _make_pe(fast_path: bool = True, backend: str = "interp",
+             source: str = LOOP) -> PipelinedPE:
     pe = PipelinedPE(
         config_by_name(BENCH_CONFIG), name="bench", fast_path=fast_path,
         backend=backend,
     )
-    assemble(LOOP).configure(pe)
+    assemble(source).configure(pe)
     return pe
 
 
@@ -88,11 +90,14 @@ def measure_jit_throughput(cycles: int, repeats: int = 3) -> tuple[float, float]
     """Best-of-N (step_mode, block_mode) cycles/sec for the JIT backend.
 
     *step mode* drives the generated per-cycle ``step`` through the same
-    step/commit loop as the interpreter; *block mode* dispatches the
-    generated ``run`` block loop via ``run_cycles`` — the form the fused
-    ``System`` loop uses.  Codegen happens outside the timed region
-    (promotion economics are covered by ``test_bench_jit``).
+    step/commit loop as the interpreter; *block mode* runs a copy of the
+    loop that halts after about ``cycles`` cycles (it takes three a
+    turn on ``BENCH_CONFIG``) as a one-PE ``System``, whose fused loop
+    hands the run to the generated ``run`` block loop.  Codegen happens
+    outside the timed region (promotion economics are covered by
+    ``test_bench_jit``).
     """
+    halting = LOOP.replace("$1000000", f"${max(1, cycles // 3)}")
     best_step = best_block = 0.0
     for _ in range(repeats):
         pe = _make_pe(backend="jit")
@@ -103,9 +108,10 @@ def measure_jit_throughput(cycles: int, repeats: int = 3) -> tuple[float, float]
         elapsed = time.perf_counter() - start
         best_step = max(best_step, cycles / elapsed)
 
-        pe = _make_pe(backend="jit")
+        system = System()
+        system.add_pe(_make_pe(backend="jit", source=halting))
         start = time.perf_counter()
-        ran = pe.run_cycles(cycles)
+        ran = system.run()
         elapsed = time.perf_counter() - start
         best_block = max(best_block, ran / elapsed)
     return best_step, best_block

@@ -94,22 +94,14 @@ class CompiledTrigger:
 class CompiledProgram:
     """The compiled descriptors of one PE's instruction store."""
 
-    __slots__ = ("source", "descriptors")
+    __slots__ = ("descriptors",)
 
     def __init__(self, instructions: Sequence[Instruction]) -> None:
-        self.source = instructions
         self.descriptors: tuple[CompiledTrigger, ...] = tuple(
             CompiledTrigger(index, ins)
             for index, ins in enumerate(instructions)
             if ins.valid
         )
-
-    def matches(self, instructions: Sequence[Instruction]) -> bool:
-        """Whether this compilation still describes ``instructions``."""
-        return self.source is instructions
-
-    def __len__(self) -> int:
-        return len(self.descriptors)
 
 
 def compile_program(instructions: Sequence[Instruction]) -> CompiledProgram:

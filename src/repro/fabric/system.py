@@ -335,11 +335,10 @@ class System:
         does nothing), and the progress predicate folded into the same
         occupancy tests.  Interpreted PEs step through their class's
         ``step``, looked up here, and compiled PEs through their
-        module's.  On single-PE systems without LSQs, whenever no port
-        can make progress until a compiled PE next enqueues, the loop
-        delegates to the PE's generated block run — which commits the
-        PE's queues each cycle, exactly as the channel-commit pass here
-        would — and resumes interleaving the moment traffic appears.
+        module's.  After a cycle in which only a compiled PE last in
+        step order made progress, with every other live PE quiescent,
+        the loop hands cycles to that PE's generated block run (the
+        quiescent-sibling rule below), the one way into a block run.
 
         Once the run reaches :data:`PROMOTE_AT_CYCLE` cycles, every live
         interpreted PE that issued at least :data:`PROMOTE_MIN_ISSUES`
@@ -357,7 +356,6 @@ class System:
         wports = self.write_ports
         lsqs = self.lsqs
         channels = self._all_channels()
-        solo = self._solo()
         counters = [pe.counters for pe in self.pes]
         dq_prev = -1
         idle_streak = 0
@@ -369,50 +367,6 @@ class System:
                 promote_at = float("inf")
                 if self._promote(hot, issued_at_start):
                     live = self._steppers()
-                    solo = self._solo()
-            if solo is not None:
-                for port in rports:
-                    if port._in_flight or (
-                        port.request is not None and port.request._live
-                    ):
-                        break
-                else:
-                    for port in wports:
-                        if (
-                            port.address is not None
-                            and port.address._live
-                            and port.data is not None
-                            and port.data._live
-                        ):
-                            break
-                    else:
-                        before = solo.counters.cycles
-                        try:
-                            idle_streak = solo._jit_block(
-                                remaining, True, idle_streak, stall_limit
-                            )
-                        except SimulationError as exc:
-                            self.cycles += max(
-                                0, solo.counters.cycles - before - 1
-                            )
-                            raise attribute_error(
-                                exc, solo.name, self.cycles) from exc
-                        ran = solo.counters.cycles - before
-                        if ran:
-                            self.cycles += ran
-                            remaining -= ran
-                            if idle_streak >= stall_limit:
-                                raise self._deadlock_error(
-                                    "deadlock: no progress for "
-                                    f"{stall_limit} cycles at cycle "
-                                    f"{self.cycles}"
-                                )
-                            if solo.halted:
-                                live = []
-                            continue
-                        # Zero cycles: the block refused (entries are
-                        # staged) — take the interleaved path for this
-                        # cycle.
             prog = False
             pruned = False
             moved = False
@@ -431,7 +385,6 @@ class System:
                         pruned = True
             except SimulationError as exc:
                 raise attribute_error(exc, pe.name, self.cycles) from exc
-            pe_prog = prog
             if pruned:
                 live = [entry for entry in live if not entry[1].halted]
             for port in rports:
@@ -477,144 +430,72 @@ class System:
                 dq_now += c_.dequeues
             deq = dq_now != dq_prev
             dq_prev = dq_now
-            if moved or lsqs or not live:
+            # The quiescent-sibling rule.  Exactly one PE progressed this
+            # cycle, it is compiled and last in step order, nothing moved
+            # (no channel commit, request dequeue or store), and every
+            # other live PE is quiescent (empty pipe, none-triggered this
+            # cycle) with no read response in flight: the PE's block run
+            # can stand in for the fabric on its own.  Its enqueues and
+            # dequeues are the only events that can change what the
+            # quiescent PEs observe, and the block stops at the end of
+            # any cycle where either happens — because the PE steps last,
+            # siblings would only see the change the following cycle
+            # under interleaving too.  A dequeue in the gating cycle
+            # frees channel space a sibling that already evaluated only
+            # sees next cycle, so the sibling is not quiescent yet.
+            # Quiescent PEs are credited their cycle and none-triggered
+            # counts for every cycle the block ran.
+            if (moved or deq or multi or lsqs or not live
+                    or cand is not live[-1]):
                 continue
-            if pe_prog:
-                # A dequeue this cycle frees channel space a sibling that
-                # already evaluated (it steps earlier) only sees next
-                # cycle — it may fire then, so it is not quiescent.
-                if deq:
-                    continue
-                # Exactly one PE progressed, it is compiled and last in
-                # step order, and every other live PE is quiescent (empty
-                # pipe, none-triggered this cycle): the runner's block
-                # entry point can batch cycles on its own.  Its enqueues
-                # and dequeues are the only events that can change what
-                # the quiescent PEs observe, and the block stops at the
-                # end of any cycle where either happens — because the
-                # runner steps last,
-                # siblings would only see the change the following
-                # cycle under interleaving too.  Quiescent PEs are then
-                # credited their cycle and none-triggered counts for
-                # every cycle the block ran.
-                if multi or cand is not live[-1]:
-                    continue
-                cp = cand[1]
-                if cp._jit_block is None:
-                    continue
-                ok = True
-                for entry in live:
-                    p = entry[1]
-                    if p is not cp and any(p._pipe):
-                        ok = False
-                        break
-                if ok:
-                    for port in rports:
-                        if port._in_flight:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                before = cp.counters.cycles
-                try:
-                    idle_streak = cp._jit_block(
-                        remaining, True, idle_streak, stall_limit,
-                        len(live) > 1,
-                    )
-                except SimulationError as exc:
-                    ran = max(0, cp.counters.cycles - before - 1)
-                    self.cycles += ran
-                    for entry in live:
-                        if entry[1] is not cp:
-                            pc = entry[1].counters
-                            pc.cycles += ran
-                            pc.none_triggered_cycles += ran
-                    raise attribute_error(exc, cp.name, self.cycles) from exc
-                ran = cp.counters.cycles - before
-                if ran:
-                    self.cycles += ran
-                    remaining -= ran
-                    for entry in live:
-                        if entry[1] is not cp:
-                            pc = entry[1].counters
-                            pc.cycles += ran
-                            pc.none_triggered_cycles += ran
-                    if idle_streak >= stall_limit:
-                        raise self._deadlock_error(
-                            "deadlock: no progress for "
-                            f"{stall_limit} cycles at cycle {self.cycles}"
-                        )
-                    if cp.halted:
-                        live = [e for e in live if not e[1].halted]
+            cp = cand[1]
+            if cp._jit_block is None:
                 continue
-            # No PE issued or retired this cycle and nothing changed any
-            # state a trigger can observe (no queue commit, no request
-            # dequeue, no store).  If on top of that every live PE has
-            # an empty pipeline, its decision walk is a pure function of
-            # frozen state: each further cycle in this regime only
-            # increments its cycle and none-triggered counters, until a
-            # memory response commits.  Batch those wait cycles stepping
-            # only the in-flight read ports.
+            quiescent = True
             for entry in live:
-                if any(entry[1]._pipe):
+                if entry[1] is not cp and any(entry[1]._pipe):
+                    quiescent = False
                     break
-            else:
-                for port in rports:
-                    if port.request is not None and port.request._live:
-                        break
-                else:
-                    for port in wports:
-                        if (
-                            port.address is not None
-                            and port.address._live
-                            and port.data is not None
-                            and port.data._live
-                        ):
-                            break
-                    else:
-                        while remaining > 0:
-                            busy = False
-                            woke = False
-                            for port in rports:
-                                if port._in_flight:
-                                    port.step()
-                                    busy = True
-                            for channel in channels:
-                                if channel._staged:
-                                    channel.commit()
-                                    woke = True
-                            self.cycles += 1
-                            remaining -= 1
-                            for entry in live:
-                                pc = entry[1].counters
-                                pc.cycles += 1
-                                pc.none_triggered_cycles += 1
-                            if busy:
-                                idle_streak = 0
-                            else:
-                                idle_streak += 1
-                                if idle_streak >= stall_limit:
-                                    raise self._deadlock_error(
-                                        "deadlock: no progress for "
-                                        f"{stall_limit} cycles at cycle "
-                                        f"{self.cycles}"
-                                    )
-                            if woke:
-                                break
+            for port in rports:
+                if port._in_flight:
+                    quiescent = False
+                    break
+            if not quiescent:
+                continue
+            before = cp.counters.cycles
+            try:
+                idle_streak = cp._jit_block(
+                    remaining, idle_streak, stall_limit, len(live) > 1)
+            except SimulationError as exc:
+                ran = max(0, cp.counters.cycles - before - 1)
+                self.cycles += ran
+                for entry in live:
+                    if entry[1] is not cp:
+                        pc = entry[1].counters
+                        pc.cycles += ran
+                        pc.none_triggered_cycles += ran
+                raise attribute_error(exc, cp.name, self.cycles) from exc
+            ran = cp.counters.cycles - before
+            self.cycles += ran
+            remaining -= ran
+            for entry in live:
+                if entry[1] is not cp:
+                    pc = entry[1].counters
+                    pc.cycles += ran
+                    pc.none_triggered_cycles += ran
+            if idle_streak >= stall_limit:
+                raise self._deadlock_error(
+                    "deadlock: no progress for "
+                    f"{stall_limit} cycles at cycle {self.cycles}"
+                )
+            if cp.halted:
+                live = [e for e in live if not e[1].halted]
         return False
 
     def _steppers(self) -> list[tuple]:
         """(step function, PE) for every live PE, in step order."""
         return [(pe._jit.step if pe._jit is not None else type(pe).step, pe)
                 for pe in self.pes if not pe.halted]
-
-    def _solo(self):
-        """The PE whose block run may stand in for whole stretches of a
-        single-PE, LSQ-free system, or None."""
-        if len(self.pes) == 1 and not self.lsqs \
-                and self.pes[0]._jit_block is not None:
-            return self.pes[0]
-        return None
 
     def _promote(self, hot: dict, issued_at_start: list[int]) -> bool:
         """Compile each live interpreted PE that issued at least
@@ -666,7 +547,8 @@ class System:
         attached — no invariant checker, telemetry sink or fault hook —
         the cycle loop runs through :meth:`_run_fused`: the same
         per-cycle schedule as :meth:`step` with the fabric state
-        hoisted, idle stretches batched, and the PEs still busy at
+        hoisted, stretches that only a compiled PE works through handed
+        to its block run, and the PEs still busy at
         :data:`PROMOTE_AT_CYCLE` compiled for the rest of the run.  Any
         other fabric runs the reference loop, one :meth:`step` per
         cycle.  Both drivers produce identical architectural state,

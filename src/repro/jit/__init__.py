@@ -7,7 +7,8 @@ queue-policy, params) tuple:
 * :mod:`repro.jit.codegen` — emits the specialized module source: one
   cycle function (stage walk unrolled, trigger resolution inlined per
   descriptor, ALU semantics baked in) behind a per-cycle ``step`` and a
-  block-mode ``run``.
+  block-mode ``run`` that the fused ``System`` loop alone enters, for
+  stretches in which only the compiled PE works.
 * :mod:`repro.jit.cache` — compiles a module, shares it among the live
   PEs that hold it, releases it with the last one, and keeps the JIT's
   process counters.
@@ -17,7 +18,7 @@ compiles it from cycle 0.  Otherwise :meth:`repro.fabric.system.System.run`
 promotes the PEs that are still issuing once a run passes a fixed cycle
 mark, for the rest of that run.  Instrumented paths — fault hooks,
 telemetry sinks — transparently fall back to the interpreter, cycle for
-cycle.
+cycle, and never enter a block run.
 """
 
 from repro.jit.cache import (

@@ -75,40 +75,35 @@ def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
     """Wrap a generated block entry point with exit-reason accounting.
 
     The generated ``run`` has no hook to report *why* it stopped, so the
-    reason is inferred from post-call PE state instead, one dict update
-    per block entry (amortized over the cycles the block ran).  The
-    wrapper keeps the exact positional signature the fused system loop
-    uses and stays a plain function so ``__get__`` binding in
+    reason is inferred from the PE's state and counters around the call,
+    one dict update per block entry (amortized over the cycles the block
+    ran).  The wrapper keeps the positional signature the fused system
+    loop uses and stays a plain function so ``__get__`` binding in
     ``PipelinedPE`` works unchanged.
     """
 
-    def run(pe, budget, stop_on_enqueue=False, idle_streak=0,
-            stall_limit=0, stop_on_dequeue=False):
-        before = pe.counters.cycles
+    def run(pe, budget, idle_streak, stall_limit, stop_on_dequeue):
+        counters = pe.counters
+        cycles, dequeues = counters.cycles, counters.dequeues
         try:
-            streak = raw_run(pe, budget, stop_on_enqueue, idle_streak,
-                             stall_limit, stop_on_dequeue)
+            streak = raw_run(pe, budget, idle_streak, stall_limit,
+                             stop_on_dequeue)
         except Exception:
             BLOCK_EXITS["error"] = BLOCK_EXITS.get("error", 0) + 1
             raise
-        ran = pe.counters.cycles - before
-        if ran == 0:
-            # The block refused to start (staged entries, attached hook).
-            reason = "refused"
-        elif pe.halted:
+        if pe.halted:
             reason = "halt"
-        elif stall_limit and streak >= stall_limit:
+        elif streak >= stall_limit:
             reason = "stall"
-        elif ran >= budget:
+        elif counters.cycles - cycles >= budget:
             reason = "budget"
-        elif stop_on_dequeue:
-            # Dequeue wins ties with enqueue: the fused loop passes both
-            # and the version-sum check fires first in generated code.
+        elif stop_on_dequeue and counters.dequeues != dequeues:
+            # The block stops at the end of the first cycle that staged
+            # an enqueue or, with ``stop_on_dequeue``, consumed input; a
+            # cycle that did both counts as a dequeue.
             reason = "dequeue"
-        elif stop_on_enqueue:
-            reason = "enqueue"
         else:
-            reason = "other"
+            reason = "enqueue"
         BLOCK_EXITS[reason] = BLOCK_EXITS.get(reason, 0) + 1
         return streak
 

@@ -15,7 +15,9 @@ slots whose effects read the same share one function; retirement, once
 per instruction and generic in what it writes, calls the interpreter's
 own ``_retire``.  Two entry points share the one cycle body: ``step``
 runs a cycle, and the block-mode ``run`` loops it with the PE's own
-queue commits and stop conditions.
+queue commits and stop conditions for the one caller that hands it
+whole stretches, the quiescent-sibling rule of
+:meth:`System._run_fused <repro.fabric.system.System._run_fused>`.
 
 The generated code is *bit-identical* to the interpreter: it mutates the
 same ``PipelinedPE`` state through the same sequence of effects (queue
@@ -23,9 +25,10 @@ version bumps, ``_state_version`` accounting, counter increments,
 predictor training, speculation bookkeeping), so a PE may switch between
 the two executors mid-run — which is exactly what happens when a
 :class:`~repro.fabric.system.System` run promotes a busy PE.  Whenever a
-fault hook or telemetry sink is attached, both entry points defer to the
+fault hook or telemetry sink is attached, ``step`` defers to the
 interpreter (``_INTERP_STEP``) so instrumented runs observe every seam
-the interpreter exposes.
+the interpreter exposes; ``run`` is never entered on an instrumented
+fabric.
 
 Nothing here compiles or keeps modules; see :mod:`repro.jit.cache`,
 which also holds the helpers every generated module shares (``_issue``,
@@ -48,7 +51,7 @@ from repro.params import ArchParams
 from repro.pipeline.config import PipelineConfig, QueuePolicy
 from repro.pipeline.queue_status import TAG_VISIBILITY
 
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 """Bumped whenever generated-source semantics change; named in the
 header line of every generated module."""
 
@@ -554,27 +557,24 @@ class _Codegen:
         em.blank()
 
     def _emit_run(self, em: _Emitter) -> None:
-        """``run(pe, budget, ...)``: block-step up to ``budget`` cycles
-        with per-cycle queue commits; returns the updated idle streak.
+        """``run(pe, budget, idle_streak, stall_limit, stop_on_dequeue)``:
+        block-step up to ``budget`` cycles with per-cycle commits of the
+        PE's own enqueues; returns the updated idle streak.
 
-        Stops early on halt, on a staged enqueue (``stop_on_enqueue``),
-        on any input dequeue (``stop_on_dequeue`` — so a sibling blocked
-        on a full channel is re-evaluated the cycle after space appears,
-        exactly as under interleaved stepping), or when the streak
-        reaches ``stall_limit``.  Runs zero cycles — so callers fall
-        back to the interpreter — when a hook or telemetry sink is
-        attached, or when entries are already staged on any queue.
+        Stops early on halt, at the end of any cycle that staged an
+        enqueue, on any input dequeue when ``stop_on_dequeue`` is set
+        (so a sibling blocked on a full channel is re-evaluated the
+        cycle after space appears, exactly as under interleaved
+        stepping), or when the streak reaches ``stall_limit``.  The one
+        caller, the fused loop of
+        :class:`~repro.fabric.system.System`, runs only uninstrumented
+        fabrics and enters after its channel-commit pass, so no queue
+        holds a staged entry at entry.
         """
-        em.line(0, "def run(pe, budget, stop_on_enqueue=False, idle_streak=0,"
-                   " stall_limit=0, stop_on_dequeue=False):")
-        em.line(1, "if pe.fault_hook is not None or pe.telemetry is not None:")
-        em.line(2, "return idle_streak")
-        em.line(1, "for q_ in pe._sig_queues:")
-        em.line(2, "if q_._staged:")
-        em.line(3, "return idle_streak")
+        em.line(0, "def run(pe, budget, idle_streak, stall_limit,"
+                   " stop_on_dequeue):")
         # End of cycle: commit any enqueue this PE staged (only the
-        # outputs the program writes can ever hold one here — the
-        # prologue guaranteed everything else came in clean).
+        # outputs the program writes can ever hold one here).
         for o in self.written_outputs:
             em.line(1, f"W{o} = pe.outputs[{o}]")
         versions = " + ".join(f"I{q}.version" for q in self.used_inputs)
@@ -597,10 +597,10 @@ class _Codegen:
         em.line(3, "idle_streak = 0")
         em.line(2, "else:")
         em.line(3, "idle_streak += 1")
-        em.line(3, "if stall_limit and idle_streak >= stall_limit:")
+        em.line(3, "if idle_streak >= stall_limit:")
         em.line(4, "break")
         if self.written_outputs:
-            em.line(2, "if stop and stop_on_enqueue:")
+            em.line(2, "if stop:")
             em.line(3, "break")
         if versions:
             em.line(2, f"if stop_on_dequeue and dv_ != ({versions}):")

@@ -3,16 +3,18 @@
 The paper's FPGA prototype pairs every PE with debug monitors and
 performance counters (Section 6.1); this module is the fabric-level
 generalization.  A :class:`Telemetry` sink attaches to a
-:class:`~repro.fabric.system.System` (or a single PE) and collects:
+:class:`~repro.fabric.system.System` (or, for its events alone, to a
+single PE) and collects:
 
 * **typed events** emitted by the instrumented components — instruction
   ``issue`` / ``retire`` / ``quash``, speculative ``rollback``, queue
   ``enqueue`` / ``dequeue`` with tags, and memory ``port_grant``s;
-* **per-cycle samples** — queue-occupancy timelines (delta-compressed),
-  queue high-water marks, memory-port/LSQ busy cycles, per-PE
-  pipeline-stage occupancy intervals, and per-PE cycle outcomes (the raw
-  material for the Chrome trace export and the ASCII pipeline diagram,
-  :func:`repro.obs.trace_export.pipeline_diagram`).
+* **per-cycle samples**, taken by the system at every cycle boundary (a
+  lone PE is sampled by running it in a one-PE system) — queue-occupancy
+  timelines (delta-compressed), queue high-water marks, memory-port/LSQ
+  busy cycles, per-PE pipeline-stage occupancy intervals, and per-PE
+  cycle outcomes (the raw material for the Chrome trace export and the
+  ASCII pipeline diagram, :func:`repro.obs.trace_export.pipeline_diagram`).
 
 The instrumentation contract is strictly opt-in: every emitting
 component carries a ``telemetry`` attribute that defaults to ``None``
@@ -184,23 +186,6 @@ class Telemetry:
             if snapshot is not None:
                 self._sample_stages(pe.name, snapshot(), cycle)
                 self._sample_row(pe, cycle)
-
-    def sample_pe(self, pe) -> None:
-        """Single-PE variant of :meth:`sample_system` (no fabric).
-
-        Called by :meth:`repro.pipeline.core.PipelinedPE.run_cycles`
-        after each cycle's queue commit, so a lone PE records what it
-        would inside a :class:`~repro.fabric.system.System`.
-        """
-        cycle = pe.counters.cycles
-        self.now = cycle
-        self.sampled_cycles += 1
-        for queue in list(pe.inputs) + list(pe.outputs):
-            self._sample_queue(queue, cycle)
-        snapshot = getattr(pe, "stage_snapshot", None)
-        if snapshot is not None:
-            self._sample_stages(pe.name, snapshot(), cycle)
-            self._sample_row(pe, cycle)
 
     def _sample_queue(self, queue, cycle: int) -> None:
         name = queue.name

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.predicates import PredicateFile
 from repro.arch.queue import TaggedQueue, restore_queues
@@ -47,7 +47,6 @@ from repro.arch.trigger_cache import (
     DST_PRED,
     DST_REG,
     IN,
-    LIT,
     REG,
     CompiledDatapath,
     Lowering,
@@ -252,10 +251,11 @@ class PipelinedPE:
         the interpreter again.
 
         The module's ``step`` shadows the interpreter through an
-        instance binding, and its block entry point becomes available to
-        drivers through ``_jit_block``.  Both defer to the interpreter
-        whenever a fault hook or telemetry sink is attached, so
-        instrumented runs stay bit-identical.  Unbinding drops this PE's
+        instance binding and defers to it whenever a fault hook or
+        telemetry sink is attached, so instrumented runs stay
+        bit-identical.  Its block entry point becomes ``_jit_block``,
+        which only the fused :class:`~repro.fabric.system.System` loop
+        enters, on uninstrumented fabrics.  Unbinding drops this PE's
         hold on the module.
         """
         self._jit = program
@@ -302,44 +302,6 @@ class PipelinedPE:
         for queue in self._sig_queues:
             if queue._staged:
                 queue.commit()
-
-    def run_cycles(self, max_cycles: int, stop_on_enqueue: bool = False) -> int:
-        """Drive this PE standalone for up to ``max_cycles`` cycles.
-
-        Queues commit after every cycle (the same schedule the fabric
-        drivers follow); returns the number of cycles consumed.  On the
-        jit backend this dispatches to the generated block loop; with a
-        fault hook or telemetry sink attached — or on the interpreter
-        backend — it steps cycle by cycle through :meth:`step`, and an
-        attached sink samples the PE after each commit, as a
-        :class:`~repro.fabric.system.System` would.
-        """
-        before = self.counters.cycles
-        if (
-            self._jit_block is not None
-            and self.fault_hook is None
-            and self.telemetry is None
-        ):
-            self._jit_block(max_cycles, stop_on_enqueue)
-            ran = self.counters.cycles - before
-            # Zero cycles means the block refused (entries were already
-            # staged on a queue); fall through to the per-cycle loop.
-            if ran or self.halted:
-                return ran
-        for _ in range(max_cycles):
-            if self.halted:
-                break
-            self.step()
-            stop = False
-            for queue in self._sig_queues:
-                if queue._staged:
-                    queue.commit()
-                    stop = True
-            if self.telemetry is not None:
-                self.telemetry.sample_pe(self)
-            if stop and stop_on_enqueue:
-                break
-        return self.counters.cycles - before
 
     # ------------------------------------------------------------------
     # Simulation

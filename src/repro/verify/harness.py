@@ -252,6 +252,44 @@ def reference_config_names(case_seed: int, count: int) -> list[str]:
             for i in range(count)]
 
 
+#: The models a config may also run, each held to the fast path:
+#: (divergence kind, PipelinedPE options, short name for the PE and the
+#: cycles detail, label for crash and hang reports, name in the counters
+#: detail).
+_JIT_LEG = ("jit-vs-interp", {"backend": "jit"}, "jit", "jit", "jit")
+_REFERENCE_LEG = ("fast-vs-reference", {"fast_path": False}, "ref",
+                  "reference walk", "reference")
+
+
+def _leg_divergence(leg, case_name: str, config, params: ArchParams,
+                    program, streams, bound: int, fast,
+                    fast_print: dict) -> dict | None:
+    """Run one config on a leg's model and compare it with the fast
+    path: crash, hang, final state, cycle count and counters.  Returns
+    the divergence, or None when the two agree."""
+    kind, options, short, label, long = leg
+    pe = PipelinedPE(config, params, name=f"{case_name}-{short}", **options)
+    program.configure(pe)
+    leg_print = _run_guarded(pe, streams, bound)
+    if leg_print is not None and "crashed" in leg_print:
+        return {"kind": "crash", "config": f"{config.name} ({label})",
+                "detail": leg_print["crashed"]}
+    if leg_print is None:
+        return {"kind": "hang", "config": f"{config.name} ({label})",
+                "detail": f"no halt within {bound} cycles:\n"
+                          + _hang_dump(pe)}
+    fields = _diff_states(fast_print, leg_print)
+    if leg_print["cycles"] != fast_print["cycles"]:
+        fields.append(f"cycles: fast={fast_print['cycles']} "
+                      f"{short}={leg_print['cycles']}")
+    if fast.counters.as_dict() != pe.counters.as_dict():
+        fields.append(f"counters differ between fast and {long}")
+    if fields:
+        return {"kind": kind, "config": config.name,
+                "detail": "; ".join(fields)}
+    return None
+
+
 def check_case(case: dict, params: ArchParams = DEFAULT_PARAMS,
                ref_configs: int = 4, jit: bool = False) -> dict:
     """Run one case differentially; returns a JSON-able result dict.
@@ -360,75 +398,16 @@ def check_case(case: dict, params: ArchParams = DEFAULT_PARAMS,
                 "detail": "; ".join(analysis_problems),
             })
             continue
-        if jit:
-            jpe = PipelinedPE(config, params, name=f"{case['name']}-jit",
-                              backend="jit")
-            program.configure(jpe)
-            jit_print = _run_guarded(jpe, streams, bound)
-            if jit_print is not None and "crashed" in jit_print:
-                result["divergences"].append({
-                    "kind": "crash",
-                    "config": f"{config.name} (jit)",
-                    "detail": jit_print["crashed"],
-                })
-                continue
-            if jit_print is None:
-                result["divergences"].append({
-                    "kind": "hang",
-                    "config": f"{config.name} (jit)",
-                    "detail": f"no halt within {bound} cycles:\n"
-                              + _hang_dump(jpe),
-                })
-                continue
-            fields = _diff_states(fast_print, jit_print)
-            if jit_print["cycles"] != fast_print["cycles"]:
-                fields.append(
-                    f"cycles: fast={fast_print['cycles']} "
-                    f"jit={jit_print['cycles']}"
-                )
-            if fast.counters.as_dict() != jpe.counters.as_dict():
-                fields.append("counters differ between fast and jit")
-            if fields:
-                result["divergences"].append({
-                    "kind": "jit-vs-interp",
-                    "config": config.name,
-                    "detail": "; ".join(fields),
-                })
-                continue
+        legs = [_JIT_LEG] if jit else []
         if config.name in ref_names:
-            ref = PipelinedPE(config, params, name=f"{case['name']}-ref",
-                              fast_path=False)
-            program.configure(ref)
-            ref_print = _run_guarded(ref, streams, bound)
-            if ref_print is not None and "crashed" in ref_print:
-                result["divergences"].append({
-                    "kind": "crash",
-                    "config": f"{config.name} (reference walk)",
-                    "detail": ref_print["crashed"],
-                })
-                continue
-            if ref_print is None:
-                result["divergences"].append({
-                    "kind": "hang",
-                    "config": f"{config.name} (reference walk)",
-                    "detail": f"no halt within {bound} cycles:\n"
-                              + _hang_dump(ref),
-                })
-                continue
-            fields = _diff_states(fast_print, ref_print)
-            if ref_print["cycles"] != fast_print["cycles"]:
-                fields.append(
-                    f"cycles: fast={fast_print['cycles']} "
-                    f"ref={ref_print['cycles']}"
-                )
-            if fast.counters.as_dict() != ref.counters.as_dict():
-                fields.append("counters differ between fast and reference")
-            if fields:
-                result["divergences"].append({
-                    "kind": "fast-vs-reference",
-                    "config": config.name,
-                    "detail": "; ".join(fields),
-                })
+            legs.append(_REFERENCE_LEG)
+        for leg in legs:
+            divergence = _leg_divergence(
+                leg, case["name"], config, params, program, streams, bound,
+                fast, fast_print)
+            if divergence is not None:
+                result["divergences"].append(divergence)
+                break
     return result
 
 

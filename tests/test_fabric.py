@@ -172,38 +172,47 @@ class TestSystem:
         with pytest.raises(SimulationError, match="deadlock"):
             system.run(stall_limit=100)
 
-    @pytest.mark.parametrize("config", ["T|D|X1|X2 +P+Q", "TD|X"])
+    @pytest.mark.parametrize("config, lone", [
+        pytest.param("T|D|X1|X2 +P+Q", False, id="T|D|X1|X2 +P+Q"),
+        pytest.param("TD|X", False, id="TD|X"),
+        pytest.param("T|D|X1|X2 +P+Q", True, id="lone T|D|X1|X2 +P+Q"),
+    ])
     def test_pipelined_deadlock_past_promotion_matches_reference(
-            self, config):
+            self, config, lone):
         """A pipelined fabric that streams past the promotion mark and
         then waits forever: the fused loop (with its busy PE compiled)
         must raise at the same cycle, with the same forensic report, as
-        the reference walk."""
+        the reference walk.  The lone producer deadlocks inside its
+        compiled block run."""
         from repro.jit.cache import STATS
 
         def build(fast_path):
             system = System()
             producer = PipelinedPE(config_by_name(config), name="producer",
                                    fast_path=fast_path)
-            consumer = PipelinedPE(config_by_name(config), name="consumer",
-                                   fast_path=fast_path)
-            # 300 tokens out, then wait on an input nobody sends.
-            assemble("""
+            # 300 tokens out (300 loop turns with no output when lone),
+            # then wait on an input nobody sends.
+            send = "add %r2, %r2, %r0" if lone else "mov %o0.0, %r0"
+            assemble(f"""
             when %p == XXXXX000:
                 ult %p1, %r0, $300; set %p = ZZZZZZZ1;
             when %p == XXXXX011:
-                mov %o0.0, %r0; set %p = ZZZZZ100;
+                {send}; set %p = ZZZZZ100;
             when %p == XXXXX100:
                 add %r0, %r0, $1; set %p = ZZZZZ000;
             when %p == XXXXX001 with %i0.0:
                 halt;
             """).configure(producer)
+            system.add_pe(producer)
+            if lone:
+                return system
+            consumer = PipelinedPE(config_by_name(config), name="consumer",
+                                   fast_path=fast_path)
             # Sums every token, and waits for more once they stop.
             assemble("""
             when %p == XXXXXXXX with %i0.0:
                 add %r1, %r1, %i0; deq %i0;
             """).configure(consumer)
-            system.add_pe(producer)
             system.add_pe(consumer)
             system.connect(producer, 0, consumer, 0)
             return system

@@ -42,7 +42,8 @@ def test_jit_is_bit_identical_across_the_workload_suite(config):
     """48 configs x 10 workloads: the JIT backend must reproduce the
     interpreter fast path bit for bit — same CPI stacks, counters,
     cycle counts, and final architectural state — through the fused
-    ``System`` loop, block delegation, and quiescent-wait batching."""
+    ``System`` loop and the block runs its quiescent-sibling rule
+    enters."""
     for name in WORKLOADS():
         jit = run_workload(
             name, scale=_DIFF_SCALE,
@@ -154,22 +155,6 @@ def test_attached_hooks_defer_to_the_interpreter_bit_identically():
         pes[backend] = pe
     assert seen["jit"] == seen["interp"]
     assert pes["jit"].counters == pes["interp"].counters
-
-
-def test_block_run_refuses_staged_entries_and_still_completes():
-    """``run_cycles`` must fall back to per-cycle stepping when entries
-    are staged on a queue (the generated block loop refuses), without
-    losing cycles or diverging."""
-    cfg = config_by_name("T|D|X1|X2 +P+Q")
-    program = assemble(_LOOP, P)
-    results = {}
-    for backend in ("jit", "interp"):
-        pe = PipelinedPE(cfg, P, name=backend, backend=backend)
-        program.configure(pe)
-        pe.inputs[0].enqueue(7, 0)   # staged, deliberately uncommitted
-        ran = pe.run_cycles(10_000)
-        results[backend] = (ran, pe.halted, pe.counters.as_dict())
-    assert results["jit"] == results["interp"]
 
 
 def test_live_pes_share_one_module_until_the_last_lets_go():

@@ -391,12 +391,15 @@ GOLDEN_DIAGRAMS = {
 
 
 def diagrammed(config_name):
-    """The LOOP program run standalone on ``config_name``, sampled."""
+    """The LOOP program run on ``config_name`` in a one-PE system,
+    sampled."""
     pe = PipelinedPE(config_by_name(config_name), name="t")
     assemble(LOOP).configure(pe)
+    system = System()
+    system.add_pe(pe)
     telemetry = Telemetry()
-    telemetry.attach_pe(pe)
-    pe.run_cycles(1_000)
+    telemetry.attach_system(system)
+    system.run(max_cycles=1_000)
     assert pe.halted
     return telemetry, pe
 
@@ -460,23 +463,6 @@ def test_diagram_ends_on_an_empty_pipe():
     last = pipeline_diagram(telemetry, pe).splitlines()[-1].split()
     assert last[0] == str(pe.counters.cycles)
     assert last[1:5] == ["-"] * 4
-
-
-def test_run_cycles_records_like_a_one_pe_system():
-    """A lone PE driven by run_cycles samples what a System would."""
-    for config in all_configs(include_padded=True):
-        telemetry, pe = diagrammed(config.name)
-        telemetry.finish()
-        twin = PipelinedPE(config, name="t")
-        assemble(LOOP).configure(twin)
-        system = System()
-        system.add_pe(twin)
-        in_system = Telemetry()
-        in_system.attach_system(system)
-        system.run()
-        assert in_system.pe_rows == telemetry.pe_rows, config.name
-        assert in_system.stage_intervals == telemetry.stage_intervals, \
-            config.name
 
 
 # ----------------------------------------------------------------------
@@ -769,11 +755,13 @@ def test_jit_block_exit_reasons_counted():
 
     reset_metrics()
     try:
-        # A solo PE running to halt exits its generated block once.
+        # A lone PE running to halt exits its generated block once.
         pe = PipelinedPE(config_by_name("T|D|X1|X2"), name="t",
                          backend="jit")
         assemble(LOOP).configure(pe)
-        pe.run_cycles(500)
+        system = System()
+        system.add_pe(pe)
+        system.run(max_cycles=500)
         assert pe.halted
         assert block_exit_counts() == {"halt": 1}
         # A fabric workload exits blocks on queue activity instead.
@@ -787,8 +775,58 @@ def test_jit_block_exit_reasons_counted():
         )
         exits = block_exit_counts()
         assert exits["halt"] == 1 and exits.get("enqueue", 0) > 0
-        known = {"refused", "halt", "stall", "budget", "dequeue",
-                 "enqueue", "other", "error"}
+        known = {"halt", "stall", "budget", "dequeue", "enqueue", "error"}
         assert set(exits) <= known
     finally:
         reset_metrics()
+
+
+def test_block_exits_attributed_to_what_stopped_the_block():
+    """A compiled producer that steps last and reads no input queue
+    can only leave its block on an enqueue (or its halt), never on a
+    dequeue, although its fabric has a sibling to wake."""
+    from repro.jit.cache import block_exit_counts, reset_metrics
+
+    config = config_by_name("T|D|X1|X2 +P+Q")
+    consumer = PipelinedPE(config, name="consumer")
+    producer = PipelinedPE(config, name="producer", backend="jit")
+    # Sums tokens until the tag-1 end marker arrives.
+    assemble("""
+    when %p == XXXXXXXX with %i0.1:
+        halt;
+    when %p == XXXXXXXX with %i0.0:
+        add %r1, %r1, %i0; deq %i0;
+    """).configure(consumer)
+    # Twenty tokens six cycles apart (three filler adds let the
+    # consumer's pipe drain between them), then the end marker.
+    assemble("""
+    when %p == XXXXX000:
+        ult %p1, %r0, $20; set %p = ZZZZZZZ1;
+    when %p == XXXXX011:
+        mov %o0.0, %r0; set %p = ZZZZZ100;
+    when %p == XXXXX100:
+        add %r0, %r0, $1; set %p = ZZZZZ110;
+    when %p == XXXXX110:
+        add %r2, %r2, $1; set %p = ZZZZZ111;
+    when %p == XXXXX111:
+        add %r2, %r2, $1; set %p = ZZZZZ010;
+    when %p == XXXXX010:
+        add %r2, %r2, $1; set %p = ZZZZZ000;
+    when %p == XXXXX001:
+        mov %o0.1, $0; set %p = ZZZZZ101;
+    when %p == XXXXX101:
+        halt;
+    """).configure(producer)
+    system = System()
+    system.add_pe(consumer)
+    system.add_pe(producer)
+    system.connect(producer, 0, consumer, 0)
+    reset_metrics()
+    try:
+        system.run()
+        exits = block_exit_counts()
+    finally:
+        reset_metrics()
+    assert consumer.regs.read(1) == sum(range(20))
+    assert "dequeue" not in exits
+    assert exits.get("enqueue", 0) > 0

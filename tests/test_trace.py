@@ -3,6 +3,7 @@
 from collections import Counter
 
 from repro.asm import assemble
+from repro.fabric import System
 from repro.obs import Telemetry
 from repro.pipeline import PipelinedPE, config_by_name
 
@@ -17,12 +18,15 @@ when %p == XXXXXX01:
 
 
 def traced(config_name, limit=1 << 20):
-    """The LOOP program run to its halt on ``config_name``, sampled."""
+    """The LOOP program run to its halt on ``config_name`` in a one-PE
+    system, sampled."""
     pe = PipelinedPE(config_by_name(config_name), name="t")
     assemble(LOOP).configure(pe)
+    system = System()
+    system.add_pe(pe)
     telemetry = Telemetry(limit=limit)
-    telemetry.attach_pe(pe)
-    pe.run_cycles(1_000)
+    telemetry.attach_system(system)
+    system.run(max_cycles=1_000)
     assert pe.halted
     return telemetry, pe
 

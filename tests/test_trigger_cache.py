@@ -80,12 +80,6 @@ class TestCompiledTrigger:
         compiled = compile_program(program)
         assert [d.index for d in compiled.descriptors] == [1, 3]
 
-    def test_matches_is_identity_based(self):
-        program = [_ins()]
-        compiled = compile_program(program)
-        assert compiled.matches(program)
-        assert not compiled.matches(list(program))
-
 
 class TestCompiledDatapath:
     def test_operand_plan_padded_and_immediate_premasked(self):
