@@ -4,6 +4,8 @@ The CPI campaign (32 microarchitectures x 10 workloads on the
 cycle-accurate simulator) backs Figures 5-8; it runs once per session at
 a moderate workload scale and is cached on disk next to the benchmarks
 (a sqlite result store) so repeated runs skip straight to the analysis.
+Table 3 and Figure 4 keep their suite records, at their own scales, in
+the same store.
 
 ``REPRO_BENCH_SCALE`` overrides the campaign scale (smaller for smoke
 runs, larger for publication-grade numbers).  Every cached config is

@@ -1,11 +1,13 @@
 """Figure 4: predicate write frequency and prediction accuracy."""
 
+from repro.dse.cpi import CpiTable
 from repro.eval import figure4
 
 
-def test_figure4(benchmark, bench_scale):
+def test_figure4(benchmark, bench_scale, cpi_table):
+    table = CpiTable(scale=bench_scale * 2, cache_path=cpi_table.cache_path)
     reports = benchmark.pedantic(
-        lambda: figure4.compute(scale=bench_scale * 2), rounds=1, iterations=1)
+        lambda: figure4.compute(table), rounds=1, iterations=1)
     by_name = {r.name: r for r in reports}
 
     assert len(reports) == 10
@@ -32,4 +34,4 @@ def test_figure4(benchmark, bench_scale):
     assert all(rate > 0.1 for rate in rates)
 
     print()
-    print(figure4.render(scale=bench_scale * 2))
+    print(figure4.render(table))

@@ -3,9 +3,9 @@
 from repro.eval import figure7
 
 
-def test_figure7(benchmark, cpi_table):
+def test_figure7(benchmark, design_points):
     data = benchmark.pedantic(
-        lambda: figure7.compute(cpi_table), rounds=1, iterations=1)
+        lambda: figure7.compute(design_points), rounds=1, iterations=1)
 
     assert set(data["frontiers"]) == {"none", "+P", "+Q", "+P+Q"}
 
@@ -29,4 +29,4 @@ def test_figure7(benchmark, cpi_table):
     assert fastest_pq <= fastest_none * 1.1
 
     print()
-    print(figure7.render(cpi_table))
+    print(figure7.render(design_points))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.dse.cpi import CpiTable
 from repro.dse.design_point import DesignPoint
-from repro.errors import SynthesisError
 from repro.pipeline.config import PipelineConfig, all_configs
 from repro.vlsi.synthesis import fmax, synthesize
 from repro.vlsi.technology import TECH65, Technology, VtFlavor
@@ -55,18 +54,20 @@ def close_grid(
     corner, so the grid can be closed before (or without) the expensive
     CPI campaign; :mod:`repro.dse.prune` exploits exactly that to
     project best-case metrics from static CPI lower bounds.
+
+    Feasibility is decided once per (VT, VDD) corner: only the targets
+    at or below the corner's f_max, the ones :func:`synthesize` can
+    close, are synthesized.
     """
     results = []
     for vt in VtFlavor:
         for vdd in voltage_grid(vt):
-            targets = list(frequency_grid(vt, vdd))
+            ceiling = fmax(config, vdd, vt, tech)
+            targets = [f for f in frequency_grid(vt, vdd) if f <= ceiling]
             if include_fmax_points:
-                targets.append(fmax(config, vdd, vt, tech))
-            for f_target in targets:
-                try:
-                    results.append(synthesize(config, vdd, vt, f_target, tech))
-                except SynthesisError:
-                    continue
+                targets.append(ceiling)
+            results.extend(synthesize(config, vdd, vt, f_target, tech)
+                           for f_target in targets)
     return results
 
 
@@ -81,7 +82,7 @@ def sweep(
     """Close every feasible design point in the characterized space.
 
     The per-config CPI campaign runs through ``cpi_table.populate``
-    (``cpi-config`` tasks on the campaign service); the synthesis grids
+    (``suite-run`` tasks on the campaign service); the synthesis grids
     are then closed in-process by :func:`close_grid`, config-major, so
     the returned point list is identical however the campaign ran.
 

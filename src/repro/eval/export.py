@@ -34,6 +34,8 @@ def export_all(outdir: str, scale: int = 24,
     """Regenerate everything and write the CSVs; returns written paths."""
     os.makedirs(outdir, exist_ok=True)
     written = []
+    cpi_table = CpiTable(scale=scale, cache_path=cache_path)
+    points = sweep(cpi_table=cpi_table)
 
     def path(name: str) -> str:
         full = os.path.join(outdir, name)
@@ -50,7 +52,7 @@ def export_all(outdir: str, scale: int = 24,
         path("table3.csv"),
         ["benchmark", "pes", "cycles", "worker_retired", "worker_cpi"],
         [[r.name, r.pe_count, r.cycles, r.worker_retired,
-          round(r.worker_cpi, 4)] for r in table3.compute(scale=scale)],
+          round(r.worker_cpi, 4)] for r in table3.compute(cpi_table)],
     )
 
     data = figure3.compute()
@@ -67,10 +69,9 @@ def export_all(outdir: str, scale: int = 24,
         ["benchmark", "predicate_write_rate", "prediction_accuracy"],
         [[r.name, round(r.predicate_write_rate, 4),
           "" if r.accuracy is None else round(r.accuracy, 4)]
-         for r in figure4.compute(scale=scale)],
+         for r in figure4.compute(cpi_table)],
     )
 
-    cpi_table = CpiTable(scale=scale, cache_path=cache_path)
     stacks = figure5.compute(cpi_table)
     rows = []
     for partition, variants in stacks.items():
@@ -83,7 +84,6 @@ def export_all(outdir: str, scale: int = 24,
         rows,
     )
 
-    points = sweep(cpi_table=cpi_table)
     columns = ["design", "vt", "vdd", "mhz", "ns_per_instruction",
                "pj_per_instruction", "mw", "mm2", "mw_per_mm2", "ed", "cpi"]
     _write(

@@ -5,15 +5,19 @@ sit near 50% accuracy (high-entropy data-dependent control); gcd, stream
 and mean approach perfect accuracy (long predictable loops); bst and
 udiv land in between (unpredictable branches nested inside predictable
 loops).  Average dynamic predicate-write rate is about 20%.
+
+The rates and accuracies are read from the report's
+:class:`~repro.dse.cpi.CpiTable` record of :data:`DEFAULT_CONFIG`, the
+same campaign that feeds that config's CPI, so they cost no simulation
+of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dse.cpi import CpiTable
 from repro.pipeline.config import config_by_name
-from repro.pipeline.core import PipelinedPE
-from repro.workloads.suite import WORKLOADS, run_workload
 
 DEFAULT_CONFIG = "T|D|X1|X2 +P+Q"
 
@@ -25,35 +29,27 @@ class PredictionReport:
     accuracy: float | None     # None when the worker never writes predicates
 
 
-def compute(scale: int | None = None, seed: int = 0,
+def compute(cpi_table: CpiTable,
             config_name: str = DEFAULT_CONFIG) -> list[PredictionReport]:
-    config = config_by_name(config_name)
-
-    def factory(name: str) -> PipelinedPE:
-        return PipelinedPE(config, name=name)
-
-    reports = []
-    for name in WORKLOADS():
-        run = run_workload(name, make_pe=factory, scale=scale, seed=seed)
-        counters = run.worker_counters
-        reports.append(
-            PredictionReport(
-                name=name,
-                predicate_write_rate=counters.predicate_write_rate,
-                accuracy=counters.prediction_accuracy,
-            )
+    """One row per Table 3 kernel, from the config's suite record."""
+    return [
+        PredictionReport(
+            name=kernel.workload,
+            predicate_write_rate=kernel.predicate_write_rate,
+            accuracy=kernel.accuracy,
         )
-    return reports
+        for kernel in cpi_table.kernels(config_by_name(config_name))
+    ]
 
 
-def render(scale: int | None = None, seed: int = 0) -> str:
+def render(cpi_table: CpiTable) -> str:
     lines = [
         f"Figure 4: predicate write frequency and prediction accuracy "
         f"({DEFAULT_CONFIG} worker PE)",
         "",
         f"{'benchmark':14s} {'write rate':>10s} {'accuracy':>9s}",
     ]
-    reports = compute(scale, seed)
+    reports = compute(cpi_table)
     for report in reports:
         accuracy = "n/a" if report.accuracy is None else f"{report.accuracy:8.0%}"
         lines.append(

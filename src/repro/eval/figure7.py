@@ -7,14 +7,16 @@ tradeoff, with +Q alone best at the extreme high-performance end.
 We quantify the improvement with the hypervolume-style measure natural
 to this plot: for matched delays in the balanced region, the energy of
 the feature frontier relative to the baseline frontier (and vice versa).
+
+Each feature set's frontier is taken over its configs' points in the
+report's full sweep, as Figures 6 and 8 take theirs, so no grid is
+closed twice.  The subset keeps the sweep's config-major order.
 """
 
 from __future__ import annotations
 
-from repro.dse.cpi import CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_frontier
-from repro.dse.sweep import sweep
 from repro.pipeline.config import PIPELINED_PARTITIONS, PipelineConfig, QueuePolicy
 
 FEATURE_SETS = {
@@ -48,14 +50,14 @@ def _frontier_energy_at(frontier: list[DesignPoint], delay_ns: float) -> float |
     return min(p.pj_per_instruction for p in feasible)
 
 
-def compute(cpi_table: CpiTable | None = None,
+def compute(points: list[DesignPoint],
             balanced_delays_ns: tuple[float, ...] = (2.0, 3.0, 4.0, 6.0, 8.0)) -> dict:
-    if cpi_table is None:
-        cpi_table = CpiTable()
+    """Per-feature frontiers over ``points`` and their balanced-region gains."""
     frontiers = {}
     for feature in FEATURE_SETS:
-        points = sweep(configs=_configs(feature), cpi_table=cpi_table)
-        frontiers[feature] = pareto_frontier(points)
+        names = {config.name for config in _configs(feature)}
+        frontiers[feature] = pareto_frontier(
+            [point for point in points if point.config_name in names])
 
     improvements = {}
     for feature in ("+P", "+Q", "+P+Q"):
@@ -69,8 +71,8 @@ def compute(cpi_table: CpiTable | None = None,
     return {"frontiers": frontiers, "improvements": improvements}
 
 
-def render(cpi_table: CpiTable | None = None) -> str:
-    data = compute(cpi_table)
+def render(points: list[DesignPoint]) -> str:
+    data = compute(points)
     lines = [
         "Figure 7: frontier benefit of the pipeline optimizations "
         "(balanced region)",

@@ -19,18 +19,22 @@ from repro.eval import (
 
 
 def full_report(scale: int = 24, cache_path: str | None = None) -> str:
-    """Regenerate every table and figure; heavy (minutes of simulation)."""
+    """Regenerate every table and figure from one CPI table and one sweep.
+
+    Cold, each model's suite is simulated once (minutes); on a warm
+    ``cache_path`` store nothing is simulated.
+    """
     cpi_table = CpiTable(scale=scale, cache_path=cache_path)
     points = sweep(cpi_table=cpi_table)
     sections = [
         table1.render(),
         table2.render(),
-        table3.render(scale=scale),
+        table3.render(cpi_table),
         figure3.render(),
-        figure4.render(scale=scale),
+        figure4.render(cpi_table),
         figure5.render(cpi_table),
         figure6.render(points),
-        figure7.render(cpi_table),
+        figure7.render(points),
         figure8.render(points),
         overheads.render(),
     ]

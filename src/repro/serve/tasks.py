@@ -23,8 +23,9 @@ know, so campaigns never load them.
 Registered campaign kinds mirror the in-tree campaign clients:
 
 ========================  ==================================================
-``cpi-config``            one microarchitecture's full Table 3 CPI campaign
-                          (:mod:`repro.dse.cpi`, which also feeds
+``suite-run``             one model's Table 3 suite record: a config's, or
+                          the functional PE's (:mod:`repro.dse.cpi`, which
+                          feeds Table 3, Figures 4 and 5 and
                           :func:`repro.dse.sweep.sweep`)
 ``fault-trial``           one fault-injection trial
                           (:mod:`repro.resilience.campaign`)
@@ -127,15 +128,20 @@ def _params_from(payload: dict):
     return DEFAULT_PARAMS if params is None else ArchParams(**params)
 
 
-def _run_cpi_config(payload: dict):
-    from repro.dse.cpi import _campaign
-    from repro.pipeline.config import config_by_name
+def _run_suite(payload: dict):
+    from repro.dse.cpi import _campaign, model_by_name
 
-    config = config_by_name(payload["config"])
-    cpi, stack = _campaign(
-        config, payload["scale"], payload["seed"], _params_from(payload)
+    kernels = _campaign(
+        model_by_name(payload["model"]), payload["scale"], payload["seed"],
+        _params_from(payload),
     )
-    return [config.name, cpi, stack]
+    return [dataclasses.asdict(kernel) for kernel in kernels]
+
+
+def _decode_suite(result):
+    from repro.dse.cpi import KernelRecord
+
+    return tuple(KernelRecord(**kernel) for kernel in result)
 
 
 def _run_fault_trial(payload: dict):
@@ -217,7 +223,7 @@ def _run_workload_traced(payload: dict) -> tuple:
     return result, sim_trace_data(run)
 
 
-register("cpi-config", _run_cpi_config, decode=tuple)
+register("suite-run", _run_suite, decode=_decode_suite)
 register("fault-trial", _run_fault_trial, decode=_decode_fault_trial)
 register("fuzz-case", _run_fuzz_case)
 register("workload-run", _run_workload, traced=_run_workload_traced)

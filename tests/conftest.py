@@ -28,7 +28,8 @@ def params():
 
 @pytest.fixture()
 def cpi_runs(monkeypatch) -> list[str]:
-    """Names of the configs whose CPI campaign runs from here on.
+    """Names of the models (configs or the functional PE) whose suite
+    campaign runs from here on.
 
     ``REPRO_WORKERS=1`` keeps every campaign serial and in this process,
     where the count is taken.
@@ -39,9 +40,9 @@ def cpi_runs(monkeypatch) -> list[str]:
     runs: list[str] = []
     campaign = cpi_module._campaign
 
-    def counted(config, *args):
-        runs.append(config.name)
-        return campaign(config, *args)
+    def counted(model, *args):
+        runs.append(model.name)
+        return campaign(model, *args)
 
     monkeypatch.setattr(cpi_module, "_campaign", counted)
     return runs

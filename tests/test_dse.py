@@ -1,17 +1,21 @@
 """Design-space exploration: grids, sweep feasibility, Pareto extraction."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.dse.cpi import CpiTable
+from repro.dse.cpi import FUNCTIONAL, CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import frontier_span, pareto_frontier
 from repro.dse.prune import PruneOracle
 from repro.dse.sweep import close_grid, frequency_grid, sweep, voltage_grid
-from repro.pipeline.config import config_by_name
-from repro.vlsi.synthesis import synthesize
-from repro.vlsi.technology import VtFlavor
+from repro.errors import CampaignError, SynthesisError
+from repro.params import DEFAULT_PARAMS
+from repro.pipeline.config import all_configs, config_by_name
+from repro.serve.store import ResultStore, task_fingerprint
+from repro.vlsi.synthesis import fmax, synthesize
+from repro.vlsi.technology import TECH65, VtFlavor
 
 
 class TestGrids:
@@ -122,6 +126,33 @@ def _point_key(point):
             round(point.frequency_hz), point.cpi)
 
 
+def _close_grid_by_exception(config, include_fmax_points):
+    """Oracle: the grid as closed before feasibility was decided per
+    corner, by asking for every target and dropping each refusal."""
+    results = []
+    for vt in VtFlavor:
+        for vdd in voltage_grid(vt):
+            targets = list(frequency_grid(vt, vdd))
+            if include_fmax_points:
+                targets.append(fmax(config, vdd, vt, TECH65))
+            for f_target in targets:
+                try:
+                    results.append(synthesize(config, vdd, vt, f_target, TECH65))
+                except SynthesisError:
+                    continue
+    return results
+
+
+class TestCloseGrid:
+    @pytest.mark.parametrize("include_fmax_points", [True, False])
+    def test_every_grid_equals_the_exception_oracle(self, include_fmax_points):
+        configs = all_configs(include_padded=True)
+        assert len(configs) == 48
+        for config in configs:
+            assert close_grid(config, include_fmax_points=include_fmax_points) \
+                == _close_grid_by_exception(config, include_fmax_points), config.name
+
+
 class TestPruning:
     """Soundness of sweep(prune=...) on a small exhaustive sweep: no
     Pareto-frontier member may ever be dropped, and pruning must carry
@@ -160,7 +191,7 @@ class TestPruning:
         oracle = PruneOracle({fast.name: 1.0, slow.name: 1000.0}, batch=1)
         points = sweep(configs=[fast, slow], cpi_table=table, prune=oracle)
         assert oracle.stats.configs_pruned == 1
-        assert slow.name not in table._cpi       # no simulation spent
+        assert slow.name not in table._records   # no simulation spent
         assert {p.config_name for p in points} == {fast.name}
 
     def test_unknown_config_defaults_to_universal_floor(self):
@@ -217,10 +248,44 @@ class TestCpiTable:
         assert (tmp_path / "cpi.json.corrupt").read_text() == content
         fresh = CpiTable(scale=4)
         fresh.populate(configs)
-        assert table._cpi == fresh._cpi
-        assert table._stacks == fresh._stacks
+        assert table._records == fresh._records
 
     def test_stack_components_sum_to_cpi(self, cpi_table):
         config = config_by_name("T|D|X +P")
         stack = cpi_table.stack(config)
         assert sum(stack.values()) == pytest.approx(cpi_table.cpi(config), rel=1e-9)
+
+    def test_cpi_config_row_is_never_read(self, cpi_runs, tmp_path):
+        """A store holding a per-config ``cpi-config`` row, the shape an
+        older table wrote, for the same inputs is not decoded: the table
+        simulates the config again."""
+        cache = str(tmp_path / "cpi.sqlite")
+        config = config_by_name("TDX")
+        payload = {"config": config.name, "scale": 4, "seed": 0,
+                   "params": dataclasses.asdict(DEFAULT_PARAMS)}
+        with ResultStore(cache) as store:
+            store.put(task_fingerprint("cpi-config", payload), "cpi-config",
+                      payload, [config.name, 9.0, {"retired": 9.0}])
+        table = CpiTable(scale=4, cache_path=cache)
+        assert table.cpi(config) != 9.0
+        assert cpi_runs == [config.name]
+
+    def test_failed_golden_check_stores_no_record(self, cpi_runs, monkeypatch,
+                                                  tmp_path):
+        """A kernel whose golden check raises fails the model's task, and
+        the store keeps no row for the model: Table 3 never prints a
+        record whose checks did not all pass."""
+        from repro.workloads.udiv import UdivWorkload
+
+        def broken(self, system, scale, seed):
+            raise AssertionError("golden mismatch")
+
+        monkeypatch.setattr(UdivWorkload, "check", broken)
+        cache = str(tmp_path / "cpi.sqlite")
+        table = CpiTable(scale=4, cache_path=cache)
+        with pytest.raises(CampaignError, match="golden mismatch"):
+            table.populate([FUNCTIONAL])
+        assert cpi_runs == [FUNCTIONAL.name]
+        assert FUNCTIONAL.name not in table._records
+        with ResultStore(cache) as store:
+            assert len(store) == 0

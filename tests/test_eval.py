@@ -1,9 +1,10 @@
 """The per-exhibit reproduction harness: shape claims of every figure."""
 
-import math
-
 import pytest
 
+from repro.dse.cpi import CpiTable
+from repro.dse.pareto import pareto_frontier
+from repro.dse.sweep import sweep
 from repro.eval import (
     figure3,
     figure4,
@@ -14,6 +15,10 @@ from repro.eval import (
     table2,
     table3,
 )
+from repro.eval.report import full_report
+from repro.pipeline.config import config_by_name
+from repro.pipeline.core import PipelinedPE
+from repro.workloads.suite import run_workload
 
 
 class TestTables:
@@ -34,10 +39,17 @@ class TestTables:
         assert "106" in text and "128" in text
 
     def test_table3_all_validate(self):
-        reports = table3.compute(scale=8)
+        reports = table3.compute(CpiTable(scale=8))
         assert len(reports) == 10
         assert all(r.validated for r in reports)
         assert all(r.worker_cpi >= 1.0 for r in reports)
+
+    def test_table3_rows_equal_direct_functional_runs(self):
+        for report in table3.compute(CpiTable(scale=8)):
+            run = run_workload(report.name, scale=8)
+            assert report.cycles == run.cycles, report.name
+            assert report.worker_retired == run.worker_counters.retired
+            assert report.worker_cpi == run.worker_counters.cpi
 
 
 class TestFigure3:
@@ -62,7 +74,18 @@ class TestFigure3:
 class TestFigure4:
     @pytest.fixture(scope="class")
     def reports(self):
-        return {r.name: r for r in figure4.compute(scale=48)}
+        return {r.name: r for r in figure4.compute(CpiTable(scale=48))}
+
+    def test_rows_equal_direct_runs(self):
+        config = config_by_name(figure4.DEFAULT_CONFIG)
+        for report in figure4.compute(CpiTable(scale=8)):
+            run = run_workload(
+                report.name, scale=8,
+                make_pe=lambda name: PipelinedPE(config, name=name))
+            counters = run.worker_counters
+            assert report.predicate_write_rate == \
+                counters.predicate_write_rate, report.name
+            assert report.accuracy == counters.prediction_accuracy
 
     def test_dot_product_writes_no_predicates(self, reports):
         assert reports["dot_product"].predicate_write_rate == 0
@@ -138,15 +161,41 @@ class TestFigure5:
         assert "T|D|X1|X2 +P+Q" in text
 
 
+def _figure7_by_four_sweeps(cpi_table, balanced_delays_ns=(2.0, 3.0, 4.0, 6.0, 8.0)):
+    """Oracle: Figure 7 as computed before it took the report's points,
+    with one sweep of its own per feature set."""
+    frontiers = {}
+    for feature in figure7.FEATURE_SETS:
+        points = sweep(configs=figure7._configs(feature), cpi_table=cpi_table)
+        frontiers[feature] = pareto_frontier(points)
+    improvements = {}
+    for feature in ("+P", "+Q", "+P+Q"):
+        ratios = []
+        for delay in balanced_delays_ns:
+            base = figure7._frontier_energy_at(frontiers["none"], delay)
+            opt = figure7._frontier_energy_at(frontiers[feature], delay)
+            if base is not None and opt is not None:
+                ratios.append(1.0 - opt / base)
+        improvements[feature] = sum(ratios) / len(ratios) if ratios else None
+    return {"frontiers": frontiers, "improvements": improvements}
+
+
 class TestFigure7:
-    def test_combined_features_improve_balanced_frontier(self, cpi_table):
-        data = figure7.compute(cpi_table)
+    @pytest.fixture(scope="class")
+    def points(self, cpi_table):
+        return sweep(cpi_table=cpi_table)
+
+    def test_combined_features_improve_balanced_frontier(self, points):
+        data = figure7.compute(points)
         improvement = data["improvements"]["+P+Q"]
         assert improvement is not None and improvement > 0.05
 
-    def test_each_feature_frontier_exists(self, cpi_table):
-        data = figure7.compute(cpi_table)
+    def test_each_feature_frontier_exists(self, points):
+        data = figure7.compute(points)
         assert set(data["frontiers"]) == {"none", "+P", "+Q", "+P+Q"}
+
+    def test_equals_one_sweep_per_feature_set(self, cpi_table, points):
+        assert figure7.compute(points) == _figure7_by_four_sweeps(cpi_table)
 
 
 class TestOverheads:
@@ -165,3 +214,29 @@ class TestOverheads:
     def test_render(self):
         text = overheads.render()
         assert "pipeline register" in text
+
+
+class TestWarmRerun:
+    def test_second_report_simulates_nothing(self, monkeypatch, tmp_path):
+        """A report on a store the first report filled runs no workload
+        and no fabric, and returns the identical text."""
+        from repro.fabric.system import System
+        from repro.workloads.base import Workload
+
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        calls = []
+        for owner in (Workload, System):
+            original = owner.run
+
+            def counted(*args, _original=original, _owner=owner, **kwargs):
+                calls.append(_owner.__name__)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, "run", counted)
+        cache = str(tmp_path / "cpi.sqlite")
+        cold = full_report(scale=4, cache_path=cache)
+        assert {"Workload", "System"} <= set(calls)
+        calls.clear()
+        warm = full_report(scale=4, cache_path=cache)
+        assert calls == []
+        assert warm == cold

@@ -5,7 +5,7 @@ import csv
 from repro.eval.export import export_all
 
 
-def test_export_writes_every_exhibit(tmp_path, cpi_table):
+def test_export_writes_every_exhibit(tmp_path, cpi_table, cpi_runs):
     written = export_all(
         str(tmp_path), scale=cpi_table.scale, cache_path=cpi_table.cache_path
     )
@@ -28,3 +28,10 @@ def test_export_writes_every_exhibit(tmp_path, cpi_table):
     with open(tmp_path / "table2.csv", newline="") as handle:
         fields = {row[0]: int(row[1]) for row in list(csv.reader(handle))[1:]}
     assert sum(fields.values()) == 106
+
+    # Table 3 and Figure 4 come from the store's suite records: a
+    # second export on the same store simulates nothing.
+    cpi_runs.clear()
+    export_all(str(tmp_path / "again"), scale=cpi_table.scale,
+               cache_path=cpi_table.cache_path)
+    assert cpi_runs == []

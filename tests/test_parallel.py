@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.dse.cpi import CpiTable
+from repro.dse.cpi import FUNCTIONAL, CpiTable
 from repro.errors import CampaignError, WorkerTraceback
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline.config import all_configs
@@ -76,23 +76,27 @@ class TestCpiTableParallelism:
         pooled = CpiTable(scale=self.SCALE)
         with CampaignService(None, workers=2) as service:
             pooled.populate(self.CONFIGS, service=InProcessClient(service))
-        assert pooled._cpi == lazy._cpi
-        assert pooled._stacks == lazy._stacks
+        assert pooled._records == lazy._records
+        for config in self.CONFIGS:
+            assert pooled.cpi(config) == lazy.cpi(config)
+            assert pooled.stack(config) == lazy.stack(config)
 
     def test_fingerprint_covers_scale_params_and_configs(self):
-        def fingerprint(config="TDX", scale=8, seed=0, params=P):
-            return task_fingerprint("cpi-config", {
-                "config": config, "scale": scale, "seed": seed,
+        def fingerprint(model="TDX", scale=8, seed=0, params=P):
+            return task_fingerprint("suite-run", {
+                "model": model, "scale": scale, "seed": seed,
                 "params": dataclasses.asdict(params),
             })
 
-        base = fingerprint()
-        assert fingerprint(scale=9) != base
-        assert fingerprint(seed=1) != base
         wider = dataclasses.replace(P, num_regs=P.num_regs + 1)
-        assert fingerprint(params=wider) != base
-        assert fingerprint(config="TD|X") != base
-        assert fingerprint() == base
+        for model in ("TDX", FUNCTIONAL.name):
+            base = fingerprint(model)
+            assert fingerprint(model, scale=9) != base
+            assert fingerprint(model, seed=1) != base
+            assert fingerprint(model, params=wider) != base
+            assert fingerprint(model) == base
+        assert fingerprint("TD|X") != fingerprint("TDX")
+        assert fingerprint(FUNCTIONAL.name) != fingerprint("TDX")
 
     def test_stale_disk_cache_is_not_loaded(self, cpi_runs, tmp_path):
         path = str(tmp_path / "cache.sqlite")

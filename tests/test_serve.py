@@ -635,10 +635,12 @@ class TestImportFootprint:
 
 def test_registered_kinds_cover_the_campaign_clients():
     kinds = registered_kinds()
-    for expected in ("cpi-config", "fault-trial", "fuzz-case",
+    for expected in ("suite-run", "fault-trial", "fuzz-case",
                      "workload-run", "chaos-echo", "chaos-crash-once",
                      "chaos-hang-once", "chaos-always-crash", "chaos-fail"):
         assert expected in kinds
+    # Rows of the retired per-config shape are never decoded.
+    assert "cpi-config" not in kinds
 
 
 # ----------------------------------------------------------------------
