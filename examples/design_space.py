@@ -44,6 +44,12 @@ def main() -> None:
     table = CpiTable(scale=24, cache_path=".dse_cpi_cache.sqlite")
     points = sweep(configs=configs, cpi_table=table)
     frontier = pareto_frontier(points)
+    assert frontier, "no design point closed"
+    assert not any(
+        q.ns_per_instruction <= p.ns_per_instruction
+        and q.pj_per_instruction < p.pj_per_instruction
+        for p in frontier for q in points
+    ), "a design point dominates the frontier"
     span = frontier_span(frontier)
 
     print(f"\nclosed {len(points)} design points; "

@@ -56,6 +56,7 @@ def main() -> None:
     functional = FunctionalPE(name="functional")
     program.configure(functional)
     total = run_on(functional, values)
+    assert total == sum(values), total
     print(f"\nfunctional model: sum(1..10) = {total}")
     print(f"  cycles={functional.counters.cycles} "
           f"retired={functional.counters.retired} "
@@ -68,6 +69,7 @@ def main() -> None:
         pe = PipelinedPE(config_by_name(name), name=name)
         program.configure(pe)
         total = run_on(pe, values)
+        assert total == sum(values), (name, total)
         counters = pe.counters
         print(f"\n{name}: sum = {total}")
         print(f"  cycles={counters.cycles} CPI={counters.cpi:.2f} "

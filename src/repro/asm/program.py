@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import is_
 
 from repro.arch.trigger_cache import Lowering, lower_program
@@ -30,6 +30,12 @@ class Program:
     once per :class:`~repro.params.ArchParams` it is configured under,
     not once per PE; replacing ``instructions`` or any element of it
     makes the next :meth:`configure` lower again.
+
+    Each workload program builder
+    (:func:`~repro.workloads.builder.cached_program`) builds its program
+    once per process and hands every caller a :meth:`copy`: the same
+    instruction objects, source and lowerings under an instruction list
+    of the caller's own.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -55,6 +61,17 @@ class Program:
     def binary(self, params: ArchParams) -> bytes:
         """Encode to the padded binary format (``program.bin``)."""
         return encode_program(self.instructions, params)
+
+    def copy(self) -> Program:
+        """This program with an instruction list of its own.
+
+        The copy shares the instruction objects, source text and
+        lowerings, so configuring it lowers nothing; replacing one of
+        its instructions leaves this program alone.
+        """
+        twin = replace(self, instructions=list(self.instructions))
+        twin._lowerings.update(self._lowerings)
+        return twin
 
     def __getstate__(self) -> dict:
         # Lowerings hold the ALU's semantics callables, which do not

@@ -26,12 +26,17 @@ from repro.errors import SimMemoryError
 
 
 class Memory:
-    """Word-addressed system memory."""
+    """Word-addressed system memory of ``size_words`` words.
+
+    Words are stored sparsely, so a fabric pays only for the words its
+    workload touches; a word never written reads 0.
+    """
 
     def __init__(self, size_words: int, word_mask: int = 0xFFFFFFFF) -> None:
         if size_words <= 0:
             raise SimMemoryError(f"memory size must be positive, got {size_words}")
-        self._words = [0] * size_words
+        self._size = size_words
+        self._words: dict[int, int] = {}
         self._word_mask = word_mask
         self.loads = 0
         self.stores = 0
@@ -39,7 +44,7 @@ class Memory:
     def load(self, address: int) -> int:
         self._check(address)
         self.loads += 1
-        return self._words[address]
+        return self._words.get(address, 0)
 
     def store(self, address: int, value: int) -> None:
         self._check(address)
@@ -48,27 +53,29 @@ class Memory:
 
     def preload(self, values: list[int], base: int = 0) -> None:
         """Host-side bulk initialization (data buffers for a benchmark)."""
-        if base < 0 or base + len(values) > len(self._words):
+        if base < 0 or base + len(values) > self._size:
             raise SimMemoryError(
                 f"preload of {len(values)} words at {base} exceeds memory size"
             )
-        for offset, value in enumerate(values):
-            self._words[base + offset] = value & self._word_mask
+        mask = self._word_mask
+        self._words.update(
+            (base + offset, value & mask) for offset, value in enumerate(values))
 
     def dump(self, base: int, count: int) -> list[int]:
         self._check(base)
-        if count < 0 or base + count > len(self._words):
+        if count < 0 or base + count > self._size:
             raise SimMemoryError(f"dump of {count} words at {base} exceeds memory size")
-        return self._words[base:base + count]
+        word = self._words.get
+        return [word(address, 0) for address in range(base, base + count)]
 
     def _check(self, address: int) -> None:
-        if not 0 <= address < len(self._words):
+        if not 0 <= address < self._size:
             raise SimMemoryError(
-                f"memory address {address} out of range 0..{len(self._words) - 1}"
+                f"memory address {address} out of range 0..{self._size - 1}"
             )
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self._size
 
 
 @dataclass

@@ -128,26 +128,6 @@ class PipelineConfig:
         return replace(self, **kwargs)
 
 
-def config_by_name(name: str) -> PipelineConfig:
-    """Parse a paper-style name like ``"T|DX1|X2 +P+Q"``."""
-    parts = name.split()
-    partition = parts[0]
-    flags = parts[1] if len(parts) > 1 else ""
-    for stages in ALL_PARTITIONS:
-        if partition_name(stages) == partition:
-            policy = QueuePolicy.CONSERVATIVE
-            if "+Q" in flags:
-                policy = QueuePolicy.EFFECTIVE
-            elif "+pad" in flags:
-                policy = QueuePolicy.PADDED
-            return PipelineConfig(
-                stages=stages,
-                predicate_prediction="+P" in flags,
-                queue_policy=policy,
-            )
-    raise ConfigError(f"unknown pipeline partition {partition!r}")
-
-
 def all_configs(include_padded: bool = False) -> list[PipelineConfig]:
     """The paper's design matrix: 8 partitions x {base, +P, +Q, +P+Q}.
 
@@ -173,3 +153,18 @@ def all_configs(include_padded: bool = False) -> list[PipelineConfig]:
 
 SINGLE_CYCLE = PipelineConfig(stages=ALL_PARTITIONS[0])
 """The TDX baseline of Section 4."""
+
+
+_BY_NAME = {config.name: config for config in all_configs(include_padded=True)}
+
+
+def config_by_name(name: str) -> PipelineConfig:
+    """The config named like ``"T|DX1|X2 +P+Q"``.
+
+    The name must be a config's :attr:`~PipelineConfig.name`, up to
+    whitespace; anything else raises :class:`ConfigError`.
+    """
+    config = _BY_NAME.get(" ".join(name.split()))
+    if config is None:
+        raise ConfigError(f"unknown pipeline config name {name!r}")
+    return config

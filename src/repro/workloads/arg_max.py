@@ -9,7 +9,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 from repro.workloads.common import memory_streamer
 
 _ARRAY_BASE = 0
@@ -20,6 +20,7 @@ def _inputs(scale: int, seed: int) -> list[int]:
     return [rng.randrange(1, 1 << 30) for _ in range(max(2, scale))]
 
 
+@cached_program
 def arg_max_program(params, result_addr: int):
     """Track the running maximum and its index; store the index at EOS.
 

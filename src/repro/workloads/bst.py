@@ -25,7 +25,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 
 _NULL = -1  # encodes as 0xFFFFFFFF
 
@@ -79,6 +79,7 @@ def _inputs(scale: int, seed: int) -> tuple[list[int], list[int]]:
     return values, keys
 
 
+@cached_program
 def bst_program(params, num_keys: int, root_addr: int):
     """The 16-instruction traversal worker (fills the PE exactly)."""
     b = ProgramBuilder(params, start_state="key_cmp")

@@ -19,16 +19,63 @@ Example::
 Instruction priority is insertion order, exactly as in raw assembly.
 Stateless instructions (``state=None``) match any state and are the
 idiom for tag-directed forwarding that may fire in every state.
+
+A workload's PE programs depend only on the builder's arguments (the
+kernel's scale and the :class:`~repro.params.ArchParams`), never on the
+pipeline config or the data seed, so every workload program builder is
+wrapped in :func:`cached_program` and each distinct program is built
+once per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+from dataclasses import dataclass
 
 from repro.errors import AssemblerError
 from repro.params import ArchParams, DEFAULT_PARAMS
 
 _PRED_DST = __import__("re").compile(r"%p(\d+)\b")
+
+#: Most built programs the process keeps; the least recently used goes
+#: first.  A scale-24 report uses 18 distinct programs.
+PROGRAM_CACHE_SIZE = 128
+
+
+def cached_program(build):
+    """Wrap a program builder so each distinct call builds only once.
+
+    ``build`` returns a :class:`~repro.asm.program.Program` and takes
+    the :class:`~repro.params.ArchParams` as its ``params`` argument.
+    Calls are keyed on the builder and the arguments as passed.  The
+    first call of a key emits, assembles and lowers the program for
+    ``params``; every call returns a
+    :meth:`~repro.asm.program.Program.copy` of that build, so callers
+    share its instructions, source and lowering but may replace
+    instructions of their own.  One cache of :data:`PROGRAM_CACHE_SIZE`
+    programs serves every builder in the process.
+    """
+
+    @functools.wraps(build)
+    def cached(*args, **kwargs):
+        return _built(build, *args, **kwargs).copy()
+
+    return cached
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE, typed=True)
+def _built(build, *args, **kwargs):
+    program = build(*args, **kwargs)
+    call = inspect.signature(build).bind(*args, **kwargs)
+    call.apply_defaults()
+    program.lowered(call.arguments["params"])
+    return program
+
+
+def clear_program_cache() -> None:
+    """Forget every built program."""
+    _built.cache_clear()
 
 
 @dataclass

@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.asm.program import Program
 from repro.errors import ConfigError
 from repro.params import ArchParams, DEFAULT_PARAMS
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 
 TAG_DATA = 0
 TAG_EOS = 1
@@ -38,6 +38,7 @@ def _check_style(eos: str) -> None:
         raise ConfigError(f"eos style {eos!r} not one of {_EOS_STYLES}")
 
 
+@cached_program
 def memory_streamer(
     base: int,
     count: int,
@@ -103,6 +104,7 @@ def memory_streamer(
     return b.program(name=f"streamer[{base}:{base + count}]")
 
 
+@cached_program
 def counter_producer(
     start: int,
     count: int,

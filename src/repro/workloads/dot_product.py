@@ -14,7 +14,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 from repro.workloads.common import memory_streamer
 
 _WORD = 0xFFFFFFFF
@@ -29,6 +29,7 @@ def _inputs(scale: int, seed: int) -> tuple[list[int], list[int]]:
     )
 
 
+@cached_program
 def mac_program(params, result_addr: int):
     """Multiply-accumulate pairs; finish when both heads carry EOS tags.
 

@@ -15,7 +15,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 from repro.workloads.common import memory_streamer
 
 _THRESHOLD = 1 << 29   # about half of a 30-bit uniform range
@@ -29,6 +29,7 @@ def _inputs(scale: int, seed: int) -> tuple[list[int], list[int]]:
     return control, payload
 
 
+@cached_program
 def threshold_program(params, threshold: int):
     """Map each incoming word to 1 (above threshold) or 0, preserve EOS."""
     b = ProgramBuilder(params, start_state=None)
@@ -40,6 +41,7 @@ def threshold_program(params, threshold: int):
     return b.program(name="filter_threshold")
 
 
+@cached_program
 def filter_worker_program(params, out_base: int, count_addr: int):
     """Save payload words whose control boolean is 1; store the count last."""
     b = ProgramBuilder(params, start_state="sel")

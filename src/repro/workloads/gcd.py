@@ -9,7 +9,7 @@ import math
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 
 _A_ADDR = 0
 _B_ADDR = 1
@@ -23,6 +23,7 @@ def _inputs(scale: int, seed: int) -> tuple[int, int]:
     return base + 1 + seed % 7, base + seed % 7
 
 
+@cached_program
 def gcd_program(params):
     """The worker program: load a and b, subtract until equal, store."""
     b = ProgramBuilder(params, start_state="req_a")

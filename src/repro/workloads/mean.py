@@ -13,7 +13,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 
 _ARRAY_BASE = 0
 
@@ -30,6 +30,7 @@ def _inputs(scale: int, seed: int) -> list[int]:
     return [rng.randrange(0, 1 << 16) for _ in range(_pow2_count(scale))]
 
 
+@cached_program
 def mean_program(params, count: int):
     """Serial load-accumulate loop, then a shift for the average."""
     log2 = count.bit_length() - 1

@@ -15,7 +15,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 from repro.workloads.common import memory_streamer
 
 
@@ -28,6 +28,7 @@ def _inputs(scale: int, seed: int) -> tuple[list[int], list[int]]:
     )
 
 
+@cached_program
 def merge_program(params, out_base: int):
     """Classic two-way merge over %i0 and %i3 (the paper's own queues).
 

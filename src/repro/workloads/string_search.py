@@ -17,7 +17,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 from repro.workloads.common import memory_streamer
 
 _PATTERN = "MICRO"
@@ -61,6 +61,7 @@ def _golden(text: bytes) -> list[int]:
     return marks
 
 
+@cached_program
 def splitter_program(params):
     """Break each 32-bit word into four bytes, LSB first; forward EOS."""
     b = ProgramBuilder(params, start_state="w0")
@@ -79,6 +80,7 @@ def splitter_program(params):
     return b.program(name="splitter")
 
 
+@cached_program
 def dfa_program(params, out_base: int, pattern_len: int):
     """Scratchpad-driven DFA over the byte stream; one output per byte."""
     m_char = ord(_PATTERN[0])

@@ -21,7 +21,7 @@ import random
 from repro.errors import SimulationError
 from repro.fabric.system import System
 from repro.workloads.base import PEFactory, Workload
-from repro.workloads.builder import ProgramBuilder
+from repro.workloads.builder import ProgramBuilder, cached_program
 
 
 def _inputs(scale: int, seed: int) -> list[tuple[int, int]]:
@@ -34,6 +34,7 @@ def _inputs(scale: int, seed: int) -> list[tuple[int, int]]:
     return pairs
 
 
+@cached_program
 def divider_program(params, word_width: int = 32):
     """Restoring division; quotient accumulates in the numerator register."""
     b = ProgramBuilder(params, start_state="geta")
@@ -66,6 +67,7 @@ def divider_program(params, word_width: int = 32):
     return b.program(name="udiv")
 
 
+@cached_program
 def feeder_program(params, pair_count: int, out_base: int):
     """Stream 2*pair_count words (pairs) and one store address per pair.
 

@@ -1,5 +1,6 @@
 """Shared fixtures: a session-scoped CPI table so the expensive cycle
-simulation campaign runs at most once per test session."""
+simulation campaign runs at most once per test session, and an empty
+workload program cache for every test."""
 
 from __future__ import annotations
 
@@ -8,11 +9,18 @@ from hypothesis import settings
 
 from repro.dse.cpi import CpiTable
 from repro.params import DEFAULT_PARAMS
+from repro.workloads.builder import clear_program_cache
 
 # Deterministic property tests for release CI; run with
 # ``--hypothesis-profile=default`` locally to explore fresh examples.
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def _empty_program_cache():
+    """No test sees the workload programs another test built."""
+    clear_program_cache()
 
 
 @pytest.fixture(scope="session")

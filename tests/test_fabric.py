@@ -39,6 +39,57 @@ class TestMemory:
         mem.store(0, 1 << 33)
         assert mem.load(0) == 0
 
+    def test_unwritten_words_read_zero(self):
+        mem = Memory(1 << 16)
+        assert len(mem) == 1 << 16
+        assert mem.load(0) == 0 and mem.load((1 << 16) - 1) == 0
+        assert mem.loads == 2 and mem.stores == 0
+
+    def test_store_overwrites_and_masks(self):
+        mem = Memory(8, word_mask=0xFF)
+        mem.store(3, 0x1234)
+        mem.store(3, 0x1FF)
+        assert mem.load(3) == 0xFF
+        assert mem.stores == 2 and mem.loads == 1
+
+    def test_preload_masks_and_counts_no_access(self):
+        mem = Memory(16, word_mask=0xFF)
+        mem.preload([0x101, 2, 0x3FF], base=13)
+        assert mem.dump(12, 4) == [0, 1, 2, 0xFF]
+        assert mem.loads == 0 and mem.stores == 0
+
+    def test_dump_is_a_list_of_every_word(self):
+        mem = Memory(16)
+        mem.store(5, 7)
+        words = mem.dump(4, 3)
+        assert type(words) is list and words == [0, 7, 0]
+        assert mem.dump(16 - 1, 1) == [0]
+        assert mem.dump(0, 0) == []
+        words[1] = 99
+        assert mem.load(5) == 7
+
+    def test_out_of_range_errors(self):
+        mem = Memory(16)
+        for address in (-1, 16):
+            with pytest.raises(SimMemoryError, match="out of range 0..15"):
+                mem.load(address)
+            with pytest.raises(SimMemoryError, match="out of range"):
+                mem.store(address, 0)
+            with pytest.raises(SimMemoryError, match="out of range"):
+                mem.dump(address, 0)
+        with pytest.raises(SimMemoryError, match="exceeds memory size"):
+            mem.preload([1, 2], base=15)
+        with pytest.raises(SimMemoryError, match="exceeds memory size"):
+            mem.preload([1], base=-1)
+        with pytest.raises(SimMemoryError, match="exceeds memory size"):
+            mem.dump(10, 7)
+        with pytest.raises(SimMemoryError, match="exceeds memory size"):
+            mem.dump(0, -1)
+        with pytest.raises(SimMemoryError, match="must be positive"):
+            Memory(0)
+        assert mem.loads == 0 and mem.stores == 0
+        assert mem.dump(0, 16) == [0] * 16
+
 
 class TestReadPort:
     def _wire(self, latency=4):

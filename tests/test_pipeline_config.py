@@ -72,6 +72,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_by_name("T|D|X3")
 
+    @pytest.mark.parametrize(
+        "name", ["TDX +q", "TDX junk", "T|DX +PQ", "TDX +P+Q+pad"])
+    def test_malformed_name_is_refused(self, name):
+        with pytest.raises(ConfigError, match="unknown pipeline config"):
+            config_by_name(name)
+
+    def test_every_name_round_trips(self):
+        configs = all_configs(include_padded=True)
+        assert len(configs) == 48
+        for config in configs:
+            assert config_by_name(config.name) == config
+            spaced = " " + config.name.replace(" ", "  ") + "\t"
+            assert config_by_name(spaced) == config
+
     def test_rejects_out_of_order_phases(self):
         with pytest.raises(ConfigError):
             PipelineConfig(stages=(("D",), ("T", "X")))

@@ -235,7 +235,7 @@ def _workload_fingerprint(run):
         "counters": counters,
         "stack": counters.stack(),
         "pes": tuple(pes),
-        "memory": tuple(run.system.memory._words),
+        "memory": dict(run.system.memory._words),
         "memory_stores": run.system.memory.stores,
     }
 
