@@ -138,7 +138,6 @@ class CompiledDatapath:
         "late_result",
         "is_halt",
         "operand_plan",
-        "reg_srcs",
         "deq",
         "dst_kind",
         "dst_index",
@@ -170,7 +169,6 @@ class CompiledDatapath:
         while len(plan) < 2:
             plan.append((LIT, 0))
         self.operand_plan = tuple(plan)
-        self.reg_srcs = tuple(index for code, index in plan if code == REG)
         self.deq = dp.deq
         dst = dp.dst
         self.dst_kind = dst.kind.value

@@ -120,22 +120,3 @@ class PEArray:
         return self.system.add_read_port(
             self.pe(row, col), request_out=int(direction), response_in=int(direction)
         )
-
-    def attach_write_port(
-        self,
-        addr_row: int, addr_col: int, addr_direction: Direction,
-        data_row: int, data_col: int, data_direction: Direction,
-    ):
-        """Attach a store endpoint fed by edge queues (possibly two PEs)."""
-        for row, col, direction in (
-            (addr_row, addr_col, addr_direction),
-            (data_row, data_col, data_direction),
-        ):
-            if not self.is_edge_direction(row, col, direction):
-                raise ConfigError(
-                    f"({row}, {col}) {direction.name} faces a neighbor, not the edge"
-                )
-        return self.system.add_write_port(
-            self.pe(addr_row, addr_col), int(addr_direction),
-            self.pe(data_row, data_col), int(data_direction),
-        )

@@ -92,13 +92,19 @@ def _sext16(a, b, p, mask, w, spad):
     return AluResult(value=(v | (mask ^ 0xFFFF)) & mask if v & 0x8000 else v)
 
 
+# Results of the operations that yield a flag, nothing, or a halt.
+# ``AluResult`` is immutable, so each execution returns one of these
+# rather than constructing its own.
+_FLAG = (AluResult(value=0), AluResult(value=1))
+_HALT = AluResult(halt=True)
+
 # Dispatch table: one callable per mnemonic with the uniform signature
 # (a, b, params, mask, w, scratchpad) -> AluResult.  Table lookup
 # replaced a linear mnemonic-comparison chain whose worst case walked
 # ~40 string compares per executed instruction.
 _SEMANTICS = {
-    "nop": lambda a, b, p, mask, w, s: AluResult(),
-    "halt": lambda a, b, p, mask, w, s: AluResult(halt=True),
+    "nop": lambda a, b, p, mask, w, s: _FLAG[0],
+    "halt": lambda a, b, p, mask, w, s: _HALT,
     "mov": lambda a, b, p, mask, w, s: AluResult(value=a),
     "add": lambda a, b, p, mask, w, s: AluResult(value=(a + b) & mask),
     "sub": lambda a, b, p, mask, w, s: AluResult(value=(a - b) & mask),
@@ -125,24 +131,20 @@ _SEMANTICS = {
     "brev": lambda a, b, p, mask, w, s: AluResult(value=_brev(a, w)),
     "sext8": _sext8,
     "sext16": _sext16,
-    "eq": lambda a, b, p, mask, w, s: AluResult(value=int(a == b)),
-    "ne": lambda a, b, p, mask, w, s: AluResult(value=int(a != b)),
-    "slt": lambda a, b, p, mask, w, s: AluResult(
-        value=int(to_signed(a, p) < to_signed(b, p))),
-    "sle": lambda a, b, p, mask, w, s: AluResult(
-        value=int(to_signed(a, p) <= to_signed(b, p))),
-    "sgt": lambda a, b, p, mask, w, s: AluResult(
-        value=int(to_signed(a, p) > to_signed(b, p))),
-    "sge": lambda a, b, p, mask, w, s: AluResult(
-        value=int(to_signed(a, p) >= to_signed(b, p))),
-    "ult": lambda a, b, p, mask, w, s: AluResult(value=int(a < b)),
-    "ule": lambda a, b, p, mask, w, s: AluResult(value=int(a <= b)),
-    "ugt": lambda a, b, p, mask, w, s: AluResult(value=int(a > b)),
-    "uge": lambda a, b, p, mask, w, s: AluResult(value=int(a >= b)),
-    "eqz": lambda a, b, p, mask, w, s: AluResult(value=int(a == 0)),
-    "nez": lambda a, b, p, mask, w, s: AluResult(value=int(a != 0)),
-    "land": lambda a, b, p, mask, w, s: AluResult(value=int(bool(a) and bool(b))),
-    "lor": lambda a, b, p, mask, w, s: AluResult(value=int(bool(a) or bool(b))),
+    "eq": lambda a, b, p, mask, w, s: _FLAG[a == b],
+    "ne": lambda a, b, p, mask, w, s: _FLAG[a != b],
+    "slt": lambda a, b, p, mask, w, s: _FLAG[to_signed(a, p) < to_signed(b, p)],
+    "sle": lambda a, b, p, mask, w, s: _FLAG[to_signed(a, p) <= to_signed(b, p)],
+    "sgt": lambda a, b, p, mask, w, s: _FLAG[to_signed(a, p) > to_signed(b, p)],
+    "sge": lambda a, b, p, mask, w, s: _FLAG[to_signed(a, p) >= to_signed(b, p)],
+    "ult": lambda a, b, p, mask, w, s: _FLAG[a < b],
+    "ule": lambda a, b, p, mask, w, s: _FLAG[a <= b],
+    "ugt": lambda a, b, p, mask, w, s: _FLAG[a > b],
+    "uge": lambda a, b, p, mask, w, s: _FLAG[a >= b],
+    "eqz": lambda a, b, p, mask, w, s: _FLAG[a == 0],
+    "nez": lambda a, b, p, mask, w, s: _FLAG[a != 0],
+    "land": lambda a, b, p, mask, w, s: _FLAG[bool(a) and bool(b)],
+    "lor": lambda a, b, p, mask, w, s: _FLAG[bool(a) or bool(b)],
     "lsw": _lsw,
     "ssw": _ssw,
 }

@@ -86,14 +86,6 @@ class Op:
     has_dst: bool = True        # produces a value to write somewhere
     effects: OpEffects = _NO_EFFECTS
 
-    @property
-    def is_multiply(self) -> bool:
-        return self.op_class is OpClass.MULTIPLY
-
-    @property
-    def is_memory(self) -> bool:
-        return self.op_class is OpClass.MEMORY
-
 
 def _build_ops() -> tuple[Op, ...]:
     table = [

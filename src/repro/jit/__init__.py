@@ -6,9 +6,11 @@ queue-policy, params) tuple:
 
 * :mod:`repro.jit.codegen` — emits the specialized module source: one
   cycle function (stage walk unrolled, trigger resolution inlined per
-  descriptor, ALU semantics baked in) behind a per-cycle ``step`` and a
-  block-mode ``run`` that the fused ``System`` loop alone enters, for
-  stretches in which only the compiled PE works.
+  descriptor, issue bookkeeping at each fire site) behind a per-cycle
+  ``step`` and a block-mode ``run`` that the fused ``System`` loop
+  alone enters, for stretches in which only the compiled PE works.  The
+  datapath is the interpreter's: generated code calls the PE's own
+  capture, compute, prediction-offer and retire methods.
 * :mod:`repro.jit.cache` — compiles a module, shares it among the live
   PEs that hold it, releases it with the last one, and keeps the JIT's
   process counters.

@@ -29,9 +29,8 @@ import weakref
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from repro.isa.alu import AluResult, alu_execute
 from repro.jit.codegen import _Codegen
-from repro.pipeline.core import PipelinedPE, _InFlight, _Speculation
+from repro.pipeline.core import PipelinedPE, _InFlight
 
 
 class JitProgram:
@@ -113,7 +112,8 @@ def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
 def _issue(pe, c, s_):
     """Issue slot ``s_``: the new pipeline entry, and the in-flight queue
     bookings the status views read (the state version moves only with
-    them).  The fire site applies the slot's predicate update itself."""
+    them).  The fire site applies the slot's predicate update and offers
+    its prediction itself."""
     m_ = pe._dp_meta[s_]
     e = pe._pipe[0] = _InFlight(pe.instructions[s_], m_, s_, pe._next_seq, 0)
     pe._next_seq += 1
@@ -131,46 +131,10 @@ def _issue(pe, c, s_):
     return e
 
 
-def _offer(pe, e, i_):
-    """Offer a prediction for predicate ``i_`` at a predicate-writing
-    issue (+P): the predictor's fast path inlined; forced inversions
-    (fault campaigns) take the full method for its flag handling."""
-    specs = pe._specs
-    if len(specs) < pe._spec_depth:
-        pr = pe.predictor
-        if pr.force_invert_next:
-            p_ = pr.predict(i_)
-        else:
-            pr.last_forced = False
-            p_ = 1 if pr.counters[i_] >= 2 else 0
-        specs.append(_Speculation(e.seq, i_, p_, pe.preds.state,
-                                  pr.last_forced))
-        if p_:
-            pe.preds.state |= 1 << i_
-        else:
-            pe.preds.state &= ~(1 << i_)
-
-
-def _fwd(pe, r_, scan):
-    """Register ``r_`` with forwarding: the youngest in-flight producer
-    among the ``scan`` stages (in-order pipe, so the first found past
-    decode), None while its result is not ready, else the register."""
-    pipe = pe._pipe
-    for j_ in scan:
-        o_ = pipe[j_]
-        if o_ is not None and o_.writes_reg and o_.meta.dst_index == r_:
-            return o_.result.value if o_.result_ready else None
-    return pe.regs._regs[r_]
-
-
 def _namespace() -> dict[str, Any]:
     """Globals injected into every generated module."""
     return {
         "_issue": _issue,
-        "_offer": _offer,
-        "_fwd": _fwd,
-        "AluResult": AluResult,
-        "_ALU_EXEC": alu_execute,
         # The *class* function — calling it with a PE positionally runs
         # one pure-interpreter cycle regardless of any instance binding.
         "_INTERP_STEP": PipelinedPE.step,

@@ -1,22 +1,24 @@
 """Per-config Python code generation for the pipelined PE.
 
-For a fixed (program, partition, ±P, queue-policy) tuple every decision
-the interpreter in :mod:`repro.pipeline.core` makes per cycle — which
-stages exist, where decode and the result stages sit, which queues each
-trigger inspects, what the ALU does, which destination a retirement
-writes — is a compile-time constant.  This module emits one Python
-module of straight-line source per such tuple.  Its cycle function
-``_cycle`` has the stage walk unrolled and the trigger resolution
-inlined per descriptor (conditions folded down to integer compares
-against baked masks and baked queue capacities), with each slot's issue
-effects inlined at its fire site.  Each slot's capture and compute
-effects are a small function reached through slot-indexed tables, and
-slots whose effects read the same share one function; retirement, once
-per instruction and generic in what it writes, calls the interpreter's
-own ``_retire``.  Two entry points share the one cycle body: ``step``
-runs a cycle, and the block-mode ``run`` loops it with the PE's own
-queue commits and stop conditions for the one caller that hands it
-whole stretches, the quiescent-sibling rule of
+For a fixed (program, partition, ±P, queue-policy) tuple every control
+decision the interpreter in :mod:`repro.pipeline.core` makes per cycle —
+which stages exist, where decode and the result stages sit, which queues
+each trigger inspects — is a compile-time constant.  This module emits
+one Python module of straight-line source per such tuple.  Its cycle
+function ``_cycle`` has the stage walk unrolled and the trigger
+resolution inlined per descriptor (conditions folded down to integer
+compares against baked masks and baked queue capacities), with each
+slot's issue bookkeeping and predicate update inlined at its fire site.
+
+The datapath is not generated.  Operand capture with forwarding, the ALU
+and the +P prediction offer are the interpreter's own
+``PipelinedPE._capture``, ``_compute`` and ``_offer``, and retirement is
+its ``_retire``, so both executors run the one datapath of
+:mod:`repro.isa.alu` and :class:`~repro.pipeline.predictor.PredicatePredictor`.
+Two entry points share the one cycle body: ``step`` runs a cycle, and
+the block-mode ``run`` loops it with the PE's own queue commits and stop
+conditions for the one caller that hands it whole stretches, the
+quiescent-sibling rule of
 :meth:`System._run_fused <repro.fabric.system.System._run_fused>`.
 
 The generated code is *bit-identical* to the interpreter: it mutates the
@@ -31,17 +33,14 @@ the interpreter exposes; ``run`` is never entered on an instrumented
 fabric.
 
 Nothing here compiles or keeps modules; see :mod:`repro.jit.cache`,
-which also holds the helpers every generated module shares (``_issue``,
-``_offer``, ``_fwd``).
+which also holds ``_issue``, the issue bookkeeping every generated
+module shares.
 """
 
 from __future__ import annotations
 
 from repro.arch.trigger_cache import (
     DST_OUT,
-    IN,
-    LIT,
-    CompiledDatapath,
     CompiledTrigger,
     Lowering,
     lower_program,
@@ -51,17 +50,9 @@ from repro.params import ArchParams
 from repro.pipeline.config import PipelineConfig, QueuePolicy
 from repro.pipeline.queue_status import TAG_VISIBILITY
 
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 """Bumped whenever generated-source semantics change; named in the
 header line of every generated module."""
-
-# Operations whose inlined form reads only operand ``a`` (operand ``b``
-# need not be masked for them; the semantics/alu_execute fallbacks mask
-# both).
-_UNARY_OPS = frozenset({
-    "nop", "halt", "mov", "not", "clz", "ctz", "popc", "sext8", "sext16",
-    "eqz", "nez",
-})
 
 
 class _Emitter:
@@ -80,98 +71,6 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _alu_lines(
-    meta: CompiledDatapath, params: ArchParams, ev: str
-) -> list[str]:
-    """Statements computing ``<ev>.result`` from masked locals ``a``/``b``.
-
-    Most operations inline to a single ``AluResult`` construction (with
-    interned ``_AR0``/``_AR1``/``_HALT`` singletons for boolean and
-    control results).  The loop-bodied and scratchpad operations call
-    the entry's shared semantics callable, and operations with no
-    defined semantics fall through to ``alu_execute`` for the canonical
-    error.
-    """
-    m = params.word_mask
-    w = params.word_width
-    w2 = 1 << w
-    sb = params.word_sign_bit
-    sa = f"(a - {w2} if a & {sb} else a)"
-    sgb = f"(b - {w2} if b & {sb} else b)"
-    mn = meta.op.mnemonic
-    table: dict[str, list[str]] = {
-        "nop": [f"{ev}.result = _AR0"],
-        "halt": [f"{ev}.result = _HALT"],
-        "mov": [f"{ev}.result = AluResult(a)"],
-        "add": [f"{ev}.result = AluResult((a + b) & {m})"],
-        "sub": [f"{ev}.result = AluResult((a - b) & {m})"],
-        "mul": [f"{ev}.result = AluResult((a * b) & {m})"],
-        "mulh": [f"{ev}.result = AluResult((({sa} * {sgb}) >> {w}) & {m})"],
-        "mulhu": [f"{ev}.result = AluResult(((a * b) >> {w}) & {m})"],
-        "and": [f"{ev}.result = AluResult(a & b)"],
-        "or": [f"{ev}.result = AluResult(a | b)"],
-        "xor": [f"{ev}.result = AluResult(a ^ b)"],
-        "nor": [f"{ev}.result = AluResult(~(a | b) & {m})"],
-        "nand": [f"{ev}.result = AluResult(~(a & b) & {m})"],
-        "xnor": [f"{ev}.result = AluResult(~(a ^ b) & {m})"],
-        "not": [f"{ev}.result = AluResult(~a & {m})"],
-        "shl": [f"{ev}.result = AluResult((a << (b % {w})) & {m})"],
-        "shr": [f"{ev}.result = AluResult((a >> (b % {w})) & {m})"],
-        "asr": [f"{ev}.result = AluResult(({sa} >> (b % {w})) & {m})"],
-        "rol": [
-            f"sh = b % {w}",
-            f"{ev}.result = AluResult(((a << sh) | (a >> ({w} - sh))) & {m})"
-            f" if sh else AluResult(a)",
-        ],
-        "ror": [
-            f"sh = b % {w}",
-            f"{ev}.result = AluResult(((a >> sh) | (a << ({w} - sh))) & {m})"
-            f" if sh else AluResult(a)",
-        ],
-        "clz": [f"{ev}.result = AluResult({w} - a.bit_length() if a else {w})"],
-        "ctz": [
-            f"{ev}.result = AluResult((a & -a).bit_length() - 1 if a else {w})"
-        ],
-        "popc": [f'{ev}.result = AluResult(bin(a).count("1"))'],
-        "eq": [f"{ev}.result = _AR1 if a == b else _AR0"],
-        "ne": [f"{ev}.result = _AR1 if a != b else _AR0"],
-        "slt": [f"{ev}.result = _AR1 if {sa} < {sgb} else _AR0"],
-        "sle": [f"{ev}.result = _AR1 if {sa} <= {sgb} else _AR0"],
-        "sgt": [f"{ev}.result = _AR1 if {sa} > {sgb} else _AR0"],
-        "sge": [f"{ev}.result = _AR1 if {sa} >= {sgb} else _AR0"],
-        "ult": [f"{ev}.result = _AR1 if a < b else _AR0"],
-        "ule": [f"{ev}.result = _AR1 if a <= b else _AR0"],
-        "ugt": [f"{ev}.result = _AR1 if a > b else _AR0"],
-        "uge": [f"{ev}.result = _AR1 if a >= b else _AR0"],
-        "eqz": [f"{ev}.result = _AR1 if a == 0 else _AR0"],
-        "nez": [f"{ev}.result = _AR1 if a else _AR0"],
-        "land": [f"{ev}.result = _AR1 if a and b else _AR0"],
-        "lor": [f"{ev}.result = _AR1 if a or b else _AR0"],
-    }
-    if w >= 8:
-        table["sext8"] = [
-            "v = a & 255",
-            f"{ev}.result = AluResult(((v | {m ^ 0xFF}) & {m})"
-            f" if v & 128 else v)",
-        ]
-    if w >= 16:
-        table["sext16"] = [
-            "v = a & 65535",
-            f"{ev}.result = AluResult(((v | {m ^ 0xFFFF}) & {m})"
-            f" if v & 32768 else v)",
-        ]
-    lines = table.get(mn)
-    if lines is not None:
-        return lines
-    if meta.semantics is not None:
-        return [
-            f"{ev}.result = {ev}.meta.semantics(a, b, pe.params, {m}, {w},"
-            " pe.scratchpad)"
-        ]
-    return [f"{ev}.result = _ALU_EXEC({ev}.meta.op, a, b, pe.params,"
-            " pe.scratchpad)"]
-
-
 class _Codegen:
     """Emits one generated module for a (lowered program, config) pair.
 
@@ -182,7 +81,7 @@ class _Codegen:
     def __init__(self, lowering: Lowering, config: PipelineConfig) -> None:
         self.instructions = lowering.instructions
         self.config = config
-        self.params = params = lowering.params
+        params = lowering.params
         self.compiled = lowering.compiled
         self.dp_meta = lowering.datapaths
         self.depth = config.depth
@@ -201,13 +100,6 @@ class _Codegen:
         self.any_pred_writer = any(
             self.dp_meta[n].writes_pred for n in self.valid_slots
         )
-        # Registers some valid slot writes — operand scans for any other
-        # register can skip the in-flight producer search entirely.
-        self.written_regs = {
-            self.dp_meta[n].dst_index
-            for n in self.valid_slots
-            if self.dp_meta[n].writes_reg
-        }
         # Output queues some valid slot enqueues to: the only queues the
         # block loop can ever find staged entries on.
         self.written_outputs = sorted({
@@ -230,30 +122,10 @@ class _Codegen:
         if self.policy is QueuePolicy.PADDED:
             out_capacity += self.depth
         self.out_capacity = out_capacity
-        # kind -> slot -> name of the function holding that slot's
-        # effects; (kind, body) -> the function emitted for that body.
-        self.names: dict[str, dict[int, str]] = {"cap": {}, "exc": {}}
-        self._bodies: dict[tuple[str, str], str] = {}
 
     # ------------------------------------------------------------------
-    # Per-slot effect functions
+    # Fire site and result stages
     # ------------------------------------------------------------------
-
-    def _emit_helper(self, em: _Emitter, kind: str, slot: int,
-                     body) -> None:
-        """Emit ``_<kind>_<slot>(pe, e)`` holding ``body(em, slot)``,
-        unless an earlier slot's function has the same body: the slot
-        then shares it."""
-        sub = _Emitter()
-        body(sub, slot)
-        key = (kind, sub.source())
-        name = self._bodies.get(key)
-        if name is None:
-            name = self._bodies[key] = f"_{kind}_{slot}"
-            em.line(0, f"def {name}(pe, e):")
-            em.lines.extend(sub.lines)
-            em.blank()
-        self.names[kind][slot] = name
 
     def _issue_body(self, em: _Emitter, d: int, slot: int) -> None:
         """Issue effects for a statically-known slot (the fire site)."""
@@ -265,64 +137,12 @@ class _Codegen:
             em.line(d, f"pe.preds.state = (pe.preds.state | {update.set_mask})"
                        f" & {andm}")
         if meta.writes_pred and self.predicts:
-            em.line(d, f"_offer(pe, e, {meta.dst_index})")
+            em.line(d, "pe._offer(e)")
         if meta.is_halt:
             em.line(d, "pe._halt_pending = True")
 
-    def _capture_body(self, em: _Emitter, slot: int) -> None:
-        """Operand capture with forwarding, then the dequeues; returns
-        early, capturing nothing, while a producer is not ready.
-        Register numbers and literals are read from the entry's operand
-        plan, so slots that differ only in those share one function."""
-        meta = self.dp_meta[slot]
-        plan = meta.operand_plan
-        if any(code != IN for code, _payload in plan):
-            em.line(1, "pl_ = e.meta.operand_plan")
-        for k, (code, payload) in enumerate(plan):
-            var = f"v{k}"
-            if code == LIT:
-                em.line(1, f"{var} = pl_[{k}][1]")
-            elif code == IN:
-                em.line(1, f"{var} = pe.inputs[{payload}]._live[0].value")
-            elif self.dd + 1 < self.depth and payload in self.written_regs:
-                em.line(1, f"{var} = _fwd(pe, pl_[{k}][1], SCAN)")
-                em.line(1, f"if {var} is None:")
-                em.line(2, "return")
-            else:
-                # No deeper stage, or no slot writes the register: no
-                # in-flight producer can exist.
-                em.line(1, f"{var} = pe.regs._regs[pl_[{k}][1]]")
-        em.line(1, "e.operands = (v0, v1)")
-        em.line(1, "e.captured = True")
-        if meta.deq:
-            em.line(1, "qs = pe._queue_state")
-            for q in meta.deq:
-                em.line(1, f"pe.inputs[{q}].dequeue()")
-                em.line(1, f"qs.pending_deqs[{q}] -= 1")
-            em.line(1, f"pe.counters.dequeues += {len(meta.deq)}")
-            em.line(1, f"pe._state_version += {len(meta.deq)}")
-
-    def _exec_body(self, em: _Emitter, slot: int) -> None:
-        """Compute effects; with +P a computed predicate commits here."""
-        meta = self.dp_meta[slot]
-        em.line(1, "a, b = e.operands")
-        em.line(1, f"a &= {self.params.word_mask}")
-        if meta.op.mnemonic not in _UNARY_OPS:
-            em.line(1, f"b &= {self.params.word_mask}")
-        for stmt in _alu_lines(meta, self.params, "e"):
-            em.line(1, stmt)
-        em.line(1, "e.result_ready = True")
-        if meta.writes_pred and self.predicts:
-            em.line(1, "pe._commit_predicate_write(e, e.result.value & 1)")
-            em.line(1, "e.pred_committed = True")
-
     def _emit_tables(self, em: _Emitter) -> None:
-        """Slot-indexed dispatch tuples (``None`` for invalid slots)."""
-        for table, kind in (("EXC", "exc"), ("CAP", "cap")):
-            names = self.names[kind]
-            cells = [names.get(n, "None")
-                     for n in range(len(self.instructions))]
-            em.line(0, f"{table} = ({', '.join(cells)},)")
+        """``RS``: each slot's result stage (99 for invalid slots)."""
         valid = set(self.valid_slots)
         rs = [str(self.rs[n]) if n in valid else "99"
               for n in range(len(self.instructions))]
@@ -387,10 +207,11 @@ class _Codegen:
     def _emit_fire(self, em: _Emitter, d: int, slot: int) -> None:
         self._issue_body(em, d, slot)
         if self.dd == 0:
-            em.line(d, f"{self.names['cap'][slot]}(pe, e)")
             if self.rs[slot] == 0:
-                em.line(d, "if e.captured:")
-                em.line(d + 1, f"{self.names['exc'][slot]}(pe, e)")
+                em.line(d, "if pe._capture(e):")
+                em.line(d + 1, "pe._compute(e)")
+            else:
+                em.line(d, "pe._capture(e)")
         em.line(d, "return True")
 
     def _emit_descriptor(self, em: _Emitter, base: int,
@@ -486,7 +307,7 @@ class _Codegen:
         # can compute.
         em.line(1, f"e_ = pipe[{dd}]")
         em.line(1, "if e_ is not None and not e_.captured:")
-        em.line(2, "CAP[e_.slot](pe, e_)")
+        em.line(2, "pe._capture(e_)")
         min_rs = min((self.rs[n] for n in self.valid_slots), default=0)
         for s in range(depth - 1, min_rs - 1, -1):
             eligible = [n for n in self.valid_slots if self.rs[n] <= s]
@@ -496,10 +317,10 @@ class _Codegen:
             em.line(1, "if e_ is not None and e_.captured"
                        " and not e_.result_ready:")
             if len(eligible) == len(self.valid_slots):
-                em.line(2, "EXC[e_.slot](pe, e_)")
+                em.line(2, "pe._compute(e_)")
             else:
                 em.line(2, f"if RS[e_.slot] <= {s}:")
-                em.line(3, "EXC[e_.slot](pe, e_)")
+                em.line(3, "pe._compute(e_)")
 
         # Phase 3: trigger resolution.
         em.line(1, "if pipe[0] is not None:")
@@ -614,15 +435,6 @@ class _Codegen:
         em = _Emitter()
         em.line(0, f"# generated by repro.jit.codegen v{CODEGEN_VERSION}"
                    f" for config {self.config.name!r}")
-        em.line(0, "_AR0 = AluResult(0)")
-        em.line(0, "_AR1 = AluResult(1)")
-        em.line(0, "_HALT = AluResult(halt=True)")
-        em.line(0, f"SCAN = {tuple(range(self.dd + 1, self.depth))}")
-        em.blank()
-        for kind, body in (("cap", self._capture_body),
-                           ("exc", self._exec_body)):
-            for slot in self.valid_slots:
-                self._emit_helper(em, kind, slot, body)
         self._emit_tables(em)
         self._emit_cycle(em)
         self._emit_step(em)

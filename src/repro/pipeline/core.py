@@ -119,11 +119,17 @@ class _Speculation:
     forced: bool = False   # injected inversion; excluded from accuracy stats
 
 
-def _resolve_backend(backend: str) -> str:
-    """Validate the executor choice."""
+def _resolve_backend(backend: str, fast_path: bool) -> str:
+    """Validate the executor choice.  The compiled module inlines the
+    fast path's trigger walk, so it cannot run the reference walk."""
     if backend not in ("interp", "jit"):
         raise SimulationError(
             f"unknown backend {backend!r}; choose 'interp' or 'jit'"
+        )
+    if backend == "jit" and not fast_path:
+        raise SimulationError(
+            "backend 'jit' runs the fast path; it cannot be combined"
+            " with fast_path=False"
         )
     return backend
 
@@ -173,8 +179,10 @@ class PipelinedPE:
         self._specs: list[_Speculation] = []
         self._next_seq = 0
         self._halt_pending = False
-        # Stage indices are immutable per config but cost a property-chain
-        # walk per access; flatten them once.
+        # Stage indices and the word geometry are immutable but cost a
+        # property-chain walk per access; flatten them once.
+        self._word_mask = params.word_mask
+        self._word_width = params.word_width
         self._depth = config.depth
         self._decode_stage = config.decode_stage
         self._early_stage = config.early_result_stage
@@ -188,7 +196,7 @@ class PipelinedPE:
         # Fast path: the program's lowered triggers plus a memoized
         # trigger decision keyed on everything `evaluate` can observe.
         self.fast_path = fast_path
-        self.backend = _resolve_backend(backend)
+        self.backend = _resolve_backend(backend, fast_path)
         self._jit = None          # compiled module (repro.jit), if bound
         self._jit_block = None    # bound block-stepping entry point
         self._lowering: Lowering | None = None
@@ -346,8 +354,7 @@ class PipelinedPE:
 
         # 2. End-of-stage work: operand capture in D, results where due.
         decode_entry = pipe[decode_stage]
-        if (decode_entry is not None and not decode_entry.captured
-                and self._operands_ready(decode_entry)):
+        if decode_entry is not None and not decode_entry.captured:
             self._capture(decode_entry)
         # Oldest first: a mispredicting owner must flush younger entries
         # before any of them commits an early predicate write of its own.
@@ -405,8 +412,7 @@ class PipelinedPE:
             # When decode is coalesced into the trigger stage, operand
             # capture and dequeues belong to the issue cycle itself.
             entry = pipe[0]
-            if decode_stage == 0 and self._operands_ready(entry):
-                self._capture(entry)
+            if decode_stage == 0 and self._capture(entry):
                 late = entry.meta.late_result
                 if (self._late_stage if late else self._early_stage) == 0:
                     self._compute(entry)
@@ -465,13 +471,18 @@ class PipelinedPE:
             self._queue_state.pending_enqs[out] += 1
             self._state_version += 1
 
-        # Offer a prediction for a predicate-writing instruction.
-        if (
-            entry.writes_pred
-            and self._predicts
-            and len(self._specs) < self._spec_depth
-        ):
-            index = meta.dst_index
+        if entry.writes_pred and self._predicts:
+            self._offer(entry)
+
+        if meta.is_halt:
+            self._halt_pending = True
+
+    def _offer(self, entry: _InFlight) -> None:
+        """Offer a prediction for a predicate-writing instruction at its
+        issue (+P), unless ``speculative_depth`` predictions are already
+        outstanding."""
+        if len(self._specs) < self._spec_depth:
+            index = entry.meta.dst_index
             predicted = self.predictor.predict(index)
             self._specs.append(
                 _Speculation(
@@ -484,39 +495,31 @@ class PipelinedPE:
             )
             self.preds.write_bit(index, predicted)
 
-        if meta.is_halt:
-            self._halt_pending = True
-
     # ------------------------------------------------------------------
     # Decode
     # ------------------------------------------------------------------
 
-    def _youngest_producer(self, reg: int, before_seq: int) -> _InFlight | None:
-        best = None
-        for entry in self._pipe:
-            if entry is None or entry.seq >= before_seq:
-                continue
-            if (entry.writes_reg and entry.ins.dp.dst.index == reg
-                    and (best is None or entry.seq > best.seq)):
-                best = entry
-        return best
+    def _capture(self, entry: _InFlight) -> bool:
+        """Read operands, with forwarding, and perform the dequeues.
 
-    def _operands_ready(self, entry: _InFlight) -> bool:
-        for reg in entry.meta.reg_srcs:
-            producer = self._youngest_producer(reg, entry.seq)
-            if producer is not None and not producer.result_ready:
-                return False
-        return True
-
-    def _capture(self, entry: _InFlight) -> None:
-        """Read operands (with forwarding) and perform dequeues."""
+        A register operand comes from its youngest older in-flight
+        producer, else from the register file.  The pipe is in order, so
+        that producer is the first writer of the register in a deeper
+        stage.  While its result is not ready (a data hazard) nothing is
+        captured or dequeued, and the return is False.
+        """
         meta = entry.meta
+        older = self._pipe[entry.stage + 1:]
         operands = []
         for code, payload in meta.operand_plan:
             if code == REG:
-                producer = self._youngest_producer(payload, entry.seq)
-                if producer is not None:
-                    operands.append(producer.result.value)
+                for producer in older:
+                    if (producer is not None and producer.writes_reg
+                            and producer.meta.dst_index == payload):
+                        if not producer.result_ready:
+                            return False
+                        operands.append(producer.result.value)
+                        break
                 else:
                     operands.append(self.regs.read(payload))
             elif code == IN:
@@ -530,6 +533,7 @@ class PipelinedPE:
             self._queue_state.pending_deqs[queue] -= 1
             self.counters.dequeues += 1
             self._state_version += 1
+        return True
 
     # ------------------------------------------------------------------
     # Execute / retire
@@ -540,10 +544,9 @@ class PipelinedPE:
         semantics = meta.semantics
         a, b = entry.operands
         if semantics is not None:
-            params = self.params
-            mask = params.word_mask
+            mask = self._word_mask
             entry.result = semantics(
-                a & mask, b & mask, params, mask, params.word_width,
+                a & mask, b & mask, self.params, mask, self._word_width,
                 self.scratchpad,
             )
         else:

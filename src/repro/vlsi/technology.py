@@ -98,9 +98,6 @@ class Technology:
         dibl = 10.0 ** (_LEAK_DIBL_DECADES_PER_VOLT * (vdd - 1.0))
         return _LEAK_1V[vt] * vdd * dibl * area_scale
 
-    def supply_range(self) -> tuple[float, float]:
-        return (_VDD_MIN, _VDD_MAX)
-
 
 TECH65 = Technology()
 """The calibrated 65 nm model used throughout the evaluation."""

@@ -19,10 +19,14 @@ from hypothesis import given, settings
 
 import repro.jit.cache as jit_cache
 from repro.asm import assemble
+from repro.errors import SimulationError
+from repro.isa import alu
+from repro.isa.alu import AluResult
 from repro.jit import CODEGEN_VERSION, generate_source, jit_metrics
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
+from repro.pipeline.predictor import PredicatePredictor
 from repro.workloads.base import WorkloadRun
 from repro.workloads.suite import WORKLOADS, get_workload, run_workload
 from tests.test_pipeline_equivalence import _run, chain_programs
@@ -134,6 +138,45 @@ def test_backend_selector_and_fallback_to_interpreter():
     assert jit.counters == interp.counters
     assert jit.regs.snapshot() == interp.regs.snapshot()
     assert jit.preds.state == interp.preds.state
+
+
+def test_jit_backend_refuses_the_reference_walk():
+    """The compiled module inlines the fast path's trigger walk, so a
+    PE cannot ask for both it and the reference walk."""
+    cfg = config_by_name("T|D|X1|X2 +P+Q")
+    with pytest.raises(SimulationError, match="fast_path=False"):
+        PipelinedPE(cfg, P, backend="jit", fast_path=False)
+    with pytest.raises(SimulationError, match="unknown backend"):
+        PipelinedPE(cfg, P, backend="compiled")
+    assert PipelinedPE(cfg, P, fast_path=False).backend == "interp"
+
+
+def test_compiled_pes_run_the_one_datapath(monkeypatch):
+    """Generated modules compute and predict through the interpreter's
+    datapath: with a wrong adder in the ALU table and a predictor that
+    predicts taken from its initial state, a compiled PE still ends
+    exactly where an interpreted one does, on all 48 configs."""
+    monkeypatch.setitem(
+        alu._SEMANTICS, "add",
+        lambda a, b, p, mask, w, s: AluResult(value=(a + b + 2) & mask))
+    monkeypatch.setattr(PredicatePredictor, "WEAK_TAKEN", 1)
+    for cfg in ALL_CONFIGS:
+        pes = {}
+        for backend in ("jit", "interp"):
+            # A fresh Program: it caches the lowering that holds the
+            # ALU callable.
+            program = assemble(_LOOP, P)
+            pe = PipelinedPE(cfg, P, name=backend, backend=backend)
+            program.configure(pe)
+            while not pe.halted:
+                pe.step()
+                pe.commit_queues()
+            pes[backend] = pe
+        jit, interp = pes["jit"], pes["interp"]
+        assert jit.regs.snapshot() == interp.regs.snapshot(), cfg.name
+        assert jit.counters == interp.counters, cfg.name
+    # The patched datapath is what both ran: the loop counts in threes.
+    assert interp.regs.snapshot()[0] == 42
 
 
 def test_attached_hooks_defer_to_the_interpreter_bit_identically():

@@ -91,7 +91,6 @@ class TestCompiledDatapath:
         ))
         meta = CompiledDatapath(ins, P)
         assert meta.operand_plan == ((LIT, P.word_mask), (LIT, 0))
-        assert meta.reg_srcs == ()
         assert meta.dst_kind == DST_REG and meta.dst_index == 3
 
     def test_queue_sources_and_destinations(self):
@@ -103,7 +102,6 @@ class TestCompiledDatapath:
         ))
         meta = CompiledDatapath(ins, P)
         assert meta.operand_plan == ((IN, 2), (REG, 5))
-        assert meta.reg_srcs == (5,)
         assert meta.deq == (2,)
         assert meta.dst_kind == DST_OUT
         assert meta.dst_index == 1 and meta.out_tag == 3
