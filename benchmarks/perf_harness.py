@@ -1,4 +1,4 @@
-"""Simulator performance harness: throughput and campaign wall-clock.
+"""Simulator performance harness: throughput and campaign time.
 
 Measures the quantities the fast path, the ``repro.jit`` specialization
 backend, and the parallel campaigns were built for, and writes them to
@@ -7,16 +7,24 @@ show up as diffs:
 
 * **cycles/sec** of the pipelined PE on a register-loop microbenchmark,
   for the reference dataclass walk (fast path off), the compiled-trigger
-  + memoized fast path, and the JIT backend stepped per cycle and run
-  as a one-PE ``System`` (block dispatch);
+  fast path, and the JIT backend stepped per cycle and run as a one-PE
+  ``System`` (block dispatch);
 * **Table 3 suite cycles/sec**: the full ten-workload suite run
   end-to-end through the fused ``System`` loop, interpreter vs JIT,
   with simulation time isolated from workload build/validation;
-* **campaign wall-clock** for a CPI campaign over several configs, on
-  a serial (no-fork) campaign service and on a pooled one.  The pooled
+* **campaign seconds** for a CPI campaign over several configs, on a
+  serial (no-fork) campaign service and on a pooled one.  The pooled
   leg is only measured (and the speedup only claimed) when the pool is
   wider than one worker; on 1-core hosts the harness records the serial
   number and says so instead of reporting a vacuous ``speedup: 1.0``.
+
+Every leg runs in this process's main thread except the pooled
+campaign, so each is timed in thread CPU seconds (``time.thread_time``),
+which leave out the time a shared host takes the CPU away; the pooled
+leg's work runs in worker processes and is timed by the wall clock.
+Each leg is repeated (5 times, once with ``--quick``), the legs of one
+measurement taking turns, and the JSON records the median with the min
+and max of the repeats.
 
 Usage::
 
@@ -34,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -60,6 +69,16 @@ when %p == XXXXXX01:
 """
 
 BENCH_CONFIG = "T|D|X1|X2 +P+Q"
+REPEATS = 5
+
+
+def _spread(samples: list[float], digits: int = 0) -> dict:
+    """Median, min and max of the repeats."""
+    return {
+        "median": round(statistics.median(samples), digits),
+        "min": round(min(samples), digits),
+        "max": round(max(samples), digits),
+    }
 
 
 def _make_pe(fast_path: bool = True, backend: str = "interp",
@@ -72,61 +91,54 @@ def _make_pe(fast_path: bool = True, backend: str = "interp",
     return pe
 
 
-def measure_throughput(cycles: int, fast_path: bool, repeats: int = 3) -> float:
-    """Best-of-N cycles/sec for per-cycle stepping on the loop program."""
-    best = 0.0
-    for _ in range(repeats):
-        pe = _make_pe(fast_path=fast_path)
-        start = time.perf_counter()
-        for _ in range(cycles):
-            pe.step()
-            pe.commit_queues()
-        elapsed = time.perf_counter() - start
-        best = max(best, cycles / elapsed)
-    return best
+def _stepped(pe: PipelinedPE, cycles: int) -> float:
+    """Cycles per CPU second of per-cycle stepping."""
+    start = time.thread_time()
+    for _ in range(cycles):
+        pe.step()
+        pe.commit_queues()
+    return cycles / (time.thread_time() - start)
 
 
-def measure_jit_throughput(cycles: int, repeats: int = 3) -> tuple[float, float]:
-    """Best-of-N (step_mode, block_mode) cycles/sec for the JIT backend.
+def measure_loop(cycles: int, repeats: int = REPEATS) -> dict[str, list[float]]:
+    """Cycles per CPU second of each repeat on the loop program.
 
-    *step mode* drives the generated per-cycle ``step`` through the same
-    step/commit loop as the interpreter; *block mode* runs a copy of the
-    loop that halts after about ``cycles`` cycles (it takes three a
-    turn on ``BENCH_CONFIG``) as a one-PE ``System``, whose fused loop
-    hands the run to the generated ``run`` block loop.  Codegen happens
-    outside the timed region (promotion economics are covered by
-    ``test_bench_jit``).
+    ``reference`` and ``fast_path`` step the interpreter per cycle with
+    the reference walk and the fast path; ``jit_step`` drives the
+    generated per-cycle ``step`` through the same loop; ``jit_block``
+    runs a copy of the loop that halts after about ``cycles`` cycles (it
+    takes three a turn on ``BENCH_CONFIG``) as a one-PE ``System``,
+    whose fused loop hands the run to the generated ``run`` block loop.
+    Codegen happens outside the timed region (promotion economics are
+    covered by ``test_bench_jit``).  Each repeat runs the four legs in
+    turn, so a slow spell of the host lands on all of them.
     """
     halting = LOOP.replace("$1000000", f"${max(1, cycles // 3)}")
-    best_step = best_block = 0.0
+    rates: dict[str, list[float]] = {
+        "reference": [], "fast_path": [], "jit_step": [], "jit_block": [],
+    }
     for _ in range(repeats):
-        pe = _make_pe(backend="jit")
-        start = time.perf_counter()
-        for _ in range(cycles):
-            pe.step()
-            pe.commit_queues()
-        elapsed = time.perf_counter() - start
-        best_step = max(best_step, cycles / elapsed)
-
+        rates["reference"].append(_stepped(_make_pe(fast_path=False), cycles))
+        rates["fast_path"].append(_stepped(_make_pe(), cycles))
+        rates["jit_step"].append(_stepped(_make_pe(backend="jit"), cycles))
         system = System()
         system.add_pe(_make_pe(backend="jit", source=halting))
-        start = time.perf_counter()
+        start = time.thread_time()
         ran = system.run()
-        elapsed = time.perf_counter() - start
-        best_block = max(best_block, ran / elapsed)
-    return best_step, best_block
+        rates["jit_block"].append(ran / (time.thread_time() - start))
+    return rates
 
 
-def measure_suite(scale: int, repeats: int = 2) -> dict:
+def measure_suite(scale: int, repeats: int = REPEATS) -> dict:
     """Table 3 suite cycles/sec, default vs forced JIT, simulation time
     only.  The default backend starts every PE interpreted and promotes
     the busy PEs of long runs; ``backend="jit"`` compiles every PE from
     cycle 0 (before the timed region).
 
     Each workload is built (and validated) outside the timed region;
-    only ``System.run`` is timed.  The aggregate is cycle-weighted:
-    total simulated cycles over total simulation seconds, best of N
-    whole-suite passes.
+    only ``System.run`` is timed, in CPU seconds.  A pass's rate is
+    cycle-weighted: total simulated cycles over total simulation
+    seconds.  Per-workload speedups compare median rates.
     """
     cfg = config_by_name(BENCH_CONFIG)
 
@@ -139,59 +151,66 @@ def measure_suite(scale: int, repeats: int = 2) -> dict:
                                       backend=backend),
                 scale, 1,
             )
-            start = time.perf_counter()
+            start = time.thread_time()
             cycles = system.run(max_cycles=8_000_000)
-            elapsed = time.perf_counter() - start
+            elapsed = time.thread_time() - start
             workload.check(system, scale, 1)
             total_cycles += cycles
             total_seconds += elapsed
             per[name] = cycles / elapsed
         return total_cycles, total_seconds, per
 
-    results = {}
-    for backend in ("interp", "jit"):
-        best = None
-        for _ in range(repeats):
-            cycles, seconds, per = one_pass(backend)
-            if best is None or cycles / seconds > best[0]:
-                best = (cycles / seconds, cycles, per)
-        results[backend] = best
-    speedup = results["jit"][0] / results["interp"][0]
+    backends = ("interp", "jit")
+    rates: dict[str, list[float]] = {backend: [] for backend in backends}
+    per: dict[str, dict[str, list[float]]] = {b: {} for b in backends}
+    for _ in range(repeats):
+        for backend in backends:
+            cycles, seconds, rate_of = one_pass(backend)
+            rates[backend].append(cycles / seconds)
+            for name, rate in rate_of.items():
+                per[backend].setdefault(name, []).append(rate)
+    median = statistics.median
     return {
         "scale": scale,
-        "total_cycles": results["interp"][1],
-        "interp_cycles_per_sec": round(results["interp"][0]),
-        "jit_cycles_per_sec": round(results["jit"][0]),
-        "speedup": round(speedup, 2),
+        "total_cycles": cycles,
+        "interp_cycles_per_sec": _spread(rates["interp"]),
+        "jit_cycles_per_sec": _spread(rates["jit"]),
+        "speedup": round(median(rates["jit"]) / median(rates["interp"]), 2),
         "per_workload_speedup": {
-            name: round(results["jit"][2][name] / results["interp"][2][name], 2)
-            for name in results["interp"][2]
+            name: round(median(per["jit"][name]) / median(per["interp"][name]), 2)
+            for name in per["interp"]
         },
     }
 
 
 def measure_campaign(
-    scale: int, num_configs: int, workers: int
-) -> tuple[float, float | None]:
-    """(serial_seconds, parallel_seconds or None) for a CPI campaign.
+    scale: int, num_configs: int, workers: int, repeats: int = REPEATS
+) -> tuple[list[float], list[float] | None]:
+    """Seconds of each repeat of a CPI campaign: (serial, in thread CPU
+    seconds; pooled, in wall-clock seconds, or None).
 
-    The parallel leg only runs when the pool is actually wider than one
+    The pooled leg only runs when the pool is actually wider than one
     worker; otherwise it would measure the same serial execution plus
     pool overhead and invite a meaningless "speedup" ratio.
     """
     configs = all_configs()[:num_configs]
 
-    def timed(service: CampaignService) -> float:
+    def timed(service: CampaignService, clock) -> float:
         with service:
-            start = time.perf_counter()
+            start = clock()
             CpiTable(scale=scale).populate(
                 configs, service=InProcessClient(service))
-            return time.perf_counter() - start
+            return clock() - start
 
-    serial = timed(CampaignService(None, serial=True))
-    if workers <= 1:
-        return serial, None
-    return serial, timed(CampaignService(None, workers=workers))
+    serial: list[float] = []
+    pooled: list[float] | None = None if workers <= 1 else []
+    for _ in range(repeats):
+        serial.append(
+            timed(CampaignService(None, serial=True), time.thread_time))
+        if pooled is not None:
+            pooled.append(timed(CampaignService(None, workers=workers),
+                                time.perf_counter))
+    return serial, pooled
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -218,39 +237,38 @@ def main(argv: list[str] | None = None) -> int:
     scale = 6 if args.quick else args.scale
     suite_scale = 12 if args.quick else args.suite_scale
     num_configs = 2 if args.quick else 8
-    repeats = 1 if args.quick else 3
+    repeats = 1 if args.quick else REPEATS
     workers = args.workers or resolve_workers(num_configs)
+    median = statistics.median
 
     reset_metrics()
-    reference = measure_throughput(cycles, fast_path=False, repeats=repeats)
-    fast = measure_throughput(cycles, fast_path=True, repeats=repeats)
-    jit_step, jit_block = measure_jit_throughput(cycles, repeats=repeats)
-    print(f"throughput reference : {reference:12,.0f} cycles/sec")
-    print(f"throughput fast path : {fast:12,.0f} cycles/sec "
-          f"({fast / reference:.2f}x)")
-    print(f"throughput jit step  : {jit_step:12,.0f} cycles/sec "
-          f"({jit_step / fast:.2f}x over fast path)")
-    print(f"throughput jit block : {jit_block:12,.0f} cycles/sec "
-          f"({jit_block / fast:.2f}x over fast path)")
+    loop = measure_loop(cycles, repeats=repeats)
+    for leg, rates in loop.items():
+        print(f"throughput {leg.replace('_', ' '):<10}: "
+              f"{median(rates):12,.0f} cycles/sec "
+              f"(min {min(rates):,.0f}, max {max(rates):,.0f})")
 
-    suite = measure_suite(suite_scale, repeats=max(2, repeats - 1))
-    print(f"suite interp         : {suite['interp_cycles_per_sec']:12,} "
+    suite = measure_suite(suite_scale, repeats=repeats)
+    print(f"suite interp         : "
+          f"{suite['interp_cycles_per_sec']['median']:12,.0f} "
           f"cycles/sec (scale {suite['scale']}, "
           f"{suite['total_cycles']:,} cycles)")
-    print(f"suite jit            : {suite['jit_cycles_per_sec']:12,} "
+    print(f"suite jit            : "
+          f"{suite['jit_cycles_per_sec']['median']:12,.0f} "
           f"cycles/sec ({suite['speedup']:.2f}x)")
 
-    serial_s, parallel_s = measure_campaign(scale, num_configs, workers)
-    print(f"campaign serial      : {serial_s:8.2f} s "
+    serial_s, parallel_s = measure_campaign(scale, num_configs, workers,
+                                            repeats=repeats)
+    print(f"campaign serial      : {median(serial_s):8.2f} CPU s "
           f"({num_configs} configs, scale {scale})")
     if parallel_s is None:
         print(f"campaign parallel    : skipped (1 worker on a "
               f"{os.cpu_count()}-CPU host; no parallelism to measure)")
         sweep_speedup = None
     else:
-        sweep_speedup = serial_s / parallel_s if parallel_s else float("inf")
-        print(f"campaign {workers:2d} workers  : {parallel_s:8.2f} s "
-              f"({sweep_speedup:.2f}x)")
+        sweep_speedup = median(serial_s) / median(parallel_s)
+        print(f"campaign {workers:2d} workers  : {median(parallel_s):8.2f} "
+              f"wall s ({sweep_speedup:.2f}x)")
 
     payload = {
         "host": {
@@ -258,31 +276,35 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
         },
+        "repeats": repeats,
         "throughput": {
             "config": BENCH_CONFIG,
             "cycles": cycles,
-            "reference_cycles_per_sec": round(reference),
-            "fast_path_cycles_per_sec": round(fast),
-            "jit_step_cycles_per_sec": round(jit_step),
-            "jit_block_cycles_per_sec": round(jit_block),
-            "fast_path_speedup": round(fast / reference, 2),
-            "jit_speedup_over_fast_path": round(jit_block / fast, 2),
+            "clock": "thread CPU seconds",
+            **{f"{leg}_cycles_per_sec": _spread(rates)
+               for leg, rates in loop.items()},
+            "fast_path_speedup": round(
+                median(loop["fast_path"]) / median(loop["reference"]), 2),
+            "jit_speedup_over_fast_path": round(
+                median(loop["jit_block"]) / median(loop["fast_path"]), 2),
         },
-        "suite": suite,
+        "suite": {**suite, "clock": "thread CPU seconds"},
         "campaign": {
             "scale": scale,
             "configs": num_configs,
             "workers": workers,
-            "serial_seconds": round(serial_s, 3),
-            "parallel_seconds": (
-                None if parallel_s is None else round(parallel_s, 3)
+            "serial_cpu_seconds": _spread(serial_s, 3),
+            "parallel_wall_seconds": (
+                None if parallel_s is None else _spread(parallel_s, 3)
             ),
             "speedup": (
                 None if sweep_speedup is None else round(sweep_speedup, 2)
             ),
             "note": (
                 "parallel leg skipped: single-CPU host"
-                if parallel_s is None else ""
+                if parallel_s is None else
+                "speedup compares serial CPU seconds with pooled wall"
+                " seconds"
             ),
         },
     }

@@ -110,13 +110,10 @@ class FunctionalPE:
         # through the (stable) input/output lists, so rebuilding it per
         # cycle was pure allocation churn.
         self._view = ArchQueueView(self.inputs, self.outputs)
-        # Fast path: the program's lowered triggers plus a memoized
-        # trigger decision keyed on predicate state and a queue-status
-        # signature built from monotone queue version counters.
+        # The program's lowered triggers, resolved through its
+        # predicate-indexed candidate table.
         self._compiled = None
         self._dp_meta: tuple[CompiledDatapath, ...] = ()
-        self._decision_cache: dict[tuple, object] = {}
-        self._sig_queues = self.inputs + self.outputs
         #: Resilience seam: called with this PE at the top of every live
         #: cycle (see :mod:`repro.resilience.faults`).  None costs one
         #: attribute test per cycle.
@@ -147,17 +144,6 @@ class FunctionalPE:
         self.instructions = program.instructions
         self._compiled = program.compiled
         self._dp_meta = program.datapaths
-        self._decision_cache.clear()
-
-    def invalidate_schedule_cache(self) -> None:
-        """Drop memoized trigger decisions (call after external rewiring).
-
-        Queue-version signatures are only monotone for the queue objects
-        the PE currently holds; swapping a queue object (as fabric wiring
-        does) could otherwise let a stale signature alias a new state.
-        """
-        self._decision_cache.clear()
-        self._sig_queues = self.inputs + self.outputs
 
     def reset(self) -> None:
         """Return all architectural state to its post-configuration value."""
@@ -171,7 +157,6 @@ class FunctionalPE:
             self.scratchpad.reset()
         self.counters = FunctionalCounters()
         self.halted = False
-        self._decision_cache.clear()
         self.recent_fires.clear()
 
     # ------------------------------------------------------------------
@@ -187,19 +172,10 @@ class FunctionalPE:
             self.fault_hook(self)
         if self.telemetry is not None:
             self.telemetry.now = self.counters.cycles
-        signature = 0
-        for queue in self._sig_queues:
-            signature += queue.version
-        key = (self.preds.state, signature)
-        outcome = self._decision_cache.get(key)
-        if outcome is None:
-            outcome = self.scheduler.evaluate(
-                self.instructions, self.preds.state, self._view,
-                compiled=self._compiled,
-            )
-            if len(self._decision_cache) >= 1 << 16:
-                self._decision_cache.clear()
-            self._decision_cache[key] = outcome
+        outcome = self.scheduler.evaluate(
+            self.instructions, self.preds.state, self._view,
+            compiled=self._compiled,
+        )
         if outcome.kind is not TriggerKind.FIRED:
             self.counters.none_triggered += 1
             return False
@@ -226,33 +202,30 @@ class FunctionalPE:
             self.counters.dequeues += 1
 
         semantics = meta.semantics
-        if semantics is not None:
-            params = self.params
-            mask = params.word_mask
-            result = semantics(
-                operands[0] & mask, operands[1] & mask, params, mask,
-                params.word_width, self.scratchpad,
-            )
-        else:
-            result = alu_execute(meta.op, operands[0], operands[1],
-                                 self.params, self.scratchpad)
+        if semantics is None:   # raises the canonical error
+            alu_execute(meta.op, operands[0], operands[1], self.params,
+                        self.scratchpad)
+        params = self.params
+        mask = params.word_mask
+        a = operands[0] & mask
+        b = operands[1] & mask
+        value = semantics(a, b, params, mask, params.word_width,
+                          self.scratchpad)
 
-        if result.store is not None:
-            if self.scratchpad is None:
-                raise SimulationError(f"{self.name}: store without a scratchpad")
-            self.scratchpad.store(*result.store)
+        if meta.is_store:   # ssw: the semantics refused a missing scratchpad
+            self.scratchpad.store(a, b)
 
         dst_kind = meta.dst_kind
         if dst_kind == DST_REG:
-            self.regs.write(meta.dst_index, result.value)
+            self.regs.write(meta.dst_index, value)
         elif dst_kind == DST_OUT:
-            self.outputs[meta.dst_index].enqueue(result.value, meta.out_tag)
+            self.outputs[meta.dst_index].enqueue(value, meta.out_tag)
             self.counters.enqueues += 1
         elif dst_kind == DST_PRED:
-            self.preds.write_bit(meta.dst_index, result.value & 1)
+            self.preds.write_bit(meta.dst_index, value & 1)
             self.counters.predicate_writes += 1
 
-        if result.halt:
+        if meta.is_halt:
             self.halted = True
 
         self.counters.retired += 1
@@ -300,8 +273,7 @@ class FunctionalPE:
         it are written; without it, all of them are.
 
         Counters and forensic rings are left untouched (they are not
-        architectural); the memoized trigger-decision cache is dropped so
-        a stale decision can never alias the restored queue state.
+        architectural).
         """
         regs, preds, scratch, halted, inputs, outputs = state
         h_regs, _, h_scratch, _, h_inputs, h_outputs = (
@@ -314,7 +286,6 @@ class FunctionalPE:
         self.halted = halted
         restore_queues(self.inputs, inputs, h_inputs)
         restore_queues(self.outputs, outputs, h_outputs)
-        self._decision_cache.clear()
 
     def snapshot_state(self) -> dict:
         """Structured architectural state for forensic dumps."""

@@ -48,10 +48,9 @@ class TaggedQueue:
         self.name = name
         self._live: deque[QueueEntry] = deque()
         self._staged: list[QueueEntry] = []
-        #: Monotonic change counter, bumped by every mutation that could
-        #: alter what a scheduler queue-status view reports.  Memoizing
-        #: schedulers sum these versions into a cheap state signature:
-        #: an unchanged sum guarantees unchanged queue status.
+        #: Monotonic change counter, bumped by every mutation of the
+        #: contents.  It keys the :meth:`arch_state` memo, and a compiled
+        #: block run watches its inputs' versions to stop on a dequeue.
         self.version = 0
         # arch_state() as of version _arch_version.
         self._arch: tuple = ((), ())
@@ -142,10 +141,8 @@ class TaggedQueue:
     #
     # Direct mutations of live entries, used by the resilience layer to
     # model upsets in the physical queue storage.  Every mutator bumps
-    # ``version``: the memoizing schedulers key their decision caches on
-    # summed queue versions, so an unversioned mutation would let a stale
-    # cached decision mask the fault — exactly the failure mode the fault
-    # campaign exists to measure, not to manufacture.
+    # ``version``, so the memoized :meth:`arch_state` never reports the
+    # contents from before the upset.
 
     def inject_tag_flip(self, position: int, bit: int) -> bool:
         """Flip one bit of the tag ``position`` entries behind the head."""
@@ -210,8 +207,8 @@ class TaggedQueue:
         return self._arch
 
     def restore_arch(self, state: tuple) -> None:
-        """Restore an :meth:`arch_state` snapshot (bumps ``version`` so
-        memoized scheduler decisions cannot alias the restored state)."""
+        """Restore an :meth:`arch_state` snapshot (bumps ``version``, as
+        every mutation does)."""
         live, staged = state
         self._live.clear()
         self._live.extend(QueueEntry(value, tag) for value, tag in live)

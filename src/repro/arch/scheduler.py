@@ -120,9 +120,9 @@ class Scheduler:
         forbids its side effects, which is reported as a forbidden cycle.
 
         When ``compiled`` descriptors for the same program are supplied
-        (see :mod:`repro.arch.trigger_cache`) the walk runs over flat
-        integer masks instead of the instruction dataclasses; the outcome
-        is bit-for-bit identical.
+        (see :mod:`repro.arch.trigger_cache`) only the descriptors whose
+        predicates match are checked, over flat integers instead of the
+        instruction dataclasses; the outcome is bit-for-bit identical.
         """
         if compiled is not None:
             return self._evaluate_compiled(
@@ -147,47 +147,33 @@ class Scheduler:
         pending_predicates: int,
         forbid_side_effects: bool,
     ) -> TriggerOutcome:
-        """The fast path of :meth:`evaluate`: masks over flat descriptors.
+        """The fast path of :meth:`evaluate`: queue checks for the
+        predicate-matched candidates alone.
 
-        Invalid slots carry no descriptor, so the walk skips them for
-        free; ``descriptor.index`` keeps outcomes reporting original
-        priority slots.  Check order mirrors :meth:`_eligibility` exactly
-        (queue occupancy, tag checks, output space, stable predicates,
-        pending predicates) so short-circuit semantics cannot diverge.
+        ``compiled.candidates`` holds, per (predicate state, pending
+        mask), the descriptors whose stable predicate bits match, in
+        priority order; every descriptor it leaves out is not triggered
+        whatever the queues hold.  Each candidate's queue conditions
+        are then checked (occupancy, tag checks, output space) and the
+        first that holds decides the cycle.  Every condition is a pure
+        read of the view, so checking predicates before queues yields
+        the reference walk's outcome.
         """
-        input_count = view.input_count
-        input_tag = view.input_tag
-        output_space = view.output_space
-        for d in compiled.descriptors:
-            eligible = True
-            for queue in d.required_queues:
-                if input_count(queue) < 1:
-                    eligible = False
+        candidates = compiled.candidates.get((pred_state, pending_predicates))
+        if candidates is None:
+            candidates = compiled.fill(pred_state, pending_predicates)
+        for required, tag_checks, out_queue, outcome, if_forbidden in candidates:
+            for queue in required:
+                if view.input_count(queue) < 1:
                     break
-            if not eligible:
-                continue
-            for queue, tag, negate in d.tag_checks:
-                head_tag = input_tag(queue, 0)
-                if head_tag is None or (head_tag == tag) is negate:
-                    eligible = False
-                    break
-            if not eligible:
-                continue
-            if d.out_queue >= 0 and output_space(d.out_queue) < 1:
-                continue
-            watched = d.watched
-            stable = watched & ~pending_predicates
-            on_stable = d.pred_on & stable
-            off_stable = d.pred_off & stable
-            if (pred_state & on_stable) != on_stable:
-                continue
-            if (~pred_state & off_stable) != off_stable:
-                continue
-            if watched & pending_predicates:
-                return d.hazard
-            if forbid_side_effects and d.side_effects:
-                return d.forbidden
-            return d.fired
+            else:
+                for queue, tag, negate in tag_checks:
+                    head_tag = view.input_tag(queue, 0)
+                    if head_tag is None or (head_tag == tag) is negate:
+                        break
+                else:
+                    if out_queue < 0 or view.output_space(out_queue) >= 1:
+                        return if_forbidden if forbid_side_effects else outcome
         return NONE_TRIGGERED
 
     def triggered_indices(

@@ -9,11 +9,14 @@ through ``ins.trigger`` and ``ins.dp``.  None of that varies after
 ``load_program``.
 
 This module lowers each instruction's trigger once into a flat
-:class:`CompiledTrigger` descriptor of plain integers and tuples.
-Per-cycle eligibility then reduces to integer mask tests and small tuple
-walks with no dataclass traffic.  The compiled form is semantically
-exact: for every (predicate state, queue status, pending mask) the
-scheduler's compiled path returns bit-for-bit the same
+:class:`CompiledTrigger` descriptor of plain integers and tuples, and
+:class:`CompiledProgram` indexes them by predicate state: for each
+(predicate state, pending mask) met, the descriptors whose stable
+predicate bits match, in priority order.  Usually one or two of a
+dozen or more match, so per-cycle resolution checks queue status for
+those alone.  The compiled form is semantically exact: for every
+(predicate state, queue status, pending mask) the scheduler's compiled
+path returns bit-for-bit the same
 :class:`~repro.arch.scheduler.TriggerOutcome` as the reference path
 over the original instructions — the differential suite in
 ``tests/test_pipeline_equivalence.py`` holds both paths to that.
@@ -92,9 +95,23 @@ class CompiledTrigger:
 
 
 class CompiledProgram:
-    """The compiled descriptors of one PE's instruction store."""
+    """The compiled descriptors of one PE's instruction store, and its
+    trigger candidates by predicate state.
 
-    __slots__ = ("descriptors",)
+    ``candidates`` maps ``(predicate state, pending mask)`` to one
+    ``(required_queues, tag_checks, out_queue, outcome, if_forbidden)``
+    tuple per descriptor whose stable predicate bits match, in priority
+    order.  ``outcome`` is the predicate hazard when the descriptor
+    watches a pending bit, else the fire; ``if_forbidden`` is the
+    outcome while speculation forbids side effects.  A candidate with
+    no queue condition ends the list: nothing below it can be reached.
+    The map fills lazily (:meth:`fill`) and depends on the program
+    alone, so every PE, config and checker state sharing the lowering
+    shares it.  It holds at most one entry per key, 4**NPreds keys
+    (65,536 at the default eight predicates).
+    """
+
+    __slots__ = ("descriptors", "candidates")
 
     def __init__(self, instructions: Sequence[Instruction]) -> None:
         self.descriptors: tuple[CompiledTrigger, ...] = tuple(
@@ -102,6 +119,30 @@ class CompiledProgram:
             for index, ins in enumerate(instructions)
             if ins.valid
         )
+        self.candidates: dict[tuple[int, int], tuple[tuple, ...]] = {}
+
+    def fill(self, pred_state: int, pending: int) -> tuple[tuple, ...]:
+        """Compute and keep the candidates for one predicate state."""
+        found = []
+        for d in self.descriptors:
+            stable = d.watched & ~pending
+            on_stable = d.pred_on & stable
+            if (pred_state & on_stable) != on_stable:
+                continue
+            off_stable = d.pred_off & stable
+            if (~pred_state & off_stable) != off_stable:
+                continue
+            if d.watched & pending:
+                outcome = if_forbidden = d.hazard
+            else:
+                outcome = d.fired
+                if_forbidden = d.forbidden if d.side_effects else d.fired
+            found.append((d.required_queues, d.tag_checks, d.out_queue,
+                          outcome, if_forbidden))
+            if not (d.required_queues or d.tag_checks or d.out_queue >= 0):
+                break
+        found = self.candidates[pred_state, pending] = tuple(found)
+        return found
 
 
 def compile_program(instructions: Sequence[Instruction]) -> CompiledProgram:
@@ -137,6 +178,7 @@ class CompiledDatapath:
         "semantics",
         "late_result",
         "is_halt",
+        "is_store",
         "operand_plan",
         "deq",
         "dst_kind",
@@ -155,7 +197,10 @@ class CompiledDatapath:
         # back to alu_execute, which raises the canonical error.
         self.semantics = _SEMANTICS.get(dp.op.mnemonic)
         self.late_result = dp.op.late_result
+        # Opcode effects applied at retirement: halting, and the
+        # scratchpad store of the captured (address, data) operands.
         self.is_halt = dp.op.effects.halts
+        self.is_store = dp.op.effects.stores_scratchpad
         plan = []
         for src in dp.srcs:
             if src.kind is OperandType.REG:

@@ -89,14 +89,6 @@ class System:
         self.pes.append(pe)
         self._channels = None
 
-    def _rewired(self, *pes) -> None:
-        """Invalidate caches that depend on the current queue wiring."""
-        self._channels = None
-        for pe in pes:
-            invalidate = getattr(pe, "invalidate_schedule_cache", None)
-            if invalidate is not None:
-                invalidate()
-
     def pe(self, name: str):
         """Look up a PE by name."""
         for pe in self.pes:
@@ -112,7 +104,7 @@ class System:
         )
         producer.outputs[out_index] = channel
         consumer.inputs[in_index] = channel
-        self._rewired(producer, consumer)
+        self._channels = None
         return channel
 
     def add_read_port(self, pe, request_out: int, response_in: int) -> MemoryReadPort:
@@ -127,7 +119,7 @@ class System:
         port.request = request
         port.response = response
         self.read_ports.append(port)
-        self._rewired(pe)
+        self._channels = None
         return port
 
     def add_write_port(self, addr_pe, addr_out: int, data_pe, data_out: int) -> MemoryWritePort:
@@ -144,7 +136,7 @@ class System:
         port.address = address
         port.data = data
         self.write_ports.append(port)
-        self._rewired(addr_pe, data_pe)
+        self._channels = None
         return port
 
     def add_load_store_queue(
@@ -179,7 +171,7 @@ class System:
         pe.outputs[store_address_out] = lsq.store_address
         pe.outputs[store_data_out] = lsq.store_data
         self.lsqs.append(lsq)
-        self._rewired(pe)
+        self._channels = None
         return lsq
 
     # ------------------------------------------------------------------

@@ -4,9 +4,12 @@ All values are Python ints held in unsigned word representation
 (0 .. 2**word_width - 1).  Signed operations reinterpret the bit pattern
 in two's complement.  Results are always truncated back to the word.
 
-The scratchpad operations (``lsw``/``ssw``) are resolved here against a
-scratchpad object passed by the caller, so the same semantics serve the
-functional simulator and every pipeline model.
+Each entry of ``_SEMANTICS`` returns the operation's result word.  A
+scratchpad load reads the scratchpad object passed by the caller; the
+store and ``halt`` act through opcode effects (``Op.effects``) that the
+executors apply at retirement, so the same semantics serve the
+functional simulator and every pipeline model.  :func:`alu_execute`
+bundles the word and those effects into an :class:`AluResult`.
 """
 
 from __future__ import annotations
@@ -63,72 +66,70 @@ def _brev(x: int, width: int) -> int:
 def _lsw(a, b, p, mask, w, spad):
     if spad is None:
         raise SimulationError("lsw executed on a PE without a scratchpad")
-    return AluResult(value=spad.load(a) & mask)
+    return spad.load(a) & mask
 
 
 def _ssw(a, b, p, mask, w, spad):
+    # The store itself (address a, data b) is applied at retirement.
     if spad is None:
         raise SimulationError("ssw executed on a PE without a scratchpad")
-    return AluResult(store=(a, b))
+    return 0
 
 
 def _rol(a, b, p, mask, w, spad):
     s = b % w
-    return AluResult(value=((a << s) | (a >> (w - s))) & mask if s else a)
+    return ((a << s) | (a >> (w - s))) & mask if s else a
 
 
 def _ror(a, b, p, mask, w, spad):
     s = b % w
-    return AluResult(value=((a >> s) | (a << (w - s))) & mask if s else a)
+    return ((a >> s) | (a << (w - s))) & mask if s else a
 
 
 def _sext8(a, b, p, mask, w, spad):
     v = a & 0xFF
-    return AluResult(value=(v | (mask ^ 0xFF)) & mask if v & 0x80 else v)
+    return (v | (mask ^ 0xFF)) & mask if v & 0x80 else v
 
 
 def _sext16(a, b, p, mask, w, spad):
     v = a & 0xFFFF
-    return AluResult(value=(v | (mask ^ 0xFFFF)) & mask if v & 0x8000 else v)
+    return (v | (mask ^ 0xFFFF)) & mask if v & 0x8000 else v
 
 
-# Results of the operations that yield a flag, nothing, or a halt.
-# ``AluResult`` is immutable, so each execution returns one of these
-# rather than constructing its own.
-_FLAG = (AluResult(value=0), AluResult(value=1))
-_HALT = AluResult(halt=True)
+# A flag is the word 0 or 1, indexed by the comparison (a bool indexes
+# a tuple, so the result is a plain int).
+_FLAG = (0, 1)
 
 # Dispatch table: one callable per mnemonic with the uniform signature
-# (a, b, params, mask, w, scratchpad) -> AluResult.  Table lookup
+# (a, b, params, mask, w, scratchpad) -> result word.  Table lookup
 # replaced a linear mnemonic-comparison chain whose worst case walked
 # ~40 string compares per executed instruction.
 _SEMANTICS = {
-    "nop": lambda a, b, p, mask, w, s: _FLAG[0],
-    "halt": lambda a, b, p, mask, w, s: _HALT,
-    "mov": lambda a, b, p, mask, w, s: AluResult(value=a),
-    "add": lambda a, b, p, mask, w, s: AluResult(value=(a + b) & mask),
-    "sub": lambda a, b, p, mask, w, s: AluResult(value=(a - b) & mask),
-    "mul": lambda a, b, p, mask, w, s: AluResult(value=(a * b) & mask),
-    "mulh": lambda a, b, p, mask, w, s: AluResult(
-        value=((to_signed(a, p) * to_signed(b, p)) >> w) & mask),
-    "mulhu": lambda a, b, p, mask, w, s: AluResult(value=((a * b) >> w) & mask),
-    "and": lambda a, b, p, mask, w, s: AluResult(value=a & b),
-    "or": lambda a, b, p, mask, w, s: AluResult(value=a | b),
-    "xor": lambda a, b, p, mask, w, s: AluResult(value=a ^ b),
-    "nor": lambda a, b, p, mask, w, s: AluResult(value=~(a | b) & mask),
-    "nand": lambda a, b, p, mask, w, s: AluResult(value=~(a & b) & mask),
-    "xnor": lambda a, b, p, mask, w, s: AluResult(value=~(a ^ b) & mask),
-    "not": lambda a, b, p, mask, w, s: AluResult(value=~a & mask),
-    "shl": lambda a, b, p, mask, w, s: AluResult(value=(a << (b % w)) & mask),
-    "shr": lambda a, b, p, mask, w, s: AluResult(value=(a >> (b % w)) & mask),
-    "asr": lambda a, b, p, mask, w, s: AluResult(
-        value=(to_signed(a, p) >> (b % w)) & mask),
+    "nop": lambda a, b, p, mask, w, s: 0,
+    "halt": lambda a, b, p, mask, w, s: 0,
+    "mov": lambda a, b, p, mask, w, s: a,
+    "add": lambda a, b, p, mask, w, s: (a + b) & mask,
+    "sub": lambda a, b, p, mask, w, s: (a - b) & mask,
+    "mul": lambda a, b, p, mask, w, s: (a * b) & mask,
+    "mulh": lambda a, b, p, mask, w, s: (
+        (to_signed(a, p) * to_signed(b, p)) >> w) & mask,
+    "mulhu": lambda a, b, p, mask, w, s: ((a * b) >> w) & mask,
+    "and": lambda a, b, p, mask, w, s: a & b,
+    "or": lambda a, b, p, mask, w, s: a | b,
+    "xor": lambda a, b, p, mask, w, s: a ^ b,
+    "nor": lambda a, b, p, mask, w, s: ~(a | b) & mask,
+    "nand": lambda a, b, p, mask, w, s: ~(a & b) & mask,
+    "xnor": lambda a, b, p, mask, w, s: ~(a ^ b) & mask,
+    "not": lambda a, b, p, mask, w, s: ~a & mask,
+    "shl": lambda a, b, p, mask, w, s: (a << (b % w)) & mask,
+    "shr": lambda a, b, p, mask, w, s: (a >> (b % w)) & mask,
+    "asr": lambda a, b, p, mask, w, s: (to_signed(a, p) >> (b % w)) & mask,
     "rol": _rol,
     "ror": _ror,
-    "clz": lambda a, b, p, mask, w, s: AluResult(value=_clz(a, w)),
-    "ctz": lambda a, b, p, mask, w, s: AluResult(value=_ctz(a, w)),
-    "popc": lambda a, b, p, mask, w, s: AluResult(value=bin(a).count("1")),
-    "brev": lambda a, b, p, mask, w, s: AluResult(value=_brev(a, w)),
+    "clz": lambda a, b, p, mask, w, s: _clz(a, w),
+    "ctz": lambda a, b, p, mask, w, s: _ctz(a, w),
+    "popc": lambda a, b, p, mask, w, s: bin(a).count("1"),
+    "brev": lambda a, b, p, mask, w, s: _brev(a, w),
     "sext8": _sext8,
     "sext16": _sext16,
     "eq": lambda a, b, p, mask, w, s: _FLAG[a == b],
@@ -159,11 +160,17 @@ def alu_execute(
 ) -> AluResult:
     """Execute one operation on unsigned-word operands ``a`` and ``b``.
 
-    ``scratchpad`` must support ``load(addr)`` / ``store(addr, value)``
-    and is only consulted for the memory operations.
+    ``scratchpad`` must support ``load(addr)`` and is only consulted by
+    ``lsw``; a store is reported as ``AluResult.store``, not performed.
     """
     semantics = _SEMANTICS.get(op.mnemonic)
     if semantics is None:
         raise SimulationError(f"operation {op.mnemonic!r} has no defined semantics")
     mask = params.word_mask
-    return semantics(a & mask, b & mask, params, mask, params.word_width, scratchpad)
+    a &= mask
+    b &= mask
+    return AluResult(
+        semantics(a, b, params, mask, params.word_width, scratchpad),
+        op.effects.halts,
+        (a, b) if op.effects.stores_scratchpad else None,
+    )

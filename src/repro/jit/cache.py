@@ -111,9 +111,8 @@ def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
 
 def _issue(pe, c, s_):
     """Issue slot ``s_``: the new pipeline entry, and the in-flight queue
-    bookings the status views read (the state version moves only with
-    them).  The fire site applies the slot's predicate update and offers
-    its prediction itself."""
+    bookings the status views read.  The fire site applies the slot's
+    predicate update and offers its prediction itself."""
     m_ = pe._dp_meta[s_]
     e = pe._pipe[0] = _InFlight(pe.instructions[s_], m_, s_, pe._next_seq, 0)
     pe._next_seq += 1
@@ -124,10 +123,8 @@ def _issue(pe, c, s_):
         for q_ in m_.deq:
             qs.pending_deqs[q_] += 1
             qs.sched_deqs[q_] += 1
-            pe._state_version += 1
         if m_.out_queue >= 0:
             qs.pending_enqs[m_.out_queue] += 1
-            pe._state_version += 1
     return e
 
 

@@ -23,8 +23,8 @@ quiescent-sibling rule of
 
 The generated code is *bit-identical* to the interpreter: it mutates the
 same ``PipelinedPE`` state through the same sequence of effects (queue
-version bumps, ``_state_version`` accounting, counter increments,
-predictor training, speculation bookkeeping), so a PE may switch between
+operations, in-flight queue bookings, counter increments, predictor
+training, speculation bookkeeping), so a PE may switch between
 the two executors mid-run — which is exactly what happens when a
 :class:`~repro.fabric.system.System` run promotes a busy PE.  Whenever a
 fault hook or telemetry sink is attached, ``step`` defers to the

@@ -53,7 +53,7 @@ from repro.arch.trigger_cache import (
     lower_program,
 )
 from repro.errors import SimulationError
-from repro.isa.alu import AluResult, alu_execute
+from repro.isa.alu import alu_execute
 from repro.isa.instruction import Instruction
 from repro.params import ArchParams, DEFAULT_PARAMS
 from repro.pipeline.config import PipelineConfig, QueuePolicy, SINGLE_CYCLE
@@ -61,18 +61,13 @@ from repro.pipeline.counters import PipelineCounters
 from repro.pipeline.predictor import PredicatePredictor
 from repro.pipeline.queue_status import InFlightQueueState, make_queue_view
 
-_DECISION_CACHE_LIMIT = 1 << 16
-"""Entries kept in the memoized trigger-decision cache before it is
-dropped wholesale (decision spaces are tiny in practice; the bound only
-guards degenerate programs)."""
-
 
 class _InFlight:
     """One instruction travelling down the pipe."""
 
     __slots__ = (
         "ins", "meta", "slot", "seq", "stage", "captured", "operands",
-        "result", "result_ready", "pred_committed", "writes_reg",
+        "value", "result_ready", "pred_committed", "writes_reg",
         "writes_pred",
     )
 
@@ -85,7 +80,7 @@ class _InFlight:
         self.stage = stage
         self.captured = False
         self.operands = (0, 0)
-        self.result: AluResult | None = None
+        self.value: int | None = None   # the result word, once computed
         self.result_ready = False
         self.pred_committed = False   # predicate write already applied (+P)
         # Destination kind, flattened once at issue — these are chased
@@ -193,8 +188,8 @@ class PipelinedPE:
         # every cycle was pure allocation churn.
         self._view = make_queue_view(config, self.inputs, self.outputs,
                                      self._queue_state)
-        # Fast path: the program's lowered triggers plus a memoized
-        # trigger decision keyed on everything `evaluate` can observe.
+        # Fast path: the program's lowered triggers, resolved through
+        # its predicate-indexed candidate table.
         self.fast_path = fast_path
         self.backend = _resolve_backend(backend, fast_path)
         self._jit = None          # compiled module (repro.jit), if bound
@@ -202,9 +197,6 @@ class PipelinedPE:
         self._lowering: Lowering | None = None
         self._compiled = None
         self._dp_meta: tuple[CompiledDatapath, ...] = ()
-        self._decision_cache: dict[tuple, object] = {}
-        self._state_version = 0   # bumps when in-flight queue bookings change
-        self._sig_queues = self.inputs + self.outputs
         #: Resilience seam: called with this PE at the top of every live
         #: cycle (see :mod:`repro.resilience.faults`).  None costs one
         #: attribute test per cycle.
@@ -236,7 +228,6 @@ class PipelinedPE:
         self.instructions = program.instructions
         self._compiled = program.compiled if self.fast_path else None
         self._dp_meta = program.datapaths
-        self._decision_cache.clear()
         self._bind_backend()
 
     def _bind_backend(self) -> None:
@@ -274,17 +265,6 @@ class PipelinedPE:
             self.step = program.step.__get__(self)
             self._jit_block = program.run.__get__(self)
 
-    def invalidate_schedule_cache(self) -> None:
-        """Drop memoized trigger decisions (call after external rewiring).
-
-        Queue-version signatures are only monotone for the queue objects
-        the PE currently holds; swapping a queue object (as fabric wiring
-        does) could otherwise let a stale signature alias a new state.
-        """
-        self._decision_cache.clear()
-        self._state_version += 1
-        self._sig_queues = self.inputs + self.outputs
-
     def reset(self) -> None:
         for queue in self.inputs:
             queue.reset()
@@ -302,12 +282,13 @@ class PipelinedPE:
         self._specs = []
         self._next_seq = 0
         self._halt_pending = False
-        self._decision_cache.clear()
-        self._state_version += 1
         self.recent_fires.clear()
 
     def commit_queues(self) -> None:
-        for queue in self._sig_queues:
+        for queue in self.inputs:
+            if queue._staged:
+                queue.commit()
+        for queue in self.outputs:
             if queue._staged:
                 queue.commit()
 
@@ -374,39 +355,14 @@ class PipelinedPE:
         if self._halt_pending:
             self.counters.none_triggered_cycles += 1
             return progressed
-        pending = self._pending_predicates()
-        forbid = bool(self._specs)
-        if self.fast_path:
-            # Memoize the decision on everything `evaluate` observes: the
-            # predicate state, the hazard inputs, and a queue-status
-            # signature maintained from monotone version counters.  Stall
-            # and idle cycles re-present an unchanged key and skip the
-            # program walk entirely.
-            signature = self._state_version
-            for queue in self._sig_queues:
-                signature += queue.version
-            key = (self.preds.state, pending, forbid, signature)
-            outcome = self._decision_cache.get(key)
-            if outcome is None:
-                outcome = self.scheduler.evaluate(
-                    self.instructions,
-                    self.preds.state,
-                    self._view,
-                    pending_predicates=pending,
-                    forbid_side_effects=forbid,
-                    compiled=self._compiled,
-                )
-                if len(self._decision_cache) >= _DECISION_CACHE_LIMIT:
-                    self._decision_cache.clear()
-                self._decision_cache[key] = outcome
-        else:
-            outcome = self.scheduler.evaluate(
-                self.instructions,
-                self.preds.state,
-                self._view,
-                pending_predicates=pending,
-                forbid_side_effects=forbid,
-            )
+        outcome = self.scheduler.evaluate(
+            self.instructions,
+            self.preds.state,
+            self._view,
+            pending_predicates=self._pending_predicates(),
+            forbid_side_effects=bool(self._specs),
+            compiled=self._compiled,    # None: the reference walk
+        )
         if outcome.kind is TriggerKind.FIRED:
             self._issue(self.instructions[outcome.index], outcome.index)
             # When decode is coalesced into the trigger stage, operand
@@ -458,18 +414,13 @@ class PipelinedPE:
         # this instruction, so it touches only the live state).
         self.preds.apply_update(meta.pred_update)
 
-        # Book pending queue activity for the status views.  The state
-        # version only moves when the scheduler-visible in-flight
-        # bookkeeping does — queue-free instructions leave the memoized
-        # decision signature untouched.
+        # Book pending queue activity for the status views.
         for queue in meta.deq:
             self._queue_state.pending_deqs[queue] += 1
             self._queue_state.sched_deqs[queue] += 1
-            self._state_version += 1
         out = meta.out_queue
         if out >= 0:
             self._queue_state.pending_enqs[out] += 1
-            self._state_version += 1
 
         if entry.writes_pred and self._predicts:
             self._offer(entry)
@@ -518,7 +469,7 @@ class PipelinedPE:
                             and producer.meta.dst_index == payload):
                         if not producer.result_ready:
                             return False
-                        operands.append(producer.result.value)
+                        operands.append(producer.value)
                         break
                 else:
                     operands.append(self.regs.read(payload))
@@ -532,7 +483,6 @@ class PipelinedPE:
             self.inputs[queue].dequeue()
             self._queue_state.pending_deqs[queue] -= 1
             self.counters.dequeues += 1
-            self._state_version += 1
         return True
 
     # ------------------------------------------------------------------
@@ -543,23 +493,20 @@ class PipelinedPE:
         meta = entry.meta
         semantics = meta.semantics
         a, b = entry.operands
-        if semantics is not None:
-            mask = self._word_mask
-            entry.result = semantics(
-                a & mask, b & mask, self.params, mask, self._word_width,
-                self.scratchpad,
-            )
-        else:
-            entry.result = alu_execute(
-                meta.op, a, b, self.params, self.scratchpad
-            )
+        if semantics is None:   # raises the canonical error
+            alu_execute(meta.op, a, b, self.params, self.scratchpad)
+        mask = self._word_mask
+        entry.value = semantics(
+            a & mask, b & mask, self.params, mask, self._word_width,
+            self.scratchpad,
+        )
         entry.result_ready = True
         # The speculative predicate unit (+P) sees computed predicates as
         # soon as the ALU produces them: predictions verify here, and
         # unpredicted writes bypass into its live state early.  Without
         # +P there is no such unit, and predicates resolve at retirement.
         if entry.writes_pred and self._predicts:
-            self._commit_predicate_write(entry, entry.result.value & 1)
+            self._commit_predicate_write(entry, entry.value & 1)
             entry.pred_committed = True
 
     def _retire(self, entry: _InFlight) -> None:
@@ -567,31 +514,28 @@ class PipelinedPE:
             self._capture(entry)    # D coalesced into the final stage
         if not entry.result_ready:
             self._compute(entry)
-        result = entry.result
+        value = entry.value
         meta = entry.meta
         dst_kind = meta.dst_kind
 
         # The scheduler-visible dequeue window closes only at retirement.
         for queue in meta.deq:
             self._queue_state.sched_deqs[queue] -= 1
-            self._state_version += 1
 
-        if result.store is not None:
-            if self.scratchpad is None:
-                raise SimulationError(f"{self.name}: store without a scratchpad")
-            self.scratchpad.store(*result.store)
+        if meta.is_store:   # ssw: _compute refused a PE without a scratchpad
+            a, b = entry.operands
+            self.scratchpad.store(a & self._word_mask, b & self._word_mask)
 
         if dst_kind == DST_REG:
-            self.regs.write(meta.dst_index, result.value)
+            self.regs.write(meta.dst_index, value)
         elif dst_kind == DST_OUT:
-            self.outputs[meta.dst_index].enqueue(result.value, meta.out_tag)
+            self.outputs[meta.dst_index].enqueue(value, meta.out_tag)
             self._queue_state.pending_enqs[meta.dst_index] -= 1
             self.counters.enqueues += 1
-            self._state_version += 1
         elif dst_kind == DST_PRED and not entry.pred_committed:
-            self._commit_predicate_write(entry, result.value & 1)
+            self._commit_predicate_write(entry, value & 1)
 
-        if result.halt:
+        if meta.is_halt:
             self.halted = True
 
         self.counters.retired += 1
@@ -671,7 +615,6 @@ class PipelinedPE:
             out = entry.meta.out_queue
             if out >= 0:
                 self._queue_state.pending_enqs[out] -= 1
-                self._state_version += 1
             self._pipe[stage] = None
             self.counters.quashed += 1
             if self.telemetry is not None:
@@ -716,14 +659,12 @@ class PipelinedPE:
             if entry is None:
                 pipe.append(None)
                 continue
-            result = entry.result
             pipe.append((
                 entry.slot,
                 rank[entry.seq],
                 entry.captured,
                 entry.operands,
-                None if result is None
-                else (result.value, result.halt, result.store),
+                entry.value,
                 entry.result_ready,
                 entry.pred_committed,
             ))
@@ -763,8 +704,7 @@ class PipelinedPE:
 
         The loaded program must be the one the snapshot was taken under
         (pipeline entries are rebuilt from instruction slots).  Counters
-        and forensic rings are left untouched; the memoized decision
-        cache is dropped so stale decisions cannot alias restored state.
+        and forensic rings are left untouched.
         """
         (regs, preds, scratch, halted, halt_pending, inputs, outputs,
          queue_state, pipe, specs, predictor) = state
@@ -792,14 +732,13 @@ class PipelinedPE:
             for stage, enc in enumerate(pipe):
                 if enc is None:
                     continue
-                (slot, seq, captured, operands, result, result_ready,
+                (slot, seq, captured, operands, value, result_ready,
                  pred_committed) = enc
                 entry = _InFlight(self.instructions[slot],
                                   self._dp_meta[slot], slot, seq, stage)
                 entry.captured = captured
                 entry.operands = operands
-                if result is not None:
-                    entry.result = AluResult(*result)
+                entry.value = value
                 entry.result_ready = result_ready
                 entry.pred_committed = pred_committed
                 self._pipe[stage] = entry
@@ -816,8 +755,6 @@ class PipelinedPE:
             counters, force_invert = predictor
             self.predictor.counters[:] = counters
             self.predictor.force_invert_next = force_invert
-        self._decision_cache.clear()
-        self._state_version += 1
 
     # ------------------------------------------------------------------
     # Observability / forensics

@@ -280,6 +280,51 @@ class TestSystem:
         assert fused.report == reference.report
         assert fused.report["cycle"] > 512
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: FunctionalPE(name="consumer"), id="functional"),
+        pytest.param(lambda: PipelinedPE(config_by_name("T|D|X1|X2 +P+Q"),
+                                         name="consumer"), id="fast-path"),
+        pytest.param(lambda: PipelinedPE(config_by_name("T|D|X1|X2 +P+Q"),
+                                         name="consumer", fast_path=False),
+                     id="reference"),
+    ])
+    def test_a_pe_rewired_after_it_stepped_fires_on_the_new_channel(
+            self, make):
+        """A PE that has already stepped against an empty input, then
+        wired to a producer, commits the new channel and fires on its
+        token the next cycle."""
+        consumer = make()
+        assemble("""
+        when %p == XXXXXXX0 with %i0.1:
+            mov %r0, %i0; deq %i0; set %p = ZZZZZZZ1;
+        when %p == XXXXXXX1:
+            halt;
+        """).configure(consumer)
+        for _ in range(3):
+            assert not consumer.step()
+            consumer.commit_queues()
+        producer = FunctionalPE(name="producer")
+        assemble("""
+        when %p == XXXXXXX0:
+            mov %o0.1, $42; set %p = ZZZZZZZ1;
+        when %p == XXXXXXX1:
+            halt;
+        """).configure(producer)
+        system = System()
+        system.add_pe(producer)
+        system.add_pe(consumer)
+        channel = system.connect(producer, 0, consumer, 0)
+        producer.step()
+        consumer.commit_queues()
+        assert channel.occupancy == 1
+        assert consumer.step()
+        assert consumer.recent_fires[-1] == (4, 0)
+        while not consumer.halted:
+            consumer.step()
+            consumer.commit_queues()
+        assert consumer.regs.read(0) == 42
+        assert channel.occupancy == 0
+
     def test_final_stores_are_flushed(self):
         """A store issued on the halting instruction's cycle must land."""
         system = System(memory_words=16)

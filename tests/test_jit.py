@@ -21,7 +21,6 @@ import repro.jit.cache as jit_cache
 from repro.asm import assemble
 from repro.errors import SimulationError
 from repro.isa import alu
-from repro.isa.alu import AluResult
 from repro.jit import CODEGEN_VERSION, generate_source, jit_metrics
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline import PipelinedPE, config_by_name
@@ -158,7 +157,7 @@ def test_compiled_pes_run_the_one_datapath(monkeypatch):
     exactly where an interpreted one does, on all 48 configs."""
     monkeypatch.setitem(
         alu._SEMANTICS, "add",
-        lambda a, b, p, mask, w, s: AluResult(value=(a + b + 2) & mask))
+        lambda a, b, p, mask, w, s: (a + b + 2) & mask)
     monkeypatch.setattr(PredicatePredictor, "WEAK_TAKEN", 1)
     for cfg in ALL_CONFIGS:
         pes = {}

@@ -202,7 +202,7 @@ def test_nested_speculation_preserves_results(generated):
 
 
 # ---------------------------------------------------------------------------
-# Fast-path differential: the compiled-trigger + memoized-decision path
+# Fast-path differential: the compiled, predicate-indexed trigger path
 # (the default) against the original per-cycle dataclass walk
 # (``fast_path=False``), which is kept as the reference implementation.
 # ---------------------------------------------------------------------------

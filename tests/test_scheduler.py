@@ -1,9 +1,14 @@
 """Trigger resolution: priority, predicate matching, queue conditions."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.queue import TaggedQueue
 from repro.arch.scheduler import ArchQueueView, Scheduler, TriggerKind
+from repro.arch.trigger_cache import compile_program
+from repro.asm import assemble
 from repro.isa.instruction import (
     DatapathOp,
     Destination,
@@ -15,6 +20,13 @@ from repro.isa.instruction import (
 )
 from repro.isa.opcodes import op_by_name
 from repro.params import DEFAULT_PARAMS as P
+from repro.pipeline.queue_status import (
+    ConservativeQueueView,
+    EffectiveQueueView,
+    InFlightQueueState,
+    PaddedQueueView,
+)
+from repro.verify.generator import case_source, generate_case
 
 
 @pytest.fixture()
@@ -222,3 +234,80 @@ class TestCompiledEvaluate:
         queues[0][0].commit()
         fill(queues[0][0], (9, 3))
         self._assert_agree(program, 0, queues)          # tag mismatch
+
+
+@lru_cache(maxsize=None)
+def _fuzz_program(seed):
+    """A fuzz case's program, assembled once per seed."""
+    return tuple(assemble(case_source(generate_case(seed, P)), P).instructions)
+
+
+_PADDING = 2
+_MASKS = st.integers(0, (1 << P.num_preds) - 1)
+#: In-flight queue bookings, mostly none, so dequeuing candidates fire
+#: (or are forbidden) often enough to be checked.
+_BOOKINGS = st.sampled_from((0, 0, 0, 1, 2))
+_TOKENS = st.lists(
+    st.tuples(st.integers(0, 255), st.integers(0, P.num_tags - 1)),
+    max_size=P.queue_capacity,
+)
+
+
+@st.composite
+def _queue_states(draw):
+    """Input contents, output occupancies (live and staged) and in-flight
+    bookings, with a dequeue booked until retirement at least as long as
+    until decode."""
+    inputs = []
+    for i in range(P.num_input_queues):
+        queue = TaggedQueue(P.queue_capacity, f"i{i}")
+        fill(queue, *draw(_TOKENS))
+        inputs.append(queue)
+    outputs = []
+    for o in range(P.num_output_queues):
+        queue = TaggedQueue(P.queue_capacity + _PADDING, f"o{o}")
+        live = draw(st.integers(0, queue.capacity))
+        fill(queue, *[0] * live)
+        for _ in range(draw(st.integers(0, queue.capacity - live))):
+            queue.enqueue(0)
+        outputs.append(queue)
+    in_flight = InFlightQueueState(P.num_input_queues, P.num_output_queues)
+    for i in range(P.num_input_queues):
+        in_flight.pending_deqs[i] = draw(_BOOKINGS)
+        in_flight.sched_deqs[i] = in_flight.pending_deqs[i] + draw(_BOOKINGS)
+    for o in range(P.num_output_queues):
+        in_flight.pending_enqs[o] = draw(_BOOKINGS)
+    return inputs, outputs, in_flight
+
+
+class TestIndexedWalk:
+    """The predicate-indexed candidate walk agrees with the reference
+    walk on fuzz programs under every pipelined queue-status view."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 199),
+        pred_state=_MASKS,
+        pending=st.just(0) | _MASKS,
+        forbid=st.booleans(),
+        state=_queue_states(),
+    )
+    def test_agrees_with_the_reference_walk(self, seed, pred_state, pending,
+                                            forbid, state):
+        program = _fuzz_program(seed)
+        # One table for the three views: the later two read candidates
+        # the first one filled.
+        compiled = compile_program(program)
+        inputs, outputs, in_flight = state
+        sched = Scheduler(P)
+        for view in (
+            ConservativeQueueView(inputs, outputs, in_flight),
+            EffectiveQueueView(inputs, outputs, in_flight),
+            PaddedQueueView(inputs, outputs, in_flight, _PADDING),
+        ):
+            reference = sched.evaluate(program, pred_state, view,
+                                       pending, forbid)
+            outcome = sched.evaluate(program, pred_state, view,
+                                     pending, forbid, compiled=compiled)
+            assert (outcome.kind, outcome.index) == (
+                reference.kind, reference.index), type(view).__name__

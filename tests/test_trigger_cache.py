@@ -130,7 +130,10 @@ class TestCompiledDatapath:
             assert meta.late_result == op.late_result
             for a, b in ((0, 0), (7, 3), (P.word_mask, 1)):
                 got = meta.semantics(a, b, P, P.word_mask, P.word_width, None)
-                assert got == alu_execute(op, a, b, P, None)
+                expected = alu_execute(op, a, b, P, None)
+                assert got == expected.value
+                assert expected.halt == meta.is_halt
+                assert expected.store is None and not meta.is_store
 
     def test_compiled_by_position_including_invalid(self):
         program = [make_nop(), _ins(), make_nop()]
