@@ -1,17 +1,19 @@
 """Simulator performance harness: throughput and campaign time.
 
-Measures the quantities the fast path, the ``repro.jit`` specialization
-backend, and the parallel campaigns were built for, and writes them to
-a JSON baseline (``benchmarks/BENCH_simulator.json``) so regressions
-show up as diffs:
+Measures the quantities the fast path, the ``repro.jit`` compiled step,
+and the parallel campaigns were built for, and writes them to a JSON
+baseline (``benchmarks/BENCH_simulator.json``) so regressions show up
+as diffs:
 
 * **cycles/sec** of the pipelined PE on a register-loop microbenchmark,
-  for the reference dataclass walk (fast path off), the compiled-trigger
-  fast path, and the JIT backend stepped per cycle and run as a one-PE
+  for the reference dataclass walk (fast path off), the fast path on
+  the interpreter (``backend="interp"``), and the compiled step every
+  fast-path PE runs by default, stepped per cycle and run as a one-PE
   ``System`` (block dispatch);
 * **Table 3 suite cycles/sec**: the full ten-workload suite run
-  end-to-end through the fused ``System`` loop, interpreter vs JIT,
-  with simulation time isolated from workload build/validation;
+  end-to-end through the fused ``System`` loop, interpreter vs the
+  compiled default, with simulation time isolated from workload
+  build/validation;
 * **campaign seconds** for a CPI campaign over several configs, on a
   serial (no-fork) campaign service and on a pooled one.  The pooled
   leg is only measured (and the speedup only claimed) when the pool is
@@ -81,7 +83,7 @@ def _spread(samples: list[float], digits: int = 0) -> dict:
     }
 
 
-def _make_pe(fast_path: bool = True, backend: str = "interp",
+def _make_pe(fast_path: bool = True, backend: str | None = None,
              source: str = LOOP) -> PipelinedPE:
     pe = PipelinedPE(
         config_by_name(BENCH_CONFIG), name="bench", fast_path=fast_path,
@@ -104,14 +106,15 @@ def measure_loop(cycles: int, repeats: int = REPEATS) -> dict[str, list[float]]:
     """Cycles per CPU second of each repeat on the loop program.
 
     ``reference`` and ``fast_path`` step the interpreter per cycle with
-    the reference walk and the fast path; ``jit_step`` drives the
-    generated per-cycle ``step`` through the same loop; ``jit_block``
-    runs a copy of the loop that halts after about ``cycles`` cycles (it
-    takes three a turn on ``BENCH_CONFIG``) as a one-PE ``System``,
-    whose fused loop hands the run to the generated ``run`` block loop.
-    Codegen happens outside the timed region (promotion economics are
-    covered by ``test_bench_jit``).  Each repeat runs the four legs in
-    turn, so a slow spell of the host lands on all of them.
+    the reference walk and the fast path (``backend="interp"``);
+    ``jit_step`` drives the default PE's generated per-cycle ``step``
+    through the same loop; ``jit_block`` runs a copy of the loop that
+    halts after about ``cycles`` cycles (it takes three a turn on
+    ``BENCH_CONFIG``) as a one-PE ``System``, whose fused loop hands the
+    run to the generated ``run`` block loop.  The config's module is
+    compiled before the timed region (compile economics are covered by
+    ``test_bench_jit``).  Each repeat runs the four legs in turn, so a
+    slow spell of the host lands on all of them.
     """
     halting = LOOP.replace("$1000000", f"${max(1, cycles // 3)}")
     rates: dict[str, list[float]] = {
@@ -119,10 +122,11 @@ def measure_loop(cycles: int, repeats: int = REPEATS) -> dict[str, list[float]]:
     }
     for _ in range(repeats):
         rates["reference"].append(_stepped(_make_pe(fast_path=False), cycles))
-        rates["fast_path"].append(_stepped(_make_pe(), cycles))
-        rates["jit_step"].append(_stepped(_make_pe(backend="jit"), cycles))
+        rates["fast_path"].append(
+            _stepped(_make_pe(backend="interp"), cycles))
+        rates["jit_step"].append(_stepped(_make_pe(), cycles))
         system = System()
-        system.add_pe(_make_pe(backend="jit", source=halting))
+        system.add_pe(_make_pe(source=halting))
         start = time.thread_time()
         ran = system.run()
         rates["jit_block"].append(ran / (time.thread_time() - start))
@@ -130,10 +134,9 @@ def measure_loop(cycles: int, repeats: int = REPEATS) -> dict[str, list[float]]:
 
 
 def measure_suite(scale: int, repeats: int = REPEATS) -> dict:
-    """Table 3 suite cycles/sec, default vs forced JIT, simulation time
-    only.  The default backend starts every PE interpreted and promotes
-    the busy PEs of long runs; ``backend="jit"`` compiles every PE from
-    cycle 0 (before the timed region).
+    """Table 3 suite cycles/sec, interpreter (``backend="interp"``) vs
+    the compiled default, simulation time only.  A default PE binds its
+    config's module when its program loads, before the timed region.
 
     Each workload is built (and validated) outside the timed region;
     only ``System.run`` is timed, in CPU seconds.  A pass's rate is
@@ -142,7 +145,7 @@ def measure_suite(scale: int, repeats: int = REPEATS) -> dict:
     """
     cfg = config_by_name(BENCH_CONFIG)
 
-    def one_pass(backend: str) -> tuple[int, float, dict[str, float]]:
+    def one_pass(backend: str | None) -> tuple[int, float, dict[str, float]]:
         total_cycles, total_seconds, per = 0, 0.0, {}
         for name in WORKLOADS():
             workload = get_workload(name)
@@ -160,15 +163,15 @@ def measure_suite(scale: int, repeats: int = REPEATS) -> dict:
             per[name] = cycles / elapsed
         return total_cycles, total_seconds, per
 
-    backends = ("interp", "jit")
-    rates: dict[str, list[float]] = {backend: [] for backend in backends}
-    per: dict[str, dict[str, list[float]]] = {b: {} for b in backends}
+    legs = {"interp": "interp", "jit": None}
+    rates: dict[str, list[float]] = {leg: [] for leg in legs}
+    per: dict[str, dict[str, list[float]]] = {leg: {} for leg in legs}
     for _ in range(repeats):
-        for backend in backends:
+        for leg, backend in legs.items():
             cycles, seconds, rate_of = one_pass(backend)
-            rates[backend].append(cycles / seconds)
+            rates[leg].append(cycles / seconds)
             for name, rate in rate_of.items():
-                per[backend].setdefault(name, []).append(rate)
+                per[leg].setdefault(name, []).append(rate)
     median = statistics.median
     return {
         "scale": scale,
@@ -221,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload scale for the campaign measurement")
     parser.add_argument("--suite-scale", type=int, default=96,
                         help="workload scale for the Table 3 suite "
-                             "interp-vs-JIT measurement")
+                             "interpreter-vs-compiled measurement")
     parser.add_argument("--workers", type=int, default=None,
                         help="pool width for the parallel campaign "
                              "(default: REPRO_WORKERS, else one per CPU)")

@@ -1,66 +1,76 @@
-"""Hot-PE promotion economics (not a paper exhibit).
+"""Compiled-step economics (not a paper exhibit).
 
-Guards the claims that make promotion the simulator's default: on a
-workload-scale suite pass, compiling the PEs still busy at the
-promotion mark pays for itself (compile time included), and a pass
-compiles only those PEs, holding each module no longer than its run.
+Guards the claims that make the compiled step every fast-path PE's
+default: on a workload-scale suite pass, running every PE compiled from
+cycle 0 pays for itself (compile time included) against the
+interpreter, and a pass compiles at most one module per config, which
+later passes reuse.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 
-import repro.fabric.system as fabric_system
+import repro.jit.cache as jit_cache
 from repro.jit import jit_metrics
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.workloads.suite import WORKLOADS, get_workload
 
-CONFIG = "T|D|X1|X2 +P+Q"
+CONFIGS = ("T|D|X1|X2 +P+Q", "TD|X")
 
 
-def _run_suite(scale: int) -> float:
-    """Wall-clock for one full Table 3 suite pass, build + run + check,
-    on default (interpreter-backend) PEs, so promotion compiles inside
-    the timed window."""
-    cfg = config_by_name(CONFIG)
-    start = time.perf_counter()
-    for name in WORKLOADS():
-        workload = get_workload(name)
-        system = workload.build(
-            lambda n: PipelinedPE(cfg, DEFAULT_PARAMS, name=n), scale, 1)
-        system.run(max_cycles=8_000_000)
-        workload.check(system, scale, 1)
-    return time.perf_counter() - start
+def _run_suite(scale: int, backend: str | None = None,
+               configs=CONFIGS) -> float:
+    """CPU seconds for full Table 3 suite passes, build + run + check,
+    one per config, on PEs of ``backend`` (default: compiled)."""
+    start = time.thread_time()
+    for name in configs:
+        cfg = config_by_name(name)
+        for workload_name in WORKLOADS():
+            workload = get_workload(workload_name)
+            system = workload.build(
+                lambda n: PipelinedPE(cfg, DEFAULT_PARAMS, name=n,
+                                      backend=backend),
+                scale, 1)
+            system.run(max_cycles=8_000_000)
+            workload.check(system, scale, 1)
+    return time.thread_time() - start
 
 
-def test_promotion_pays_for_itself_within_one_suite_run(bench_scale,
-                                                        monkeypatch):
-    """A promoting suite pass (compiles included) beats the same pass
-    with promotion held off."""
+def test_compiled_pass_beats_the_interpreter_compiles_included(bench_scale):
+    """A suite pass on default PEs, with its config's compile inside the
+    timed window, beats the same pass on ``backend="interp"``."""
     scale = max(bench_scale, 48)
-    promoting = min(_run_suite(scale) for _ in range(2))
-    monkeypatch.setattr(fabric_system, "PROMOTE_AT_CYCLE", 1 << 62)
-    interpreted = min(_run_suite(scale) for _ in range(2))
-    assert promoting < interpreted, (
-        f"promoting pass ({promoting:.2f}s incl compiles) did not beat "
-        f"the interpreter (interp {interpreted:.2f}s) at scale {scale}"
+    configs = CONFIGS[:1]
+
+    def compiled_pass() -> float:
+        # Drop the process's module so this pass compiles it again.
+        jit_cache._MODULES.pop(config_by_name(configs[0]), None)
+        misses = jit_metrics()["misses"]
+        seconds = _run_suite(scale, None, configs)
+        assert jit_metrics()["misses"] == misses + 1
+        return seconds
+
+    compiled = min(compiled_pass() for _ in range(2))
+    interpreted = min(_run_suite(scale, "interp", configs) for _ in range(2))
+    assert compiled < interpreted, (
+        f"compiled pass ({compiled:.2f}s incl compile) did not beat "
+        f"the interpreter ({interpreted:.2f}s) at scale {scale}"
     )
 
 
-def test_suite_pass_compiles_only_hot_pes_and_holds_no_module(bench_scale):
-    """Every compile of a suite pass is a promotion, a repeated pass
-    compiles exactly as many, and no module outlives its run."""
-    gc.collect()
+def test_suite_pass_compiles_at_most_one_module_per_config(bench_scale):
+    """A pass over two configs compiles at most their two modules, and a
+    repeated pass compiles none: every PE binds a module already held."""
     before = jit_metrics()
     _run_suite(bench_scale)
     first = jit_metrics()
     _run_suite(bench_scale)
     second = jit_metrics()
-    compiles = first["misses"] - before["misses"]
-    assert compiles == first["promotions"] - before["promotions"]
-    assert second["misses"] - first["misses"] == compiles
-    # Far fewer modules than PEs: the suite builds 22 PEs per pass.
-    assert compiles <= 5
-    assert second["entries"] == before["entries"]
+    assert first["misses"] - before["misses"] <= len(CONFIGS)
+    assert first["entries"] - before["entries"] <= len(CONFIGS)
+    assert second["misses"] == first["misses"]
+    assert second["entries"] == first["entries"]
+    # The suite builds 22 PEs per config and pass; each binds once.
+    assert second["hits"] - first["hits"] == 22 * len(CONFIGS)

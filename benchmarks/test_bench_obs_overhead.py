@@ -32,18 +32,25 @@ when %p == XXXXXX01:
 
 
 def _loop_throughput(cycles: int, telemetry: Telemetry | None) -> float:
-    """Best-of-3 cycles/sec for the register loop, optionally traced."""
+    """Best-of-3 cycles per thread CPU second for the register loop,
+    optionally traced.
+
+    The PE runs on the interpreter (``backend="interp"``), whose seams
+    are what the guards measure: a default PE steps compiled until a
+    sink is attached, and then defers to the interpreter.  Thread CPU
+    time leaves out the time a shared host takes the CPU away.
+    """
     best = 0.0
     for _ in range(3):
-        pe = PipelinedPE(CONFIG, name="bench")
+        pe = PipelinedPE(CONFIG, name="bench", backend="interp")
         assemble(LOOP).configure(pe)
         if telemetry is not None:
             telemetry.attach_pe(pe)
-        start = time.perf_counter()
+        start = time.thread_time()
         for _ in range(cycles):
             pe.step()
             pe.commit_queues()
-        elapsed = time.perf_counter() - start
+        elapsed = time.thread_time() - start
         if telemetry is not None:
             telemetry.detach()
         best = max(best, cycles / elapsed)

@@ -451,14 +451,15 @@ def check_program(program, streams: dict[int, list[tuple[int, int]]],
                   params: ArchParams = DEFAULT_PARAMS,
                   configs=None, bounds: CheckBounds = DEFAULT_BOUNDS,
                   name: str = "program",
-                  backend: str = "interp") -> CheckReport:
+                  backend: str | None = None) -> CheckReport:
     """Prove (or refute) retirement equivalence for one program.
 
     ``program`` is an assembled :class:`~repro.asm.program.Program`;
     ``streams`` the input-token plan (queue index -> [(value, tag)...]).
     ``configs`` defaults to the full 48-configuration matrix.
-    ``backend`` selects the pipelined PE's executor: ``"jit"`` proves
-    the compiled step that long fabric runs promote busy PEs to.
+    ``backend`` selects the pipelined PE's executor: by default the
+    compiled step every fast-path PE runs, or ``"interp"`` for the
+    interpreter.
     """
     cparams = replace(params, queue_capacity=bounds.queue_capacity)
     streams_t = _normalize_streams(streams, cparams.num_input_queues)

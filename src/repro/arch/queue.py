@@ -49,8 +49,8 @@ class TaggedQueue:
         self._live: deque[QueueEntry] = deque()
         self._staged: list[QueueEntry] = []
         #: Monotonic change counter, bumped by every mutation of the
-        #: contents.  It keys the :meth:`arch_state` memo, and a compiled
-        #: block run watches its inputs' versions to stop on a dequeue.
+        #: contents.  It keys the :meth:`arch_state` memo and nothing
+        #: else.
         self.version = 0
         # arch_state() as of version _arch_version.
         self._arch: tuple = ((), ())

@@ -10,8 +10,9 @@ class RegisterFile:
     """``NRegs`` word-wide registers, initialized to zero."""
 
     def __init__(self, params: ArchParams) -> None:
-        self._params = params
         self._regs = [0] * params.num_regs
+        # A property on ArchParams; flattened once for the write path.
+        self._word_mask = params.word_mask
 
     def read(self, index: int) -> int:
         if not 0 <= index < len(self._regs):
@@ -21,7 +22,7 @@ class RegisterFile:
     def write(self, index: int, value: int) -> None:
         if not 0 <= index < len(self._regs):
             raise SimulationError(f"write of register %r{index} out of range")
-        self._regs[index] = value & self._params.word_mask
+        self._regs[index] = value & self._word_mask
 
     def reset(self) -> None:
         for i in range(len(self._regs)):

@@ -238,8 +238,8 @@ class Lowering:
 
     ``instructions`` is the program as the PEs hold it, ``compiled`` its
     trigger descriptors and ``datapaths`` its per-slot datapath
-    descriptors (by position).  PEs, the JIT code generator and the
-    checker all read it; none of them writes it.
+    descriptors (by position).  PEs (the compiled step through its PE)
+    and the checker read it; none of them writes it.
     """
 
     instructions: tuple[Instruction, ...]

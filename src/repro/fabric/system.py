@@ -26,17 +26,6 @@ from repro.errors import (
 from repro.fabric.lsq import LoadStoreQueue
 from repro.fabric.memory import Memory, MemoryReadPort, MemoryWritePort
 
-PROMOTE_AT_CYCLE = 512
-"""Fabric cycles into a run at which :meth:`System.run` compiles the PEs
-still busy.  Short kernels, fuzz runs and checker steps finish before
-it, so they never compile."""
-
-PROMOTE_MIN_ISSUES = PROMOTE_AT_CYCLE // 4
-"""Instructions a PE must have issued in the run by
-:data:`PROMOTE_AT_CYCLE` to be compiled.  PEs that mostly wait stay
-interpreted: udiv's feeder issues about 216 times in 7.4k cycles."""
-
-
 @dataclass
 class ChannelInfo:
     """One channel's endpoints, as tooling (the static analyzer) sees them.
@@ -313,8 +302,7 @@ class System:
                 )
         return False
 
-    def _run_fused(self, max_cycles: int, stall_limit: int,
-                   hot: dict) -> bool:
+    def _run_fused(self, max_cycles: int, stall_limit: int) -> bool:
         """Hoisted-state cycle loop for fabrics of fast-path pipelined PEs
         with no instrumentation attached.  Returns True when every PE
         halted within the budget.
@@ -325,24 +313,14 @@ class System:
         skipped (an idle read port only advances its private clock, which
         is relative to acceptance time; a write port missing an operand
         does nothing), and the progress predicate folded into the same
-        occupancy tests.  Interpreted PEs step through their class's
-        ``step``, looked up here, and compiled PEs through their
-        module's.  After a cycle in which only a compiled PE last in
-        step order made progress, with every other live PE quiescent,
-        the loop hands cycles to that PE's generated block run (the
-        quiescent-sibling rule below), the one way into a block run.
-
-        Once the run reaches :data:`PROMOTE_AT_CYCLE` cycles, every live
-        interpreted PE that issued at least :data:`PROMOTE_MIN_ISSUES`
-        instructions so far is compiled, and the loop carries on with
-        the same idle streak and budget.  ``hot`` maps each PE running
-        compiled to its cycle count when it began to.
+        occupancy tests.  Compiled PEs step through their config's
+        module and PEs built with ``backend="interp"`` through their
+        class's ``step``, looked up here.  After a cycle in which only a
+        compiled PE last in step order made progress, with every other
+        live PE quiescent, the loop hands cycles to that PE's generated
+        block run (the quiescent-sibling rule below), the one way into
+        a block run.
         """
-        for pe in self.pes:
-            if pe._jit is not None:
-                hot[pe] = pe.counters.cycles
-        promote_at = self.cycles + PROMOTE_AT_CYCLE
-        issued_at_start = [pe.counters.issued for pe in self.pes]
         live = self._steppers()
         rports = self.read_ports
         wports = self.write_ports
@@ -355,10 +333,6 @@ class System:
         while remaining > 0:
             if not live:
                 return True
-            if self.cycles >= promote_at:
-                promote_at = float("inf")
-                if self._promote(hot, issued_at_start):
-                    live = self._steppers()
             prog = False
             pruned = False
             moved = False
@@ -489,38 +463,6 @@ class System:
         return [(pe._jit.step if pe._jit is not None else type(pe).step, pe)
                 for pe in self.pes if not pe.halted]
 
-    def _promote(self, hot: dict, issued_at_start: list[int]) -> bool:
-        """Compile each live interpreted PE that issued at least
-        :data:`PROMOTE_MIN_ISSUES` instructions since the run began;
-        True if any was."""
-        busy = [
-            pe for pe, issued in zip(self.pes, issued_at_start)
-            if pe._jit is None and not pe.halted
-            and pe.counters.issued - issued >= PROMOTE_MIN_ISSUES
-        ]
-        if not busy:
-            return False
-        from repro.jit.cache import STATS, acquire
-
-        for pe in busy:
-            pe._bind_compiled(acquire(pe))
-            hot[pe] = pe.counters.cycles
-        STATS.promotions += len(busy)
-        return True
-
-    @staticmethod
-    def _release(hot: dict) -> None:
-        """End of a fused run: count the cycles each PE ran compiled and
-        unbind the PEs the run promoted, which releases their modules."""
-        if not hot:
-            return
-        from repro.jit.cache import STATS
-
-        for pe, since in hot.items():
-            STATS.compiled_cycles += pe.counters.cycles - since
-            if pe.backend != "jit":
-                pe._bind_compiled(None)
-
     def run(
         self,
         max_cycles: int = 2_000_000,
@@ -539,12 +481,12 @@ class System:
         attached — no invariant checker, telemetry sink or fault hook —
         the cycle loop runs through :meth:`_run_fused`: the same
         per-cycle schedule as :meth:`step` with the fabric state
-        hoisted, stretches that only a compiled PE works through handed
-        to its block run, and the PEs still busy at
-        :data:`PROMOTE_AT_CYCLE` compiled for the rest of the run.  Any
-        other fabric runs the reference loop, one :meth:`step` per
-        cycle.  Both drivers produce identical architectural state,
-        counters, and cycle counts.
+        hoisted, each PE stepping through its config's compiled module
+        from cycle 0 (unless built with ``backend="interp"``), and
+        stretches that only a compiled PE works through handed to its
+        block run.  Any other fabric runs the reference loop, one
+        :meth:`step` per cycle.  Both drivers produce identical
+        architectural state, counters, and cycle counts.
 
         Every completed run audits each PE's cycle accounting
         (``PipelineCounters.check_consistency``), so a leak raises a
@@ -563,11 +505,7 @@ class System:
             )
         )
         if fused:
-            hot: dict = {}
-            try:
-                completed = self._run_fused(max_cycles, stall_limit, hot)
-            finally:
-                self._release(hot)
+            completed = self._run_fused(max_cycles, stall_limit)
         else:
             completed = self._run_interleaved(max_cycles, stall_limit)
         if not completed:

@@ -1,42 +1,34 @@
-"""Compiled PE modules: build one, share it while it is held, release it.
+"""Compiled PE modules: one per pipeline config, kept for the process.
 
 :func:`acquire` returns the generated module (:mod:`repro.jit.codegen`)
-for a PE's loaded program under its pipeline configuration.  PEs alive
-at the same time with equal (program, config, params) share one module,
-because the generated functions take the PE as their first argument and
-hold no per-PE state.  A module lives only while some PE holds it:
-
-* a ``PipelinedPE(backend="jit")`` holds its module from program load,
-  so it runs compiled from cycle 0;
-* a PE that :class:`~repro.fabric.system.System` promotes mid-run holds
-  its module until that run ends.
-
-When the last holder lets go, the module's namespace is cleared.  That
-breaks the reference cycle between the namespace and the functions
-defined in it, so the memory returns at once instead of at the next
-full garbage collection.
+for a pipeline config, compiling it on first use.  The generated
+functions take the PE as their first argument, hold no per-PE state and
+read the program only through the PE, so every PE of a config — whatever
+its program and parameters — shares the one module.  There are 48
+configs, so the process keeps at most that many modules; it never
+releases them.
 
 :func:`jit_metrics` reports the process-wide counters: modules compiled
-(``misses``) and shared (``hits``), compile seconds, live modules
-(``entries``), PEs promoted, PE cycles run compiled, and why block runs
-returned control.
+(``misses``) and shared (``hits``), compile seconds, modules held
+(``entries``), and why block runs returned control.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from repro.jit.codegen import _Codegen
+from repro.arch.scheduler import NONE_TRIGGERED, TriggerKind
+from repro.jit.codegen import generate_source
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import PipelinedPE, _InFlight
 
 
 class JitProgram:
     """One compiled module's entry points."""
 
-    __slots__ = ("step", "run", "__weakref__")
+    __slots__ = ("step", "run")
 
     def __init__(self, step: Callable[..., bool],
                  run: Callable[..., int]) -> None:
@@ -46,21 +38,17 @@ class JitProgram:
 
 @dataclass
 class JitStats:
-    #: Binds served by a module another live PE already held.
+    #: Binds served by a module compiled earlier in the process.
     hits: int = 0
     #: Modules compiled.
     misses: int = 0
     compile_seconds: float = 0.0
-    #: PEs a System run compiled mid-run.
-    promotions: int = 0
-    #: PE cycles run on a compiled binding, added when each run ends.
-    compiled_cycles: int = 0
 
 
 STATS = JitStats()
 
-#: (program, config, params) -> the module live PEs hold for it.
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: Pipeline config -> its compiled module, for the life of the process.
+_MODULES: dict[PipelineConfig, JitProgram] = {}
 
 #: Why generated block runs returned control: reason -> count.  Filled
 #: by the :func:`_counted_run` wrapper around every compiled ``run``;
@@ -97,8 +85,8 @@ def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
         elif counters.cycles - cycles >= budget:
             reason = "budget"
         elif stop_on_dequeue and counters.dequeues != dequeues:
-            # The block stops at the end of the first cycle that staged
-            # an enqueue or, with ``stop_on_dequeue``, consumed input; a
+            # The block stops at the end of the first cycle that
+            # enqueued or, with ``stop_on_dequeue``, consumed input; a
             # cycle that did both counts as a dequeue.
             reason = "dequeue"
         else:
@@ -110,14 +98,18 @@ def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
 
 
 def _issue(pe, c, s_):
-    """Issue slot ``s_``: the new pipeline entry, and the in-flight queue
-    bookings the status views read.  The fire site applies the slot's
-    predicate update and offers its prediction itself."""
+    """Issue slot ``s_``: the new pipeline entry, the slot's issue-time
+    predicate update, the in-flight queue bookings the status views
+    read, and a pending halt.  The fire site offers the prediction."""
     m_ = pe._dp_meta[s_]
     e = pe._pipe[0] = _InFlight(pe.instructions[s_], m_, s_, pe._next_seq, 0)
     pe._next_seq += 1
     c.issued += 1
     pe.recent_fires.append((c.cycles, s_))
+    u_ = m_.pred_update
+    if u_.set_mask or u_.clear_mask:   # PredicateFile.apply_update
+        p_ = pe.preds
+        p_.state = (p_.state | u_.set_mask) & ~u_.clear_mask & p_._mask_all
     if m_.deq or m_.out_queue >= 0:
         qs = pe._queue_state
         for q_ in m_.deq:
@@ -125,45 +117,38 @@ def _issue(pe, c, s_):
             qs.sched_deqs[q_] += 1
         if m_.out_queue >= 0:
             qs.pending_enqs[m_.out_queue] += 1
+    if m_.is_halt:
+        pe._halt_pending = True
     return e
 
 
-def _namespace() -> dict[str, Any]:
-    """Globals injected into every generated module."""
-    return {
-        "_issue": _issue,
-        # The *class* function — calling it with a PE positionally runs
-        # one pure-interpreter cycle regardless of any instance binding.
-        "_INTERP_STEP": PipelinedPE.step,
-    }
-
-
-def acquire(pe) -> JitProgram:
-    """The compiled module for ``pe``'s loaded program and config.
-
-    Returns the module a live PE already holds for the same content, or
-    compiles one.  The caller holds the returned object for as long as
-    the PE runs compiled; dropping the last reference releases it.
-    """
-    key = (tuple(pe.instructions), pe.config, pe.params)
-    program = _LIVE.get(key)
+def acquire(config: PipelineConfig) -> JitProgram:
+    """The compiled module for ``config``, compiled on first use."""
+    program = _MODULES.get(config)
     if program is not None:
         STATS.hits += 1
         return program
     STATS.misses += 1
     started = time.perf_counter()
-    source = _Codegen(pe._lowering, pe.config).generate()
-    namespace = _namespace()
-    exec(compile(source, f"<jit:{pe.config.name}>", "exec"), namespace)
-    program = JitProgram(namespace["step"], _counted_run(namespace["run"]))
-    weakref.finalize(program, namespace.clear)
-    _LIVE[key] = program
+    namespace: dict[str, Any] = {
+        "_issue": _issue,
+        # Deferral for instrumented PEs; looked up per call, so a
+        # wrapper installed on the class later is honoured.
+        "_PE": PipelinedPE,
+        "_NONE_TRIGGERED": NONE_TRIGGERED,
+        "_FIRED": TriggerKind.FIRED,
+        "_HAZARD": TriggerKind.PREDICATE_HAZARD,
+    }
+    exec(compile(generate_source(config), f"<jit:{config.name}>", "exec"),
+         namespace)
+    program = _MODULES[config] = JitProgram(
+        namespace["step"], _counted_run(namespace["run"]))
     STATS.compile_seconds += time.perf_counter() - started
     return program
 
 
 def reset_metrics() -> None:
-    """Zero the counters and block-exit tallies (live modules stay)."""
+    """Zero the counters and block-exit tallies (modules stay)."""
     vars(STATS).update(vars(JitStats()))
     BLOCK_EXITS.clear()
 
@@ -174,6 +159,6 @@ def block_exit_counts() -> dict[str, int]:
 
 
 def jit_metrics() -> dict[str, Any]:
-    """One JSON-ready dict: counters, live modules, block-exit reasons."""
-    return {**asdict(STATS), "entries": len(_LIVE),
+    """One JSON-ready dict: counters, modules held, block-exit reasons."""
+    return {**asdict(STATS), "entries": len(_MODULES),
             "block_exits": block_exit_counts()}

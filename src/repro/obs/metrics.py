@@ -158,8 +158,7 @@ class MetricsRegistry:
 
     def jit_metrics(self) -> dict:
         """Process-wide jit backend health: modules compiled and shared,
-        compile seconds, live modules, PEs promoted, cycles run compiled,
-        and block-exit-reason counts.
+        compile seconds, modules held, and block-exit-reason counts.
 
         Imported lazily — the registry never drags the jit backend in
         for interpreter-only runs (and the counters are process-global,
@@ -244,10 +243,8 @@ class MetricsRegistry:
             )
             lines.append(
                 f"  jit: {jit['misses']} modules compiled, {jit['hits']} "
-                f"shared, {jit['entries']} live, "
-                f"{jit['compile_seconds']:.3f}s compiling; "
-                f"{jit['promotions']} PEs promoted, "
-                f"{jit['compiled_cycles']} cycles compiled"
+                f"shared, {jit['entries']} held, "
+                f"{jit['compile_seconds']:.3f}s compiling"
                 + (f"; block exits: {exits}" if exits else "")
             )
         events = snapshot.get("events")

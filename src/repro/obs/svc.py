@@ -404,9 +404,6 @@ def stats_metrics(stats: dict, jit: dict | None = None) -> ServiceMetrics:
         metrics.inc("repro_jit_compile_seconds_total",
                     jit.get("compile_seconds", 0.0))
         metrics.gauge("repro_jit_cache_entries", jit.get("entries", 0))
-        metrics.inc("repro_jit_promotions_total", jit.get("promotions", 0))
-        metrics.inc("repro_jit_compiled_cycles_total",
-                    jit.get("compiled_cycles", 0))
         for reason, count in jit.get("block_exits", {}).items():
             metrics.inc("repro_jit_block_exits_total", count, reason=reason)
     return metrics

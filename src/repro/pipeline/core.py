@@ -114,9 +114,14 @@ class _Speculation:
     forced: bool = False   # injected inversion; excluded from accuracy stats
 
 
-def _resolve_backend(backend: str, fast_path: bool) -> str:
-    """Validate the executor choice.  The compiled module inlines the
-    fast path's trigger walk, so it cannot run the reference walk."""
+def _resolve_backend(backend: str | None, fast_path: bool) -> str:
+    """Validate the executor choice.  By default the fast path runs its
+    config's compiled step (``"jit"``) and the reference walk the
+    interpreter; ``"interp"`` keeps a fast-path PE on the interpreter,
+    the differential oracle.  The compiled step runs the fast path's
+    trigger walk, so it cannot run the reference walk."""
+    if backend is None:
+        return "jit" if fast_path else "interp"
     if backend not in ("interp", "jit"):
         raise SimulationError(
             f"unknown backend {backend!r}; choose 'interp' or 'jit'"
@@ -140,7 +145,7 @@ class PipelinedPE:
         has_scratchpad: bool = True,
         initial_predicates: int = 0,
         fast_path: bool = True,
-        backend: str = "interp",
+        backend: str | None = None,
     ) -> None:
         self.config = config
         self.params = params
@@ -194,7 +199,6 @@ class PipelinedPE:
         self.backend = _resolve_backend(backend, fast_path)
         self._jit = None          # compiled module (repro.jit), if bound
         self._jit_block = None    # bound block-stepping entry point
-        self._lowering: Lowering | None = None
         self._compiled = None
         self._dp_meta: tuple[CompiledDatapath, ...] = ()
         #: Resilience seam: called with this PE at the top of every live
@@ -224,46 +228,23 @@ class PipelinedPE:
         elif program.params != self.params:
             raise SimulationError(
                 f"{self.name}: program lowered for other parameters")
-        self._lowering = program
         self.instructions = program.instructions
         self._compiled = program.compiled if self.fast_path else None
         self._dp_meta = program.datapaths
-        self._bind_backend()
-
-    def _bind_backend(self) -> None:
-        """Attach (or detach) the compiled module for this program.
-
-        On the ``jit`` backend the PE runs compiled from cycle 0.  On the
-        interpreter backend it starts interpreted; a
-        :class:`~repro.fabric.system.System` run may promote it for the
-        rest of that run (:meth:`_bind_compiled`).
-        """
-        program = None
-        if self.backend == "jit" and self.instructions:
+        if self.backend == "jit" and self._jit is None:
+            # Run on the config's compiled module from now on.  Its
+            # ``step`` shadows the interpreter through an instance
+            # binding and defers to it whenever a fault hook or
+            # telemetry sink is attached, so instrumented runs stay
+            # bit-identical.  Its block entry point becomes
+            # ``_jit_block``, which only the fused
+            # :class:`~repro.fabric.system.System` loop enters, on
+            # uninstrumented fabrics.
             from repro.jit.cache import acquire
 
-            program = acquire(self)
-        self._bind_compiled(program)
-
-    def _bind_compiled(self, program) -> None:
-        """Run on a compiled module's entry points, or, given None, on
-        the interpreter again.
-
-        The module's ``step`` shadows the interpreter through an
-        instance binding and defers to it whenever a fault hook or
-        telemetry sink is attached, so instrumented runs stay
-        bit-identical.  Its block entry point becomes ``_jit_block``,
-        which only the fused :class:`~repro.fabric.system.System` loop
-        enters, on uninstrumented fabrics.  Unbinding drops this PE's
-        hold on the module.
-        """
-        self._jit = program
-        if program is None:
-            self._jit_block = None
-            self.__dict__.pop("step", None)
-        else:
-            self.step = program.step.__get__(self)
-            self._jit_block = program.run.__get__(self)
+            self._jit = acquire(self.config)
+            self.step = self._jit.step.__get__(self)
+            self._jit_block = self._jit.run.__get__(self)
 
     def reset(self) -> None:
         for queue in self.inputs:

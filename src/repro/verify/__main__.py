@@ -84,9 +84,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="configs per case that also run the reference "
                              "trigger walk")
     parser.add_argument("--jit", action="store_true",
-                        help="additionally run every config under the "
-                             "repro.jit backend, held bit-identical to the "
-                             "interpreter fast path")
+                        help="additionally run every config on the "
+                             "interpreter fast path, holding the compiled "
+                             "default bit-identical to it")
     parser.add_argument("--corpus", default=DEFAULT_CORPUS,
                         help="corpus directory to replay / shrink into")
     parser.add_argument("--no-shrink", action="store_true",

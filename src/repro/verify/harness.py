@@ -252,11 +252,12 @@ def reference_config_names(case_seed: int, count: int) -> list[str]:
             for i in range(count)]
 
 
-#: The models a config may also run, each held to the fast path:
-#: (divergence kind, PipelinedPE options, short name for the PE and the
-#: cycles detail, label for crash and hang reports, name in the counters
-#: detail).
-_JIT_LEG = ("jit-vs-interp", {"backend": "jit"}, "jit", "jit", "jit")
+#: The models a config may also run, each held to the fast path (the
+#: compiled default): (divergence kind, PipelinedPE options, short name
+#: for the PE and the cycles detail, label for crash and hang reports,
+#: name in the counters detail).
+_JIT_LEG = ("jit-vs-interp", {"backend": "interp"}, "interp",
+            "interpreter", "interpreter")
 _REFERENCE_LEG = ("fast-vs-reference", {"fast_path": False}, "ref",
                   "reference walk", "reference")
 
@@ -294,9 +295,10 @@ def check_case(case: dict, params: ArchParams = DEFAULT_PARAMS,
                ref_configs: int = 4, jit: bool = False) -> dict:
     """Run one case differentially; returns a JSON-able result dict.
 
-    With ``jit=True`` every configuration additionally runs under the
-    ``repro.jit`` specialization backend, held to bit-identical state,
-    cycle count, and counters against the interpreter fast path.
+    With ``jit=True`` every configuration additionally runs on the
+    interpreter (``backend="interp"``), and the compiled ``repro.jit``
+    step every fast-path PE runs by default is held to bit-identical
+    state, cycle count, and counters against it.
     """
     result = {
         "name": case["name"],

@@ -230,13 +230,11 @@ class TestSystem:
     ])
     def test_pipelined_deadlock_past_promotion_matches_reference(
             self, config, lone):
-        """A pipelined fabric that streams past the promotion mark and
-        then waits forever: the fused loop (with its busy PE compiled)
+        """A pipelined fabric that streams for hundreds of cycles and
+        then waits forever: the fused loop (every fast-path PE compiled)
         must raise at the same cycle, with the same forensic report, as
         the reference walk.  The lone producer deadlocks inside its
         compiled block run."""
-        from repro.jit.cache import STATS
-
         def build(fast_path):
             system = System()
             producer = PipelinedPE(config_by_name(config), name="producer",
@@ -270,11 +268,12 @@ class TestSystem:
 
         errors = {}
         for fast_path in (True, False):
-            promoted = STATS.promotions
+            system = build(fast_path)
             with pytest.raises(DeadlockError) as info:
-                build(fast_path).run(stall_limit=200)
+                system.run(stall_limit=200)
             errors[fast_path] = info.value
-            assert (STATS.promotions > promoted) is fast_path
+            assert all((pe._jit is not None) is fast_path
+                       for pe in system.pes)
         fused, reference = errors[True], errors[False]
         assert str(fused) == str(reference)
         assert fused.report == reference.report

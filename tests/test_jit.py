@@ -1,13 +1,14 @@
-"""Differential tests for the ``repro.jit`` specialization backend, and
-the policy that promotes busy PEs to it mid-run.
+"""Differential tests for the ``repro.jit`` compiled step, which every
+fast-path PE runs from cycle 0.
 
-The JIT emits straight-line per-trigger Python for a fixed (program,
-partition, ±P, queue-policy) tuple and dispatches it instead of the
-generic compiled-trigger walk.  Nothing about it may be architecturally
-observable: every test here holds the JIT to bit-identical state,
-cycles, and counters against the interpreter fast path (itself held to
-the reference dataclass walk by ``test_pipeline_equivalence``), and the
-promotion tests pin down which runs compile what, and for how long.
+The JIT emits straight-line Python for one pipeline config: the stage
+walk, capture and compute at the config's stages, and trigger resolution
+through the PE's candidate table and queue-status view.  Nothing about
+it may be architecturally observable: every test here holds the default
+(compiled) PE to bit-identical state, cycles, and counters against the
+interpreter (``backend="interp"``), itself held to the reference
+dataclass walk by ``test_pipeline_equivalence``; the module tests pin
+down which PEs run compiled and how many modules a process compiles.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from repro.pipeline.config import all_configs
 from repro.pipeline.predictor import PredicatePredictor
 from repro.workloads.base import WorkloadRun
 from repro.workloads.suite import WORKLOADS, get_workload, run_workload
+from tests.test_check import (
+    _corpus_case,
+    _inject_conservative_suppression_bug,
+    _inject_effective_tag_bug,
+)
 from tests.test_pipeline_equivalence import _run, chain_programs
 from tests.test_pipeline_equivalence import (
     _workload_fingerprint as workload_fingerprint,
@@ -42,16 +48,17 @@ ALL_CONFIGS = all_configs(include_padded=True)
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
 def test_jit_is_bit_identical_across_the_workload_suite(config):
-    """48 configs x 10 workloads: the JIT backend must reproduce the
-    interpreter fast path bit for bit — same CPI stacks, counters,
-    cycle counts, and final architectural state — through the fused
-    ``System`` loop and the block runs its quiescent-sibling rule
+    """48 configs x 10 workloads: the default, compiled PEs must
+    reproduce the interpreter fast path bit for bit — same CPI stacks,
+    counters, cycle counts, and final architectural state — through the
+    fused ``System`` loop and the block runs its quiescent-sibling rule
     enters."""
     for name in WORKLOADS():
         jit = run_workload(
             name, scale=_DIFF_SCALE,
-            make_pe=lambda n: PipelinedPE(config, P, name=n, backend="jit"),
+            make_pe=lambda n: PipelinedPE(config, P, name=n),
         )
+        assert all(pe._jit is not None for pe in jit.system.pes)
         interp = run_workload(
             name, scale=_DIFF_SCALE,
             make_pe=lambda n: PipelinedPE(config, P, name=n, backend="interp"),
@@ -66,7 +73,7 @@ def test_jit_is_bit_identical_across_the_workload_suite(config):
 def test_jit_matches_interpreter_on_random_programs(generated):
     instructions, pushes = generated
     for name in ("T|D|X1|X2 +P+Q", "TD|X", "T|DX +P+Q", "T|D|X1|X2 +P+pad"):
-        jit = PipelinedPE(config_by_name(name), P, name="jit", backend="jit")
+        jit = PipelinedPE(config_by_name(name), P, name="jit")
         interp = PipelinedPE(config_by_name(name), P, name="int",
                              backend="interp")
         jit_result = _run(jit, instructions, pushes)
@@ -77,7 +84,8 @@ def test_jit_matches_interpreter_on_random_programs(generated):
 
 def test_corpus_replays_clean_through_the_jit_backend():
     """Every saved fuzz regression stays clean with the jit leg enabled
-    (all 48 configs per case, bit-identical to the interpreter)."""
+    (all 48 configs per case, the compiled default bit-identical to the
+    interpreter)."""
     from repro.verify.corpus import DEFAULT_CORPUS, load_corpus
     from repro.verify.harness import check_case
 
@@ -92,7 +100,7 @@ def test_corpus_replays_clean_through_the_jit_backend():
 
 def test_fresh_fuzz_round_through_the_jit_backend():
     """A deterministic fresh-fuzz round with the jit leg: generated
-    cases run golden vs interpreter vs JIT on all 48 configs."""
+    cases run golden vs compiled vs interpreter on all 48 configs."""
     from repro.verify.generator import generate_case
     from repro.verify.harness import check_case, real_divergences
 
@@ -105,7 +113,7 @@ def test_fresh_fuzz_round_through_the_jit_backend():
 
 
 # ---------------------------------------------------------------------------
-# Backend selection, fallback rules, and the specialization cache.
+# Backend selection, fallback rules, and the per-config modules.
 # ---------------------------------------------------------------------------
 
 #: The perf-harness predicate loop, scaled down: count to 40 and halt.
@@ -122,12 +130,16 @@ when %p == XXXXXX01:
 def test_backend_selector_and_fallback_to_interpreter():
     cfg = config_by_name("T|D|X1|X2 +P+Q")
     program = assemble(_LOOP, P)
-    jit = PipelinedPE(cfg, P, name="jit", backend="jit")
+    jit = PipelinedPE(cfg, P, name="jit")
     interp = PipelinedPE(cfg, P, name="interp", backend="interp")
-    program.configure(jit)
-    program.configure(interp)
+    reference = PipelinedPE(cfg, P, name="ref", fast_path=False)
+    assert (jit.backend, interp.backend, reference.backend) == (
+        "jit", "interp", "interp")
+    for pe in (jit, interp, reference):
+        assert pe._jit is None          # nothing bound before a program
+        program.configure(pe)
     assert jit._jit is not None
-    assert interp._jit is None
+    assert interp._jit is None and reference._jit is None
     while not interp.halted:
         interp.step()
         interp.commit_queues()
@@ -140,8 +152,8 @@ def test_backend_selector_and_fallback_to_interpreter():
 
 
 def test_jit_backend_refuses_the_reference_walk():
-    """The compiled module inlines the fast path's trigger walk, so a
-    PE cannot ask for both it and the reference walk."""
+    """The compiled step runs the fast path's trigger walk, so a PE
+    cannot ask for both it and the reference walk."""
     cfg = config_by_name("T|D|X1|X2 +P+Q")
     with pytest.raises(SimulationError, match="fast_path=False"):
         PipelinedPE(cfg, P, backend="jit", fast_path=False)
@@ -178,6 +190,62 @@ def test_compiled_pes_run_the_one_datapath(monkeypatch):
     assert interp.regs.snapshot()[0] == 42
 
 
+_VIEW_BUGS = [
+    pytest.param(_inject_effective_tag_bug, id="neck-tag"),
+    pytest.param(_inject_conservative_suppression_bug, id="suppression"),
+]
+
+
+def _view_case_runs(program, streams, backend) -> dict:
+    """config name -> (fingerprint, counters) of the neck-tag case."""
+    from repro.verify.harness import GOLDEN_WATCHDOG, _run_guarded
+
+    runs = {}
+    for cfg in ALL_CONFIGS:
+        pe = PipelinedPE(cfg, P, name=f"view-{cfg.name}", backend=backend)
+        program.configure(pe)
+        assert (pe._jit is not None) is (backend is None), cfg.name
+        runs[cfg.name] = (_run_guarded(pe, streams, GOLDEN_WATCHDOG),
+                          pe.counters.as_dict())
+    return runs
+
+
+@pytest.mark.parametrize("inject", _VIEW_BUGS)
+def test_a_mutated_queue_status_view_reaches_compiled_pes(inject,
+                                                          monkeypatch):
+    """Compiled PEs resolve triggers through the queue-status views, so
+    a bug injected into a view reaches them exactly as it reaches the
+    interpreter: with either of the two historical view bugs of
+    ``tests/test_check.py`` in place, the neck-tag corpus case ends in
+    the same state, cycle count and counters on both executors, on all
+    48 configs, and the bug does change some config's run."""
+    from repro.verify.generator import case_source, case_streams
+
+    case = _corpus_case("neck-tag-visibility")
+    program = assemble(case_source(case, P), P, name=case["name"])
+    streams = case_streams(case)
+    clean = _view_case_runs(program, streams, "interp")
+    inject(monkeypatch)
+    interp = _view_case_runs(program, streams, "interp")
+    compiled = _view_case_runs(program, streams, None)
+    for name, run in interp.items():
+        assert compiled[name] == run, name
+    assert any(interp[name] != clean[name] for name in clean)
+
+
+def test_generated_source_holds_no_program_or_queue_status_constant():
+    """Every config's module reads the program only through the PE and
+    queue status only through its view: no in-flight queue booking, no
+    tag and no slot number appears in the source."""
+    for cfg in ALL_CONFIGS:
+        src = generate_source(cfg)
+        assert f"codegen v{CODEGEN_VERSION}" in src.splitlines()[0]
+        for banned in ("pending_deqs", "sched_deqs", "pending_enqs", ".tag",
+                       "instructions", "_dp_meta", "inputs", "outputs"):
+            assert banned not in src, (cfg.name, banned)
+        compile(src, cfg.name, "exec")
+
+
 def test_attached_hooks_defer_to_the_interpreter_bit_identically():
     """A fault hook must see exactly the interpreter schedule: the
     generated step defers while it is attached, and results match."""
@@ -199,35 +267,36 @@ def test_attached_hooks_defer_to_the_interpreter_bit_identically():
     assert pes["jit"].counters == pes["interp"].counters
 
 
-def test_live_pes_share_one_module_until_the_last_lets_go():
-    cfg = config_by_name("T|D|X1|X2 +P+Q")
-    program = assemble(_LOOP, P)
+def test_pes_of_one_config_share_one_module_for_the_process():
+    """PEs of one config share its module whatever their programs, and
+    the module outlives them: a PE built after they are gone binds the
+    same one without compiling."""
+    # A config no other test builds, so its first PE compiles.
+    cfg = config_by_name("T|D|X1|X2 +P+Q").with_options(speculative_depth=7)
+    programs = [assemble(_LOOP, P), assemble(_LOOP.replace("$40", "$9"), P)]
+    base = jit_metrics()
+    pes = []
+    for i in range(3):
+        pe = PipelinedPE(cfg, P, name=f"pe{i}")
+        programs[i % 2].configure(pe)
+        pes.append(pe)
+    stats = jit_metrics()
+    assert stats["misses"] == base["misses"] + 1
+    assert stats["hits"] == base["hits"] + 2
+    assert stats["entries"] == base["entries"] + 1
+    module = pes[0]._jit
+    assert module is pes[1]._jit is pes[2]._jit
+    del pes, pe
     gc.collect()
-    gc.disable()          # modules must go without the cycle collector
-    try:
-        base = jit_metrics()
-        pes = []
-        for i in range(3):
-            pe = PipelinedPE(cfg, P, name=f"pe{i}", backend="jit")
-            program.configure(pe)
-            pes.append(pe)
-        stats = jit_metrics()
-        assert stats["misses"] == base["misses"] + 1
-        assert stats["hits"] == base["hits"] + 2
-        assert stats["entries"] == base["entries"] + 1
-        assert pes[0]._jit is pes[1]._jit is pes[2]._jit
-        for pe in pes:
-            pe._bind_compiled(None)
-        assert jit_metrics()["entries"] == base["entries"]
-    finally:
-        gc.enable()
-    src = generate_source(program.instructions, cfg, P)
-    assert f"codegen v{CODEGEN_VERSION}" in src.splitlines()[0]
+    late = PipelinedPE(cfg, P, name="late")
+    programs[0].configure(late)
+    assert late._jit is module
+    assert jit_metrics()["misses"] == stats["misses"]
+    assert jit_metrics()["entries"] == stats["entries"]
 
 
 # ---------------------------------------------------------------------------
-# Hot-PE promotion: which runs compile, what they compile, how long the
-# modules live.
+# Which runs step compiled, and how many modules they compile.
 # ---------------------------------------------------------------------------
 
 _CFG = config_by_name("T|D|X1|X2 +P+Q")
@@ -238,50 +307,52 @@ def _pipelined(name: str) -> PipelinedPE:
 
 
 @pytest.fixture
-def compiled(monkeypatch) -> list[str]:
-    """Names of the PEs modules are acquired for during the test."""
+def interpreted(monkeypatch) -> list[str]:
+    """Names of the PEs the interpreter's ``step`` ran a cycle of."""
     names: list[str] = []
-    original = jit_cache.acquire
+    original = PipelinedPE.step
 
     def spy(pe):
         names.append(pe.name)
         return original(pe)
 
-    monkeypatch.setattr(jit_cache, "acquire", spy)
+    monkeypatch.setattr(PipelinedPE, "step", spy)
     return names
 
 
-def test_promotion_compiles_only_busy_pes_and_releases_their_modules(
-        compiled):
-    """udiv's worker passes the mark issuing; its feeder mostly waits.
-    Only the worker is compiled, and its module is gone when the run
-    ends — without waiting for the cycle collector."""
-    gc.collect()
-    gc.disable()
-    try:
-        before = jit_metrics()
-        run = run_workload("udiv", scale=8, make_pe=_pipelined)
-        after = jit_metrics()
-    finally:
-        gc.enable()
-    assert compiled == ["worker"]
-    assert after["promotions"] == before["promotions"] + 1
-    assert after["compiled_cycles"] > before["compiled_cycles"]
-    assert after["entries"] == before["entries"]
+def test_every_fast_path_pe_runs_compiled_from_cycle_0(interpreted):
+    """udiv's worker and its mostly waiting feeder both bind their
+    config's module at program load; no cycle of the run is
+    interpreted, and long idle stretches go to block runs."""
+    before = jit_metrics()
+    run = run_workload("udiv", scale=8, make_pe=_pipelined)
+    after = jit_metrics()
+    assert interpreted == []
     for pe in run.system.pes:
-        assert pe._jit is None and "step" not in vars(pe)
+        assert pe._jit is jit_cache._MODULES[_CFG]
+        assert vars(pe)["step"].__func__ is pe._jit.step
+    assert after["misses"] <= before["misses"] + 1
+    assert sum(after["block_exits"].values()) > sum(
+        before["block_exits"].values())
 
 
-def test_fuzz_batches_and_short_kernels_never_compile(compiled, monkeypatch):
+def test_fuzz_batches_and_short_kernels_compile_at_most_one_module_per_config(
+        monkeypatch):
     from repro.verify import fuzz_run, real_divergences
 
     monkeypatch.setenv("REPRO_WORKERS", "1")    # run the batch in-process
-    before = jit_metrics()
-    results = fuzz_run(3, 7700, ref_configs=0)
+    first = fuzz_run(3, 7700, ref_configs=0)
     run_workload("gcd", scale=24, make_pe=_pipelined)
-    assert not any(real_divergences(result) for result in results)
-    assert compiled == []
-    assert jit_metrics()["promotions"] == before["promotions"]
+    assert not any(real_divergences(result) for result in first)
+    after_first = jit_metrics()
+    assert after_first["entries"] <= len(ALL_CONFIGS) + 1
+    again = fuzz_run(3, 7700, ref_configs=0)
+    run_workload("gcd", scale=24, make_pe=_pipelined)
+    after_again = jit_metrics()
+    assert again == first
+    assert after_again["misses"] == after_first["misses"]
+    # 48 configs x 3 cases, plus gcd's PEs.
+    assert after_again["hits"] >= after_first["hits"] + 3 * 48
 
 
 def _udiv_run(instrument: str) -> WorkloadRun:
@@ -313,43 +384,54 @@ def _udiv_run(instrument: str) -> WorkloadRun:
 @pytest.mark.parametrize(
     "instrument", ["telemetry", "invariants", "fault_hook", "reference"])
 def test_instrumented_runs_never_promote_and_stay_bit_identical(
-        instrument, compiled):
-    promoted = _udiv_run("none")
-    assert compiled == ["worker"]
-    compiled.clear()
+        instrument, interpreted):
+    """An instrumented run enters no block run, and a PE carrying a
+    fault hook or telemetry sink (or the reference walk) steps every
+    cycle on the interpreter; an invariant checker keeps the compiled
+    per-cycle step.  Results match the uninstrumented run."""
+    bare = _udiv_run("none")
+    assert interpreted == []
+    exits = jit_metrics()["block_exits"]
     instrumented = _udiv_run(instrument)
-    assert compiled == []
+    assert jit_metrics()["block_exits"] == exits
+    worker = instrumented.system.pe("worker")
+    if instrument == "invariants":
+        assert interpreted == []
+    else:
+        assert interpreted.count("worker") == worker.counters.cycles
     assert (workload_fingerprint(instrumented)
-            == workload_fingerprint(promoted))
+            == workload_fingerprint(bare))
 
 
 def test_module_memory_stays_bounded_after_a_cpi_campaign(monkeypatch):
+    """A CPI campaign over eight configs holds at most one module per
+    config, and running it again compiles nothing."""
     from repro.dse.cpi import CpiTable
 
     monkeypatch.setenv("REPRO_WORKERS", "1")    # run the tasks in-process
-    gc.collect()
-    gc.disable()
-    try:
-        before = jit_metrics()
-        CpiTable(scale=8).populate(all_configs()[:8])
-        after = jit_metrics()
-    finally:
-        gc.enable()
-    assert after["promotions"] >= before["promotions"] + 8
-    assert after["entries"] == before["entries"]
+    before = jit_metrics()
+    CpiTable(scale=8).populate(all_configs()[:8])
+    first = jit_metrics()
+    CpiTable(scale=8).populate(all_configs()[:8])
+    second = jit_metrics()
+    assert first["entries"] <= before["entries"] + 8
+    assert first["hits"] - before["hits"] >= 8 * 10
+    assert second["misses"] == first["misses"]
+    assert second["entries"] == first["entries"]
 
 
 def test_compiled_step_proves_the_checkable_kernels_like_the_interpreter():
     """gcd, stream and udiv at queue capacity 2 over all 48 configs: the
-    compiled step is proved, through the same state spaces."""
+    compiled step, ``check_program``'s default, is proved through the
+    same state spaces as the interpreter."""
     from repro.analyze import CheckBounds, check_program, checkable_workloads
 
     bounds = CheckBounds(queue_capacity=2)
     for name, program, streams, params in checkable_workloads():
         jit = check_program(program, streams, params, bounds=bounds,
-                            name=name, backend="jit")
+                            name=name)
         interp = check_program(program, streams, params, bounds=bounds,
-                               name=name)
+                               name=name, backend="interp")
         assert jit.verdict == interp.verdict == "proved", name
         assert len(jit.configs) == 48
         assert ([(c.config, c.states, c.transitions) for c in jit.configs]

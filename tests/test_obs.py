@@ -627,7 +627,6 @@ def test_stats_metrics_renders_service_and_jit_families():
         "serial": False, "pending_tasks": 0, "in_flight": 0,
     }
     jit = {"hits": 7, "misses": 2, "compile_seconds": 0.25, "entries": 2,
-           "promotions": 4, "compiled_cycles": 900,
            "block_exits": {"halt": 3, "budget": 1}}
     text = stats_metrics(stats, jit=jit).prometheus_text()
     assert "repro_serve_tasks_done_total 5" in text
@@ -639,8 +638,7 @@ def test_stats_metrics_renders_service_and_jit_families():
     assert "repro_jit_cache_hits_total 7" in text
     assert "repro_jit_compile_seconds_total 0.25" in text
     assert 'repro_jit_block_exits_total{reason="halt"} 3' in text
-    assert "repro_jit_promotions_total 4" in text
-    assert "repro_jit_compiled_cycles_total 900" in text
+    assert "repro_jit_cache_entries 2" in text
     # Family names never repeat across TYPE sections (exposition rule).
     families = [line.split()[2] for line in text.splitlines()
                 if line.startswith("# TYPE ")]
@@ -726,14 +724,14 @@ def test_campaign_trace_without_sim_tracks():
 def test_metrics_registry_exposes_jit_cache_section(stream_run):
     snapshot = MetricsRegistry.from_system(stream_run.system).snapshot()
     jit = snapshot["jit"]
-    assert set(jit) >= {"hits", "misses", "compile_seconds", "entries",
-                        "promotions", "compiled_cycles", "block_exits"}
+    assert set(jit) == {"hits", "misses", "compile_seconds", "entries",
+                        "block_exits"}
     assert json.loads(json.dumps(jit)) == jit
 
 
-def test_promotion_counters_reach_the_snapshot_and_metrics_endpoint():
-    """A run long enough to promote its busy PE shows up as a promotion
-    and as compiled cycles in both observation surfaces."""
+def test_module_binds_reach_the_snapshot_and_metrics_endpoint():
+    """Every PE of a run binds its config's module: each bind shows up
+    as a compile or a share in both observation surfaces."""
     from repro.jit.cache import jit_metrics
 
     before = jit_metrics()
@@ -741,12 +739,13 @@ def test_promotion_counters_reach_the_snapshot_and_metrics_endpoint():
         "udiv", scale=8,
         make_pe=lambda n: PipelinedPE(config_by_name("TD|X"), name=n))
     jit = MetricsRegistry.from_system(run.system).snapshot()["jit"]
-    assert jit["promotions"] == before["promotions"] + 1
-    assert jit["compiled_cycles"] > before["compiled_cycles"]
+    binds = (jit["hits"] + jit["misses"]) - (before["hits"]
+                                             + before["misses"])
+    assert binds == len(run.system.pes)
+    assert jit["entries"] >= 1
     text = stats_metrics({}, jit=jit_metrics()).prometheus_text()
-    assert f"repro_jit_promotions_total {jit['promotions']}" in text
-    assert (f"repro_jit_compiled_cycles_total {jit['compiled_cycles']}"
-            in text)
+    assert f"repro_jit_cache_hits_total {jit['hits']}" in text
+    assert f"repro_jit_cache_misses_total {jit['misses']}" in text
 
 
 def test_jit_block_exit_reasons_counted():

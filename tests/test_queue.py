@@ -112,11 +112,10 @@ class TestFifoProperty:
 
 
 class TestVersionCounter:
-    """The monotone version counter backing memoized trigger decisions.
+    """The monotone version counter keying the memoized ``arch_state()``.
 
-    Soundness of the scheduler's decision cache rests on one invariant:
-    any mutation that can change what a queue-status view observes bumps
-    ``version``, and the counter never decreases.
+    The memo is sound only if every mutation that can change a queue's
+    contents bumps ``version``, and the counter never decreases.
     """
 
     def test_every_mutation_bumps_the_version(self):
