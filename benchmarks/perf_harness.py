@@ -107,11 +107,12 @@ def measure_loop(cycles: int, repeats: int = REPEATS) -> dict[str, list[float]]:
 
     ``reference`` and ``fast_path`` step the interpreter per cycle with
     the reference walk and the fast path (``backend="interp"``);
-    ``jit_step`` drives the default PE's generated per-cycle ``step``
-    through the same loop; ``jit_block`` runs a copy of the loop that
-    halts after about ``cycles`` cycles (it takes three a turn on
-    ``BENCH_CONFIG``) as a one-PE ``System``, whose fused loop hands the
-    run to the generated ``run`` block loop.  The config's module is
+    ``jit_step`` steps the default PE, whose ``step`` runs its config's
+    compiled cycle, through the same loop; ``jit_block`` runs a copy of
+    the loop that halts after about ``cycles`` cycles (it takes three a
+    turn on ``BENCH_CONFIG``) as a one-PE ``System``, whose fused loop
+    hands the run to the block loop, ``repro.jit.cache.run_block``.  The
+    config's module is
     compiled before the timed region (compile economics are covered by
     ``test_bench_jit``).  Each repeat runs the four legs in turn, so a
     slow spell of the host lands on all of them.

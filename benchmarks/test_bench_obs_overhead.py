@@ -35,14 +35,14 @@ def _loop_throughput(cycles: int, telemetry: Telemetry | None) -> float:
     """Best-of-3 cycles per thread CPU second for the register loop,
     optionally traced.
 
-    The PE runs on the interpreter (``backend="interp"``), whose seams
-    are what the guards measure: a default PE steps compiled until a
-    sink is attached, and then defers to the interpreter.  Thread CPU
-    time leaves out the time a shared host takes the CPU away.
+    The PE is a default one, whose ``step`` runs its config's compiled
+    cycle with or without a sink attached, so the guards measure the
+    seams on the tier that instrumented runs step.  Thread CPU time
+    leaves out the time a shared host takes the CPU away.
     """
     best = 0.0
     for _ in range(3):
-        pe = PipelinedPE(CONFIG, name="bench", backend="interp")
+        pe = PipelinedPE(CONFIG, name="bench")
         assemble(LOOP).configure(pe)
         if telemetry is not None:
             telemetry.attach_pe(pe)

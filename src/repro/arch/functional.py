@@ -101,7 +101,7 @@ class FunctionalPE:
         self.regs = RegisterFile(params)
         self.preds = PredicateFile(params, initial_predicates)
         self.scratchpad = Scratchpad(params) if has_scratchpad else None
-        self.scheduler = Scheduler(params)
+        self.scheduler = Scheduler()
         self.instructions: tuple[Instruction, ...] = ()
         self.counters = FunctionalCounters()
         self.halted = False

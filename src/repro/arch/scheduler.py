@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from repro.arch.queue import TaggedQueue
 from repro.isa.instruction import Instruction
-from repro.params import ArchParams
 
 if TYPE_CHECKING:
     from repro.arch.trigger_cache import CompiledProgram
@@ -97,9 +96,6 @@ NONE_TRIGGERED = TriggerOutcome(TriggerKind.NONE_TRIGGERED)
 
 class Scheduler:
     """Priority-ordered trigger resolution over one PE's instruction list."""
-
-    def __init__(self, params: ArchParams) -> None:
-        self._params = params
 
     def evaluate(
         self,

@@ -158,7 +158,6 @@ REG = 1
 IN = 2
 
 # Destination codes; values deliberately equal DestinationType.*.value.
-DST_NONE = DestinationType.NONE.value
 DST_REG = DestinationType.REG.value
 DST_OUT = DestinationType.OUT.value
 DST_PRED = DestinationType.PRED.value

@@ -25,6 +25,8 @@ from repro.errors import (
 )
 from repro.fabric.lsq import LoadStoreQueue
 from repro.fabric.memory import Memory, MemoryReadPort, MemoryWritePort
+from repro.jit.cache import run_block
+from repro.pipeline.core import PipelinedPE
 
 @dataclass
 class ChannelInfo:
@@ -313,15 +315,16 @@ class System:
         skipped (an idle read port only advances its private clock, which
         is relative to acceptance time; a write port missing an operand
         does nothing), and the progress predicate folded into the same
-        occupancy tests.  Compiled PEs step through their config's
-        module and PEs built with ``backend="interp"`` through their
-        class's ``step``, looked up here.  After a cycle in which only a
-        compiled PE last in step order made progress, with every other
-        live PE quiescent, the loop hands cycles to that PE's generated
-        block run (the quiescent-sibling rule below), the one way into
-        a block run.
+        occupancy tests.  Every PE steps through ``PipelinedPE.step``,
+        looked up here, which runs a compiled PE's config cycle and
+        interprets the others.  After a cycle in which only a compiled
+        PE last in step order made progress, with every other live PE
+        quiescent, the loop hands cycles to
+        :func:`~repro.jit.cache.run_block` for that PE (the
+        quiescent-sibling rule below), the one way into a block run.
         """
-        live = self._steppers()
+        step = PipelinedPE.step
+        live = [pe for pe in self.pes if not pe.halted]
         rports = self.read_ports
         wports = self.write_ports
         lsqs = self.lsqs
@@ -338,21 +341,19 @@ class System:
             moved = False
             multi = False
             cand = None
-            pe = None
             try:
-                for entry in live:
-                    pe = entry[1]
-                    if entry[0](pe):
+                for pe in live:
+                    if step(pe):
                         if prog:
                             multi = True
                         prog = True
-                        cand = entry
+                        cand = pe
                     if pe.halted:
                         pruned = True
             except SimulationError as exc:
                 raise attribute_error(exc, pe.name, self.cycles) from exc
             if pruned:
-                live = [entry for entry in live if not entry[1].halted]
+                live = [pe for pe in live if not pe.halted]
             for port in rports:
                 if port._in_flight or (
                     port.request is not None and port.request._live
@@ -412,14 +413,11 @@ class System:
             # Quiescent PEs are credited their cycle and none-triggered
             # counts for every cycle the block ran.
             if (moved or deq or multi or lsqs or not live
-                    or cand is not live[-1]):
-                continue
-            cp = cand[1]
-            if cp._jit_block is None:
+                    or cand is not live[-1] or cand._jit is None):
                 continue
             quiescent = True
-            for entry in live:
-                if entry[1] is not cp and any(entry[1]._pipe):
+            for pe in live:
+                if pe is not cand and any(pe._pipe):
                     quiescent = False
                     break
             for port in rports:
@@ -428,25 +426,25 @@ class System:
                     break
             if not quiescent:
                 continue
-            before = cp.counters.cycles
+            before = cand.counters.cycles
             try:
-                idle_streak = cp._jit_block(
-                    remaining, idle_streak, stall_limit, len(live) > 1)
+                idle_streak = run_block(
+                    cand, remaining, idle_streak, stall_limit, len(live) > 1)
             except SimulationError as exc:
-                ran = max(0, cp.counters.cycles - before - 1)
+                ran = max(0, cand.counters.cycles - before - 1)
                 self.cycles += ran
-                for entry in live:
-                    if entry[1] is not cp:
-                        pc = entry[1].counters
+                for pe in live:
+                    if pe is not cand:
+                        pc = pe.counters
                         pc.cycles += ran
                         pc.none_triggered_cycles += ran
-                raise attribute_error(exc, cp.name, self.cycles) from exc
-            ran = cp.counters.cycles - before
+                raise attribute_error(exc, cand.name, self.cycles) from exc
+            ran = cand.counters.cycles - before
             self.cycles += ran
             remaining -= ran
-            for entry in live:
-                if entry[1] is not cp:
-                    pc = entry[1].counters
+            for pe in live:
+                if pe is not cand:
+                    pc = pe.counters
                     pc.cycles += ran
                     pc.none_triggered_cycles += ran
             if idle_streak >= stall_limit:
@@ -454,14 +452,9 @@ class System:
                     "deadlock: no progress for "
                     f"{stall_limit} cycles at cycle {self.cycles}"
                 )
-            if cp.halted:
-                live = [e for e in live if not e[1].halted]
+            if cand.halted:
+                live = [pe for pe in live if not pe.halted]
         return False
-
-    def _steppers(self) -> list[tuple]:
-        """(step function, PE) for every live PE, in step order."""
-        return [(pe._jit.step if pe._jit is not None else type(pe).step, pe)
-                for pe in self.pes if not pe.halted]
 
     def run(
         self,
@@ -481,12 +474,14 @@ class System:
         attached — no invariant checker, telemetry sink or fault hook —
         the cycle loop runs through :meth:`_run_fused`: the same
         per-cycle schedule as :meth:`step` with the fabric state
-        hoisted, each PE stepping through its config's compiled module
-        from cycle 0 (unless built with ``backend="interp"``), and
-        stretches that only a compiled PE works through handed to its
-        block run.  Any other fabric runs the reference loop, one
-        :meth:`step` per cycle.  Both drivers produce identical
-        architectural state, counters, and cycle counts.
+        hoisted, and stretches that only a compiled PE works through
+        handed to a block run.  Any other fabric runs the reference
+        loop, one :meth:`step` per cycle.  Either way a pipelined PE
+        steps through ``PipelinedPE.step``, which runs its config's
+        compiled cycle from cycle 0 unless the PE was built with
+        ``backend="interp"`` or ``fast_path=False``.  Both drivers
+        produce identical architectural state, counters, and cycle
+        counts.
 
         Every completed run audits each PE's cycle accounting
         (``PipelineCounters.check_consistency``), so a leak raises a

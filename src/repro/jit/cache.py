@@ -1,12 +1,16 @@
-"""Compiled PE modules: one per pipeline config, kept for the process.
+"""Compiled PE cycles: one per pipeline config, kept for the process.
 
-:func:`acquire` returns the generated module (:mod:`repro.jit.codegen`)
-for a pipeline config, compiling it on first use.  The generated
-functions take the PE as their first argument, hold no per-PE state and
-read the program only through the PE, so every PE of a config — whatever
-its program and parameters — shares the one module.  There are 48
-configs, so the process keeps at most that many modules; it never
-releases them.
+:func:`acquire` returns the generated cycle function
+(:mod:`repro.jit.codegen`) for a pipeline config, compiling its module
+on first use.  The function takes the PE as its argument, holds no
+per-PE state and reads the program only through the PE, so every PE of
+a config — whatever its program and parameters — shares the one
+function.  There are 48 configs, so the process keeps at most that many;
+it never releases them.
+
+:func:`run_block` is the block loop of the quiescent-sibling rule of
+:meth:`System._run_fused <repro.fabric.system.System._run_fused>`: it
+runs a compiled PE's cycles back to back and records why it stopped.
 
 :func:`jit_metrics` reports the process-wide counters: modules compiled
 (``misses``) and shared (``hits``), compile seconds, modules held
@@ -22,18 +26,6 @@ from typing import Any, Callable
 from repro.arch.scheduler import NONE_TRIGGERED, TriggerKind
 from repro.jit.codegen import generate_source
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.core import PipelinedPE, _InFlight
-
-
-class JitProgram:
-    """One compiled module's entry points."""
-
-    __slots__ = ("step", "run")
-
-    def __init__(self, step: Callable[..., bool],
-                 run: Callable[..., int]) -> None:
-        self.step = step
-        self.run = run
 
 
 @dataclass
@@ -47,104 +39,91 @@ class JitStats:
 
 STATS = JitStats()
 
-#: Pipeline config -> its compiled module, for the life of the process.
-_MODULES: dict[PipelineConfig, JitProgram] = {}
+#: Pipeline config -> its compiled cycle, for the life of the process.
+_MODULES: dict[PipelineConfig, Callable[..., bool]] = {}
 
-#: Why generated block runs returned control: reason -> count.  Filled
-#: by the :func:`_counted_run` wrapper around every compiled ``run``;
-#: surfaced via :func:`block_exit_counts`, the
+#: Why block runs returned control: reason -> count.  Filled by
+#: :func:`run_block`; surfaced via :func:`block_exit_counts`, the
 #: :class:`~repro.obs.metrics.MetricsRegistry` snapshot, and the serve
 #: tier's ``GET /metrics``.
 BLOCK_EXITS: dict[str, int] = {}
 
 
-def _counted_run(raw_run: Callable[..., int]) -> Callable[..., int]:
-    """Wrap a generated block entry point with exit-reason accounting.
-
-    The generated ``run`` has no hook to report *why* it stopped, so the
-    reason is inferred from the PE's state and counters around the call,
-    one dict update per block entry (amortized over the cycles the block
-    ran).  The wrapper keeps the positional signature the fused system
-    loop uses and stays a plain function so ``__get__`` binding in
-    ``PipelinedPE`` works unchanged.
-    """
-
-    def run(pe, budget, idle_streak, stall_limit, stop_on_dequeue):
-        counters = pe.counters
-        cycles, dequeues = counters.cycles, counters.dequeues
-        try:
-            streak = raw_run(pe, budget, idle_streak, stall_limit,
-                             stop_on_dequeue)
-        except Exception:
-            BLOCK_EXITS["error"] = BLOCK_EXITS.get("error", 0) + 1
-            raise
-        if pe.halted:
-            reason = "halt"
-        elif streak >= stall_limit:
-            reason = "stall"
-        elif counters.cycles - cycles >= budget:
-            reason = "budget"
-        elif stop_on_dequeue and counters.dequeues != dequeues:
-            # The block stops at the end of the first cycle that
-            # enqueued or, with ``stop_on_dequeue``, consumed input; a
-            # cycle that did both counts as a dequeue.
-            reason = "dequeue"
-        else:
-            reason = "enqueue"
-        BLOCK_EXITS[reason] = BLOCK_EXITS.get(reason, 0) + 1
-        return streak
-
-    return run
-
-
-def _issue(pe, c, s_):
-    """Issue slot ``s_``: the new pipeline entry, the slot's issue-time
-    predicate update, the in-flight queue bookings the status views
-    read, and a pending halt.  The fire site offers the prediction."""
-    m_ = pe._dp_meta[s_]
-    e = pe._pipe[0] = _InFlight(pe.instructions[s_], m_, s_, pe._next_seq, 0)
-    pe._next_seq += 1
-    c.issued += 1
-    pe.recent_fires.append((c.cycles, s_))
-    u_ = m_.pred_update
-    if u_.set_mask or u_.clear_mask:   # PredicateFile.apply_update
-        p_ = pe.preds
-        p_.state = (p_.state | u_.set_mask) & ~u_.clear_mask & p_._mask_all
-    if m_.deq or m_.out_queue >= 0:
-        qs = pe._queue_state
-        for q_ in m_.deq:
-            qs.pending_deqs[q_] += 1
-            qs.sched_deqs[q_] += 1
-        if m_.out_queue >= 0:
-            qs.pending_enqs[m_.out_queue] += 1
-    if m_.is_halt:
-        pe._halt_pending = True
-    return e
-
-
-def acquire(config: PipelineConfig) -> JitProgram:
-    """The compiled module for ``config``, compiled on first use."""
-    program = _MODULES.get(config)
-    if program is not None:
+def acquire(config: PipelineConfig) -> Callable[..., bool]:
+    """The compiled cycle for ``config``, compiled on first use."""
+    cycle = _MODULES.get(config)
+    if cycle is not None:
         STATS.hits += 1
-        return program
+        return cycle
     STATS.misses += 1
     started = time.perf_counter()
     namespace: dict[str, Any] = {
-        "_issue": _issue,
-        # Deferral for instrumented PEs; looked up per call, so a
-        # wrapper installed on the class later is honoured.
-        "_PE": PipelinedPE,
         "_NONE_TRIGGERED": NONE_TRIGGERED,
         "_FIRED": TriggerKind.FIRED,
         "_HAZARD": TriggerKind.PREDICATE_HAZARD,
     }
     exec(compile(generate_source(config), f"<jit:{config.name}>", "exec"),
          namespace)
-    program = _MODULES[config] = JitProgram(
-        namespace["step"], _counted_run(namespace["run"]))
+    cycle = _MODULES[config] = namespace["cycle"]
     STATS.compile_seconds += time.perf_counter() - started
-    return program
+    return cycle
+
+
+def run_block(pe, budget: int, idle_streak: int, stall_limit: int,
+              stop_on_dequeue: bool) -> int:
+    """Run up to ``budget`` cycles of compiled ``pe`` back to back and
+    return the updated idle streak.
+
+    It stops early on halt, at the end of any cycle that enqueued (after
+    committing it), on any dequeue when ``stop_on_dequeue`` is set (so a
+    sibling blocked on a full channel is re-evaluated the cycle after
+    space appears, exactly as under interleaved stepping), or when the
+    streak reaches ``stall_limit``.  Its one caller, the fused loop of
+    :class:`~repro.fabric.system.System`, runs only uninstrumented
+    fabrics, so each cycle is :meth:`PipelinedPE.step
+    <repro.pipeline.core.PipelinedPE.step>` without its hook tests; it
+    enters after its channel-commit pass, so no queue holds a staged
+    entry at entry and only this PE's enqueues can stage one.
+
+    Each run adds one exit reason to :data:`BLOCK_EXITS`, the first that
+    holds of halt, stall, budget, dequeue and enqueue (a cycle that both
+    enqueued and dequeued counts as a dequeue), or ``error`` when a
+    cycle raised.
+    """
+    cycle = pe._jit
+    c = pe.counters
+    cycles, enqueues, dequeues = c.cycles, c.enqueues, c.dequeues
+    try:
+        for _ in range(budget):
+            if pe.halted:
+                break
+            c.cycles += 1
+            if cycle(pe):
+                idle_streak = 0
+                if c.enqueues != enqueues:
+                    pe.commit_queues()
+                    break
+            else:
+                idle_streak += 1
+                if idle_streak >= stall_limit:
+                    break
+            if stop_on_dequeue and c.dequeues != dequeues:
+                break
+    except Exception:
+        BLOCK_EXITS["error"] = BLOCK_EXITS.get("error", 0) + 1
+        raise
+    if pe.halted:
+        reason = "halt"
+    elif idle_streak >= stall_limit:
+        reason = "stall"
+    elif c.cycles - cycles >= budget:
+        reason = "budget"
+    elif stop_on_dequeue and c.dequeues != dequeues:
+        reason = "dequeue"
+    else:
+        reason = "enqueue"
+    BLOCK_EXITS[reason] = BLOCK_EXITS.get(reason, 0) + 1
+    return idle_streak
 
 
 def reset_metrics() -> None:

@@ -7,10 +7,12 @@ decision the interpreter in :mod:`repro.pipeline.core` makes per cycle
 about the pipe itself — which stages exist, where decode and the result
 stages sit, whether predictions are offered — is a compile-time
 constant.  This module emits one Python module of straight-line source
-per config.  Its cycle function ``_cycle`` has the stage walk unrolled,
-capture and compute placed at the config's decode and result stages,
-and the pending-predicate mask gathered over the stages that can hold a
-writer.
+per config, defining one function, ``cycle(pe)``: the body of a
+:meth:`PipelinedPE.step <repro.pipeline.core.PipelinedPE.step>` cycle,
+which runs it after its prologue (halt test, cycle count, fault hook,
+telemetry clock).  It has the stage walk unrolled, capture and compute
+placed at the config's decode and result stages, and the
+pending-predicate mask gathered over the stages that can hold a writer.
 
 Nothing in a module depends on the program.  Trigger resolution is
 :meth:`Scheduler._evaluate_compiled
@@ -18,79 +20,24 @@ Nothing in a module depends on the program.  Trigger resolution is
 predicate-indexed candidate table and its queue-status view
 (:mod:`repro.pipeline.queue_status`), so generated code holds no
 program constant and no queue-status condition.  The datapath is not
-generated either: operand capture with forwarding, the ALU, the +P
-prediction offer and retirement are the interpreter's own
-``PipelinedPE._capture``, ``_compute``, ``_offer`` and ``_retire``, and
-issue is :func:`repro.jit.cache._issue`.
+generated either: issue (with its telemetry event and +P prediction
+offer), operand capture with forwarding, the ALU and retirement are the
+interpreter's own ``PipelinedPE._issue``, ``_capture``, ``_compute``
+and ``_retire``.  So the generated cycle is *bit-identical* to the
+interpreter and emits every event it emits: it mutates the same
+``PipelinedPE`` state through the same sequence of effects.
 
-Two entry points share the one cycle body: ``step`` runs a cycle, and
-the block-mode ``run`` loops it, stopping on the PE's own enqueue and
-dequeue counters, for the one caller that hands it whole stretches, the
-quiescent-sibling rule of
-:meth:`System._run_fused <repro.fabric.system.System._run_fused>`.
-
-The generated code is *bit-identical* to the interpreter: it mutates the
-same ``PipelinedPE`` state through the same sequence of effects (queue
-operations, in-flight queue bookings, counter increments, predictor
-training, speculation bookkeeping).  Whenever a fault hook or telemetry
-sink is attached, ``step`` defers to the interpreter's
-``PipelinedPE.step`` so instrumented runs observe every seam the
-interpreter exposes; ``run`` is never entered on an instrumented fabric.
-
-Nothing here compiles or keeps modules; see :mod:`repro.jit.cache`.
+Nothing here compiles or keeps modules, or loops over cycles; see
+:mod:`repro.jit.cache`.
 """
 
 from __future__ import annotations
 
 from repro.pipeline.config import PipelineConfig
 
-CODEGEN_VERSION = 6
+CODEGEN_VERSION = 7
 """Bumped whenever generated-source semantics change; named in the
 header line of every generated module."""
-
-
-#: The two entry points, the same for every config.  ``step`` runs one
-#: cycle, deferring to the interpreter whenever a fault hook or
-#: telemetry sink is attached.  ``run(pe, budget, idle_streak,
-#: stall_limit, stop_on_dequeue)`` block-steps up to ``budget`` cycles
-#: and returns the updated idle streak.  It stops early on halt, at the
-#: end of any cycle that enqueued (after committing it), on any dequeue
-#: when ``stop_on_dequeue`` is set (so a sibling blocked on a full
-#: channel is re-evaluated the cycle after space appears, exactly as
-#: under interleaved stepping), or when the streak reaches
-#: ``stall_limit``.  Its one caller, the fused loop of
-#: :class:`~repro.fabric.system.System`, runs only uninstrumented
-#: fabrics and enters after its channel-commit pass, so no queue holds a
-#: staged entry at entry and only this PE's enqueues can stage one.
-_ENTRY_POINTS = """
-def step(pe):
-    if pe.halted:
-        return False
-    if pe.fault_hook is not None or pe.telemetry is not None:
-        return _PE.step(pe)
-    return _cycle(pe)
-
-def run(pe, budget, idle_streak, stall_limit, stop_on_dequeue):
-    c = pe.counters
-    enqueues = c.enqueues
-    dequeues = c.dequeues
-    while budget > 0:
-        if pe.halted:
-            break
-        budget -= 1
-        if _cycle(pe):
-            idle_streak = 0
-            if c.enqueues != enqueues:
-                pe.commit_queues()
-                break
-        else:
-            idle_streak += 1
-            if idle_streak >= stall_limit:
-                break
-        if stop_on_dequeue and c.dequeues != dequeues:
-            break
-    return idle_streak
-"""
 
 
 class _Codegen:
@@ -119,14 +66,14 @@ class _Codegen:
             self.line(d + 1, f"pe._compute({entry})")
 
     def _emit_cycle(self) -> None:
-        """``_cycle(pe)``: one full cycle — stage walk, capture/compute,
-        trigger resolution and issue — returning the progressed flag."""
+        """``cycle(pe)``: the body of one counted cycle — stage walk,
+        capture/compute, trigger resolution and issue — returning the
+        progressed flag."""
         depth, dd = self.depth, self.dd
         line = self.line
-        line(0, "def _cycle(pe):")
+        line(0, "def cycle(pe):")
         line(1, "c = pe.counters")
         line(1, "pipe = pe._pipe")
-        line(1, "c.cycles += 1")
         line(1, "prog = False")
 
         # Phase 1: advance back to front; retire from the last stage.
@@ -190,13 +137,11 @@ class _Codegen:
         line(2, "return prog")
         line(1, "k_ = o_.kind")
         line(1, "if k_ is _FIRED:")
-        line(2, "e = _issue(pe, c, o_.index)")
-        if self.predicts:
-            line(2, "if e.writes_pred:")
-            line(3, "pe._offer(e)")
+        line(2, "pe._issue(o_.index)")
         if dd == 0:
             # Decode coalesced into the trigger stage: operand capture
             # and dequeues belong to the issue cycle itself.
+            line(2, "e = pipe[0]")
             if self.early == 0:
                 line(2, "if pe._capture(e):")
                 self._compute_at(3, 0, "e")
@@ -214,7 +159,7 @@ class _Codegen:
         self.line(0, f"# generated by repro.jit.codegen v{CODEGEN_VERSION}"
                      f" for config {self.config.name!r}")
         self._emit_cycle()
-        return "\n".join(self.lines) + _ENTRY_POINTS
+        return "\n".join(self.lines)
 
 
 def generate_source(config: PipelineConfig) -> str:

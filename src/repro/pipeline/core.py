@@ -166,7 +166,7 @@ class PipelinedPE:
         self.regs = RegisterFile(params)
         self.preds = PredicateFile(params, initial_predicates)
         self.scratchpad = Scratchpad(params) if has_scratchpad else None
-        self.scheduler = Scheduler(params)
+        self.scheduler = Scheduler()
         self.predictor = PredicatePredictor(params)
         self.instructions: tuple[Instruction, ...] = ()
         self.counters = PipelineCounters()
@@ -197,8 +197,7 @@ class PipelinedPE:
         # its predicate-indexed candidate table.
         self.fast_path = fast_path
         self.backend = _resolve_backend(backend, fast_path)
-        self._jit = None          # compiled module (repro.jit), if bound
-        self._jit_block = None    # bound block-stepping entry point
+        self._jit = None          # config's compiled cycle (repro.jit)
         self._compiled = None
         self._dp_meta: tuple[CompiledDatapath, ...] = ()
         #: Resilience seam: called with this PE at the top of every live
@@ -221,7 +220,10 @@ class PipelinedPE:
 
         ``program`` is a :class:`~repro.arch.trigger_cache.Lowering` for
         this PE's parameters (what ``Program.configure`` passes) or a raw
-        instruction list, validated and lowered here.
+        instruction list, validated and lowered here.  A compiled PE
+        (``backend="jit"``) binds its config's compiled cycle
+        (:func:`repro.jit.cache.acquire`) at its first program;
+        :meth:`step` runs it from then on.
         """
         if not isinstance(program, Lowering):
             program = lower_program(program, self.params)
@@ -232,19 +234,9 @@ class PipelinedPE:
         self._compiled = program.compiled if self.fast_path else None
         self._dp_meta = program.datapaths
         if self.backend == "jit" and self._jit is None:
-            # Run on the config's compiled module from now on.  Its
-            # ``step`` shadows the interpreter through an instance
-            # binding and defers to it whenever a fault hook or
-            # telemetry sink is attached, so instrumented runs stay
-            # bit-identical.  Its block entry point becomes
-            # ``_jit_block``, which only the fused
-            # :class:`~repro.fabric.system.System` loop enters, on
-            # uninstrumented fabrics.
             from repro.jit.cache import acquire
 
             self._jit = acquire(self.config)
-            self.step = self._jit.step.__get__(self)
-            self._jit_block = self._jit.run.__get__(self)
 
     def reset(self) -> None:
         for queue in self.inputs:
@@ -278,7 +270,14 @@ class PipelinedPE:
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Advance one cycle; True when an instruction issued or retired."""
+        """Advance one cycle; True when an instruction issued or retired.
+
+        Every pipelined PE's cycle enters here.  The prologue — halt
+        test, cycle count, fault hook, telemetry clock — is common; the
+        body is the config's compiled cycle (:mod:`repro.jit`) when one
+        is bound, else the interpreter below: the ``backend="interp"``
+        oracle and the reference walk.
+        """
         if self.halted:
             return False
         self.counters.cycles += 1
@@ -286,6 +285,8 @@ class PipelinedPE:
             self.fault_hook(self)
         if self.telemetry is not None:
             self.telemetry.now = self.counters.cycles
+        if self._jit is not None:
+            return self._jit(self)
         depth = self._depth
         decode_stage = self._decode_stage
         pipe = self._pipe
@@ -345,7 +346,7 @@ class PipelinedPE:
             compiled=self._compiled,    # None: the reference walk
         )
         if outcome.kind is TriggerKind.FIRED:
-            self._issue(self.instructions[outcome.index], outcome.index)
+            self._issue(outcome.index)
             # When decode is coalesced into the trigger stage, operand
             # capture and dequeues belong to the issue cycle itself.
             entry = pipe[0]
@@ -378,13 +379,18 @@ class PipelinedPE:
             mask |= 1 << entry.meta.dst_index
         return mask
 
-    def _issue(self, ins: Instruction, slot: int) -> None:
+    def _issue(self, slot: int) -> None:
+        """Issue ``slot`` into the trigger stage: the new pipeline entry,
+        the slot's issue-time predicate update, the in-flight queue
+        bookings the status views read, the +P prediction offer and a
+        pending halt."""
         meta = self._dp_meta[slot]
-        entry = _InFlight(ins, meta, slot, self._next_seq, 0)
+        entry = self._pipe[0] = _InFlight(
+            self.instructions[slot], meta, slot, self._next_seq, 0)
         self._next_seq += 1
-        self._pipe[0] = entry
-        self.counters.issued += 1
-        self.recent_fires.append((self.counters.cycles, slot))
+        counters = self.counters
+        counters.issued += 1
+        self.recent_fires.append((counters.cycles, slot))
         if self.telemetry is not None:
             self.telemetry.emit(
                 "issue", self.name, slot=slot, op=meta.op.mnemonic,
@@ -393,28 +399,25 @@ class PipelinedPE:
 
         # Issue-time atomic predicate update (never survives a flush of
         # this instruction, so it touches only the live state).
-        self.preds.apply_update(meta.pred_update)
+        update = meta.pred_update
+        if update.set_mask or update.clear_mask:
+            self.preds.apply_update(update)
 
         # Book pending queue activity for the status views.
-        for queue in meta.deq:
-            self._queue_state.pending_deqs[queue] += 1
-            self._queue_state.sched_deqs[queue] += 1
         out = meta.out_queue
-        if out >= 0:
-            self._queue_state.pending_enqs[out] += 1
+        if meta.deq or out >= 0:
+            state = self._queue_state
+            for queue in meta.deq:
+                state.pending_deqs[queue] += 1
+                state.sched_deqs[queue] += 1
+            if out >= 0:
+                state.pending_enqs[out] += 1
 
-        if entry.writes_pred and self._predicts:
-            self._offer(entry)
-
-        if meta.is_halt:
-            self._halt_pending = True
-
-    def _offer(self, entry: _InFlight) -> None:
-        """Offer a prediction for a predicate-writing instruction at its
-        issue (+P), unless ``speculative_depth`` predictions are already
-        outstanding."""
-        if len(self._specs) < self._spec_depth:
-            index = entry.meta.dst_index
+        # +P offers a prediction for a predicate write, unless
+        # ``speculative_depth`` predictions are already outstanding.
+        if (entry.writes_pred and self._predicts
+                and len(self._specs) < self._spec_depth):
+            index = meta.dst_index
             predicted = self.predictor.predict(index)
             self._specs.append(
                 _Speculation(
@@ -426,6 +429,9 @@ class PipelinedPE:
                 )
             )
             self.preds.write_bit(index, predicted)
+
+        if meta.is_halt:
+            self._halt_pending = True
 
     # ------------------------------------------------------------------
     # Decode

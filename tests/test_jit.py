@@ -246,27 +246,6 @@ def test_generated_source_holds_no_program_or_queue_status_constant():
         compile(src, cfg.name, "exec")
 
 
-def test_attached_hooks_defer_to_the_interpreter_bit_identically():
-    """A fault hook must see exactly the interpreter schedule: the
-    generated step defers while it is attached, and results match."""
-    cfg = config_by_name("T|D|X1|X2 +P")
-    program = assemble(_LOOP, P)
-    seen = {"jit": [], "interp": []}
-    pes = {}
-    for backend in ("jit", "interp"):
-        pe = PipelinedPE(cfg, P, name=backend, backend=backend)
-        program.configure(pe)
-        pe.fault_hook = (
-            lambda p, key=backend: seen[key].append(p.counters.cycles)
-        )
-        while not pe.halted:
-            pe.step()
-            pe.commit_queues()
-        pes[backend] = pe
-    assert seen["jit"] == seen["interp"]
-    assert pes["jit"].counters == pes["interp"].counters
-
-
 def test_pes_of_one_config_share_one_module_for_the_process():
     """PEs of one config share its module whatever their programs, and
     the module outlives them: a PE built after they are gone binds the
@@ -307,33 +286,68 @@ def _pipelined(name: str) -> PipelinedPE:
 
 
 @pytest.fixture
-def interpreted(monkeypatch) -> list[str]:
-    """Names of the PEs the interpreter's ``step`` ran a cycle of."""
+def compiled(monkeypatch) -> list[str]:
+    """Names of the PEs that ran ``_CFG``'s compiled cycle, one entry
+    per cycle: a spy replaces the config's function before any PE of
+    the test binds it."""
     names: list[str] = []
-    original = PipelinedPE.step
+    original = jit_cache.acquire(_CFG)
 
     def spy(pe):
         names.append(pe.name)
         return original(pe)
 
-    monkeypatch.setattr(PipelinedPE, "step", spy)
+    monkeypatch.setitem(jit_cache._MODULES, _CFG, spy)
     return names
 
 
-def test_every_fast_path_pe_runs_compiled_from_cycle_0(interpreted):
+def test_every_fast_path_pe_runs_compiled_from_cycle_0(compiled):
     """udiv's worker and its mostly waiting feeder both bind their
-    config's module at program load; no cycle of the run is
-    interpreted, and long idle stretches go to block runs."""
+    config's compiled cycle at program load; every cycle the worker
+    steps runs it, and long idle stretches go to block runs."""
     before = jit_metrics()
     run = run_workload("udiv", scale=8, make_pe=_pipelined)
     after = jit_metrics()
-    assert interpreted == []
     for pe in run.system.pes:
         assert pe._jit is jit_cache._MODULES[_CFG]
-        assert vars(pe)["step"].__func__ is pe._jit.step
+    worker = run.system.pe("worker")
+    assert compiled.count("worker") == worker.counters.cycles > 0
     assert after["misses"] <= before["misses"] + 1
     assert sum(after["block_exits"].values()) > sum(
         before["block_exits"].values())
+
+
+def test_attached_hooks_run_compiled_bit_identically(compiled):
+    """A PE carrying a fault hook and a telemetry sink runs its config's
+    compiled cycle, and both see what they see on the interpreter: the
+    hook is called at the same cycles, and on this +P config, which
+    mispredicts, the events — issues, retires, quashes and rollbacks —
+    are the same, in the same cycles."""
+    from repro.obs.events import Telemetry
+
+    program = assemble(_LOOP, P)
+    seen = {"jit": [], "interp": []}
+    events = {}
+    pes = {}
+    for backend in ("jit", "interp"):
+        pe = PipelinedPE(_CFG, P, name="pe", backend=backend)
+        program.configure(pe)
+        pe.fault_hook = (
+            lambda p, key=backend: seen[key].append(p.counters.cycles)
+        )
+        sink = Telemetry()
+        sink.attach_pe(pe)
+        while not pe.halted:
+            pe.step()
+            pe.commit_queues()
+        events[backend] = [(e.kind, e.cycle, e.source, e.data)
+                           for e in sink.events]
+        pes[backend] = pe
+    assert len(compiled) == pes["jit"].counters.cycles
+    assert pes["jit"].counters.mispredictions > 0
+    assert seen["jit"] == seen["interp"]
+    assert events["jit"] == events["interp"]
+    assert pes["jit"].counters == pes["interp"].counters
 
 
 def test_fuzz_batches_and_short_kernels_compile_at_most_one_module_per_config(
@@ -383,24 +397,61 @@ def _udiv_run(instrument: str) -> WorkloadRun:
 
 @pytest.mark.parametrize(
     "instrument", ["telemetry", "invariants", "fault_hook", "reference"])
-def test_instrumented_runs_never_promote_and_stay_bit_identical(
-        instrument, interpreted):
-    """An instrumented run enters no block run, and a PE carrying a
-    fault hook or telemetry sink (or the reference walk) steps every
-    cycle on the interpreter; an invariant checker keeps the compiled
-    per-cycle step.  Results match the uninstrumented run."""
+def test_instrumented_runs_enter_no_block_run_and_stay_bit_identical(
+        instrument, compiled):
+    """An instrumented run enters no block run.  Under a telemetry sink,
+    a fault hook or an invariant checker the worker still runs every
+    cycle compiled; under the reference walk it runs none.  Results
+    match the uninstrumented run."""
     bare = _udiv_run("none")
-    assert interpreted == []
     exits = jit_metrics()["block_exits"]
+    compiled.clear()
     instrumented = _udiv_run(instrument)
     assert jit_metrics()["block_exits"] == exits
     worker = instrumented.system.pe("worker")
-    if instrument == "invariants":
-        assert interpreted == []
+    if instrument == "reference":
+        assert compiled == []
     else:
-        assert interpreted.count("worker") == worker.counters.cycles
+        assert compiled.count("worker") == worker.counters.cycles
     assert (workload_fingerprint(instrumented)
             == workload_fingerprint(bare))
+
+
+def test_fault_trials_match_on_compiled_and_interpreted_workers(
+        monkeypatch):
+    """A fault trial arms its injector and an invariant checker on the
+    PEs a campaign builds, compiled by default: every fault class gives
+    the same trial results there as on interpreted PEs, on a +P and a
+    plain config, and the trials reach every outcome but not-applied
+    among them."""
+    import repro.resilience.campaign as campaign
+    from repro.resilience.campaign import (
+        CORRUPTED, DEFAULT_FAULTS, DETECTED, HUNG, MASKED, FaultTrial,
+        run_trial,
+    )
+
+    trials = [
+        FaultTrial(config=config, workload=workload, fault=fault.value,
+                   trial=trial, scale=6, seed=0)
+        for config in ("T|D|X1|X2 +P", "TD|X")
+        for workload in ("bst", "arg_max")
+        for fault in DEFAULT_FAULTS
+        for trial in range(3)
+    ]
+    on_compiled = [run_trial(trial) for trial in trials]
+    built = []
+
+    def interpreted_pe(*args, **kwargs):
+        pe = PipelinedPE(*args, backend="interp", **kwargs)
+        built.append(pe)
+        return pe
+
+    monkeypatch.setattr(campaign, "PipelinedPE", interpreted_pe)
+    on_interpreted = [run_trial(trial) for trial in trials]
+    assert built and all(pe._jit is None for pe in built)
+    assert on_compiled == on_interpreted
+    assert {result.outcome for result in on_compiled} >= {
+        DETECTED, HUNG, CORRUPTED, MASKED}
 
 
 def test_module_memory_stays_bounded_after_a_cpi_campaign(monkeypatch):

@@ -101,7 +101,6 @@ class TestVisibilityWindowRegression:
             DatapathOp, Destination, Instruction, Operand, TagCheck, Trigger,
         )
         from repro.isa.opcodes import op_by_name
-        from repro.params import DEFAULT_PARAMS
 
         inputs = [TaggedQueue(4, f"i{i}") for i in range(4)]
         outputs = [TaggedQueue(4, f"o{i}") for i in range(4)]
@@ -119,7 +118,7 @@ class TestVisibilityWindowRegression:
                 dst=Destination.reg(0),
             ),
         )]
-        outcome = Scheduler(DEFAULT_PARAMS).evaluate(program, 0, view)
+        outcome = Scheduler().evaluate(program, 0, view)
         assert outcome.kind is TriggerKind.NONE_TRIGGERED
 
 

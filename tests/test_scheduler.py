@@ -58,44 +58,44 @@ def fill(queue, *entries):
 class TestPriority:
     def test_highest_priority_triggered_fires(self, queues):
         program = [ins(Trigger(pred_on=0b1)), ins(), ins()]
-        outcome = Scheduler(P).evaluate(program, 0, view(queues))
+        outcome = Scheduler().evaluate(program, 0, view(queues))
         # Slot 0 requires p0=1 and p0 is 0, so slot 1 wins.
         assert outcome.kind is TriggerKind.FIRED and outcome.index == 1
 
     def test_invalid_slots_skipped(self, queues):
         program = [make_nop(), ins()]
-        outcome = Scheduler(P).evaluate(program, 0, view(queues))
+        outcome = Scheduler().evaluate(program, 0, view(queues))
         assert outcome.index == 1
 
     def test_none_triggered(self, queues):
         program = [ins(Trigger(pred_on=0b1))]
-        outcome = Scheduler(P).evaluate(program, 0, view(queues))
+        outcome = Scheduler().evaluate(program, 0, view(queues))
         assert outcome.kind is TriggerKind.NONE_TRIGGERED
 
     def test_triggered_indices_telemetry(self, queues):
         program = [ins(), ins(Trigger(pred_on=0b1)), ins()]
-        indices = Scheduler(P).triggered_indices(program, 0, view(queues))
+        indices = Scheduler().triggered_indices(program, 0, view(queues))
         assert indices == [0, 2]
 
 
 class TestQueueConditions:
     def test_source_queue_must_be_nonempty(self, queues):
         program = [ins(srcs=(Operand.input_queue(0), Operand.reg(0)))]
-        sched = Scheduler(P)
+        sched = Scheduler()
         assert sched.evaluate(program, 0, view(queues)).kind is TriggerKind.NONE_TRIGGERED
         fill(queues[0][0], 5)
         assert sched.evaluate(program, 0, view(queues)).fired
 
     def test_dequeued_queue_must_be_nonempty(self, queues):
         program = [ins(deq=(2,))]
-        sched = Scheduler(P)
+        sched = Scheduler()
         assert not sched.evaluate(program, 0, view(queues)).fired
         fill(queues[0][2], 1)
         assert sched.evaluate(program, 0, view(queues)).fired
 
     def test_tag_check_matches_head(self, queues):
         program = [ins(Trigger(tag_checks=(TagCheck(0, tag=2),)))]
-        sched = Scheduler(P)
+        sched = Scheduler()
         fill(queues[0][0], (5, 1))
         assert not sched.evaluate(program, 0, view(queues)).fired
         queues[0][0].dequeue()
@@ -104,7 +104,7 @@ class TestQueueConditions:
 
     def test_negated_tag_check(self, queues):
         program = [ins(Trigger(tag_checks=(TagCheck(0, tag=2, negate=True),)))]
-        sched = Scheduler(P)
+        sched = Scheduler()
         fill(queues[0][0], (5, 2))
         assert not sched.evaluate(program, 0, view(queues)).fired
         queues[0][0].dequeue()
@@ -113,7 +113,7 @@ class TestQueueConditions:
 
     def test_output_needs_space(self, queues):
         program = [ins(dst=Destination.output_queue(1, 0))]
-        sched = Scheduler(P)
+        sched = Scheduler()
         for _ in range(4):
             queues[1][1].enqueue(0)
         queues[1][1].commit()
@@ -125,13 +125,13 @@ class TestQueueConditions:
 class TestPredicateHazards:
     def test_pending_watched_bit_blocks(self, queues):
         program = [ins(Trigger(pred_on=0b1))]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0b1, view(queues), pending_predicates=0b1)
         assert outcome.kind is TriggerKind.PREDICATE_HAZARD
 
     def test_pending_unwatched_bit_harmless(self, queues):
         program = [ins(Trigger(pred_on=0b1))]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0b1, view(queues), pending_predicates=0b10)
         assert outcome.fired
 
@@ -139,21 +139,21 @@ class TestPredicateHazards:
         """If the non-pending watched bits already fail, the instruction is
         simply not triggered — no hazard stall."""
         program = [ins(Trigger(pred_on=0b11))]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0b00, view(queues), pending_predicates=0b10)
         assert outcome.kind is TriggerKind.NONE_TRIGGERED
 
     def test_unknown_blocks_lower_priority(self, queues):
         """Priority semantics: nothing may fire past an unknown slot."""
         program = [ins(Trigger(pred_on=0b1)), ins()]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0b1, view(queues), pending_predicates=0b1)
         assert outcome.kind is TriggerKind.PREDICATE_HAZARD
         assert outcome.index == 0
 
     def test_higher_priority_triggered_fires_before_unknown(self, queues):
         program = [ins(), ins(Trigger(pred_on=0b1))]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0b1, view(queues), pending_predicates=0b1)
         assert outcome.fired and outcome.index == 0
 
@@ -162,13 +162,13 @@ class TestSpeculationRestrictions:
     def test_side_effect_forbidden_while_speculating(self, queues):
         fill(queues[0][0], 1)
         program = [ins(deq=(0,))]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0, view(queues), forbid_side_effects=True)
         assert outcome.kind is TriggerKind.FORBIDDEN
 
     def test_pure_instruction_allowed_while_speculating(self, queues):
         program = [ins()]
-        outcome = Scheduler(P).evaluate(
+        outcome = Scheduler().evaluate(
             program, 0, view(queues), forbid_side_effects=True)
         assert outcome.fired
 
@@ -176,7 +176,7 @@ class TestSpeculationRestrictions:
 class TestTriggeredIndicesPendingPredicates:
     def test_pending_write_hides_watching_slots(self, queues):
         program = [ins(Trigger(pred_on=0b1)), ins(Trigger(pred_off=0b1)), ins()]
-        sched = Scheduler(P)
+        sched = Scheduler()
         # Stable state: p0=0 -> slots 1 and 2 trigger.
         assert sched.triggered_indices(program, 0, view(queues)) == [1, 2]
         # An in-flight write to p0 makes both watchers unknown, not
@@ -187,7 +187,7 @@ class TestTriggeredIndicesPendingPredicates:
 
     def test_pending_bits_outside_the_watch_set_are_ignored(self, queues):
         program = [ins(Trigger(pred_on=0b10)), ins()]
-        indices = Scheduler(P).triggered_indices(
+        indices = Scheduler().triggered_indices(
             program, 0b10, view(queues), pending_predicates=0b100
         )
         assert indices == [0, 1]
@@ -199,7 +199,7 @@ class TestCompiledEvaluate:
     def _assert_agree(self, program, pred_state, queues, pending=0, forbid=False):
         from repro.arch.trigger_cache import compile_program
 
-        sched = Scheduler(P)
+        sched = Scheduler()
         reference = sched.evaluate(
             program, pred_state, view(queues),
             pending_predicates=pending, forbid_side_effects=forbid,
@@ -299,7 +299,7 @@ class TestIndexedWalk:
         # the first one filled.
         compiled = compile_program(program)
         inputs, outputs, in_flight = state
-        sched = Scheduler(P)
+        sched = Scheduler()
         for view in (
             ConservativeQueueView(inputs, outputs, in_flight),
             EffectiveQueueView(inputs, outputs, in_flight),
