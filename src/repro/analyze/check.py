@@ -170,22 +170,18 @@ class _Explorer:
             ((),) * self.num_outputs,
         )
 
-    def _leftovers(self, delivered: tuple[int, ...]) -> tuple:
-        """Unconsumed input per queue: live entries + undelivered backlog."""
-        left = []
-        for q, queue in enumerate(self.pe.inputs):
-            live = tuple((e.value, e.tag) for e in queue._live)
-            left.append(live + self.streams[q][delivered[q]:])
-        return tuple(left)
-
     def _fingerprint(self, state: tuple, delivered: tuple,
                      produced: tuple) -> tuple:
+        leftovers = tuple(                  # live entries + backlog
+            live + self.streams[q][delivered[q]:]
+            for q, (live, _) in enumerate(state[self.out_index - 1])
+        )
         return (
             state[0],                       # regs
             state[1],                       # preds
             state[2],                       # scratchpad (non-zero words)
             produced,                       # committed output streams
-            self._leftovers(delivered),     # unconsumed inputs
+            leftovers,                      # unconsumed inputs
         )
 
     def _deliver_options(self, state: tuple, delivered: tuple) -> list:
@@ -247,61 +243,81 @@ class _Explorer:
         self.complete = True
 
     def _expand(self, key: tuple) -> list[tuple]:
+        """Step once from ``key``, then derive every successor.
+
+        Tokens delivered before a step are only staged, and a step reads
+        only live input entries, so one step serves every delivery
+        option: an option's successor appends its tokens to the stepped
+        state's live inputs, as a drain trims its outputs.  A crash or a
+        wrong output happens whatever is delivered, so its witness
+        delivers nothing.
+        """
         state, delivered, produced = key
         if state[3]:            # halted: terminal node
             self.children[key] = []
             return []
         pe = self.pe
+        in_index, out_index = self.out_index - 1, self.out_index
+        idle = ((0,) * self.num_inputs, (0,) * self.num_outputs)
+        pe.restore_arch_state(state, held=self.held)
+        self.held = None
+        if getattr(pe, "_specs", None):
+            self._observe_forbidden()
+        try:
+            pe.step()
+            pe.commit_queues()
+        except Exception as exc:    # noqa: BLE001 — a model crash is
+            # itself the counterexample (queue accounting bugs often
+            # surface as exceptions before they surface as state).
+            raise _Diverged(
+                "crash", f"{type(exc).__name__}: {exc}",
+                self._path(key, idle),
+            ) from None
+        stepped = self.held = pe.snapshot_arch_state()
+        # Record (and prefix-check) entries committed this cycle.
+        new_produced = []
+        for q, (live, _) in enumerate(stepped[out_index]):
+            log = produced[q]
+            fresh = live[len(state[out_index][q][0]):]
+            if self.reference is not None and fresh:
+                ref = self.reference["produced"][q]
+                for offset, entry in enumerate(fresh):
+                    position = len(log) + offset
+                    if position >= len(ref) or ref[position] != entry:
+                        raise _Diverged(
+                            "output",
+                            f"output %o{q} entry {position}: produced "
+                            f"{entry}, golden stream has "
+                            f"{ref[position] if position < len(ref) else '<nothing>'}",
+                            self._path(key, idle),
+                        )
+            new_produced.append(log + fresh)
+        new_produced = tuple(new_produced)
+        # Drain combinations are free derivations of the encoded state
+        # too: trimming k entries off an output queue's head needs no
+        # re-simulation.
+        out_states = stepped[out_index]
+        drains = list(product(*(
+            range(0, len(live) + 1) for live, _ in out_states)))
         successors: list[tuple] = []
         edges: list[tuple] = []
         for deliver in self._deliver_options(state, delivered):
-            pe.restore_arch_state(state, held=self.held)
-            self.held = None
-            for q, count in enumerate(deliver):
-                for i in range(count):
-                    value, tag = self.streams[q][delivered[q] + i]
-                    pe.inputs[q].enqueue(value, tag)
-            if getattr(pe, "_specs", None):
-                self._observe_forbidden()
-            try:
-                pe.step()
-                pe.commit_queues()
-            except Exception as exc:    # noqa: BLE001 — a model crash is
-                # itself the counterexample (queue accounting bugs often
-                # surface as exceptions before they surface as state).
-                raise _Diverged(
-                    "crash", f"{type(exc).__name__}: {exc}",
-                    self._path(key, (deliver, (0,) * self.num_outputs)),
-                ) from None
-            new_delivered = tuple(
-                delivered[q] + deliver[q] for q in range(self.num_inputs)
-            )
-            # Record (and prefix-check) entries committed this cycle.
-            new_produced = []
-            for q, queue in enumerate(pe.outputs):
-                log = produced[q]
-                fresh = queue.arch_state()[0][
-                    len(state[self.out_index][q][0]):]
-                if self.reference is not None and fresh:
-                    ref = self.reference["produced"][q]
-                    for offset, entry in enumerate(fresh):
-                        position = len(log) + offset
-                        if position >= len(ref) or ref[position] != entry:
-                            raise _Diverged(
-                                "output",
-                                f"output %o{q} entry {position}: produced "
-                                f"{entry}, golden stream has "
-                                f"{ref[position] if position < len(ref) else '<nothing>'}",
-                                self._path(
-                                    key, (deliver, (0,) * self.num_outputs)),
-                            )
-                new_produced.append(log + fresh)
-            new_produced = tuple(new_produced)
-            new_state = self.held = pe.snapshot_arch_state()
+            if any(deliver):
+                new_delivered = tuple(
+                    start + count for start, count in zip(delivered, deliver))
+                inputs = tuple(
+                    (live + self.streams[q][delivered[q]:new_delivered[q]],
+                     staged)
+                    for q, (live, staged) in enumerate(stepped[in_index])
+                )
+                new_state = (stepped[:in_index] + (inputs,)
+                             + stepped[out_index:])
+            else:
+                new_state, new_delivered = stepped, delivered
             if pe.halted:
                 fingerprint = self._fingerprint(
                     new_state, new_delivered, new_produced)
-                action = (deliver, (0,) * self.num_outputs)
+                action = (deliver, idle[1])
                 succ = node_key(new_state, new_delivered, new_produced)
                 if succ not in self.parents:
                     self.parents[succ] = (key, action)
@@ -318,23 +334,14 @@ class _Explorer:
                 self.halted.append(succ)
                 edges.append(succ)
                 continue
-            # Drain combinations are free derivations of the encoded
-            # state: trimming k entries off an output queue's head needs
-            # no re-simulation.
-            out_states = new_state[self.out_index]
-            drain_ranges = [
-                range(0, len(out_states[q][0]) + 1)
-                for q in range(self.num_outputs)
-            ]
-            for drain in product(*drain_ranges):
+            for drain in drains:
                 if any(drain):
                     trimmed = tuple(
                         (live[drain[q]:], staged)
                         for q, (live, staged) in enumerate(out_states)
                     )
-                    drained_state = (new_state[:self.out_index]
-                                     + (trimmed,)
-                                     + new_state[self.out_index + 1:])
+                    drained_state = (new_state[:out_index] + (trimmed,)
+                                     + new_state[out_index + 1:])
                 else:
                     drained_state = new_state
                 succ = node_key(drained_state, new_delivered, new_produced)

@@ -185,30 +185,33 @@ class FunctionalPE:
     def _execute(self, slot: int) -> None:
         meta = self._dp_meta[slot]
 
-        # Operand read (queue sources peek at the head; dequeue is separate).
-        operands = []
-        for code, payload in meta.operand_plan:
-            if code == REG:
-                operands.append(self.regs.read(payload))
-            elif code == IN:
-                operands.append(self.inputs[payload].peek(0).value)
-            else:   # LIT: an immediate (pre-masked) or an absent source
-                operands.append(payload)
+        # Operand read (queue sources peek at the head; dequeue is
+        # separate).  LIT payloads are immediates (pre-masked) or absent
+        # sources.
+        (code_a, a), (code_b, b) = meta.operand_plan
+        if code_a == REG:
+            a = self.regs.read(a)
+        elif code_a == IN:
+            a = self.inputs[a].peek(0).value
+        if code_b == REG:
+            b = self.regs.read(b)
+        elif code_b == IN:
+            b = self.inputs[b].peek(0).value
 
         # Issue-time atomic actions: predicate force-update and dequeues.
-        self.preds.apply_update(meta.pred_update)
+        preds = self.preds
+        preds.state = (preds.state | meta.pred_set) & meta.pred_keep
         for queue in meta.deq:
             self.inputs[queue].dequeue()
             self.counters.dequeues += 1
 
         semantics = meta.semantics
         if semantics is None:   # raises the canonical error
-            alu_execute(meta.op, operands[0], operands[1], self.params,
-                        self.scratchpad)
+            alu_execute(meta.op, a, b, self.params, self.scratchpad)
         params = self.params
         mask = params.word_mask
-        a = operands[0] & mask
-        b = operands[1] & mask
+        a &= mask
+        b &= mask
         value = semantics(a, b, params, mask, params.word_width,
                           self.scratchpad)
 
@@ -229,14 +232,14 @@ class FunctionalPE:
             self.halted = True
 
         self.counters.retired += 1
-        self.counters.retired_by_op[meta.op.mnemonic] += 1
+        self.counters.retired_by_op[meta.mnemonic] += 1
         self.counters.retired_by_slot[slot] += 1
         self.recent_fires.append((self.counters.cycles, slot))
         if self.telemetry is not None:
             # The functional model issues and retires in the same cycle,
             # so one retire event carries the whole story.
             self.telemetry.emit(
-                "retire", self.name, slot=slot, op=meta.op.mnemonic
+                "retire", self.name, slot=slot, op=meta.mnemonic
             )
 
     def snapshot_arch_state(self) -> tuple:

@@ -4,7 +4,9 @@
 drives all control flow.  Two update paths exist:
 
 * the issue-time :class:`~repro.isa.instruction.PredUpdate` force-set /
-  force-clear masks (the triggered analogue of ``PC = PC + 4``), and
+  force-clear masks (the triggered analogue of ``PC = PC + 4``), which
+  the PEs apply to :attr:`PredicateFile.state` from their program's
+  lowering (:class:`~repro.arch.trigger_cache.CompiledDatapath`), and
 * datapath writes — a comparison or logic result landing in one predicate
   bit at writeback, the triggered analogue of a branch.
 """
@@ -12,7 +14,6 @@ drives all control flow.  Two update paths exist:
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.isa.instruction import PredUpdate
 from repro.params import ArchParams
 
 
@@ -37,10 +38,6 @@ class PredicateFile:
             self.state |= 1 << index
         else:
             self.state &= ~(1 << index)
-
-    def apply_update(self, update: PredUpdate) -> None:
-        """Issue-time force-set / force-clear update."""
-        self.state = update.apply(self.state) & self._mask_all
 
     def reset(self, initial: int = 0) -> None:
         self.state = initial & self._mask_all

@@ -19,15 +19,18 @@ oversubscribe a queue within a cycle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from repro.errors import QueueError
 
 
-@dataclass(frozen=True)
-class QueueEntry:
-    """One word travelling through a channel."""
+class QueueEntry(NamedTuple):
+    """One word travelling through a channel.
+
+    A named tuple, cheap to build once per token; it equals the plain
+    ``(value, tag)`` pair :meth:`TaggedQueue.arch_state` holds.
+    """
 
     value: int
     tag: int = 0
@@ -69,7 +72,7 @@ class TaggedQueue:
 
     def enqueue(self, value: int, tag: int = 0) -> None:
         """Stage an entry; it becomes visible after the next commit."""
-        if self.free_slots <= 0:
+        if len(self._live) + len(self._staged) >= self.capacity:
             raise QueueError(
                 f"enqueue to full queue {self.name!r} "
                 f"(capacity {self.capacity}, live {len(self._live)}, "

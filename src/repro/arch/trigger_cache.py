@@ -168,23 +168,30 @@ class CompiledDatapath:
 
     Issue, operand capture, hazard checks and retirement all chase
     ``ins.dp`` enums and properties on every cycle an instruction is in
-    flight; this flattens everything they read into plain ints and
-    tuples once, when the program is lowered.
+    flight; this flattens everything they read into plain ints, flags,
+    tuples and strings once, when the program is lowered.  The
+    issue-time predicate update is two masks: ``(state | pred_set) &
+    pred_keep`` is :meth:`PredUpdate.apply
+    <repro.isa.instruction.PredUpdate.apply>` masked to NPreds.
     """
 
     __slots__ = (
         "op",
+        "mnemonic",
         "semantics",
         "late_result",
         "is_halt",
         "is_store",
         "operand_plan",
+        "reads_reg",
         "deq",
         "dst_kind",
         "dst_index",
         "out_tag",
         "out_queue",
-        "pred_update",
+        "books_queues",
+        "pred_set",
+        "pred_keep",
         "writes_reg",
         "writes_pred",
     )
@@ -192,6 +199,7 @@ class CompiledDatapath:
     def __init__(self, ins: Instruction, params: ArchParams) -> None:
         dp = ins.dp
         self.op = dp.op
+        self.mnemonic = dp.op.mnemonic
         # May be None for an op with no defined semantics; executors fall
         # back to alu_execute, which raises the canonical error.
         self.semantics = _SEMANTICS.get(dp.op.mnemonic)
@@ -213,13 +221,18 @@ class CompiledDatapath:
         while len(plan) < 2:
             plan.append((LIT, 0))
         self.operand_plan = tuple(plan)
+        self.reads_reg = any(code == REG for code, _ in plan)
         self.deq = dp.deq
         dst = dp.dst
         self.dst_kind = dst.kind.value
         self.dst_index = dst.index
         self.out_tag = dst.out_tag
         self.out_queue = dst.index if dst.kind is DestinationType.OUT else -1
-        self.pred_update = dp.pred_update
+        # Whether issue books in-flight queue activity for the views.
+        self.books_queues = bool(self.deq) or self.out_queue >= 0
+        update = dp.pred_update
+        self.pred_set = update.set_mask
+        self.pred_keep = ((1 << params.num_preds) - 1) & ~update.clear_mask
         self.writes_reg = dst.kind is DestinationType.REG
         self.writes_pred = dst.kind is DestinationType.PRED
 

@@ -47,6 +47,7 @@ from repro.arch.trigger_cache import (
     DST_PRED,
     DST_REG,
     IN,
+    LIT,
     REG,
     CompiledDatapath,
     Lowering,
@@ -66,14 +67,12 @@ class _InFlight:
     """One instruction travelling down the pipe."""
 
     __slots__ = (
-        "ins", "meta", "slot", "seq", "stage", "captured", "operands",
-        "value", "result_ready", "pred_committed", "writes_reg",
-        "writes_pred",
+        "meta", "slot", "seq", "stage", "captured", "operands", "value",
+        "result_ready", "pred_committed", "writes_reg", "writes_pred",
     )
 
-    def __init__(self, ins: Instruction, meta: CompiledDatapath, slot: int,
-                 seq: int, stage: int) -> None:
-        self.ins = ins
+    def __init__(self, meta: CompiledDatapath, slot: int, seq: int,
+                 stage: int) -> None:
         self.meta = meta
         self.slot = slot
         self.seq = seq
@@ -385,31 +384,29 @@ class PipelinedPE:
         bookings the status views read, the +P prediction offer and a
         pending halt."""
         meta = self._dp_meta[slot]
-        entry = self._pipe[0] = _InFlight(
-            self.instructions[slot], meta, slot, self._next_seq, 0)
+        entry = self._pipe[0] = _InFlight(meta, slot, self._next_seq, 0)
         self._next_seq += 1
         counters = self.counters
         counters.issued += 1
         self.recent_fires.append((counters.cycles, slot))
         if self.telemetry is not None:
             self.telemetry.emit(
-                "issue", self.name, slot=slot, op=meta.op.mnemonic,
+                "issue", self.name, slot=slot, op=meta.mnemonic,
                 seq=entry.seq,
             )
 
         # Issue-time atomic predicate update (never survives a flush of
         # this instruction, so it touches only the live state).
-        update = meta.pred_update
-        if update.set_mask or update.clear_mask:
-            self.preds.apply_update(update)
+        preds = self.preds
+        preds.state = (preds.state | meta.pred_set) & meta.pred_keep
 
         # Book pending queue activity for the status views.
-        out = meta.out_queue
-        if meta.deq or out >= 0:
+        if meta.books_queues:
             state = self._queue_state
             for queue in meta.deq:
                 state.pending_deqs[queue] += 1
                 state.sched_deqs[queue] += 1
+            out = meta.out_queue
             if out >= 0:
                 state.pending_enqs[out] += 1
 
@@ -447,24 +444,32 @@ class PipelinedPE:
         captured or dequeued, and the return is False.
         """
         meta = entry.meta
-        older = self._pipe[entry.stage + 1:]
-        operands = []
-        for code, payload in meta.operand_plan:
-            if code == REG:
-                for producer in older:
-                    if (producer is not None and producer.writes_reg
-                            and producer.meta.dst_index == payload):
-                        if not producer.result_ready:
-                            return False
-                        operands.append(producer.value)
-                        break
-                else:
-                    operands.append(self.regs.read(payload))
-            elif code == IN:
-                operands.append(self.inputs[payload].peek(0).value)
-            else:   # LIT: an immediate (pre-masked) or an absent source
-                operands.append(payload)
-        entry.operands = (operands[0], operands[1])
+        (code_a, a), (code_b, b) = meta.operand_plan
+        if meta.reads_reg:
+            pipe = self._pipe
+            for stage in range(entry.stage + 1, self._depth):
+                producer = pipe[stage]
+                if producer is None or not producer.writes_reg:
+                    continue
+                written = producer.meta.dst_index
+                if code_a == REG and written == a:
+                    if not producer.result_ready:
+                        return False
+                    code_a, a = LIT, producer.value
+                if code_b == REG and written == b:
+                    if not producer.result_ready:
+                        return False
+                    code_b, b = LIT, producer.value
+            if code_a == REG:
+                a = self.regs.read(a)
+            if code_b == REG:
+                b = self.regs.read(b)
+        # LIT payloads are immediates (pre-masked) or absent sources.
+        if code_a == IN:
+            a = self.inputs[a].peek(0).value
+        if code_b == IN:
+            b = self.inputs[b].peek(0).value
+        entry.operands = (a, b)
         entry.captured = True
         for queue in meta.deq:
             self.inputs[queue].dequeue()
@@ -525,12 +530,13 @@ class PipelinedPE:
         if meta.is_halt:
             self.halted = True
 
-        self.counters.retired += 1
-        self.counters.retired_by_op[meta.op.mnemonic] += 1
-        self.counters.retired_by_slot[entry.slot] += 1
+        counters = self.counters
+        counters.retired += 1
+        counters.retired_by_op[meta.mnemonic] += 1
+        counters.retired_by_slot[entry.slot] += 1
         if self.telemetry is not None:
             self.telemetry.emit(
-                "retire", self.name, slot=entry.slot, op=meta.op.mnemonic,
+                "retire", self.name, slot=entry.slot, op=meta.mnemonic,
                 seq=entry.seq,
             )
 
@@ -539,24 +545,26 @@ class PipelinedPE:
         index = entry.meta.dst_index
         self.predictor.record_outcome(index, actual)
 
-        spec = next((s for s in self._specs if s.owner_seq == entry.seq), None)
-        if spec is None:
+        seq = entry.seq
+        for spec in self._specs:
+            if spec.owner_seq == seq:
+                break
+        else:
             # Unpredicted write: lands in the live state — unless a
             # *younger* in-flight prediction already holds this bit, in
             # which case program order makes the predicted value current
             # and this older write only feeds the rollback state.
-            younger_prediction_holds_bit = any(
-                s.pred_index == index and s.owner_seq > entry.seq
-                for s in self._specs
-            )
-            if not younger_prediction_holds_bit:
+            for other in self._specs:
+                if other.pred_index == index and other.owner_seq > seq:
+                    break
+            else:
                 self.preds.write_bit(index, actual)
             # The write must survive the rollback of any younger
             # speculation (their fallbacks absorb it), but a speculation
             # older than this writer would flush it, so its fallback
             # must not change.
             for other in self._specs:
-                if other.owner_seq > entry.seq:
+                if other.owner_seq > seq:
                     if actual:
                         other.fallback |= 1 << index
                     else:
@@ -721,8 +729,7 @@ class PipelinedPE:
                     continue
                 (slot, seq, captured, operands, value, result_ready,
                  pred_committed) = enc
-                entry = _InFlight(self.instructions[slot],
-                                  self._dp_meta[slot], slot, seq, stage)
+                entry = _InFlight(self._dp_meta[slot], slot, seq, stage)
                 entry.captured = captured
                 entry.operands = operands
                 entry.value = value
@@ -767,8 +774,9 @@ class PipelinedPE:
                     stage=stage,
                     slot=entry.slot,
                     seq=entry.seq,
-                    op=entry.meta.op.mnemonic,
-                    label=entry.ins.label.split("@")[0] or "?",
+                    op=entry.meta.mnemonic,
+                    label=(self.instructions[entry.slot].label.split("@")[0]
+                           or "?"),
                     captured=entry.captured,
                     result_ready=entry.result_ready,
                 )

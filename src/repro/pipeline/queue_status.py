@@ -16,6 +16,10 @@ time the scheduler reads it.  Three policies are modeled:
   queues get one extra physical slot per pipeline stage so in-flight
   enqueues always have somewhere to land; inputs stay conservative.
   Used in the Section 5.4 area/power comparison.
+
+The views run for every trigger candidate of every cycle, so they read
+the queues' storage (``_live``, ``_staged``) rather than the
+``occupancy``/``free_slots`` properties.
 """
 
 from __future__ import annotations
@@ -65,20 +69,21 @@ class ConservativeQueueView(QueueStatusView):
     def input_count(self, queue: int) -> int:
         if self.in_flight.sched_deqs[queue]:
             return 0
-        return self.inputs[queue].occupancy
+        return len(self.inputs[queue]._live)
 
     def input_tag(self, queue: int, position: int = 0) -> int | None:
         if self.in_flight.sched_deqs[queue]:
             return None
-        q = self.inputs[queue]
-        if position >= q.occupancy:
+        live = self.inputs[queue]._live
+        if position >= len(live):
             return None
-        return q.peek(position).tag
+        return live[position].tag
 
     def output_space(self, queue: int) -> int:
         if self.in_flight.pending_enqs[queue]:
             return 0
-        return self.outputs[queue].free_slots
+        q = self.outputs[queue]
+        return q.capacity - len(q._live) - len(q._staged)
 
 
 #: Queue entries whose tags the +Q trigger hardware can inspect: the head
@@ -101,9 +106,9 @@ class EffectiveQueueView(QueueStatusView):
         self.visible_depth = visible_depth
 
     def input_count(self, queue: int) -> int:
-        return max(
-            0, self.inputs[queue].occupancy - self.in_flight.pending_deqs[queue]
-        )
+        count = (len(self.inputs[queue]._live)
+                 - self.in_flight.pending_deqs[queue])
+        return count if count > 0 else 0
 
     def input_tag(self, queue: int, position: int = 0) -> int | None:
         """Tag at the effective position: skip entries being dequeued.
@@ -115,19 +120,19 @@ class EffectiveQueueView(QueueStatusView):
         (``None``) and the trigger conservatively does not fire — it
         cannot peek arbitrarily deep the way a software model could.
         """
-        q = self.inputs[queue]
         effective = position + self.in_flight.pending_deqs[queue]
         if effective >= self.visible_depth:
             return None
-        if effective >= q.occupancy:
+        live = self.inputs[queue]._live
+        if effective >= len(live):
             return None
-        return q.peek(effective).tag
+        return live[effective].tag
 
     def output_space(self, queue: int) -> int:
-        return max(
-            0,
-            self.outputs[queue].free_slots - self.in_flight.pending_enqs[queue],
-        )
+        q = self.outputs[queue]
+        space = (q.capacity - len(q._live) - len(q._staged)
+                 - self.in_flight.pending_enqs[queue])
+        return space if space > 0 else 0
 
 
 class PaddedQueueView(ConservativeQueueView):
@@ -151,7 +156,8 @@ class PaddedQueueView(ConservativeQueueView):
 
     def output_space(self, queue: int) -> int:
         q = self.outputs[queue]
-        return max(0, (q.capacity - self.padding) - q.occupancy)
+        space = q.capacity - self.padding - len(q._live)
+        return space if space > 0 else 0
 
 
 def make_queue_view(

@@ -6,9 +6,21 @@ from hypothesis import given, strategies as st
 from repro.arch.predicates import PredicateFile
 from repro.arch.regfile import RegisterFile
 from repro.arch.scratchpad import Scratchpad
+from repro.arch.trigger_cache import CompiledDatapath
 from repro.errors import SimMemoryError, SimulationError
-from repro.isa.instruction import PredUpdate
+from repro.isa.instruction import DatapathOp, Instruction, PredUpdate, Trigger
+from repro.isa.opcodes import op_by_name
 from repro.params import DEFAULT_PARAMS as P
+
+
+def _issue_update(preds: PredicateFile, update: PredUpdate) -> None:
+    """Apply an issue-time update the way the PEs do: from the masks
+    the program's lowering holds."""
+    meta = CompiledDatapath(
+        Instruction(trigger=Trigger(),
+                    dp=DatapathOp(op=op_by_name("nop"), pred_update=update)),
+        P)
+    preds.state = (preds.state | meta.pred_set) & meta.pred_keep
 
 
 class TestRegisterFile:
@@ -61,7 +73,7 @@ class TestPredicateFile:
 
     def test_apply_update(self):
         preds = PredicateFile(P, initial=0b0110)
-        preds.apply_update(PredUpdate(set_mask=0b0001, clear_mask=0b0100))
+        _issue_update(preds, PredUpdate(set_mask=0b0001, clear_mask=0b0100))
         assert preds.state == 0b0011
 
     def test_out_of_range_raises(self):
@@ -76,8 +88,8 @@ class TestPredicateFile:
            clear_mask=st.integers(0, 255))
     def test_update_is_set_then_clear(self, state, set_mask, clear_mask):
         preds = PredicateFile(P, initial=state)
-        preds.apply_update(PredUpdate(set_mask=set_mask & ~clear_mask,
-                                      clear_mask=clear_mask))
+        _issue_update(preds, PredUpdate(set_mask=set_mask & ~clear_mask,
+                                        clear_mask=clear_mask))
         expected = (state | (set_mask & ~clear_mask)) & ~clear_mask
         assert preds.state == expected & 0xFF
 

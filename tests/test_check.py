@@ -4,24 +4,32 @@ import copy
 import json
 import os
 from dataclasses import replace
+from itertools import product
 
 import repro.pipeline.queue_status as qs
 from repro.analyze.check import (
     CheckBounds,
+    _Explorer,
+    _normalize_streams,
     check_case,
     check_program,
     checkable_workloads,
     checker_oracle,
     confirm_speculation_window,
 )
-from repro.analyze.encode import describe_pe_state, node_digest, roundtrips
+from repro.analyze.encode import (
+    describe_pe_state,
+    node_digest,
+    node_key,
+    roundtrips,
+)
 from repro.analyze.lints import speculation_pairs
 from repro.analyze.witness import Witness, replay_witness, schedule_step
 from repro.analyze.crossval import crossval_case, stream_tag_sets
 from repro.arch import FunctionalPE, Scratchpad, TaggedQueue
 from repro.asm.assembler import assemble
 from repro.params import DEFAULT_PARAMS
-from repro.pipeline import PipelinedPE, all_configs
+from repro.pipeline import PipelinedPE, all_configs, config_by_name
 from repro.verify.corpus import load_case, load_corpus
 from repro.verify.generator import case_source, case_streams, generate_case
 from repro.verify.shrinker import shrink_case
@@ -369,6 +377,95 @@ class TestProofs:
         a = check_case(case, DEFAULT_PARAMS, bounds=BOUNDS)
         b = check_case(case, DEFAULT_PARAMS, bounds=BOUNDS)
         assert a.as_dict() == b.as_dict()
+
+
+def _resimulated_successors(pe, streams, key):
+    """Successor keys of ``key`` with one restore and one step per
+    delivery option, its tokens staged before the step, in the
+    explorer's order: the oracle for ``_Explorer._expand``, which steps
+    once and derives every option's successor from that step."""
+    state, delivered, produced = key
+    if state[3]:            # halted: terminal node
+        return []
+    out_index = 6 if isinstance(pe, PipelinedPE) else 5
+    capacity = pe.inputs[0].capacity
+    successors = []
+    for deliver in product(*(
+            range(min(capacity - len(live) - len(staged),
+                      len(streams[q]) - delivered[q]) + 1)
+            for q, (live, staged) in enumerate(state[out_index - 1]))):
+        pe.restore_arch_state(state)
+        for q, count in enumerate(deliver):
+            for value, tag in streams[q][delivered[q]:delivered[q] + count]:
+                pe.inputs[q].enqueue(value, tag)
+        pe.step()
+        pe.commit_queues()
+        after = pe.snapshot_arch_state()
+        now = tuple(start + count for start, count in zip(delivered, deliver))
+        outputs = after[out_index]
+        log = tuple(produced[q] + live[len(state[out_index][q][0]):]
+                    for q, (live, _) in enumerate(outputs))
+        if pe.halted:
+            successors.append(node_key(after, now, log))
+            continue
+        for drain in product(*(range(len(live) + 1) for live, _ in outputs)):
+            trimmed = tuple((live[k:], staged)
+                            for k, (live, staged) in zip(drain, outputs))
+            successors.append(node_key(
+                after[:out_index] + (trimmed,) + after[out_index + 1:],
+                now, log))
+    return successors
+
+
+class TestOneStepPerState:
+    """The explorer steps once per state and derives each delivery
+    option's successor from that step; re-simulating every option must
+    give the same successors in the same order."""
+
+    CONFIGS = ("TDX +P", "TD|X +Q", "T|DX +pad", "T|D|X1|X2 +P+Q",
+               "TDX1|X2")
+
+    @staticmethod
+    def _programs():
+        for name, program, streams, params in checkable_workloads():
+            yield name, program, streams, params
+        for case_name in ("neck-tag-visibility", "speculation-forbidden"):
+            case = _corpus_case(case_name)
+            program = assemble(case_source(case, DEFAULT_PARAMS),
+                               DEFAULT_PARAMS, name=case_name)
+            yield case_name, program, case_streams(case), DEFAULT_PARAMS
+
+    def test_derived_successors_match_resimulation(self):
+        bounds = CheckBounds(queue_capacity=2)
+        checked = derived = 0
+        for name, program, streams, params in self._programs():
+            cparams = replace(params, queue_capacity=2)
+            streams_t = _normalize_streams(streams,
+                                           cparams.num_input_queues)
+            models = [lambda: FunctionalPE(cparams, name="golden")] + [
+                lambda config=config: PipelinedPE(
+                    config_by_name(config), cparams, name=config)
+                for config in self.CONFIGS
+            ]
+            for make in models:
+                explored, oracle = make(), make()
+                program.configure(explored)
+                program.configure(oracle)
+                exp = _Explorer(explored, streams_t, 2, bounds, None)
+                root = exp._root()
+                exp.parents[root] = None
+                frontier = [root]
+                for _ in range(300):
+                    if not frontier:
+                        break
+                    key = frontier.pop(0)
+                    frontier += exp._expand(key)
+                    assert exp.children[key] == _resimulated_successors(
+                        oracle, streams_t, key), (name, explored.name)
+                    checked += 1
+                    derived += len(exp._deliver_options(*key[:2])) > 1
+        # Hundreds of the expansions offered more than one delivery.
+        assert checked > 2_000 and derived > 500, (checked, derived)
 
 
 class TestMutationWitnesses:

@@ -1,10 +1,12 @@
 """Queue-status policies: conservative, effective (+Q), padded."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.queue import TaggedQueue
 from repro.pipeline.config import config_by_name
 from repro.pipeline.queue_status import (
+    TAG_VISIBILITY,
     ConservativeQueueView,
     EffectiveQueueView,
     InFlightQueueState,
@@ -154,3 +156,84 @@ class TestFactory:
             make_queue_view(config_by_name("T|D|X +pad"), inputs, outputs, state),
             PaddedQueueView,
         )
+
+
+# -- the views against their property-based formulas ---------------------
+
+def _oracle_input_count(policy, q, state, queue):
+    if policy == "effective":
+        return max(0, q.occupancy - state.pending_deqs[queue])
+    return 0 if state.sched_deqs[queue] else q.occupancy
+
+
+def _oracle_input_tag(policy, q, state, queue, position):
+    if policy == "effective":
+        effective = position + state.pending_deqs[queue]
+        if effective >= TAG_VISIBILITY or effective >= q.occupancy:
+            return None
+        return q.peek(effective).tag
+    if state.sched_deqs[queue] or position >= q.occupancy:
+        return None
+    return q.peek(position).tag
+
+
+def _oracle_output_space(policy, q, state, queue, padding):
+    if policy == "effective":
+        return max(0, q.free_slots - state.pending_enqs[queue])
+    if policy == "padded":
+        return max(0, (q.capacity - padding) - q.occupancy)
+    return 0 if state.pending_enqs[queue] else q.free_slots
+
+
+@st.composite
+def _queue_world(draw):
+    """Two inputs and two outputs with random live and staged contents
+    (never past capacity), plus random in-flight bookings."""
+    capacity = draw(st.integers(1, 5))
+    padding = draw(st.integers(1, 4))
+    policy = draw(st.sampled_from(["conservative", "effective", "padded"]))
+    out_capacity = capacity + padding if policy == "padded" else capacity
+
+    def fill(cap, name):
+        queue = TaggedQueue(cap, name)
+        live = draw(st.integers(0, cap))
+        staged = draw(st.integers(0, cap - live))
+        for i in range(live):
+            queue.enqueue(i, draw(st.integers(0, 3)))
+        queue.commit()
+        for i in range(staged):
+            queue.enqueue(100 + i, draw(st.integers(0, 3)))
+        return queue
+
+    inputs = [fill(capacity, f"i{i}") for i in range(2)]
+    outputs = [fill(out_capacity, f"o{i}") for i in range(2)]
+    state = InFlightQueueState(2, 2)
+    for i in range(2):
+        state.sched_deqs[i] = draw(st.integers(0, 3))
+        state.pending_deqs[i] = draw(st.integers(0, state.sched_deqs[i]))
+        state.pending_enqs[i] = draw(st.integers(0, 3))
+    return policy, padding, inputs, outputs, state
+
+
+class TestViewsMatchPropertyFormulas:
+    """Each view reads queue storage directly; it must answer exactly
+    what the ``occupancy``/``free_slots``/``peek`` formulas answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(world=_queue_world())
+    def test_views_agree_with_the_property_formulas(self, world):
+        policy, padding, inputs, outputs, state = world
+        view = {
+            "conservative": ConservativeQueueView(inputs, outputs, state),
+            "effective": EffectiveQueueView(inputs, outputs, state),
+            "padded": PaddedQueueView(inputs, outputs, state, padding),
+        }[policy]
+        for queue in range(2):
+            q = inputs[queue]
+            assert view.input_count(queue) == _oracle_input_count(
+                policy, q, state, queue)
+            for position in range(q.capacity + 1):
+                assert view.input_tag(queue, position) == _oracle_input_tag(
+                    policy, q, state, queue, position)
+            assert view.output_space(queue) == _oracle_output_space(
+                policy, outputs[queue], state, queue, padding)

@@ -1,6 +1,7 @@
 """Program lowering: compiled triggers and datapaths match their source,
 and one lowering serves every PE a program is configured onto."""
 
+import os
 import pickle
 import sys
 from dataclasses import replace
@@ -28,6 +29,7 @@ from repro.isa.instruction import (
     Destination,
     Instruction,
     Operand,
+    OperandType,
     PredUpdate,
     TagCheck,
     Trigger,
@@ -36,7 +38,12 @@ from repro.isa.instruction import (
 from repro.isa.opcodes import op_by_name
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline import PipelinedPE, all_configs
+from repro.verify.corpus import load_corpus
+from repro.verify.generator import case_source
+from repro.workloads import WORKLOADS, get_workload
 from repro.workloads.gcd import gcd_program
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def _ins(**kwargs):
@@ -118,7 +125,7 @@ class TestCompiledDatapath:
         assert meta.dst_kind == DST_PRED and meta.dst_index == 2
         assert meta.writes_pred and not meta.writes_reg
         assert meta.out_queue == -1
-        assert meta.pred_update is ins.dp.pred_update
+        assert (meta.pred_set, meta.pred_keep) == (0b1, 0xFF)
 
     def test_semantics_agree_with_alu_execute(self):
         for mnemonic in ("add", "mulh", "asr", "brev", "slt", "halt"):
@@ -140,6 +147,41 @@ class TestCompiledDatapath:
         metas = compile_datapaths(program, P)
         assert len(metas) == 3
         assert metas[1].op is program[1].dp.op
+
+    def test_flattened_fields_match_every_real_slot(self):
+        """On every slot of the ten workloads' PEs and the corpus cases,
+        the issue masks are ``PredUpdate.apply`` masked to NPreds over
+        every predicate state, and the flags and mnemonic match the
+        instruction."""
+        lowerings = []
+        for name in WORKLOADS():
+            system = get_workload(name).build(
+                lambda pe_name: FunctionalPE(P, name=pe_name), 4, 0)
+            lowerings += [(pe.instructions, pe._dp_meta)
+                          for pe in system.pes]
+        for _, case in load_corpus(CORPUS_DIR):
+            lowering = assemble(case_source(case, P), P,
+                                name=case["name"]).lowered(P)
+            lowerings.append((lowering.instructions, lowering.datapaths))
+        every = (1 << P.num_preds) - 1
+        slots = updates = 0
+        for instructions, metas in lowerings:
+            for ins, meta in zip(instructions, metas, strict=True):
+                dp = ins.dp
+                slots += 1
+                updates += bool(dp.pred_update.touched)
+                assert [(state | meta.pred_set) & meta.pred_keep
+                        for state in range(every + 1)] == [
+                    dp.pred_update.apply(state) & every
+                    for state in range(every + 1)]
+                reads_reg = any(src.kind is OperandType.REG
+                                for src in dp.srcs)
+                assert meta.reads_reg == reads_reg == any(
+                    code == REG for code, _ in meta.operand_plan)
+                assert meta.books_queues == (
+                    bool(dp.deq) or ins.output_queue is not None)
+                assert meta.mnemonic == dp.op.mnemonic
+        assert slots > 200 and updates > 100, (slots, updates)
 
 
 class TestLoweringIsShared:
