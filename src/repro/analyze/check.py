@@ -149,10 +149,17 @@ class _Explorer:
         self.num_inputs = len(pe.inputs)
         self.num_outputs = len(pe.outputs)
         self.out_index = 6 if isinstance(pe, PipelinedPE) else 5
-        self.parents: dict[tuple, tuple] = {}
-        self.children: dict[tuple, list[tuple]] = {}
-        self.halted: list[tuple] = []
-        self.fingerprints: dict[tuple, tuple] = {}  # fingerprint -> node
+        # Nodes are numbered in the order they are first reached, which
+        # is BFS order, and are expanded in that order: every list below
+        # is indexed by node id.
+        self.ids: dict[tuple, int] = {}             # node key -> id
+        self.keys: list[tuple] = []
+        #: (parent id, action) of the edge that first reached a node;
+        #: None for the root.
+        self.parents: list[tuple | None] = []
+        self.children: list[list[int]] = []         # per expanded node
+        self.halted: list[int] = []
+        self.fingerprints: dict[tuple, int] = {}    # fingerprint -> node
         self.transitions = 0
         self.complete = False
         self.forbidden_pairs: set[tuple[int, int]] = set()
@@ -162,13 +169,18 @@ class _Explorer:
 
     # -- state plumbing -------------------------------------------------
 
-    def _root(self) -> tuple:
+    def _root(self) -> int:
+        """Number the initial state as node 0."""
         self.held = self.pe.snapshot_arch_state()
-        return node_key(
+        key = node_key(
             self.held,
             (0,) * self.num_inputs,
             ((),) * self.num_outputs,
         )
+        self.ids[key] = 0
+        self.keys.append(key)
+        self.parents.append(None)
+        return 0
 
     def _fingerprint(self, state: tuple, delivered: tuple,
                      produced: tuple) -> tuple:
@@ -194,14 +206,12 @@ class _Explorer:
             per_queue.append(range(0, min(free, remaining) + 1))
         return list(product(*per_queue))
 
-    def _path(self, key: tuple, action: tuple | None) -> list[tuple]:
-        """Action list from the root to ``key`` (plus a final action)."""
+    def _path(self, node: int, action: tuple | None) -> list[tuple]:
+        """Action list from the root to ``node`` (plus a final action)."""
         actions: list[tuple] = [] if action is None else [action]
-        while True:
-            parent = self.parents[key]
-            if parent is None:
-                break
-            key, step = parent
+        parents = self.parents
+        while (link := parents[node]) is not None:
+            node, step = link
             actions.append(step)
         actions.reverse()
         return actions
@@ -227,34 +237,32 @@ class _Explorer:
     def run(self) -> None:
         """Explore until exhaustion, budget, or a divergence
         (:class:`_Diverged`)."""
-        root = self._root()
-        self.parents[root] = None
-        frontier = [root]
+        frontier = [self._root()]
         visited = 1
         while frontier:
             if visited > self.bounds.max_states:
                 return      # incomplete; self.complete stays False
-            next_frontier: list[tuple] = []
-            for key in frontier:
-                fresh = self._expand(key)
+            next_frontier: list[int] = []
+            for node in frontier:
+                fresh = self._expand(node)
                 visited += len(fresh)
                 next_frontier.extend(fresh)
             frontier = next_frontier
         self.complete = True
 
-    def _expand(self, key: tuple) -> list[tuple]:
-        """Step once from ``key``, then derive every successor.
+    def _expand(self, node: int) -> list[int]:
+        """Step once from ``node``, then derive every successor.
 
         Tokens delivered before a step are only staged, and a step reads
         only live input entries, so one step serves every delivery
         option: an option's successor appends its tokens to the stepped
         state's live inputs, as a drain trims its outputs.  A crash or a
         wrong output happens whatever is delivered, so its witness
-        delivers nothing.
+        delivers nothing.  Returns the ids of the nodes first reached.
         """
-        state, delivered, produced = key
+        state, delivered, produced = self.keys[node]
         if state[3]:            # halted: terminal node
-            self.children[key] = []
+            self.children.append([])
             return []
         pe = self.pe
         in_index, out_index = self.out_index - 1, self.out_index
@@ -271,7 +279,7 @@ class _Explorer:
             # surface as exceptions before they surface as state).
             raise _Diverged(
                 "crash", f"{type(exc).__name__}: {exc}",
-                self._path(key, idle),
+                self._path(node, idle),
             ) from None
         stepped = self.held = pe.snapshot_arch_state()
         # Record (and prefix-check) entries committed this cycle.
@@ -289,7 +297,7 @@ class _Explorer:
                             f"output %o{q} entry {position}: produced "
                             f"{entry}, golden stream has "
                             f"{ref[position] if position < len(ref) else '<nothing>'}",
-                            self._path(key, idle),
+                            self._path(node, idle),
                         )
             new_produced.append(log + fresh)
         new_produced = tuple(new_produced)
@@ -299,8 +307,11 @@ class _Explorer:
         out_states = stepped[out_index]
         drains = list(product(*(
             range(0, len(live) + 1) for live, _ in out_states)))
-        successors: list[tuple] = []
-        edges: list[tuple] = []
+        # Each successor key is hashed once: setdefault numbers it if it
+        # is new, and len(keys) is then its id.
+        ids, keys, parents = self.ids, self.keys, self.parents
+        successors: list[int] = []
+        edges: list[int] = []
         for deliver in self._deliver_options(state, delivered):
             if any(deliver):
                 new_delivered = tuple(
@@ -318,9 +329,12 @@ class _Explorer:
                 fingerprint = self._fingerprint(
                     new_state, new_delivered, new_produced)
                 action = (deliver, idle[1])
-                succ = node_key(new_state, new_delivered, new_produced)
-                if succ not in self.parents:
-                    self.parents[succ] = (key, action)
+                key = node_key(new_state, new_delivered, new_produced)
+                count = len(keys)
+                succ = ids.setdefault(key, count)
+                if succ == count:
+                    keys.append(key)
+                    parents.append((node, action))
                     successors.append(succ)
                 if self.reference is not None:
                     fields = _diff_fingerprints(
@@ -328,7 +342,7 @@ class _Explorer:
                     if fields:
                         raise _Diverged(
                             "state", "; ".join(fields),
-                            self._path(key, action),
+                            self._path(node, action),
                         )
                 self.fingerprints.setdefault(fingerprint, succ)
                 self.halted.append(succ)
@@ -344,44 +358,47 @@ class _Explorer:
                                      + new_state[out_index + 1:])
                 else:
                     drained_state = new_state
-                succ = node_key(drained_state, new_delivered, new_produced)
-                if succ not in self.parents:
-                    self.parents[succ] = (key, (deliver, drain))
+                key = node_key(drained_state, new_delivered, new_produced)
+                count = len(keys)
+                succ = ids.setdefault(key, count)
+                if succ == count:
+                    keys.append(key)
+                    parents.append((node, (deliver, drain)))
                     successors.append(succ)
                 edges.append(succ)
         self.transitions += len(edges)
-        self.children[key] = edges
+        self.children.append(edges)
         return successors
 
     # -- hang analysis --------------------------------------------------
 
-    def hang_witness(self) -> tuple | None:
-        """A state from which no schedule can reach a halt, or None.
+    def hang_witness(self) -> int | None:
+        """A node from which no schedule can reach a halt, or None.
 
         Only sound after a *complete* exploration: with the whole graph
         in hand, backward reachability from the halting states marks
         everything that can still converge; anything else is a hang (the
         environment is fair — delivery and drain actions are always
         eventually available — so unreachability of halt is livelock or
-        deadlock, not starvation)."""
+        deadlock, not starvation).  The first such node in BFS order is
+        returned."""
         if not self.complete:
             return None
-        can_halt = set(self.halted)
-        reverse: dict[tuple, list[tuple]] = {}
-        for parent, kids in self.children.items():
+        reverse: list[list[int]] = [[] for _ in self.keys]
+        for parent, kids in enumerate(self.children):
             for kid in kids:
-                reverse.setdefault(kid, []).append(parent)
-        frontier = list(can_halt)
+                reverse[kid].append(parent)
+        can_halt = bytearray(len(self.keys))
+        for node in self.halted:
+            can_halt[node] = 1
+        frontier = list(self.halted)
         while frontier:
-            node = frontier.pop()
-            for parent in reverse.get(node, ()):
-                if parent not in can_halt:
-                    can_halt.add(parent)
+            for parent in reverse[frontier.pop()]:
+                if not can_halt[parent]:
+                    can_halt[parent] = 1
                     frontier.append(parent)
-        for key in self.parents:        # insertion order = BFS order
-            if key not in can_halt:
-                return key
-        return None
+        hang = can_halt.find(0)
+        return None if hang < 0 else hang
 
 
 def _diff_fingerprints(golden: tuple, candidate: tuple) -> list[str]:
@@ -425,7 +442,7 @@ def _explore(pe, streams: tuple[tuple, ...], capacity: int,
                                 div.detail, div.path)
         return exp, ConfigVerdict(
             config=config_name, verdict="diverged",
-            states=len(exp.parents), transitions=exp.transitions,
+            states=len(exp.keys), transitions=exp.transitions,
             witness=witness, detail=f"{div.kind}: {div.detail}",
         )
     if exp.complete:
@@ -438,18 +455,18 @@ def _explore(pe, streams: tuple[tuple, ...], capacity: int,
                 path)
             return exp, ConfigVerdict(
                 config=config_name, verdict="diverged",
-                states=len(exp.parents), transitions=exp.transitions,
+                states=len(exp.keys), transitions=exp.transitions,
                 witness=witness,
                 detail="hang: unreachable halt after "
                        f"{len(path)} scheduled cycles",
             )
         return exp, ConfigVerdict(
             config=config_name, verdict="proved",
-            states=len(exp.parents), transitions=exp.transitions,
+            states=len(exp.keys), transitions=exp.transitions,
         )
     return exp, ConfigVerdict(
         config=config_name, verdict="inconclusive",
-        states=len(exp.parents), transitions=exp.transitions,
+        states=len(exp.keys), transitions=exp.transitions,
         detail=f"state budget of {bounds.max_states} exhausted",
     )
 
@@ -485,7 +502,7 @@ def check_program(program, streams: dict[int, list[tuple[int, int]]],
     gexp, gverdict = _explore(golden, streams_t, bounds.queue_capacity,
                               bounds, None, "golden")
     report = CheckReport(name=name, verdict="proved", bounds=bounds,
-                         golden_states=len(gexp.parents))
+                         golden_states=len(gexp.keys))
     if gverdict.verdict == "diverged":
         kind = gverdict.witness.kind if gverdict.witness else "crash"
         report.verdict = ("golden-stuck" if kind == "hang"

@@ -18,7 +18,9 @@ relative sequence numbers, speculation records, predictor counters),
 ``produced`` is the full committed output log per output queue.
 
 Everything is plain nested tuples — hashable, comparable, and cheap to
-build — so the BFS frontier is an ordinary dict keyed on nodes.
+build — so the checker numbers nodes through an ordinary dict keyed on
+them, hashing each reached key once, and keeps its graph in lists
+indexed by those numbers.
 """
 
 from __future__ import annotations

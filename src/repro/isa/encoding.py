@@ -211,16 +211,25 @@ def encode_program(instructions: list[Instruction], params: ArchParams) -> bytes
     default parameters) for the host's convenience, exactly as the paper's
     memory-mapped interface pads the 106-bit instruction to 128 bits.
     """
-    if len(instructions) > params.num_instructions:
+    _check_length(len(instructions), params)   # before any instruction
+    return pack_program(
+        [encode_instruction(ins, params) for ins in instructions], params)
+
+
+def pack_program(words: list[int], params: ArchParams) -> bytes:
+    """The binary :func:`encode_program` makes, from already encoded
+    instruction words (:func:`encode_instruction`)."""
+    _check_length(len(words), params)
+    stride = params.padded_instruction_width // 8
+    return b"".join(word.to_bytes(stride, "little") for word in words)
+
+
+def _check_length(count: int, params: ArchParams) -> None:
+    if count > params.num_instructions:
         raise EncodingError(
-            f"program has {len(instructions)} instructions, PE holds "
+            f"program has {count} instructions, PE holds "
             f"{params.num_instructions}"
         )
-    stride = params.padded_instruction_width // 8
-    blob = bytearray()
-    for ins in instructions:
-        blob += encode_instruction(ins, params).to_bytes(stride, "little")
-    return bytes(blob)
 
 
 def decode_program(blob: bytes, params: ArchParams) -> list[Instruction]:

@@ -130,7 +130,7 @@ class Trigger:
             return False
         return (~pred_state & self.pred_off) == self.pred_off
 
-    @property
+    @cached_property
     def watched_predicates(self) -> int:
         """Mask of predicate bits this trigger actually inspects."""
         return self.pred_on | self.pred_off
@@ -151,7 +151,7 @@ class PredUpdate:
     def apply(self, pred_state: int) -> int:
         return (pred_state | self.set_mask) & ~self.clear_mask
 
-    @property
+    @cached_property
     def touched(self) -> int:
         return self.set_mask | self.clear_mask
 
@@ -345,7 +345,7 @@ class Instruction:
         queues.update(self.dp.deq)
         return frozenset(queues)
 
-    @property
+    @cached_property
     def output_queue(self) -> int | None:
         """The output queue this instruction enqueues to, if any."""
         if self.dp.dst.kind is DestinationType.OUT:

@@ -4,7 +4,8 @@ The whole toolchain — assembler, functional simulator, cycle-accurate
 pipeline models and the VLSI cost model — is governed by one
 :class:`ArchParams` object, mirroring the paper's single ``params.yaml``
 file (Figure 1).  Derived binary-encoding field widths (paper Table 2)
-are exposed as properties.
+and word masks are cached properties: a parameter object is frozen, so
+each is computed once per object, on first read.
 
 A note on ``MaxCheck``: the paper's Table 1 prints the value 4, but the
 field-width arithmetic of Table 2 (``QueueIndices`` = 6 bits, ``NotTags``
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from repro.errors import ParameterError
 
@@ -82,17 +84,17 @@ class ArchParams:
     # Word helpers
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def word_mask(self) -> int:
         """Bit mask covering one data word (e.g. 0xFFFFFFFF for 32-bit)."""
         return (1 << self.word_width) - 1
 
-    @property
+    @cached_property
     def word_sign_bit(self) -> int:
         """Mask selecting the sign bit of a data word."""
         return 1 << (self.word_width - 1)
 
-    @property
+    @cached_property
     def num_tags(self) -> int:
         """Number of distinct tag values representable in ``tag_width`` bits."""
         return 1 << self.tag_width
@@ -101,92 +103,92 @@ class ArchParams:
     # Instruction field widths (paper Table 2)
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def val_width(self) -> int:
         """Valid bit."""
         return 1
 
-    @property
+    @cached_property
     def pred_mask_width(self) -> int:
         """Required on-set and off-set of predicates for trigger."""
         return 2 * self.num_preds
 
-    @property
+    @cached_property
     def queue_index_width(self) -> int:
         """Width of one input-queue index (including the 'none' encoding)."""
         return _clog2(self.num_input_queues + 1)
 
-    @property
+    @cached_property
     def queue_indices_width(self) -> int:
         """Input queues to check: MaxCheck x clog2(NIQueues + 1)."""
         return self.max_check * self.queue_index_width
 
-    @property
+    @cached_property
     def not_tags_width(self) -> int:
         """Which checked queues match on *absence* of the given tag."""
         return self.max_check
 
-    @property
+    @cached_property
     def tag_vals_width(self) -> int:
         """Vector of tags to seek on input queues."""
         return self.max_check * self.tag_width
 
-    @property
+    @cached_property
     def op_width(self) -> int:
         """Opcode field."""
         return _clog2(self.num_ops)
 
-    @property
+    @cached_property
     def src_types_width(self) -> int:
         """Source types (register, input queue, immediate, or none)."""
         return self.num_srcs * 2
 
-    @property
+    @cached_property
     def src_id_width(self) -> int:
         """Width of one source index."""
         return _clog2(max(self.num_regs, self.num_input_queues))
 
-    @property
+    @cached_property
     def src_ids_width(self) -> int:
         """Source indices."""
         return self.num_srcs * self.src_id_width
 
-    @property
+    @cached_property
     def dst_types_width(self) -> int:
         """Destination types (register, output queue, or predicate)."""
         return self.num_dsts * 2
 
-    @property
+    @cached_property
     def dst_id_width(self) -> int:
         """Width of one destination index."""
         return _clog2(max(self.num_regs, self.num_output_queues, self.num_preds))
 
-    @property
+    @cached_property
     def dst_ids_width(self) -> int:
         """Destination indices."""
         return self.num_dsts * self.dst_id_width
 
-    @property
+    @cached_property
     def out_tag_width(self) -> int:
         """Tag with which to enqueue the result."""
         return self.tag_width
 
-    @property
+    @cached_property
     def iqueue_deq_width(self) -> int:
         """Input queues to dequeue: MaxDeq x clog2(NIQueues + 1)."""
         return self.max_deq * self.queue_index_width
 
-    @property
+    @cached_property
     def pred_update_width(self) -> int:
         """Masks of which predicates to force high or low."""
         return 2 * self.num_preds
 
-    @property
+    @cached_property
     def imm_width(self) -> int:
         """Full word-length immediate (a deliberate ISA choice, Section 2.2)."""
         return self.word_width
 
-    @property
+    @cached_property
     def instruction_width(self) -> int:
         """Total encoded instruction width (106 bits at default parameters)."""
         return (
@@ -206,7 +208,7 @@ class ArchParams:
             + self.imm_width
         )
 
-    @property
+    @cached_property
     def padded_instruction_width(self) -> int:
         """Instruction width padded to a round number of 32-bit words.
 

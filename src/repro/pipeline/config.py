@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.errors import ConfigError
 
@@ -68,24 +69,26 @@ class PipelineConfig:
             raise ConfigError("speculative_depth must be at least 1")
 
     # ------------------------------------------------------------------
+    # Derived shape: a config is frozen, so each value below is computed
+    # once per config object, on first read.
 
-    @property
+    @cached_property
     def depth(self) -> int:
         return len(self.stages)
 
-    @property
+    @cached_property
     def split_alu(self) -> bool:
         return any("X1" in stage for stage in self.stages)
 
-    @property
+    @cached_property
     def partition(self) -> str:
         return partition_name(self.stages)
 
-    @property
+    @cached_property
     def effective_queue_status(self) -> bool:
         return self.queue_policy is QueuePolicy.EFFECTIVE
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Paper-style name, e.g. ``"T|DX1|X2 +P+Q"``."""
         suffix = ""
@@ -107,16 +110,16 @@ class PipelineConfig:
     def trigger_stage(self) -> int:
         return 0
 
-    @property
+    @cached_property
     def decode_stage(self) -> int:
         return self.stage_of("D")
 
-    @property
+    @cached_property
     def early_result_stage(self) -> int:
         """Stage whose end produces single-stage ALU results."""
         return self.stage_of("X1") if self.split_alu else self.stage_of("X")
 
-    @property
+    @cached_property
     def late_result_stage(self) -> int:
         """Stage whose end produces multi-stage (multiply, load) results."""
         return self.stage_of("X2") if self.split_alu else self.stage_of("X")

@@ -26,6 +26,8 @@ failures.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.analyze.crossval import (
     reachable_slots,
     retired_outside,
@@ -35,7 +37,12 @@ from repro.arch import FunctionalPE
 from repro.asm.assembler import assemble
 from repro.asm.disassembler import disassemble
 from repro.errors import ReproError
-from repro.isa.encoding import encode_instruction, encode_program, decode_program
+from repro.isa.encoding import (
+    decode_program,
+    encode_instruction,
+    encode_program,
+    pack_program,
+)
 from repro.params import ArchParams, DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, all_configs
 from repro.resilience.forensics import forensic_report, format_report
@@ -87,36 +94,47 @@ def _run_model(pe, streams: dict[int, list[tuple[int, int]]],
     the schedule is exhausted the canonical environment resumes, so a
     finite witness prefix still runs to halt.
     """
-    backlog = {queue: list(tokens) for queue, tokens in streams.items()}
+    backlog = {queue: deque(tokens) for queue, tokens in streams.items()}
     collected: dict[int, list[tuple[int, int]]] = {
         index: [] for index in range(len(pe.outputs))
     }
+    # The canonical environment tops up only the queues with backlog
+    # left and drains only the outputs that hold entries.
+    topup = [(pe.inputs[queue], tokens)
+             for queue, tokens in backlog.items() if tokens]
+    outputs = list(zip(pe.outputs, collected.values()))
     schedule = list(schedule) if schedule else []
     for cycle in range(max_cycles):
         if pe.halted:
             break
         plan = schedule[cycle] if cycle < len(schedule) else None
         if plan is None:
-            for queue, tokens in backlog.items():
-                while tokens and not pe.inputs[queue].is_full:
-                    value, tag = tokens.pop(0)
-                    pe.inputs[queue].enqueue(value, tag)
+            exhausted = False
+            for queue, tokens in topup:
+                while tokens and (len(queue._live) + len(queue._staged)
+                                  < queue.capacity):
+                    value, tag = tokens.popleft()
+                    queue.enqueue(value, tag)
+                if not tokens:
+                    exhausted = True
+            if exhausted:
+                topup = [(queue, tokens) for queue, tokens in topup if tokens]
         else:
             for queue, count in (plan.get("deliver") or {}).items():
                 queue = int(queue)
-                tokens = backlog.get(queue, [])
+                tokens = backlog.get(queue, ())
                 for _ in range(count):
                     if not tokens or pe.inputs[queue].is_full:
                         break
-                    value, tag = tokens.pop(0)
+                    value, tag = tokens.popleft()
                     pe.inputs[queue].enqueue(value, tag)
         pe.step()
         pe.commit_queues()
         if plan is None:
-            for index, queue in enumerate(pe.outputs):
+            for queue, log in outputs:
                 if queue._live:
-                    collected[index].extend(
-                        (entry.value, entry.tag) for entry in queue.drain())
+                    log.extend((entry.value, entry.tag)
+                               for entry in queue.drain())
         else:
             for index, count in (plan.get("drain") or {}).items():
                 index = int(index)
@@ -127,15 +145,14 @@ def _run_model(pe, streams: dict[int, list[tuple[int, int]]],
     if not pe.halted:
         return None
     pe.commit_queues()
-    for index, queue in enumerate(pe.outputs):
-        for entry in queue.drain():
-            collected[index].append((entry.value, entry.tag))
+    for queue, log in outputs:
+        if queue._live:
+            log.extend((entry.value, entry.tag) for entry in queue.drain())
     leftovers: dict[int, list[tuple[int, int]]] = {}
     for index, queue in enumerate(pe.inputs):
-        if queue._staged:
-            queue.commit()
-        left = [(entry.value, entry.tag) for entry in queue.drain()]
-        left.extend(backlog.get(index, []))
+        left = ([(entry.value, entry.tag) for entry in queue.drain()]
+                if queue._live else [])
+        left.extend(backlog.get(index, ()))
         if left:
             leftovers[index] = left
     return {
@@ -143,11 +160,7 @@ def _run_model(pe, streams: dict[int, list[tuple[int, int]]],
         "cycles": pe.counters.cycles,
         "regs": list(pe.regs.snapshot()),
         "preds": pe.preds.state,
-        "scratchpad": {
-            index: word
-            for index, word in enumerate(pe.scratchpad.dump())
-            if word
-        },
+        "scratchpad": dict(pe.scratchpad.nonzero()),
         "outputs": {q: list(tokens) for q, tokens in collected.items() if tokens},
         "inputs_left": leftovers,
     }
@@ -233,7 +246,7 @@ def _roundtrip_divergences(program, params: ArchParams) -> list[dict]:
             "config": None,
             "detail": "round trip changed the .start predicate state",
         })
-    blob = encode_program(program.instructions, params)
+    blob = pack_program(first, params)
     decoded = decode_program(blob, params)
     if encode_program(decoded, params) != blob:
         divergences.append({

@@ -379,6 +379,88 @@ class TestProofs:
         assert a.as_dict() == b.as_dict()
 
 
+#: The gcd program of checkable_workloads() as a fuzzer case, so a
+#: checker witness on it replays through the fuzzer's harness.
+GCD_CASE = {
+    "name": "gcd", "seed": -1, "start": "req_a",
+    "entries": [
+        {"op": "mov %o0.0, $0", "state": "req_a", "next": "req_b"},
+        {"op": "mov %o0.0, $1", "state": "req_b", "next": "recv_a"},
+        {"op": "mov %r0, %i0", "state": "recv_a", "next": "recv_b",
+         "deq": ["%i0"]},
+        {"op": "mov %r1, %i0", "state": "recv_b", "next": "test",
+         "deq": ["%i0"]},
+        {"op": "eq %p1, %r0, %r1", "state": "test", "next": "br"},
+        {"op": "mov %o1.0, $2", "state": "br", "next": "store",
+         "flags": {"1": True}},
+        {"op": "mov %o2.0, %r0", "state": "store", "next": "done"},
+        {"op": "halt", "state": "done"},
+        {"op": "ult %p2, %r0, %r1", "state": "br", "next": "sub",
+         "flags": {"1": False}},
+        {"op": "sub %r1, %r1, %r0", "state": "sub", "next": "test",
+         "flags": {"2": True}},
+        {"op": "sub %r0, %r0, %r1", "state": "sub", "next": "test",
+         "flags": {"2": False}},
+    ],
+    "streams": {"0": [[5, 0], [3, 0]]},
+}
+
+
+class TestHangAnalysis:
+    """``_Explorer.hang_witness``: backward reachability from the halted
+    nodes over a complete exploration."""
+
+    def test_golden_stuck_without_an_operand(self):
+        """gcd consumes two operands; with one delivered no schedule
+        reaches its halt, so the golden model itself is stuck."""
+        name, program, _, params = checkable_workloads()[0]
+        assert name == "gcd"
+        report = check_program(program, {0: [(5, 0)]}, params,
+                               bounds=BOUNDS2, name=name)
+        assert report.verdict == "golden-stuck"
+        assert report.golden_states == 14
+        assert report.configs == []
+        assert report.detail.startswith("golden model: hang")
+
+    def test_hang_witness_replays_through_the_harness(self, monkeypatch):
+        """A conservative view that reads a queue holding two live
+        entries as empty starves gcd once both operands are delivered at
+        once: the checker's hang witness is that one delivery, and the
+        fuzzer's harness replays it as a hang."""
+        from repro.isa.encoding import encode_instruction
+        from repro.verify.harness import check_witness
+
+        name, program, streams, params = checkable_workloads()[0]
+        case_program = assemble(case_source(GCD_CASE, params), params,
+                                name="gcd")
+        assert ([encode_instruction(ins, params)
+                 for ins in case_program.instructions]
+                == [encode_instruction(ins, params)
+                    for ins in program.instructions])
+        assert case_streams(GCD_CASE) == streams
+
+        real = qs.ConservativeQueueView.input_count
+
+        def blind_at_two(self, queue):
+            if len(self.inputs[queue]._live) == 2:
+                return 0
+            return real(self, queue)
+        monkeypatch.setattr(qs.ConservativeQueueView, "input_count",
+                            blind_at_two)
+        report = check_program(program, streams, params,
+                               configs=[config_by_name("T|D|X")],
+                               bounds=BOUNDS2, name=name)
+        assert report.verdict == "diverged"
+        (verdict,) = report.configs
+        assert (verdict.verdict, verdict.states, verdict.transitions) \
+            == ("diverged", 199, 486)
+        assert verdict.witness.kind == "hang"
+        assert verdict.witness.schedule == [{"deliver": {0: 2}, "drain": {}}]
+        replay = check_witness(GCD_CASE, verdict.witness, DEFAULT_PARAMS)
+        assert replay["reproduced"]
+        assert replay["divergence"]["kind"] == "hang"
+
+
 def _resimulated_successors(pe, streams, key):
     """Successor keys of ``key`` with one restore and one step per
     delivery option, its tokens staged before the step, in the
@@ -452,16 +534,18 @@ class TestOneStepPerState:
                 program.configure(explored)
                 program.configure(oracle)
                 exp = _Explorer(explored, streams_t, 2, bounds, None)
-                root = exp._root()
-                exp.parents[root] = None
-                frontier = [root]
+                frontier = [exp._root()]
                 for _ in range(300):
                     if not frontier:
                         break
-                    key = frontier.pop(0)
-                    frontier += exp._expand(key)
-                    assert exp.children[key] == _resimulated_successors(
-                        oracle, streams_t, key), (name, explored.name)
+                    node = frontier.pop(0)
+                    key = exp.keys[node]
+                    frontier += exp._expand(node)
+                    assert [exp.keys[kid] for kid in exp.children[node]] \
+                        == _resimulated_successors(oracle, streams_t, key), \
+                        (name, explored.name)
+                    assert all(exp.ids[exp.keys[kid]] == kid
+                               for kid in exp.children[node])
                     checked += 1
                     derived += len(exp._deliver_options(*key[:2])) > 1
         # Hundreds of the expansions offered more than one delivery.

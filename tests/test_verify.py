@@ -94,6 +94,97 @@ class TestRunner:
         assert summary["generator_bugs"] == []
 
 
+class TestRoundtrip:
+    """``harness._roundtrip_divergences`` encodes each instruction of
+    the case once and packs the binary from those words; every
+    divergence kind still fires."""
+
+    @staticmethod
+    def _program():
+        from repro.asm.assembler import assemble
+
+        case = generate_case(5, DEFAULT_PARAMS)
+        return assemble(case_source(case, DEFAULT_PARAMS), DEFAULT_PARAMS,
+                        name=case["name"])
+
+    def test_clean_case_encodes_each_instruction_three_times(self,
+                                                             monkeypatch):
+        import repro.isa.encoding as encoding
+        from repro.verify import harness
+
+        program = self._program()
+        calls = []
+        real = encoding.encode_instruction
+
+        def counted(ins, params):
+            calls.append(ins)
+            return real(ins, params)
+        monkeypatch.setattr(encoding, "encode_instruction", counted)
+        monkeypatch.setattr(harness, "encode_instruction", counted)
+        assert harness._roundtrip_divergences(program, DEFAULT_PARAMS) == []
+        # The case, its reassembly and the decoded binary: once each.
+        assert len(calls) == 3 * len(program.instructions)
+        words = [real(ins, DEFAULT_PARAMS) for ins in program.instructions]
+        blob = encoding.pack_program(words, DEFAULT_PARAMS)
+        assert blob == encoding.encode_program(program.instructions,
+                                               DEFAULT_PARAMS)
+        assert len(blob) == 16 * len(words)    # 106 bits padded to 128
+
+    def test_each_divergence_kind_fires(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.asm.assembler import assemble
+        from repro.isa.encoding import decode_program
+        from repro.verify import harness
+
+        program = self._program()
+
+        def reassembly(change):
+            def reassemble(source, params, name=""):
+                again = assemble(source, params, name=name)
+                change(again)
+                return again
+            monkeypatch.setattr(harness, "assemble", reassemble)
+
+        def new_immediate(again):
+            ins = again.instructions[0]
+            again.instructions[0] = replace(
+                ins, dp=replace(ins.dp, imm=ins.dp.imm ^ 1))
+
+        def new_start(again):
+            again.initial_predicates ^= 1
+
+        cases = [
+            (lambda: reassembly(new_immediate), "roundtrip-asm",
+             "assemble -> disassemble -> assemble changed encodings"),
+            (lambda: reassembly(new_start), "roundtrip-asm",
+             "round trip changed the .start predicate state"),
+            (lambda: monkeypatch.setattr(
+                harness, "decode_program",
+                lambda blob, params: decode_program(
+                    bytes([blob[0] ^ 1]) + blob[1:], params)),
+             "roundtrip-binary",
+             "encode -> decode -> encode changed the binary"),
+        ]
+        for inject, kind, detail in cases:
+            monkeypatch.undo()
+            inject()
+            assert harness._roundtrip_divergences(
+                program, DEFAULT_PARAMS) == [
+                    {"kind": kind, "config": None, "detail": detail}]
+
+    def test_overlong_program_is_generator_invalid(self):
+        case = copy.deepcopy(generate_case(5, DEFAULT_PARAMS))
+        case["entries"] += [
+            {"op": f"mov %r0, ${index}"}
+            for index in range(DEFAULT_PARAMS.num_instructions + 1)]
+        result = check_case(case, DEFAULT_PARAMS)
+        assert [d["kind"] for d in result["divergences"]] \
+            == ["generator-invalid"]
+        assert "PE holds" in result["divergences"][0]["detail"]
+        assert result["configs_checked"] == 0
+
+
 class TestCorpus:
     def test_corpus_replays_clean(self):
         pairs = load_corpus(CORPUS_DIR)
