@@ -2,23 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.vlsi.synthesis import SynthesisResult
 from repro.vlsi.technology import VtFlavor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignPoint:
     """A closed (microarchitecture, VT, VDD, frequency) point plus CPI.
 
     The paper's headline metrics fall out directly: delay per instruction
     (CPI over clock frequency) and energy per instruction (power times
-    delay per instruction).
+    delay per instruction).  Both are set once, at construction, since
+    every frontier sort reads them; equality, hashing, ``repr`` and
+    ``dataclasses.replace`` see only ``synthesis`` and ``cpi``.  Slotted,
+    like :class:`SynthesisResult`, because a sweep holds thousands.
     """
 
     synthesis: SynthesisResult
     cpi: float
+    ns_per_instruction: float = field(init=False, compare=False, repr=False)
+    pj_per_instruction: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        f = self.synthesis.f_target_hz
+        object.__setattr__(self, "ns_per_instruction", self.cpi / f * 1e9)
+        object.__setattr__(self, "pj_per_instruction",
+                           self.synthesis.power_w * self.cpi / f * 1e12)
 
     @property
     def config_name(self) -> str:
@@ -35,16 +46,6 @@ class DesignPoint:
     @property
     def frequency_hz(self) -> float:
         return self.synthesis.f_target_hz
-
-    @property
-    def ns_per_instruction(self) -> float:
-        return self.cpi / self.synthesis.f_target_hz * 1e9
-
-    @property
-    def pj_per_instruction(self) -> float:
-        return (
-            self.synthesis.power_w * self.cpi / self.synthesis.f_target_hz * 1e12
-        )
 
     @property
     def energy_delay_product(self) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.dse.cpi import CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.pipeline.config import PipelineConfig, all_configs
-from repro.vlsi.synthesis import fmax, synthesize
+from repro.vlsi.synthesis import close_point, config_constants, corner_fmax
 from repro.vlsi.technology import TECH65, Technology, VtFlavor
 
 _NEAR_THRESHOLD_VDD = 0.7    # refinement kicks in at and below this supply
@@ -55,18 +55,21 @@ def close_grid(
     CPI campaign; :mod:`repro.dse.prune` exploits exactly that to
     project best-case metrics from static CPI lower bounds.
 
-    Feasibility is decided once per (VT, VDD) corner: only the targets
-    at or below the corner's f_max, the ones :func:`synthesize` can
-    close, are synthesized.
+    Each point equals what :func:`repro.vlsi.synthesis.synthesize`
+    returns for it, but what only the config fixes (critical path,
+    capacitance, base area) is derived once per call, and f_max once
+    per (VT, VDD) corner.  Only the targets at or below the corner's
+    f_max, the ones ``synthesize`` can close, are closed.
     """
+    constants = config_constants(config)
     results = []
     for vt in VtFlavor:
         for vdd in voltage_grid(vt):
-            ceiling = fmax(config, vdd, vt, tech)
+            ceiling = corner_fmax(constants.critical_fo4, vdd, vt, tech)
             targets = [f for f in frequency_grid(vt, vdd) if f <= ceiling]
             if include_fmax_points:
                 targets.append(ceiling)
-            results.extend(synthesize(config, vdd, vt, f_target, tech)
+            results.extend(close_point(constants, vdd, vt, f_target, ceiling, tech)
                            for f_target in targets)
     return results
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.dse.cpi import CpiTable
+from repro.dse.design_point import DesignPoint
 from repro.dse.sweep import sweep
 from repro.eval import (
     figure3,
@@ -18,6 +21,19 @@ from repro.eval import (
 )
 
 
+def frontier_order(points: list[DesignPoint]) -> list[DesignPoint]:
+    """``points`` stable-sorted by (delay, energy), the order in which
+    :func:`repro.dse.pareto.pareto_frontier` walks them.
+
+    Every frontier of Figures 6-8 taken over a subsequence of the result
+    then sorts an already-ordered list in one pass, and tied points keep
+    their order in ``points``, so each frontier is the one ``points``
+    itself gives.
+    """
+    return sorted(points, key=attrgetter("ns_per_instruction",
+                                         "pj_per_instruction"))
+
+
 def full_report(scale: int = 24, cache_path: str | None = None) -> str:
     """Regenerate every table and figure from one CPI table and one sweep.
 
@@ -25,7 +41,8 @@ def full_report(scale: int = 24, cache_path: str | None = None) -> str:
     ``cache_path`` store nothing is simulated.
     """
     cpi_table = CpiTable(scale=scale, cache_path=cache_path)
-    points = sweep(cpi_table=cpi_table)
+    # One sort serves all eleven Pareto frontiers of Figures 6-8.
+    points = frontier_order(sweep(cpi_table=cpi_table))
     sections = [
         table1.render(),
         table2.render(),

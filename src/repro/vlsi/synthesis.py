@@ -21,6 +21,7 @@ published adders for +P / +Q / output-queue padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SynthesisError
 from repro.pipeline.config import PipelineConfig, QueuePolicy
@@ -95,7 +96,17 @@ def fmax(
     tech: Technology = TECH65,
 ) -> float:
     """Maximum clock frequency in Hz at a supply/flavor point."""
-    return 1.0 / (critical_path_fo4(config) * tech.fo4_delay(vdd, vt))
+    return corner_fmax(critical_path_fo4(config), vdd, vt, tech)
+
+
+def corner_fmax(
+    critical_fo4: float,
+    vdd: float,
+    vt: VtFlavor,
+    tech: Technology = TECH65,
+) -> float:
+    """:func:`fmax` of a design whose critical path is ``critical_fo4``."""
+    return 1.0 / (critical_fo4 * tech.fo4_delay(vdd, vt))
 
 
 def effective_capacitance(config: PipelineConfig) -> float:
@@ -121,7 +132,7 @@ def base_area_um2(config: PipelineConfig) -> float:
     return area
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthesisResult:
     """One closed design point."""
 
@@ -145,6 +156,64 @@ class SynthesisResult:
         return (self.power_w * 1e3) / self.area_mm2
 
 
+class ConfigConstants(NamedTuple):
+    """What closing a point needs from its config, derived once per config."""
+
+    name: str
+    critical_fo4: float
+    capacitance_f: float
+    base_area_um2: float
+
+
+def config_constants(config: PipelineConfig) -> ConfigConstants:
+    """The per-config inputs of :func:`close_point`."""
+    return ConfigConstants(
+        name=config.name,
+        critical_fo4=critical_path_fo4(config),
+        capacitance_f=effective_capacitance(config),
+        base_area_um2=base_area_um2(config),
+    )
+
+
+def close_point(
+    constants: ConfigConstants,
+    vdd: float,
+    vt: VtFlavor,
+    f_target_hz: float,
+    ceiling: float,
+    tech: Technology = TECH65,
+) -> SynthesisResult:
+    """Close one feasible point: ``0 < f_target_hz <= ceiling``, where
+    ``ceiling`` is the corner's :func:`corner_fmax`.
+
+    Everything that varies per target lives here (sizing, dynamic power,
+    area pressure, leakage); :func:`synthesize` and
+    :func:`repro.dse.sweep.close_grid` derive the per-config and
+    per-corner inputs, so both close a point by this one formula.
+    """
+    size = sizing_factor(f_target_hz)
+    dynamic = constants.capacitance_f * size * vdd ** 2 * f_target_hz
+    area_pressure = 1.0 + _AREA_PRESSURE * max(
+        0.0, (f_target_hz / ceiling - 0.6) / 0.4
+    ) ** 2
+    area = constants.base_area_um2 * area_pressure * min(
+        _AREA_GROWTH_CAP, max(1.0, size / 1.4)
+    )
+    leakage = tech.leakage_power(vdd, vt, area / comp.PIPE4_AREA_UM2)
+    return SynthesisResult(
+        config_name=constants.name,
+        vt=vt,
+        vdd=vdd,
+        f_target_hz=f_target_hz,
+        fmax_hz=ceiling,
+        area_um2=area,
+        power_w=dynamic + leakage,
+        dynamic_power_w=dynamic,
+        leakage_power_w=leakage,
+        critical_fo4=constants.critical_fo4,
+    )
+
+
 def synthesize(
     config: PipelineConfig,
     vdd: float,
@@ -157,7 +226,8 @@ def synthesize(
     Mirrors the paper's per-point flow: each (voltage, frequency) pair is
     its own synthesis run with cells sized for that exact target.
     """
-    ceiling = fmax(config, vdd, vt, tech)
+    constants = config_constants(config)
+    ceiling = corner_fmax(constants.critical_fo4, vdd, vt, tech)
     if f_target_hz > ceiling:
         raise SynthesisError(
             f"{config.name} cannot close {f_target_hz / 1e6:.0f} MHz at "
@@ -165,24 +235,4 @@ def synthesize(
         )
     if f_target_hz <= 0:
         raise SynthesisError("target frequency must be positive")
-    size = sizing_factor(f_target_hz)
-    dynamic = effective_capacitance(config) * size * vdd ** 2 * f_target_hz
-    area_pressure = 1.0 + _AREA_PRESSURE * max(
-        0.0, (f_target_hz / ceiling - 0.6) / 0.4
-    ) ** 2
-    area = base_area_um2(config) * area_pressure * min(
-        _AREA_GROWTH_CAP, max(1.0, size / 1.4)
-    )
-    leakage = tech.leakage_power(vdd, vt, area / comp.PIPE4_AREA_UM2)
-    return SynthesisResult(
-        config_name=config.name,
-        vt=vt,
-        vdd=vdd,
-        f_target_hz=f_target_hz,
-        fmax_hz=ceiling,
-        area_um2=area,
-        power_w=dynamic + leakage,
-        dynamic_power_w=dynamic,
-        leakage_power_w=leakage,
-        critical_fo4=critical_path_fo4(config),
-    )
+    return close_point(constants, vdd, vt, f_target_hz, ceiling, tech)

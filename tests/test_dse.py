@@ -55,6 +55,30 @@ class TestDesignPoint:
         expected = point.synthesis.power_w * 2.0 / 500e6 * 1e12
         assert point.pj_per_instruction == pytest.approx(expected)
 
+    def test_metrics_are_set_at_construction(self):
+        point = self._point(cpi=2.0)
+        f, power = point.synthesis.f_target_hz, point.synthesis.power_w
+        assert point.ns_per_instruction == 2.0 / f * 1e9
+        assert point.pj_per_instruction == power * 2.0 / f * 1e12
+
+    def test_metrics_stay_out_of_equality_hash_and_repr(self):
+        point, twin = self._point(), self._point()
+        object.__setattr__(twin, "ns_per_instruction", -1.0)
+        object.__setattr__(twin, "pj_per_instruction", -1.0)
+        assert point == twin
+        assert hash(point) == hash(twin)
+        assert repr(point) == repr(twin)
+        assert "per_instruction" not in repr(point)
+
+    def test_replace_derives_the_metrics_afresh(self):
+        point = self._point(cpi=2.0)
+        f, power = point.synthesis.f_target_hz, point.synthesis.power_w
+        slower = dataclasses.replace(point, cpi=3.0)
+        assert slower.ns_per_instruction == 3.0 / f * 1e9
+        assert slower.pj_per_instruction == power * 3.0 / f * 1e12
+        with pytest.raises(ValueError):
+            dataclasses.replace(point, ns_per_instruction=1.0)
+
     def test_ed_product(self):
         point = self._point()
         assert point.energy_delay_product == pytest.approx(
@@ -151,6 +175,18 @@ class TestCloseGrid:
         for config in configs:
             assert close_grid(config, include_fmax_points=include_fmax_points) \
                 == _close_grid_by_exception(config, include_fmax_points), config.name
+
+    def test_every_point_equals_synthesize(self):
+        """The per-config and per-corner constants change no bit: each
+        point is what ``synthesize`` closes at its corner and target."""
+        configs = all_configs(include_padded=True)
+        assert len(configs) == 48
+        for config in configs:
+            grid = close_grid(config)
+            assert grid == [synthesize(config, r.vdd, r.vt, r.f_target_hz)
+                            for r in grid], config.name
+            assert all(r.fmax_hz == fmax(config, r.vdd, r.vt)
+                       for r in grid), config.name
 
 
 class TestPruning:

@@ -1,23 +1,30 @@
 """The per-exhibit reproduction harness: shape claims of every figure."""
 
+import dataclasses
+
 import pytest
 
 from repro.dse.cpi import CpiTable
+from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_frontier
 from repro.dse.sweep import sweep
 from repro.eval import (
     figure3,
     figure4,
     figure5,
+    figure6,
     figure7,
+    figure8,
     overheads,
     table1,
     table2,
     table3,
 )
-from repro.eval.report import full_report
+from repro.eval.report import frontier_order, full_report
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import PipelinedPE
+from repro.vlsi.synthesis import synthesize
+from repro.vlsi.technology import VtFlavor
 from repro.workloads.suite import run_workload
 
 
@@ -196,6 +203,34 @@ class TestFigure7:
 
     def test_equals_one_sweep_per_feature_set(self, cpi_table, points):
         assert figure7.compute(points) == _figure7_by_four_sweeps(cpi_table)
+
+
+class TestFrontierOrder:
+    """The report sorts the sweep once; every frontier must stay the one
+    the sweep's config-major points give."""
+
+    def test_tied_points_keep_config_major_order(self):
+        tdx = config_by_name("TDX")
+        first = [DesignPoint(synthesize(tdx, 1.0, VtFlavor.SVT, f), cpi=2.0)
+                 for f in (300e6, 500e6)]
+        # A second config's points, each tied in (ns, pJ) with one of the
+        # first config's, listed after them as the sweep lists configs.
+        second = [DesignPoint(dataclasses.replace(point.synthesis,
+                                                  config_name="TD|X"), cpi=2.0)
+                  for point in reversed(first)]
+        points = first + second
+        frontier = pareto_frontier(frontier_order(points))
+        assert frontier == pareto_frontier(points) == [first[1], first[0]]
+        assert [point.config_name for point in frontier] == ["TDX", "TDX"]
+
+    def test_figures_6_to_8_are_unchanged(self, cpi_table):
+        points = sweep(cpi_table=cpi_table)
+        ordered = frontier_order(points)
+        assert ordered != points
+        for figure in (figure6, figure7, figure8):
+            assert figure.render(ordered) == figure.render(points), figure
+        assert figure7.compute(ordered) == figure7.compute(points)
+        assert figure8.compute(ordered) == figure8.compute(points)
 
 
 class TestOverheads:

@@ -1,5 +1,7 @@
 """The calibrated 65 nm VLSI model: every published anchor plus physics."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,6 +182,18 @@ class TestSynthesisBehavior:
     def test_infeasible_target_rejected(self):
         with pytest.raises(SynthesisError, match="cannot close"):
             synthesize(config_by_name("TDX"), 1.0, SVT, 1.5e9)
+
+    def test_closes_up_to_exactly_fmax(self):
+        config = config_by_name("T|D|X1|X2 +P")
+        ceiling = fmax(config, 0.8, SVT)
+        assert synthesize(config, 0.8, SVT, ceiling).fmax_hz == ceiling
+        with pytest.raises(SynthesisError, match="cannot close"):
+            synthesize(config, 0.8, SVT, math.nextafter(ceiling, math.inf))
+
+    @pytest.mark.parametrize("f_target_hz", [0.0, -100e6])
+    def test_non_positive_target_rejected(self, f_target_hz):
+        with pytest.raises(SynthesisError, match="must be positive"):
+            synthesize(config_by_name("TDX"), 1.0, SVT, f_target_hz)
 
     def test_speculation_costs_timing_closure(self):
         base = fmax(config_by_name("T|D|X1|X2"), 1.0, SVT)
