@@ -11,7 +11,7 @@ as diffs:
   fast-path PE runs by default, stepped per cycle and run as a one-PE
   ``System`` (block dispatch);
 * **Table 3 suite cycles/sec**: the full ten-workload suite run
-  end-to-end through the fused ``System`` loop, interpreter vs the
+  end-to-end through ``System.run``'s loop, interpreter vs the
   compiled default, with simulation time isolated from workload
   build/validation;
 * **campaign seconds** for a CPI campaign over several configs, on a
@@ -110,7 +110,7 @@ def measure_loop(cycles: int, repeats: int = REPEATS) -> dict[str, list[float]]:
     ``jit_step`` steps the default PE, whose ``step`` runs its config's
     compiled cycle, through the same loop; ``jit_block`` runs a copy of
     the loop that halts after about ``cycles`` cycles (it takes three a
-    turn on ``BENCH_CONFIG``) as a one-PE ``System``, whose fused loop
+    turn on ``BENCH_CONFIG``) as a one-PE ``System``, whose run loop
     hands the run to the block loop, ``repro.jit.cache.run_block``.  The
     config's module is
     compiled before the timed region (compile economics are covered by

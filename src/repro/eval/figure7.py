@@ -53,11 +53,15 @@ def _frontier_energy_at(frontier: list[DesignPoint], delay_ns: float) -> float |
 def compute(points: list[DesignPoint],
             balanced_delays_ns: tuple[float, ...] = (2.0, 3.0, 4.0, 6.0, 8.0)) -> dict:
     """Per-feature frontiers over ``points`` and their balanced-region gains."""
-    frontiers = {}
-    for feature in FEATURE_SETS:
-        names = {config.name for config in _configs(feature)}
-        frontiers[feature] = pareto_frontier(
-            [point for point in points if point.config_name in names])
+    feature_of = {config.name: feature
+                  for feature in FEATURE_SETS for config in _configs(feature)}
+    members: dict[str, list[DesignPoint]] = {feature: [] for feature in FEATURE_SETS}
+    for point in points:
+        feature = feature_of.get(point.config_name)
+        if feature is not None:
+            members[feature].append(point)
+    frontiers = {feature: pareto_frontier(subset)
+                 for feature, subset in members.items()}
 
     improvements = {}
     for feature in ("+P", "+Q", "+P+Q"):

@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.fabric.lsq import LoadStoreQueue
 from repro.fabric.memory import Memory, MemoryReadPort, MemoryWritePort
 from repro.jit.cache import run_block
-from repro.pipeline.core import PipelinedPE
+
 
 @dataclass
 class ChannelInfo:
@@ -62,11 +62,13 @@ class System:
         self.cycles = 0
         self._channels: list[TaggedQueue] | None = None   # cached wiring
         #: Optional per-cycle invariant checker (resilience layer); when
-        #: set, :meth:`step` calls it at every cycle boundary.
+        #: set, :meth:`run` and :meth:`step` call it at every cycle
+        #: boundary.
         self.invariant_checker = None
         #: Optional telemetry sink (observability layer); when set,
-        #: :meth:`step` samples fabric state at every cycle boundary.
-        #: Attach via :meth:`repro.obs.events.Telemetry.attach_system`.
+        #: :meth:`run` and :meth:`step` sample fabric state at every
+        #: cycle boundary.  Attach via
+        #: :meth:`repro.obs.events.Telemetry.attach_system`.
         self.telemetry = None
 
     # ------------------------------------------------------------------
@@ -247,7 +249,11 @@ class System:
         self.invariant_checker = checker
 
     def step(self) -> bool:
-        """Advance the whole system one cycle; True if anything progressed."""
+        """Advance the whole system one cycle; True if anything progressed.
+
+        The one-cycle public API: :meth:`run` performs this schedule in
+        its own loop and calls this method for the post-halt flush.
+        """
         progressed = False
         for pe in self.pes:
             try:
@@ -288,42 +294,58 @@ class System:
             and all(lsq.idle for lsq in self.lsqs)
         )
 
-    def _run_interleaved(self, max_cycles: int, stall_limit: int) -> bool:
-        """The reference cycle loop: one :meth:`step` per iteration.
-        Returns True when every PE halted within the budget."""
-        idle_streak = 0
-        for _ in range(max_cycles):
-            if self.all_halted:
-                return True
-            progressed = self.step()
-            idle_streak = 0 if progressed else idle_streak + 1
-            if idle_streak >= stall_limit:
-                raise self._deadlock_error(
-                    "deadlock: no progress for "
-                    f"{stall_limit} cycles at cycle {self.cycles}"
-                )
-        return False
+    def run(
+        self,
+        max_cycles: int = 2_000_000,
+        stall_limit: int = 20_000,
+        flush_limit: int = 1_000,
+    ) -> int:
+        """Run until every PE halts and memory ports drain; returns cycles.
 
-    def _run_fused(self, max_cycles: int, stall_limit: int) -> bool:
-        """Hoisted-state cycle loop for fabrics of fast-path pipelined PEs
-        with no instrumentation attached.  Returns True when every PE
-        halted within the budget.
+        Raises :class:`DeadlockError` — carrying a structured forensic
+        report (per-PE predicate state, queue occupancies with head/neck
+        tags, in-flight pipeline registers, last-triggered instructions)
+        — on deadlock (no architectural progress for ``stall_limit``
+        cycles) or timeout.
 
-        Per cycle this performs exactly :meth:`step`'s schedule — PEs in
-        order, read ports, write ports, LSQs, channel commits — but with
-        the fabric lists in locals, ports that provably cannot act
-        skipped (an idle read port only advances its private clock, which
-        is relative to acceptance time; a write port missing an operand
-        does nothing), and the progress predicate folded into the same
-        occupancy tests.  Every PE steps through ``PipelinedPE.step``,
-        looked up here, which runs a compiled PE's config cycle and
-        interprets the others.  After a cycle in which only a compiled
-        PE last in step order made progress, with every other live PE
-        quiescent, the loop hands cycles to
-        :func:`~repro.jit.cache.run_block` for that PE (the
-        quiescent-sibling rule below), the one way into a block run.
+        Every fabric runs one cycle loop.  Per cycle it performs exactly
+        :meth:`step`'s schedule — PEs in order, read ports, write ports,
+        LSQs, channel commits, then the invariant checker and the
+        telemetry sampler when attached — but with the fabric lists in
+        locals, halted PEs dropped, ports that provably cannot act
+        skipped (an idle read port only advances its private clock,
+        which is relative to acceptance time; a write port missing an
+        operand does nothing), and the progress predicate folded into
+        the same occupancy tests.  Each PE steps through its own
+        ``step``; a pipelined PE runs its config's compiled cycle from
+        cycle 0 unless it was built with ``backend="interp"`` or
+        ``fast_path=False``.  When every PE is a fast-path pipelined PE
+        and nothing is attached — no invariant checker, telemetry sink
+        or fault hook, whose per-cycle calls a block run skips — a
+        stretch that only a compiled PE works through is handed to
+        :func:`~repro.jit.cache.run_block` (the quiescent-sibling rule
+        below), the one way into a block run.  :meth:`step` runs the
+        post-halt flush.
+
+        Every completed run audits each PE's cycle accounting
+        (``PipelineCounters.check_consistency``), so a leak raises a
+        :class:`SimulationError` naming the PE.
         """
-        step = PipelinedPE.step
+        if not self.pes:
+            raise ConfigError("system has no PEs")
+        checker = self.invariant_checker
+        telemetry = self.telemetry
+        # Block runs skip the per-cycle hooks: gate them on there being none.
+        blocks = (
+            checker is None
+            and telemetry is None
+            and all(
+                getattr(pe, "fast_path", False)
+                and pe.fault_hook is None
+                and pe.telemetry is None
+                for pe in self.pes
+            )
+        )
         live = [pe for pe in self.pes if not pe.halted]
         rports = self.read_ports
         wports = self.write_ports
@@ -335,7 +357,7 @@ class System:
         remaining = max_cycles
         while remaining > 0:
             if not live:
-                return True
+                break
             prog = False
             pruned = False
             moved = False
@@ -343,7 +365,7 @@ class System:
             cand = None
             try:
                 for pe in live:
-                    if step(pe):
+                    if pe.step():
                         if prog:
                             multi = True
                         prog = True
@@ -383,6 +405,10 @@ class System:
                     moved = True
             self.cycles += 1
             remaining -= 1
+            if checker is not None:
+                checker.check_system(self)
+            if telemetry is not None:
+                telemetry.sample_system(self)
             if prog:
                 idle_streak = 0
             else:
@@ -392,6 +418,8 @@ class System:
                         "deadlock: no progress for "
                         f"{stall_limit} cycles at cycle {self.cycles}"
                     )
+            if not blocks:
+                continue
             dq_now = 0
             for c_ in counters:
                 dq_now += c_.dequeues
@@ -454,56 +482,7 @@ class System:
                 )
             if cand.halted:
                 live = [pe for pe in live if not pe.halted]
-        return False
-
-    def run(
-        self,
-        max_cycles: int = 2_000_000,
-        stall_limit: int = 20_000,
-        flush_limit: int = 1_000,
-    ) -> int:
-        """Run until every PE halts and memory ports drain; returns cycles.
-
-        Raises :class:`DeadlockError` — carrying a structured forensic
-        report (per-PE predicate state, queue occupancies with head/neck
-        tags, in-flight pipeline registers, last-triggered instructions)
-        — on deadlock (no architectural progress for ``stall_limit``
-        cycles) or timeout.
-
-        When every PE is a fast-path pipelined PE and nothing is
-        attached — no invariant checker, telemetry sink or fault hook —
-        the cycle loop runs through :meth:`_run_fused`: the same
-        per-cycle schedule as :meth:`step` with the fabric state
-        hoisted, and stretches that only a compiled PE works through
-        handed to a block run.  Any other fabric runs the reference
-        loop, one :meth:`step` per cycle.  Either way a pipelined PE
-        steps through ``PipelinedPE.step``, which runs its config's
-        compiled cycle from cycle 0 unless the PE was built with
-        ``backend="interp"`` or ``fast_path=False``.  Both drivers
-        produce identical architectural state, counters, and cycle
-        counts.
-
-        Every completed run audits each PE's cycle accounting
-        (``PipelineCounters.check_consistency``), so a leak raises a
-        :class:`SimulationError` naming the PE.
-        """
-        if not self.pes:
-            raise ConfigError("system has no PEs")
-        fused = (
-            self.invariant_checker is None
-            and self.telemetry is None
-            and all(
-                getattr(pe, "fast_path", False)
-                and pe.fault_hook is None
-                and pe.telemetry is None
-                for pe in self.pes
-            )
-        )
-        if fused:
-            completed = self._run_fused(max_cycles, stall_limit)
-        else:
-            completed = self._run_interleaved(max_cycles, stall_limit)
-        if not completed:
+        else:   # the budget ran out before every PE halted
             raise self._deadlock_error(f"timeout after {max_cycles} cycles")
         # Let in-flight memory traffic land (stores issued just before halt).
         for _ in range(flush_limit):

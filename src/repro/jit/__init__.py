@@ -11,19 +11,20 @@ pipe into straight-line Python generated for one pipeline config:
   issue, capture, compute and retire methods.
 * :mod:`repro.jit.cache` — compiles each config's cycle once per
   process, keeps the JIT's process counters, and holds
-  :func:`~repro.jit.cache.run_block`, the block loop that the fused
-  ``System`` loop alone enters, for stretches in which only the
-  compiled PE works.
+  :func:`~repro.jit.cache.run_block`, the block loop that
+  :meth:`System.run <repro.fabric.system.System.run>` alone enters,
+  for stretches in which only the compiled PE works.
 
 Every fast-path ``PipelinedPE`` binds its config's cycle when its
 program loads, and :meth:`PipelinedPE.step
 <repro.pipeline.core.PipelinedPE.step>` runs it from cycle 0, after
 the prologue every pipelined PE shares (halt test, cycle count, fault
 hook, telemetry clock).  Instrumented PEs — fault hooks, telemetry
-sinks — therefore run compiled too; their fabrics take the reference
-loop and never enter a block run.  ``backend="interp"`` keeps a PE on
-the interpreter, the differential oracle, and the reference walk
-(``fast_path=False``) always runs there.
+sinks — therefore run compiled too, in the same ``System.run`` loop,
+but their fabrics enter no block run, whose cycles skip those hooks.
+``backend="interp"`` keeps a PE on the interpreter, the differential
+oracle, and the reference walk (``fast_path=False``) always runs
+there.
 """
 
 from repro.jit.cache import (

@@ -9,8 +9,8 @@ function.  There are 48 configs, so the process keeps at most that many;
 it never releases them.
 
 :func:`run_block` is the block loop of the quiescent-sibling rule of
-:meth:`System._run_fused <repro.fabric.system.System._run_fused>`: it
-runs a compiled PE's cycles back to back and records why it stopped.
+:meth:`System.run <repro.fabric.system.System.run>`: it runs a compiled
+PE's cycles back to back and records why it stopped.
 
 :func:`jit_metrics` reports the process-wide counters: modules compiled
 (``misses``) and shared (``hits``), compile seconds, modules held
@@ -78,12 +78,14 @@ def run_block(pe, budget: int, idle_streak: int, stall_limit: int,
     committing it), on any dequeue when ``stop_on_dequeue`` is set (so a
     sibling blocked on a full channel is re-evaluated the cycle after
     space appears, exactly as under interleaved stepping), or when the
-    streak reaches ``stall_limit``.  Its one caller, the fused loop of
-    :class:`~repro.fabric.system.System`, runs only uninstrumented
-    fabrics, so each cycle is :meth:`PipelinedPE.step
-    <repro.pipeline.core.PipelinedPE.step>` without its hook tests; it
-    enters after its channel-commit pass, so no queue holds a staged
-    entry at entry and only this PE's enqueues can stage one.
+    streak reaches ``stall_limit``.  Its one caller,
+    :meth:`System.run <repro.fabric.system.System.run>`, enters it only
+    for fabrics with no fault hook, telemetry sink or invariant
+    checker, so each cycle is :meth:`PipelinedPE.step
+    <repro.pipeline.core.PipelinedPE.step>` without its hook tests and
+    needs no cycle-boundary call; it enters after its channel-commit
+    pass, so no queue holds a staged entry at entry and only this PE's
+    enqueues can stage one.
 
     Each run adds one exit reason to :data:`BLOCK_EXITS`, the first that
     holds of halt, stall, budget, dequeue and enqueue (a cycle that both

@@ -166,8 +166,9 @@ class Telemetry:
     def sample_system(self, system) -> None:
         """Sample fabric state at the end of one system cycle.
 
-        Called by :meth:`repro.fabric.system.System.step` when this sink
-        is attached; timelines therefore see committed (end-of-cycle)
+        Called by :meth:`repro.fabric.system.System.run` and
+        :meth:`~repro.fabric.system.System.step` when this sink is
+        attached; timelines therefore see committed (end-of-cycle)
         queue state.
         """
         cycle = system.cycles

@@ -45,7 +45,8 @@ class InvariantChecker:
     # ------------------------------------------------------------------
 
     def check_system(self, system) -> None:
-        """Check every PE; called by ``System.step`` at cycle boundaries."""
+        """Check every PE; called by ``System.run`` and ``System.step``
+        at cycle boundaries."""
         for pe in system.pes:
             self.check_pe(pe, cycle=system.cycles)
 

@@ -12,7 +12,63 @@ from repro.errors import (
     SimulationError,
 )
 from repro.fabric import Memory, MemoryReadPort, MemoryWritePort, System
+from repro.obs.events import Telemetry
 from repro.pipeline import PipelinedPE, config_by_name
+from repro.resilience.faults import FaultClass, inject, plan_faults
+from repro.resilience.invariants import InvariantChecker
+from repro.workloads.base import WorkloadRun
+from repro.workloads.suite import WORKLOADS, get_workload, run_workload
+
+
+def step_loop(system, max_cycles=2_000_000, stall_limit=20_000,
+              flush_limit=1_000):
+    """``System.run`` as one ``System.step`` per cycle: the oracle for
+    ``run``'s hoisted loop.  Same stall, timeout and flush rules, same
+    :class:`DeadlockError` messages, same counter audit; it never
+    skips a port or enters a block run."""
+    if not system.pes:
+        raise ConfigError("system has no PEs")
+    idle_streak = 0
+    for _ in range(max_cycles):
+        if system.all_halted:
+            break
+        idle_streak = 0 if system.step() else idle_streak + 1
+        if idle_streak >= stall_limit:
+            raise system._deadlock_error(
+                f"deadlock: no progress for {stall_limit} cycles "
+                f"at cycle {system.cycles}")
+    else:
+        raise system._deadlock_error(f"timeout after {max_cycles} cycles")
+    for _ in range(flush_limit):
+        if system.ports_idle:
+            system._finish_run()
+            return system.cycles
+        system.step()
+    raise system._deadlock_error(
+        f"memory ports still busy {flush_limit} cycles after halt")
+
+
+def step_workload(name, scale, make_pe=None):
+    """``run_workload`` with the run driven by :func:`step_loop`."""
+    workload = get_workload(name)
+    system = workload.build(make_pe or workload.default_pe_factory(), scale, 0)
+    cycles = step_loop(system, max_cycles=4_000_000)
+    workload.check(system, scale, 0)
+    worker = system.pe(workload.worker_name)
+    return WorkloadRun(workload.name, cycles, worker.name, worker.counters,
+                       system)
+
+
+def fabric_fingerprint(system):
+    """Cycles, every PE's counters, registers and predicates, and the
+    memory words and store count."""
+    return (
+        system.cycles,
+        [(pe.name, pe.halted, pe.counters, tuple(pe.regs.snapshot()),
+          pe.preds.state) for pe in system.pes],
+        dict(system.memory._words),
+        system.memory.stores,
+    )
 
 
 class TestMemory:
@@ -228,13 +284,13 @@ class TestSystem:
         pytest.param("TD|X", False, id="TD|X"),
         pytest.param("T|D|X1|X2 +P+Q", True, id="lone T|D|X1|X2 +P+Q"),
     ])
-    def test_pipelined_deadlock_past_promotion_matches_reference(
+    def test_pipelined_deadlock_matches_reference(
             self, config, lone):
         """A pipelined fabric that streams for hundreds of cycles and
-        then waits forever: the fused loop (every fast-path PE compiled)
+        then waits forever: ``System.run`` (every fast-path PE compiled)
         must raise at the same cycle, with the same forensic report, as
-        the reference walk.  The lone producer deadlocks inside its
-        compiled block run."""
+        the reference walk stepped by :func:`step_loop`.  The lone
+        producer deadlocks inside its compiled block run."""
         def build(fast_path):
             system = System()
             producer = PipelinedPE(config_by_name(config), name="producer",
@@ -267,17 +323,17 @@ class TestSystem:
             return system
 
         errors = {}
-        for fast_path in (True, False):
+        for fast_path, drive in ((True, System.run), (False, step_loop)):
             system = build(fast_path)
             with pytest.raises(DeadlockError) as info:
-                system.run(stall_limit=200)
+                drive(system, stall_limit=200)
             errors[fast_path] = info.value
             assert all((pe._jit is not None) is fast_path
                        for pe in system.pes)
-        fused, reference = errors[True], errors[False]
-        assert str(fused) == str(reference)
-        assert fused.report == reference.report
-        assert fused.report["cycle"] > 512
+        ran, reference = errors[True], errors[False]
+        assert str(ran) == str(reference)
+        assert ran.report == reference.report
+        assert ran.report["cycle"] > 512
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: FunctionalPE(name="consumer"), id="functional"),
@@ -381,3 +437,115 @@ class TestSystem:
             s.add_read_port(pe, request_out=0, response_in=0)
             s.run()
         assert system.cycles > fast.cycles
+
+
+def _udiv():
+    """udiv at scale 8 on T|D|X1|X2 +P+Q, built and not yet run; its
+    clean run takes 2,800 cycles."""
+    config = config_by_name("T|D|X1|X2 +P+Q")
+    return get_workload("udiv").build(
+        lambda n: PipelinedPE(config, name=n), 8, 0)
+
+
+def _udiv_under(instrument, drive):
+    """udiv driven by ``drive`` under one instrument: the fabric
+    fingerprint and what the instrument saw."""
+    system = _udiv()
+    if instrument == "telemetry":
+        sink = Telemetry()
+        sink.attach_system(system)
+        drive(system)
+        seen = (sink.pe_rows, sink.queue_timelines, sink.port_busy_cycles,
+                sink.stage_intervals,
+                [(e.kind, e.cycle, e.source, e.data) for e in sink.events])
+    else:
+        checker = InvariantChecker()
+        system.attach_invariant_checker(checker)
+        drive(system)
+        seen = checker.checks
+    get_workload("udiv").check(system, 8, 0)
+    return fabric_fingerprint(system), seen
+
+
+class TestOneLoop:
+    """``System.run`` drives every fabric through one loop, and
+    :func:`step_loop` holds it to one ``System.step`` per cycle."""
+
+    @pytest.mark.parametrize("name", WORKLOADS())
+    def test_golden_model_matches_step_loop(self, name):
+        ran = run_workload(name, scale=8)
+        assert all(isinstance(pe, FunctionalPE) for pe in ran.system.pes)
+        stepped = step_workload(name, scale=8)
+        assert (fabric_fingerprint(ran.system)
+                == fabric_fingerprint(stepped.system))
+
+    @pytest.mark.parametrize("instrument", ["telemetry", "invariants"])
+    def test_instrumented_udiv_matches_step_loop(self, instrument):
+        ran = _udiv_under(instrument, System.run)
+        assert ran == _udiv_under(instrument, step_loop)
+        assert ran[1]
+
+    @pytest.mark.parametrize("fault, trial, ending", [
+        pytest.param(FaultClass.QUEUE_DROP, 0, "deadlock: no progress",
+                     id="queue-drop-deadlock"),
+        pytest.param(FaultClass.QUEUE_DROP, 1, "memory ports still busy",
+                     id="queue-drop-flush"),
+        pytest.param(FaultClass.REG_BIT_FLIP, 2, "completed",
+                     id="reg-bit-flip-completes"),
+    ])
+    def test_faulted_udiv_matches_step_loop(self, fault, trial, ending):
+        """A fault plan on udiv's worker ends the run the same way under
+        both: the same error text and forensic report, or the same
+        final fabric."""
+        outcomes = []
+        for drive in (System.run, step_loop):
+            system = _udiv()
+            injector = inject(system.pe("worker"), plan_faults(
+                fault, 0, key=f"udiv/t{trial}", count=2, window=(1, 2800)))
+            try:
+                drive(system, max_cycles=20_000, stall_limit=500)
+            except DeadlockError as exc:
+                outcomes.append((str(exc), exc.report, injector.log))
+            else:
+                outcomes.append(
+                    ("completed", fabric_fingerprint(system), injector.log))
+        ran, stepped = outcomes
+        assert ran == stepped
+        assert ran[0].startswith(ending)
+
+    @pytest.mark.parametrize("instrument", [
+        "telemetry", "invariants", "fault_hook", "golden"])
+    def test_run_steps_the_system_only_in_the_flush(
+            self, instrument, monkeypatch):
+        """``System.run`` drives every cycle until the PEs halt, with any
+        instrument attached; ``System.step`` runs only in the post-halt
+        flush, here while a load issued just before the halt lands."""
+        calls = []
+        step = System.step
+
+        def counted(system):
+            calls.append(system.all_halted)
+            return step(system)
+
+        monkeypatch.setattr(System, "step", counted)
+        system = System(memory_words=16)
+        if instrument == "golden":
+            pe = FunctionalPE(name="loader")
+        else:
+            pe = PipelinedPE(config_by_name("T|D|X1|X2 +P+Q"), name="loader")
+        assemble("""
+        when %p == XXXXXXX0:
+            mov %o0.0, $3; set %p = ZZZZZZZ1;
+        when %p == XXXXXXX1:
+            halt;
+        """).configure(pe)
+        system.add_pe(pe)
+        system.add_read_port(pe, request_out=0, response_in=0)
+        if instrument == "telemetry":
+            Telemetry().attach_system(system)
+        elif instrument == "invariants":
+            system.attach_invariant_checker(InvariantChecker())
+        elif instrument == "fault_hook":
+            pe.fault_hook = lambda pe: None
+        system.run()
+        assert calls and all(calls)

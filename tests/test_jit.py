@@ -34,6 +34,7 @@ from tests.test_check import (
     _inject_conservative_suppression_bug,
     _inject_effective_tag_bug,
 )
+from tests.test_fabric import step_workload
 from tests.test_pipeline_equivalence import _run, chain_programs
 from tests.test_pipeline_equivalence import (
     _workload_fingerprint as workload_fingerprint,
@@ -373,16 +374,16 @@ def test_fuzz_batches_and_short_kernels_compile_at_most_one_module_per_config(
 
 
 def _udiv_run(instrument: str) -> WorkloadRun:
-    """udiv at scale 8 on the fused loop, or with one instrument that
-    sends it to the reference loop."""
+    """udiv at scale 8, bare or under one instrument; the reference walk
+    is stepped one ``System.step`` per cycle (``step_loop``)."""
     from repro.obs.events import Telemetry
     from repro.resilience.invariants import InvariantChecker
 
     workload = get_workload("udiv")
     if instrument == "reference":
-        return workload.run(
-            make_pe=lambda n: PipelinedPE(_CFG, P, name=n, fast_path=False),
-            scale=8)
+        return step_workload(
+            "udiv", scale=8,
+            make_pe=lambda n: PipelinedPE(_CFG, P, name=n, fast_path=False))
     if instrument == "telemetry":
         return workload.run(make_pe=_pipelined, scale=8,
                             telemetry=Telemetry())
@@ -404,8 +405,8 @@ def test_instrumented_runs_enter_no_block_run_and_stay_bit_identical(
         instrument, compiled):
     """An instrumented run enters no block run.  Under a telemetry sink,
     a fault hook or an invariant checker the worker still runs every
-    cycle compiled; under the reference walk it runs none.  Results
-    match the uninstrumented run."""
+    cycle compiled; under the reference walk, stepped by ``step_loop``,
+    it runs none.  Results match the uninstrumented run."""
     bare = _udiv_run("none")
     exits = jit_metrics()["block_exits"]
     compiled.clear()

@@ -204,13 +204,15 @@ def test_nested_speculation_preserves_results(generated):
 # ---------------------------------------------------------------------------
 # Fast-path differential: the compiled, predicate-indexed trigger path
 # (the default) against the original per-cycle dataclass walk
-# (``fast_path=False``), which is kept as the reference implementation.
+# (``fast_path=False``), which is kept as the reference implementation
+# and stepped one ``System.step`` per cycle.
 # ---------------------------------------------------------------------------
 
 import pytest
 
 from repro.pipeline.config import all_configs
 from repro.workloads.suite import WORKLOADS, run_workload
+from tests.test_fabric import step_workload
 
 #: Large enough that every kernel runs hundreds of cycles on every config.
 _DIFF_SCALE = 10
@@ -241,10 +243,10 @@ def _workload_fingerprint(run):
 @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
 def test_fast_path_is_bit_identical_across_the_workload_suite(config):
     """All 8 partitions x {baseline, +P, +Q, +P+Q}, all ten workloads:
-    the fast path must reproduce the reference path bit for bit — same
-    CPI stacks, same counters, same final architectural state — through
-    the fused loop, on PEs that run their config's compiled step from
-    cycle 0."""
+    the fast path through ``System.run``, on PEs that run their config's
+    compiled step from cycle 0, must reproduce the reference walk
+    stepped one ``System.step`` per cycle (``step_loop``) bit for bit —
+    same CPI stacks, same counters, same final architectural state."""
     for name in WORKLOADS():
         fast = run_workload(
             name, scale=_DIFF_SCALE,
@@ -253,7 +255,7 @@ def test_fast_path_is_bit_identical_across_the_workload_suite(config):
         assert all(pe._jit is not None for pe in fast.system.pes), (
             f"{config.name} / {name}: a fast-path PE ran interpreted"
         )
-        reference = run_workload(
+        reference = step_workload(
             name, scale=_DIFF_SCALE,
             make_pe=lambda n: PipelinedPE(config, P, name=n, fast_path=False),
         )
