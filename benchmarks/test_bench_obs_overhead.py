@@ -12,6 +12,8 @@ Two properties keep telemetry honest:
   instrumented campaigns useless.
 """
 
+import cProfile
+import pstats
 import time
 
 from repro.asm import assemble
@@ -99,6 +101,37 @@ def test_disabled_seam_cost_is_noise():
     second = _loop_throughput(cycles, None)
     ratio = max(first, second) / min(first, second)
     assert ratio < 1.5, f"uninstrumented throughput unstable ({ratio:.2f}x)"
+
+
+def _loop_calls(cycles: int, detached: bool) -> int:
+    """Python calls (cProfile) of ``cycles`` register-loop cycles on a
+    fresh PE; with ``detached``, a :class:`Telemetry` sink was attached
+    to it and detached before the first cycle."""
+    pe = PipelinedPE(CONFIG, name="bench")
+    assemble(LOOP).configure(pe)
+    if detached:
+        sink = Telemetry()
+        sink.attach_pe(pe)
+        sink.detach()
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(cycles):
+        pe.step()
+        pe.commit_queues()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def test_detached_seam_makes_no_call():
+    """The exact twin of :func:`test_disabled_seam_cost_is_noise`: a PE
+    whose sink was detached makes exactly the calls of a PE that never
+    had one, so a detached seam costs no call (timing cannot show this
+    below host noise; a count can)."""
+    cycles = 5_000
+    _loop_calls(cycles, detached=False)    # fill the program's caches
+    bare = _loop_calls(cycles, detached=False)
+    assert bare > cycles
+    assert _loop_calls(cycles, detached=True) == bare
 
 
 # ----------------------------------------------------------------------

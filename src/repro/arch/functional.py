@@ -319,13 +319,14 @@ class FunctionalPE:
                 queue.commit()
 
     def run(self, max_cycles: int = 1_000_000) -> FunctionalCounters:
-        """Run standalone until halt (single-PE convenience wrapper)."""
+        """Run standalone until halt (single-PE convenience wrapper);
+        raises if the PE has not halted after ``max_cycles`` cycles."""
         for _ in range(max_cycles):
             if self.halted:
                 break
             self.step()
             self.commit_queues()
-        else:
+        if not self.halted:
             raise SimulationError(
                 f"{self.name}: did not halt within {max_cycles} cycles"
             )

@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 from repro.dse.design_point import DesignPoint
 
+#: The (delay, energy) sort key of every frontier walk.
+DELAY_ENERGY = attrgetter("ns_per_instruction", "pj_per_instruction")
 
-def pareto_frontier(
-    points: Sequence[DesignPoint],
-    energy: Callable[[DesignPoint], float] = lambda p: p.pj_per_instruction,
-    delay: Callable[[DesignPoint], float] = lambda p: p.ns_per_instruction,
-) -> list[DesignPoint]:
-    """Points not dominated in (energy, delay), sorted fastest first.
+
+def pareto_frontier(points: Sequence[DesignPoint]) -> list[DesignPoint]:
+    """Points not dominated in (pJ, ns) per instruction, sorted fastest
+    first.
 
     A point dominates another when it is no worse on both axes and
     strictly better on at least one.
     """
-    ordered = sorted(points, key=lambda p: (delay(p), energy(p)))
     frontier: list[DesignPoint] = []
     best_energy = float("inf")
-    for point in ordered:
-        e = energy(point)
-        if e < best_energy:
+    for point in sorted(points, key=DELAY_ENERGY):
+        energy = point.pj_per_instruction
+        if energy < best_energy:
             frontier.append(point)
-            best_energy = e
+            best_energy = energy
     return frontier
 
 

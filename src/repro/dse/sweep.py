@@ -16,10 +16,19 @@ closed design points.
 
 from __future__ import annotations
 
+import functools
+
 from repro.dse.cpi import CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.pipeline.config import PipelineConfig, all_configs
-from repro.vlsi.synthesis import close_point, config_constants, corner_fmax
+from repro.vlsi.synthesis import (
+    Corner,
+    close_point,
+    config_constants,
+    corner,
+    corner_fmax,
+    target_terms,
+)
 from repro.vlsi.technology import TECH65, Technology, VtFlavor
 
 _NEAR_THRESHOLD_VDD = 0.7    # refinement kicks in at and below this supply
@@ -43,6 +52,25 @@ def frequency_grid(vt: VtFlavor, vdd: float) -> list[float]:
     return sorted(targets)
 
 
+@functools.cache
+def corner_table(
+    tech: Technology,
+) -> tuple[tuple[Corner, tuple[tuple[float, float, float], ...]], ...]:
+    """Every characterized (VT, VDD) corner of ``tech``, each with its
+    grid targets' ``(f, sizing, area growth)``, in sweep order.
+
+    None of it depends on the design, so it is derived once per
+    technology (13 corners, 228 targets) and shared by every
+    :func:`close_grid` call; the frozen ``tech`` is the cache key.
+    """
+    return tuple(
+        (corner(vdd, vt, tech),
+         tuple((f, *target_terms(f)) for f in frequency_grid(vt, vdd)))
+        for vt in VtFlavor
+        for vdd in voltage_grid(vt)
+    )
+
+
 def close_grid(
     config: PipelineConfig,
     tech: Technology = TECH65,
@@ -57,20 +85,20 @@ def close_grid(
 
     Each point equals what :func:`repro.vlsi.synthesis.synthesize`
     returns for it, but what only the config fixes (critical path,
-    capacitance, base area) is derived once per call, and f_max once
-    per (VT, VDD) corner.  Only the targets at or below the corner's
-    f_max, the ones ``synthesize`` can close, are closed.
+    capacitance, base area) is derived once per call, f_max once per
+    corner, and what only the corner and target fix once per
+    technology (:func:`corner_table`).  Only the targets at or below
+    the corner's f_max, the ones ``synthesize`` can close, are closed.
     """
     constants = config_constants(config)
     results = []
-    for vt in VtFlavor:
-        for vdd in voltage_grid(vt):
-            ceiling = corner_fmax(constants.critical_fo4, vdd, vt, tech)
-            targets = [f for f in frequency_grid(vt, vdd) if f <= ceiling]
-            if include_fmax_points:
-                targets.append(ceiling)
-            results.extend(close_point(constants, vdd, vt, f_target, ceiling, tech)
-                           for f_target in targets)
+    for at, targets in corner_table(tech):
+        ceiling = corner_fmax(constants.critical_fo4, at)
+        results += [close_point(constants, at, f, size, growth, ceiling)
+                    for f, size, growth in targets if f <= ceiling]
+        if include_fmax_points:
+            results.append(close_point(constants, at, ceiling,
+                                       *target_terms(ceiling), ceiling))
     return results
 
 
@@ -118,8 +146,6 @@ def sweep(
     points: list[DesignPoint] = []
     for config in configs:
         cpi = cpi_table.cpi(config)
-        points.extend(
-            DesignPoint(synthesis=result, cpi=cpi)
-            for result in close_grid(config, tech, include_fmax_points)
-        )
+        points += [DesignPoint(result, cpi)
+                   for result in close_grid(config, tech, include_fmax_points)]
     return points

@@ -20,6 +20,7 @@ from repro.dse.cpi import CpiTable
 from repro.dse.pareto import pareto_frontier
 from repro.dse.sweep import sweep
 from repro.eval import figure3, figure4, figure5, table1, table2, table3
+from repro.eval.report import report_models
 
 
 def _write(path: str, header: list[str], rows: list[list]) -> None:
@@ -35,6 +36,7 @@ def export_all(outdir: str, scale: int = 24,
     os.makedirs(outdir, exist_ok=True)
     written = []
     cpi_table = CpiTable(scale=scale, cache_path=cache_path)
+    cpi_table.populate(report_models())
     points = sweep(cpi_table=cpi_table)
 
     def path(name: str) -> str:

@@ -306,7 +306,8 @@ class System:
         report (per-PE predicate state, queue occupancies with head/neck
         tags, in-flight pipeline registers, last-triggered instructions)
         — on deadlock (no architectural progress for ``stall_limit``
-        cycles) or timeout.
+        cycles) or timeout (a PE still live after ``max_cycles`` cycles;
+        a run whose last PE halts on cycle ``max_cycles`` returns).
 
         Every fabric runs one cycle loop.  Per cycle it performs exactly
         :meth:`step`'s schedule — PEs in order, read ports, write ports,
@@ -355,9 +356,7 @@ class System:
         dq_prev = -1
         idle_streak = 0
         remaining = max_cycles
-        while remaining > 0:
-            if not live:
-                break
+        while live and remaining > 0:
             prog = False
             pruned = False
             moved = False
@@ -482,7 +481,7 @@ class System:
                 )
             if cand.halted:
                 live = [pe for pe in live if not pe.halted]
-        else:   # the budget ran out before every PE halted
+        if live:    # the budget ran out before every PE halted
             raise self._deadlock_error(f"timeout after {max_cycles} cycles")
         # Let in-flight memory traffic land (stores issued just before halt).
         for _ in range(flush_limit):

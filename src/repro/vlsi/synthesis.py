@@ -96,17 +96,7 @@ def fmax(
     tech: Technology = TECH65,
 ) -> float:
     """Maximum clock frequency in Hz at a supply/flavor point."""
-    return corner_fmax(critical_path_fo4(config), vdd, vt, tech)
-
-
-def corner_fmax(
-    critical_fo4: float,
-    vdd: float,
-    vt: VtFlavor,
-    tech: Technology = TECH65,
-) -> float:
-    """:func:`fmax` of a design whose critical path is ``critical_fo4``."""
-    return 1.0 / (critical_fo4 * tech.fo4_delay(vdd, vt))
+    return corner_fmax(critical_path_fo4(config), corner(vdd, vt, tech))
 
 
 def effective_capacitance(config: PipelineConfig) -> float:
@@ -175,43 +165,68 @@ def config_constants(config: PipelineConfig) -> ConfigConstants:
     )
 
 
+class Corner(NamedTuple):
+    """What one (VT, VDD) corner fixes for every design closed at it."""
+
+    vt: VtFlavor
+    vdd: float
+    fo4_s: float
+    vdd_sq: float
+    #: Leakage of a design of the four-stage reference area.
+    unit_leakage_w: float
+
+
+def corner(vdd: float, vt: VtFlavor, tech: Technology = TECH65) -> Corner:
+    """The per-corner inputs of :func:`close_point`."""
+    return Corner(
+        vt=vt,
+        vdd=vdd,
+        fo4_s=tech.fo4_delay(vdd, vt),
+        vdd_sq=vdd ** 2,
+        unit_leakage_w=tech.leakage_power(vdd, vt),
+    )
+
+
+def corner_fmax(critical_fo4: float, at: Corner) -> float:
+    """:func:`fmax` of a design whose critical path is ``critical_fo4``."""
+    return 1.0 / (critical_fo4 * at.fo4_s)
+
+
+def target_terms(f_target_hz: float) -> tuple[float, float]:
+    """A target's sizing factor and area growth, whatever the design."""
+    size = sizing_factor(f_target_hz)
+    return size, min(_AREA_GROWTH_CAP, max(1.0, size / 1.4))
+
+
 def close_point(
     constants: ConfigConstants,
-    vdd: float,
-    vt: VtFlavor,
+    at: Corner,
     f_target_hz: float,
+    size: float,
+    growth: float,
     ceiling: float,
-    tech: Technology = TECH65,
 ) -> SynthesisResult:
     """Close one feasible point: ``0 < f_target_hz <= ceiling``, where
-    ``ceiling`` is the corner's :func:`corner_fmax`.
+    ``ceiling`` is the design's :func:`corner_fmax` at corner ``at`` and
+    ``(size, growth)`` the target's :func:`target_terms`.
 
-    Everything that varies per target lives here (sizing, dynamic power,
-    area pressure, leakage); :func:`synthesize` and
-    :func:`repro.dse.sweep.close_grid` derive the per-config and
-    per-corner inputs, so both close a point by this one formula.
+    Only what depends on both the design and the target lives here
+    (dynamic power, area pressure, leakage); :func:`synthesize` and
+    :func:`repro.dse.sweep.close_grid` derive the per-config,
+    per-corner and per-target inputs, so both close a point by this
+    one formula.
     """
-    size = sizing_factor(f_target_hz)
-    dynamic = constants.capacitance_f * size * vdd ** 2 * f_target_hz
+    dynamic = constants.capacitance_f * size * at.vdd_sq * f_target_hz
     area_pressure = 1.0 + _AREA_PRESSURE * max(
         0.0, (f_target_hz / ceiling - 0.6) / 0.4
     ) ** 2
-    area = constants.base_area_um2 * area_pressure * min(
-        _AREA_GROWTH_CAP, max(1.0, size / 1.4)
-    )
-    leakage = tech.leakage_power(vdd, vt, area / comp.PIPE4_AREA_UM2)
-    return SynthesisResult(
-        config_name=constants.name,
-        vt=vt,
-        vdd=vdd,
-        f_target_hz=f_target_hz,
-        fmax_hz=ceiling,
-        area_um2=area,
-        power_w=dynamic + leakage,
-        dynamic_power_w=dynamic,
-        leakage_power_w=leakage,
-        critical_fo4=constants.critical_fo4,
-    )
+    area = constants.base_area_um2 * area_pressure * growth
+    leakage = at.unit_leakage_w * (area / comp.PIPE4_AREA_UM2)
+    # Positional, in field order: a sweep builds thousands, and matching
+    # ten keywords is a measurable share of each construction.
+    return SynthesisResult(constants.name, at.vt, at.vdd, f_target_hz,
+                           ceiling, area, dynamic + leakage, dynamic,
+                           leakage, constants.critical_fo4)
 
 
 def synthesize(
@@ -227,7 +242,8 @@ def synthesize(
     its own synthesis run with cells sized for that exact target.
     """
     constants = config_constants(config)
-    ceiling = corner_fmax(constants.critical_fo4, vdd, vt, tech)
+    at = corner(vdd, vt, tech)
+    ceiling = corner_fmax(constants.critical_fo4, at)
     if f_target_hz > ceiling:
         raise SynthesisError(
             f"{config.name} cannot close {f_target_hz / 1e6:.0f} MHz at "
@@ -235,4 +251,5 @@ def synthesize(
         )
     if f_target_hz <= 0:
         raise SynthesisError("target frequency must be positive")
-    return close_point(constants, vdd, vt, f_target_hz, ceiling, tech)
+    return close_point(constants, at, f_target_hz,
+                       *target_terms(f_target_hz), ceiling)

@@ -1,6 +1,7 @@
 """Design-space exploration: grids, sweep feasibility, Pareto extraction."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -167,7 +168,29 @@ def _close_grid_by_exception(config, include_fmax_points):
     return results
 
 
+#: sha256 over ``repr`` of every closed grid of the 48 configs, in
+#: ``all_configs(include_padded=True)`` order, keyed by
+#: ``include_fmax_points`` (5,382 and 4,758 points).  Bitwise: any
+#: drift of a closure formula, or of its operand order, moves it.
+GRID_DIGESTS = {
+    True: "a8116106e85c430ca71265c16ca9b18dcd57593235c5a0a141aabc12fcc9665f",
+    False: "fecbf33881e47e930dd586a28926525a4645d3d5a37c2f5331c9b04eeaa079f1",
+}
+
+
 class TestCloseGrid:
+    @pytest.mark.parametrize("include_fmax_points", [True, False])
+    def test_every_grid_is_pinned(self, include_fmax_points):
+        """``close_grid`` and ``synthesize`` share ``close_point``, so
+        comparing them cannot see a formula drift; a fixed digest can."""
+        configs = all_configs(include_padded=True)
+        assert len(configs) == 48
+        digest = hashlib.sha256()
+        for config in configs:
+            grid = close_grid(config, include_fmax_points=include_fmax_points)
+            digest.update(repr(grid).encode())
+        assert digest.hexdigest() == GRID_DIGESTS[include_fmax_points]
+
     @pytest.mark.parametrize("include_fmax_points", [True, False])
     def test_every_grid_equals_the_exception_oracle(self, include_fmax_points):
         configs = all_configs(include_padded=True)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.dse.cpi import CpiTable
+from repro.dse.cpi import FUNCTIONAL, CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_frontier
 from repro.dse.sweep import sweep
@@ -21,7 +21,7 @@ from repro.eval import (
     table3,
 )
 from repro.eval.report import frontier_order, full_report
-from repro.pipeline.config import config_by_name
+from repro.pipeline.config import all_configs, config_by_name
 from repro.pipeline.core import PipelinedPE
 from repro.vlsi.synthesis import synthesize
 from repro.vlsi.technology import VtFlavor
@@ -252,13 +252,18 @@ class TestOverheads:
 
 
 class TestWarmRerun:
-    def test_second_report_simulates_nothing(self, monkeypatch, tmp_path):
+    def test_second_report_simulates_nothing(self, cpi_runs, monkeypatch,
+                                             tmp_path):
         """A report on a store the first report filled runs no workload
-        and no fabric, and returns the identical text."""
+        and no fabric, and returns the identical text.  Each report, and
+        an export on the same store, fills its table in one
+        ``suite-run`` campaign over the 32 configs and the functional
+        model; the cold one simulates each of those 33 models once."""
+        import repro.serve.service as service_module
+        from repro.eval.export import export_all
         from repro.fabric.system import System
         from repro.workloads.base import Workload
 
-        monkeypatch.setenv("REPRO_WORKERS", "1")
         calls = []
         for owner in (Workload, System):
             original = owner.run
@@ -268,10 +273,30 @@ class TestWarmRerun:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, "run", counted)
+        campaigns = []
+        run_campaign = service_module.run_campaign
+
+        def campaign(service, kind, payloads, store=None):
+            campaigns.append((kind, len(payloads)))
+            return run_campaign(service, kind, payloads, store)
+
+        monkeypatch.setattr(service_module, "run_campaign", campaign)
+        models = sorted([config.name for config in all_configs()]
+                        + [FUNCTIONAL.name])
+        assert len(models) == 33
         cache = str(tmp_path / "cpi.sqlite")
         cold = full_report(scale=4, cache_path=cache)
         assert {"Workload", "System"} <= set(calls)
+        assert campaigns == [("suite-run", 33)]
+        assert sorted(cpi_runs) == models
         calls.clear()
+        campaigns.clear()
+        cpi_runs.clear()
         warm = full_report(scale=4, cache_path=cache)
-        assert calls == []
+        assert calls == [] and cpi_runs == []
+        assert campaigns == [("suite-run", 33)]
         assert warm == cold
+        campaigns.clear()
+        export_all(str(tmp_path / "csv"), scale=4, cache_path=cache)
+        assert calls == [] and cpi_runs == []
+        assert campaigns == [("suite-run", 33)]

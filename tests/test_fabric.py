@@ -37,7 +37,7 @@ def step_loop(system, max_cycles=2_000_000, stall_limit=20_000,
             raise system._deadlock_error(
                 f"deadlock: no progress for {stall_limit} cycles "
                 f"at cycle {system.cycles}")
-    else:
+    if not system.all_halted:
         raise system._deadlock_error(f"timeout after {max_cycles} cycles")
     for _ in range(flush_limit):
         if system.ports_idle:
@@ -437,6 +437,74 @@ class TestSystem:
             s.add_read_port(pe, request_out=0, response_in=0)
             s.run()
         assert system.cycles > fast.cycles
+
+
+_TWO_INSTRUCTIONS = """
+when %p == XXXXXXX0:
+    mov %r0, $1; set %p = ZZZZZZZ1;
+when %p == XXXXXXX1:
+    halt;
+"""
+
+# Counts %r0 to 30 with no queue traffic, so a lone compiled PE runs
+# it in block runs and halts inside one.
+_REGISTER_LOOP = """
+when %p == XXXXXXX0:
+    ult %p1, %r0, $30; set %p = ZZZZZZZ1;
+when %p == XXXXXX11:
+    add %r0, %r0, $1; set %p = ZZZZZZ00;
+when %p == XXXXXX01:
+    halt;
+"""
+
+
+def _lone(model, program):
+    """A fabric of one PE (``functional`` or a config name) running
+    ``program``."""
+    if model == "functional":
+        pe = FunctionalPE(name="pe")
+    else:
+        pe = PipelinedPE(config_by_name(model), name="pe")
+    assemble(program).configure(pe)
+    system = System()
+    system.add_pe(pe)
+    return system
+
+
+class TestCycleBudget:
+    """``max_cycles`` bounds the cycles a run may take: a run whose last
+    PE halts on cycle ``max_cycles`` returns, and one budget cycle less
+    raises the timeout."""
+
+    @pytest.mark.parametrize("drive", [System.run, step_loop],
+                             ids=["run", "step_loop"])
+    @pytest.mark.parametrize("model, needed", [
+        ("functional", 2), ("TDX", 3), ("T|D|X1|X2 +P+Q", 6)])
+    def test_a_run_may_halt_on_its_last_cycle(self, model, needed, drive):
+        assert drive(_lone(model, _TWO_INSTRUCTIONS)) == needed
+        assert drive(_lone(model, _TWO_INSTRUCTIONS),
+                     max_cycles=needed) == needed
+        with pytest.raises(DeadlockError,
+                           match=rf"^timeout after {needed - 1} cycles\n"):
+            drive(_lone(model, _TWO_INSTRUCTIONS), max_cycles=needed - 1)
+
+    def test_a_block_run_may_halt_on_the_last_cycle(self):
+        """The lone compiled PE halts inside a block run that the budget
+        ends on the same cycle."""
+        from repro.jit.cache import block_exit_counts
+
+        needed = _lone("TDX", _REGISTER_LOOP).run()
+        assert needed == 63
+        halts = block_exit_counts().get("halt", 0)
+        system = _lone("TDX", _REGISTER_LOOP)
+        assert system.run(max_cycles=needed) == needed
+        assert system.pe("pe").halted
+        assert block_exit_counts().get("halt", 0) == halts + 1
+        budgets = block_exit_counts().get("budget", 0)
+        with pytest.raises(DeadlockError,
+                           match=rf"^timeout after {needed - 1} cycles\n"):
+            _lone("TDX", _REGISTER_LOOP).run(max_cycles=needed - 1)
+        assert block_exit_counts().get("budget", 0) == budgets + 1
 
 
 def _udiv():

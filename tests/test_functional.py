@@ -99,6 +99,24 @@ class TestExecution:
         with pytest.raises(SimulationError, match="did not halt"):
             pe.run(max_cycles=50)
 
+    def test_may_halt_on_the_last_budgeted_cycle(self):
+        """A two-instruction program halts on its second cycle: a budget
+        of 2 returns, a budget of 1 still raises."""
+        program = assemble("""
+        when %p == XXXXXXX0:
+            mov %r0, $1; set %p = ZZZZZZZ1;
+        when %p == XXXXXXX1:
+            halt;
+        """)
+        pe = FunctionalPE(name="t")
+        program.configure(pe)
+        assert pe.run(max_cycles=2).cycles == 2
+        pe = FunctionalPE(name="t")
+        program.configure(pe)
+        with pytest.raises(SimulationError,
+                           match=r"^t: did not halt within 1 cycles$"):
+            pe.run(max_cycles=1)
+
     def test_program_too_long_rejected(self):
         pe = FunctionalPE(name="t")
         ins = assemble("when %p == XXXXXXXX:\n    nop;").instructions * 17
