@@ -178,12 +178,11 @@ def _smoke_service(args) -> int:
     """The service-observability CI gate (spans, /metrics, SSE, export)."""
     import io
     import re
-    import threading
 
     from repro.obs.svc import JsonLogger, ServiceObs
     from repro.obs.trace_export import export_campaign_trace
     from repro.serve import CampaignService, HttpClient
-    from repro.serve.http import start_http_server
+    from repro.serve.http import serve_in_thread
     from repro.serve.store import canonical_json
 
     scale = args.scale or int(os.environ.get("REPRO_BENCH_SCALE", "6"))
@@ -295,36 +294,9 @@ def _smoke_service(args) -> int:
     # 6. The same surfaces over the real stdlib HTTP frontend: SSE + text.
     print("[http] SSE progress stream + /metrics over the wire...")
     http_obs = ServiceObs(sim_trace=False)
-    http_service = CampaignService(None, workers=1, obs=http_obs)
-    bound = {}
-    ready = threading.Event()
-    stop = threading.Event()
-
-    def run_loop():
-        async def main():
-            import asyncio
-
-            server = await start_http_server(http_service, port=0)
-            bound["port"] = server.sockets[0].getsockname()[1]
-            pump = asyncio.ensure_future(http_service.drive())
-            ready.set()
-            try:
-                async with server:
-                    while not stop.is_set():
-                        await asyncio.sleep(0.01)
-            finally:
-                pump.cancel()
-
-        import asyncio
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=run_loop, daemon=True)
-    thread.start()
-    if not ready.wait(30.0):
-        return _fail("HTTP frontend did not come up")
-    try:
-        client = HttpClient(f"http://127.0.0.1:{bound['port']}")
+    with CampaignService(None, workers=1, obs=http_obs) as http_service, \
+            serve_in_thread(http_service) as url:
+        client = HttpClient(url)
         job_id = client.submit("workload-run", payloads[:4])
         frames = list(client.events(job_id, timeout=300.0))
         if not frames or frames[0]["event"] != "snapshot":
@@ -336,10 +308,6 @@ def _smoke_service(args) -> int:
         wire_text = client.metrics_text()
         if "repro_serve_tasks_done_total" not in wire_text:
             return _fail("/metrics over HTTP missing counter families")
-    finally:
-        stop.set()
-        thread.join(timeout=10.0)
-        http_service.close()
     print(f"  http ok: {len(frames)} SSE frames "
           f"(snapshot -> ... -> {frames[-1]['event']}), /metrics served")
 

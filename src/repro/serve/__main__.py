@@ -4,9 +4,11 @@
 runs a tiny simulation campaign with forced worker crashes and hangs,
 and the gate asserts (1) results are byte-identical to serial
 in-process execution, (2) a second service over the same store resumes
-entirely from durable results (zero re-executions), (3) the store
-records exactly one execution per task, and (4) admission control sheds
-load when saturated.
+entirely from durable results (zero re-executions), (3) two HTTP
+fetches of that finished job's results both equal its in-process
+results and the store's rows, (4) the store records exactly one
+execution per task, and (5) admission control sheds load when
+saturated.
 
 ``python -m repro.serve --chaos`` is the EXPERIMENTS.md kill -9 run: a
 48-config campaign executes in a child service process (its own process
@@ -39,7 +41,7 @@ import tempfile
 import time
 
 from repro.serve.admission import AdmissionController, AdmissionError
-from repro.serve.client import InProcessClient
+from repro.serve.client import HttpClient, InProcessClient
 from repro.serve.service import CampaignService
 from repro.serve.store import ResultStore, canonical_json
 from repro.serve.tasks import execute
@@ -73,6 +75,7 @@ def _fail(message: str) -> int:
 def run_smoke(scale: int, seed: int, workdir: str) -> int:
     from repro.obs.svc import JsonLogger, ServiceObs
     from repro.pipeline.config import config_by_name  # noqa: F401 (validates)
+    from repro.serve.http import serve_in_thread
 
     configs = ["TDX", "T|DX +P", "TD|X +Q", "T|D|X1|X2 +P+Q"]
     workloads = ["gcd", "stream"]
@@ -81,12 +84,12 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
           f"({len(configs)} configs x {len(workloads)} workloads, "
           f"scale={scale} seed={seed})")
 
-    print("\n[1/5] serial in-process reference...")
+    print("\n[1/6] serial in-process reference...")
     reference = [execute("workload-run", payload) for payload in payloads]
     reference = json.loads(canonical_json(reference))
     print(f"reference digest {_digest(reference)}")
 
-    print("\n[2/5] supervised campaign with forced worker crash + hang...")
+    print("\n[2/6] supervised campaign with forced worker crash + hang...")
     store_path = os.path.join(workdir, "serve-smoke.sqlite")
     log = io.StringIO()
     with CampaignService(
@@ -125,22 +128,37 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
     if "worker_spawn" not in events:
         return _fail("no worker_spawn record in the service log")
 
-    print("\n[3/5] resume: fresh service over the same store...")
+    print("\n[3/6] resume: fresh service over the same store...")
     with CampaignService(store_path, workers=2) as resumed_service:
         job = resumed_service.submit("workload-run", payloads)
         resumed = resumed_service.wait(job, timeout=600.0)
         status = job.status()
-    if resumed != reference:
-        return _fail("resumed results differ from serial reference")
-    if status["executed"] != 0 or status["from_store"] != len(payloads):
-        return _fail(
-            f"resume re-executed work: executed={status['executed']} "
-            f"from_store={status['from_store']} (want 0/{len(payloads)})"
-        )
-    print(f"resume replayed {status['from_store']}/{len(payloads)} results "
-          f"from the store, executed 0")
+        if resumed != reference:
+            return _fail("resumed results differ from serial reference")
+        if status["executed"] != 0 or status["from_store"] != len(payloads):
+            return _fail(
+                f"resume re-executed work: executed={status['executed']} "
+                f"from_store={status['from_store']} (want 0/{len(payloads)})"
+            )
+        print(f"resume replayed {status['from_store']}/{len(payloads)} "
+              f"results from the store, executed 0")
 
-    print("\n[4/5] dedup audit over the durable store...")
+        print("\n[4/6] HTTP read-back of the finished job, twice...")
+        with serve_in_thread(resumed_service) as url:
+            client = HttpClient(url)
+            fetches = [client.results(job.job_id) for _ in range(2)]
+    with ResultStore(store_path) as store:
+        stored = [store.get(fingerprint) for fingerprint in job.fingerprints]
+    for index, fetched in enumerate(fetches, 1):
+        if fetched != resumed:
+            return _fail(f"HTTP fetch {index} differs from the in-process "
+                         f"results")
+        if fetched != stored:
+            return _fail(f"HTTP fetch {index} differs from the store's rows")
+    print(f"both fetches read {len(stored)} results equal to the "
+          f"in-process results and the store's rows")
+
+    print("\n[5/6] dedup audit over the durable store...")
     with ResultStore(store_path) as store:
         max_exec = store.max_executions()
         rows = len(store)
@@ -148,7 +166,7 @@ def run_smoke(scale: int, seed: int, workdir: str) -> int:
         return _fail(f"duplicated executions recorded (max={max_exec})")
     print(f"{rows} stored results, max executions per fingerprint = 1")
 
-    print("\n[5/5] admission control sheds load when saturated...")
+    print("\n[6/6] admission control sheds load when saturated...")
     tiny = AdmissionController(max_queued_jobs=1, max_backlog_tasks=4,
                                rate=1000.0, burst=1000.0)
     with CampaignService(None, workers=1, admission=tiny) as shed_service:

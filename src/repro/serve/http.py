@@ -36,10 +36,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import threading
 
 from repro.errors import CampaignError, ReproError
 from repro.serve.admission import AdmissionError
-from repro.serve.service import CampaignService
+from repro.serve.service import CampaignService, Job
 
 _MAX_BODY = 64 << 20
 _STATUS_TEXT = {
@@ -183,13 +184,12 @@ class HttpFrontend:
                 "resolved": job.resolved,
                 "total": job.total,
             }
-        try:
-            # Raw (JSON) results over the wire; the client re-applies the
-            # kind's decode adapter locally.
-            self.service.results(job)
-        except CampaignError as exc:
-            return 500, {"error": str(exc), "state": job.state}
-        return 200, {"kind": job.kind, "results": list(job.results)}
+        if job.state == Job.FAILED:
+            return 500, {"error": str(job.failure()), "state": job.state}
+        # The stored rows over the wire; the client applies the kind's
+        # decode adapter locally.
+        return 200, {"kind": job.kind,
+                     "results": self.service.stored_results(job)}
 
     def _events(self, method: str, job_id: str):
         if method != "GET":
@@ -283,6 +283,43 @@ async def start_http_server(service: CampaignService, host: str = "127.0.0.1",
     return await asyncio.start_server(
         frontend.serve_connection, host=host, port=port
     )
+
+
+@contextlib.contextmanager
+def serve_in_thread(service: CampaignService, host: str = "127.0.0.1"):
+    """Run the frontend and the service pump on a background thread's
+    event loop, on a free port; yields the base URL.
+
+    For gates and tests that drive the service through a blocking
+    :class:`~repro.serve.client.HttpClient`; the service stays the
+    caller's to close.
+    """
+    bound: dict = {}
+    ready = threading.Event()
+    stop = threading.Event()
+
+    async def main() -> None:
+        server = await start_http_server(service, host=host, port=0)
+        bound["url"] = "http://%s:%d" % server.sockets[0].getsockname()[:2]
+        pump = asyncio.ensure_future(service.drive())
+        ready.set()
+        try:
+            async with server:
+                while not stop.is_set():
+                    await asyncio.sleep(0.01)
+        finally:
+            pump.cancel()
+
+    thread = threading.Thread(target=asyncio.run, args=(main(),),
+                              daemon=True)
+    thread.start()
+    try:
+        if not ready.wait(30.0):
+            raise CampaignError("HTTP frontend did not come up")
+        yield bound["url"]
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
 
 
 async def serve_forever(service: CampaignService, host: str = "127.0.0.1",

@@ -22,30 +22,39 @@ Execution sharing: every task is keyed by its content fingerprint.  A
 fingerprint already in the store resolves instantly; one already in
 flight attaches the new (job, slot) as a waiter on the single
 execution; only genuinely new work reaches the pool.  Fresh results are
-committed to the store *before* any job observes them, and jobs consume
-the canonical (JSON round-tripped) form — so a result is bit-identical
-whether it was computed by this process, a previous (killed) service
-run, or another job's identical task.
+committed to the store *before* any job observes them, and the store
+holds the only copy: a job keeps its fingerprints and one outcome per
+slot, and its results are read back from the store's rows — so a result
+is bit-identical whether it was computed by this process, a previous
+(killed) service run, another job's identical task, or a racing process
+whose row landed first.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import json
 import os
 import time
 
 from repro.errors import CampaignError, WorkerTraceback
 from repro.serve import tasks as task_registry
 from repro.serve.admission import AdmissionController
-from repro.serve.store import ResultStore, canonical_json, task_fingerprint
+from repro.serve.store import ResultStore, task_fingerprint
 from repro.serve.supervisor import SupervisedTask, Supervisor, TaskOutcome
 
-_PENDING = object()
+#: Per-slot outcomes of a job (``Job.outcomes``).
+SLOT_PENDING, SLOT_STORED, SLOT_FAILED = 0, 1, 2
 
 
 class Job:
-    """One admitted campaign: an ordered list of same-kind tasks."""
+    """One admitted campaign: an ordered list of same-kind tasks.
+
+    The payloads live only until activation hands them to their
+    :class:`~repro.serve.supervisor.SupervisedTask`; the results live
+    only in the store.  A job keeps its fingerprints and one outcome
+    per slot (``SLOT_PENDING``, ``SLOT_STORED`` or ``SLOT_FAILED``).
+    """
 
     QUEUED = "queued"
     ACTIVE = "active"
@@ -56,14 +65,16 @@ class Job:
                  client: str, priority: int) -> None:
         self.job_id = job_id
         self.kind = kind
-        self.payloads = payloads
+        self.payloads: list | None = payloads
         self.client = client
         self.priority = priority
         self.fingerprints = [
             task_fingerprint(kind, payload) for payload in payloads
         ]
         self.state = Job.QUEUED
-        self.results: list = [_PENDING] * len(payloads)
+        self.outcomes = bytearray(len(payloads))   # every slot SLOT_PENDING
+        #: Slots no longer pending, counted as they land.
+        self.resolved = 0
         #: Slot -> (name, message, traceback, report) for failed tasks.
         self.errors: dict[int, tuple] = {}
         #: Forensic reports for quarantined slots.
@@ -112,15 +123,27 @@ class Job:
 
     @property
     def total(self) -> int:
-        return len(self.payloads)
-
-    @property
-    def resolved(self) -> int:
-        return sum(1 for value in self.results if value is not _PENDING)
+        return len(self.fingerprints)
 
     @property
     def finished(self) -> bool:
         return self.state in (Job.DONE, Job.FAILED)
+
+    def failure(self) -> CampaignError:
+        """The error a failed job's results raise, naming its first
+        failed slot."""
+        slot = min([*self.errors, *self.quarantined])
+        error = self.errors.get(slot)
+        name, message, tb = (error or ("quarantined", "", ""))[:3]
+        exc = CampaignError(
+            f"job {self.job_id}: "
+            f"{len(self.errors) - len(self.quarantined)} task(s) failed, "
+            f"{len(self.quarantined)} quarantined "
+            f"(first: slot {slot}: {name}: {message})",
+            worker_traceback=tb or None,
+        )
+        exc.quarantine_reports = list(self.quarantined.values())
+        return exc
 
     def status(self) -> dict:
         return {
@@ -166,6 +189,8 @@ class CampaignService:
         )
         self.poll_interval = poll_interval
         self.jobs: dict[str, Job] = {}
+        #: state -> number of jobs in it, kept as jobs change state.
+        self._job_states: collections.Counter[str] = collections.Counter()
         self._job_seq = 0
         #: fingerprint -> waiters [(job, slot), ...] for in-flight tasks.
         self._inflight: dict[str, list[tuple[Job, int]]] = {}
@@ -211,7 +236,14 @@ class CampaignService:
                          kind=kind, tasks=job.total, client=client,
                          priority=priority)
         self.jobs[job.job_id] = job
+        self._job_states[job.state] += 1
         return job
+
+    def _move(self, job: Job, state: str) -> None:
+        """Set ``job``'s state, keeping the per-state job counts."""
+        self._job_states[job.state] -= 1
+        job.state = state
+        self._job_states[state] += 1
 
     # -- the pump --------------------------------------------------------
 
@@ -233,10 +265,11 @@ class CampaignService:
                 break
 
     def _activate(self, job: Job) -> None:
-        job.state = Job.ACTIVE
+        self._move(job, Job.ACTIVE)
+        payloads, job.payloads = job.payloads, None
+        stored = self.store.lookup(job.fingerprints)
         for slot, fingerprint in enumerate(job.fingerprints):
-            stored = self.store.get(fingerprint, default=_PENDING)
-            if stored is not _PENDING:
+            if fingerprint in stored:
                 job.from_store += 1
                 if self.obs is not None and job.trace_id is not None:
                     now = self.obs.tracer.clock()
@@ -245,7 +278,7 @@ class CampaignService:
                         parent=job.span.span_id, track="jobs",
                         category="store", slot=slot,
                     )
-                self._resolve(job, slot, stored)
+                self._resolve(job, slot, SLOT_STORED)
                 continue
             waiters = self._inflight.get(fingerprint)
             if waiters is not None:
@@ -255,7 +288,7 @@ class CampaignService:
             task = SupervisedTask(
                 task_id=f"{job.job_id}/{slot}",
                 kind=job.kind,
-                payload=job.payloads[slot],
+                payload=payloads[slot],
                 fingerprint=fingerprint,
             )
             if self.obs is not None and job.trace_id is not None:
@@ -288,15 +321,15 @@ class CampaignService:
             )
             if commit_span is not None:
                 self.obs.tracer.end(commit_span, inserted=inserted)
-            # Canonical form: identical whether computed now or replayed.
-            result = json.loads(canonical_json(outcome.result))
+            # Waiters read the stored row back: when a racing writer's
+            # row landed first (``inserted`` False), they get that row.
             for index, (job, slot) in enumerate(waiters):
                 if index == 0:
                     job.executed += 1
                 else:
                     job.shared += 1
                 self._close_task_span(job, slot, status="done")
-                self._resolve(job, slot, result)
+                self._resolve(job, slot, SLOT_STORED)
         else:
             for job, slot in waiters:
                 if outcome.status == TaskOutcome.QUARANTINED:
@@ -304,7 +337,7 @@ class CampaignService:
                 job.errors[slot] = outcome.error
                 self._close_task_span(job, slot, status=outcome.status,
                                       error=outcome.error[0])
-                self._resolve(job, slot, None)
+                self._resolve(job, slot, SLOT_FAILED)
         for job, _slot in waiters:
             self._finish_if_done(job)
 
@@ -313,10 +346,11 @@ class CampaignService:
         if span is not None:
             self.obs.tracer.end(span, **attrs)
 
-    def _resolve(self, job: Job, slot: int, value) -> None:
-        if job.results[slot] is not _PENDING:
+    def _resolve(self, job: Job, slot: int, outcome: int) -> None:
+        if job.outcomes[slot] != SLOT_PENDING:
             return
-        job.results[slot] = value
+        job.outcomes[slot] = outcome
+        job.resolved += 1
         self.admission.task_finished()
         job.publish("progress", slot=slot, from_store=job.from_store,
                     executed=job.executed, shared=job.shared)
@@ -324,7 +358,8 @@ class CampaignService:
     def _finish_if_done(self, job: Job) -> None:
         if job.finished or job.resolved < job.total:
             return
-        job.state = Job.FAILED if (job.errors or job.quarantined) else Job.DONE
+        self._move(job, Job.FAILED if (job.errors or job.quarantined)
+                   else Job.DONE)
         if self.obs is not None and job.span is not None:
             self.obs.tracer.end(
                 job.span, state=job.state, executed=job.executed,
@@ -357,28 +392,23 @@ class CampaignService:
         """Decoded results in submission order; raises on a failed job."""
         if isinstance(job, str):
             job = self.jobs[job]
+        return [
+            task_registry.decode_result(job.kind, row)
+            for row in self.stored_results(job)
+        ]
+
+    def stored_results(self, job: Job) -> list:
+        """A finished job's stored rows (JSON values) in submission order,
+        read from the store in one query; raises on a failed job."""
         if not job.finished:
             raise CampaignError(f"job {job.job_id} is not finished "
                                 f"({job.resolved}/{job.total} resolved)")
         if job.state == Job.FAILED:
-            slot = min([*job.errors, *job.quarantined])
-            error = job.errors.get(slot)
-            name, message, tb = (error or ("quarantined", "", ""))[:3]
-            exc = CampaignError(
-                f"job {job.job_id}: "
-                f"{len(job.errors) - len(job.quarantined)} task(s) failed, "
-                f"{len(job.quarantined)} quarantined "
-                f"(first: slot {slot}: {name}: {message})",
-                worker_traceback=tb or None,
-            )
-            exc.quarantine_reports = list(job.quarantined.values())
-            if tb:
-                raise exc from WorkerTraceback(tb)
+            exc = job.failure()
+            if exc.worker_traceback:
+                raise exc from WorkerTraceback(exc.worker_traceback)
             raise exc
-        return [
-            task_registry.decode_result(job.kind, value)
-            for value in job.results
-        ]
+        return self.store.read(job.fingerprints)
 
     # -- waiting ---------------------------------------------------------
 
@@ -429,11 +459,9 @@ class CampaignService:
         return self.jobs[job_id].status()
 
     def stats(self) -> dict:
-        states: dict[str, int] = {}
-        for job in self.jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
         stats = {
-            "jobs": states,
+            "jobs": {state: count
+                     for state, count in self._job_states.items() if count},
             "admission": self.admission.stats(),
             "supervisor": dict(self.supervisor.metrics),
             "store": self.store.stats(),

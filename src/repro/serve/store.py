@@ -50,6 +50,10 @@ CREATE TABLE IF NOT EXISTS results (
 
 _MISSING = object()
 
+#: Fingerprints bound per ``IN (...)`` query: SQLite's default cap on a
+#: statement's parameters (``SQLITE_MAX_VARIABLE_NUMBER``) since 3.32.
+_MAX_PARAMS = 32_766
+
 
 def canonical_json(value) -> str:
     """Canonical encoding used for fingerprints and stored payloads."""
@@ -135,6 +139,39 @@ class ResultStore:
             return default
         self.hits += 1
         return json.loads(row[0])
+
+    def _select(self, column: str, fingerprints) -> list[tuple]:
+        """``(fingerprint, column)`` rows of the stored ones among
+        ``fingerprints``, in one query per :data:`_MAX_PARAMS` of them."""
+        keys = list(dict.fromkeys(fingerprints))
+        rows: list[tuple] = []
+        for start in range(0, len(keys), _MAX_PARAMS):
+            chunk = keys[start:start + _MAX_PARAMS]
+            rows += self._conn.execute(
+                f"SELECT fingerprint, {column} FROM results "
+                f"WHERE fingerprint IN ({','.join('?' * len(chunk))})",
+                chunk,
+            ).fetchall()
+        return rows
+
+    def lookup(self, fingerprints: list[str]) -> set[str]:
+        """Which of ``fingerprints`` are stored; counts a hit or a miss
+        per entry, as :meth:`get` does per call."""
+        stored = {row[0] for row in self._select("1", fingerprints)}
+        hits = sum(1 for fingerprint in fingerprints if fingerprint in stored)
+        self.hits += hits
+        self.misses += len(fingerprints) - hits
+        return stored
+
+    def read(self, fingerprints: list[str]) -> list:
+        """Each fingerprint's stored result, in order, decoded once per
+        entry (so repeated fingerprints get distinct objects).
+
+        A read-back of results already looked up, so it counts no hit;
+        raises ``KeyError`` for an absent fingerprint.
+        """
+        text = dict(self._select("result", fingerprints))
+        return [json.loads(text[fingerprint]) for fingerprint in fingerprints]
 
     def put(self, fingerprint: str, kind: str, payload, result,
             seconds: float = 0.0) -> bool:

@@ -10,14 +10,14 @@ uninterrupted serial run, with zero duplicated executions) runs the
 same orchestrator as ``python -m repro.serve --chaos``, scaled down.
 """
 
-import asyncio
+import gc
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -34,9 +34,11 @@ from repro.serve import (
     canonical_json,
     task_fingerprint,
 )
+from repro.serve import store as store_mod
 from repro.serve import supervisor as supervisor_mod
+from repro.serve import tasks as task_registry
 from repro.serve.admission import TokenBucket
-from repro.serve.http import start_http_server
+from repro.serve.http import HttpFrontend, _response, serve_in_thread
 from repro.serve.tasks import execute, registered_kinds
 
 
@@ -105,6 +107,41 @@ class TestResultStore:
             assert stats["rows"] == 0
             assert stats["max_executions"] == 0
             assert not stats["recovered_corrupt"]
+
+    def test_lookup_counts_a_hit_or_miss_per_entry(self):
+        with ResultStore() as store:
+            fp = task_fingerprint("chaos-echo", {"value": 1})
+            store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
+            assert store.lookup([fp, "absent", fp]) == {fp}
+            assert (store.hits, store.misses) == (2, 1)
+            store.read([fp])    # a read-back, not a lookup
+            assert (store.hits, store.misses) == (2, 1)
+
+    def test_read_keeps_order_and_decodes_each_entry(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "_MAX_PARAMS", 2)   # three chunks
+        with ResultStore() as store:
+            fps = [task_fingerprint("chaos-echo", {"value": i})
+                   for i in range(5)]
+            for i, fp in enumerate(fps):
+                store.put(fp, "chaos-echo", {"value": i}, {"echo": [i]})
+            wanted = [fps[4], fps[0], fps[4], fps[2], fps[1], fps[3]]
+            rows = store.read(wanted)
+            assert rows == [{"echo": [i]} for i in (4, 0, 4, 2, 1, 3)]
+            assert rows[0] is not rows[2]
+            assert store.lookup(wanted + ["absent"]) == set(fps)
+            with pytest.raises(KeyError):
+                store.read([fps[0], "absent"])
+
+    def test_lookup_spans_sqlites_parameter_limit(self):
+        # Admission allows 50,000-task jobs; one IN (...) query binds at
+        # most 32,766 parameters.
+        with ResultStore() as store:
+            fp = task_fingerprint("chaos-echo", {"value": 1})
+            store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
+            fps = [f"{i:064x}" for i in range(40_000)] + [fp]
+            assert store.lookup(fps) == {fp}
+            assert store.misses == 40_000
+            assert store.read(fps[-1:]) == [{"echo": 1}]
 
 
 class TestFingerprint:
@@ -244,6 +281,19 @@ class TestServiceBasics:
         assert status["resolved"] == status["total"] == 1
         assert stats["jobs"] == {"done": 1}
         assert stats["store"]["rows"] == 1
+
+    def test_stats_count_jobs_per_state(self):
+        with CampaignService(None, serial=True) as service:
+            queued = service.submit("chaos-echo", [{"value": 1}])
+            assert service.stats()["jobs"] == {"queued": 1}
+            service.wait(queued, timeout=60.0)
+            assert service.stats()["jobs"] == {"done": 1}
+            failed = service.submit("chaos-fail", [{"message": "no"}])
+            service.submit("chaos-echo", [{"value": 2}])
+            assert service.stats()["jobs"] == {"done": 1, "queued": 2}
+            with pytest.raises(CampaignError):
+                service.wait(failed, timeout=60.0)
+            assert service.stats()["jobs"] == {"done": 2, "failed": 1}
 
     def test_status_size_does_not_grow_with_the_job(self):
         # GET /jobs/<id> and the SSE snapshot serve this dict, and
@@ -401,6 +451,100 @@ class TestResume:
         assert replayed == serial
 
 
+class TestStoreHoldsTheResults:
+    """A finished job keeps fingerprints and per-slot outcomes; its
+    results are read back from the store's rows."""
+
+    def test_finished_jobs_retain_no_payloads_or_results(self):
+        # Each job has four tasks whose payload and result are ~3 KB
+        # each; a job that kept either would retain over 12 KB.
+        with CampaignService(None, serial=True) as service:
+            service.run_job("chaos-echo", [{"value": "warm-up" * 400}])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for job in range(40):
+                    service.run_job("chaos-echo", [
+                        {"value": f"{job}/{task}:" + "x" * 3000}
+                        for task in range(4)
+                    ])
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert retained / 40 < 4096
+
+    def test_results_are_fresh_copies_of_the_stored_rows(self):
+        with CampaignService(None, serial=True) as service:
+            job = service.submit(
+                "chaos-echo", [{"value": [i]} for i in (1, 2, 1)]
+            )
+            first = service.wait(job, timeout=60.0)
+            second = service.results(job)
+            rows = [service.store.get(fp) for fp in job.fingerprints]
+        assert first == second == rows == [{"echo": [i]} for i in (1, 2, 1)]
+        assert all(a is not b for a, b in zip(first, second))
+        assert first[0] is not first[2]
+        assert job.payloads is None
+        assert bytes(job.outcomes) == b"\x01\x01\x01"
+
+    def test_resubmitted_job_on_a_new_service_reads_the_same_rows(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "rows.sqlite")
+        payloads = [{"value": {"b": 0.1, "a": [i, None]}} for i in range(5)]
+        with CampaignService(path, serial=True) as service:
+            first = service.run_job("chaos-echo", payloads)
+        with CampaignService(path, serial=True) as service:
+            job = service.submit("chaos-echo", payloads)
+            again = service.wait(job, timeout=60.0)
+        assert again == first
+        assert (job.from_store, job.executed) == (5, 0)
+
+    def test_sharing_and_store_counts_are_unchanged(self):
+        # The counts the per-slot lookups gave on the fixtures above.
+        with CampaignService(None, serial=True) as service:
+            within = service.submit("chaos-echo", [{"value": 1}] * 4)
+            service.wait(within, timeout=60.0)
+            InProcessClient(service).map(
+                "chaos-echo", [{"value": 1}, {"value": 2}]
+            )
+            across = service.submit("chaos-echo",
+                                    [{"value": 2}, {"value": 3}])
+            service.wait(across, timeout=60.0)
+            store = service.stats()["store"]
+        assert (within.from_store, within.executed, within.shared) == (0, 1, 3)
+        assert (across.from_store, across.executed, across.shared) == (1, 1, 0)
+        assert (store["hits"], store["misses"]) == (2, 6)
+        assert (store["puts"], store["rows"]) == (3, 3)
+
+    def test_waiters_get_the_stored_row(self, tmp_path, monkeypatch):
+        """A racing process stores its row for a fingerprint while the
+        service's execution is in flight: the service's put is the
+        duplicate, and the job returns the stored row."""
+        path = str(tmp_path / "race.sqlite")
+        kind = "test-racing-writer"
+
+        def run(payload):
+            with ResultStore(path) as rival:
+                rival.put(task_fingerprint(kind, payload), kind, payload,
+                          {"writer": "rival"})
+            return {"writer": "service"}
+
+        monkeypatch.setitem(task_registry._REGISTRY, kind,
+                            task_registry.TaskKind(kind, run))
+        with CampaignService(path, serial=True) as service:
+            job = service.submit(kind, [{"n": 1}, {"n": 1}])
+            results = service.wait(job, timeout=60.0)
+            stored = service.store.get(job.fingerprints[0])
+            duplicates = service.store.duplicate_puts
+        assert stored == {"writer": "rival"}
+        assert results == [stored, stored]
+        assert duplicates == 1
+        assert (job.executed, job.shared) == (1, 1)
+
+
 # ----------------------------------------------------------------------
 # Campaign clients: the in-tree fan-outs routed through the service
 # ----------------------------------------------------------------------
@@ -476,35 +620,10 @@ class TestCampaignClients:
 @pytest.fixture()
 def http_service():
     """A live service + HTTP frontend on a background event loop."""
-    service = CampaignService(None, workers=2, task_timeout=10.0,
-                              backoff_base=0.01, backoff_cap=0.05)
-    bound = {}
-    ready = threading.Event()
-    stop = threading.Event()
-
-    def run_loop():
-        async def main():
-            server = await start_http_server(service, port=0)
-            bound["port"] = server.sockets[0].getsockname()[1]
-            pump = asyncio.ensure_future(service.drive())
-            ready.set()
-            try:
-                async with server:
-                    while not stop.is_set():
-                        await asyncio.sleep(0.01)
-            finally:
-                pump.cancel()
-        asyncio.run(main())
-
-    thread = threading.Thread(target=run_loop, daemon=True)
-    thread.start()
-    assert ready.wait(10.0)
-    try:
-        yield HttpClient(f"http://127.0.0.1:{bound['port']}")
-    finally:
-        stop.set()
-        thread.join(timeout=10.0)
-        service.close()
+    with CampaignService(None, workers=2, task_timeout=10.0,
+                         backoff_base=0.01, backoff_cap=0.05) as service:
+        with serve_in_thread(service) as url:
+            yield HttpClient(url)
 
 
 class TestHttpApi:
@@ -543,36 +662,55 @@ class TestHttpApi:
             http_service.results(job_id)
         assert "kaput" in str(err.value)
 
+    def test_results_bodies_keep_their_bytes(self):
+        """The bytes ``GET /jobs/<id>/results`` sent before results were
+        read back from the store, for a done and a failed job."""
+        value = {"b": 1.5, "a": [1, "\u00e9", None, True], "c": 1e-07}
+        with CampaignService(None, serial=True) as service:
+            frontend = HttpFrontend(service)
+            done = service.submit("chaos-echo",
+                                  [{"value": value}, {"value": 2}])
+            failed = service.submit("chaos-fail", [{"message": "kaput"}])
+            service.pump()   # serial: runs both jobs to the end
+            running = service.submit("chaos-echo", [{"value": 3}])
+
+            def get(job):
+                return _response(*frontend.handle(
+                    "GET", f"/jobs/{job.job_id}/results", b""))
+
+            done_bytes, failed_bytes = get(done), get(failed)
+            running_bytes = get(running)
+            tb = failed.errors[0][2]
+        body = (b'{"kind": "chaos-echo", "results": [{"echo": {"a": [1, '
+                b'"\\u00e9", null, true], "b": 1.5, "c": 1e-07}}, '
+                b'{"echo": 2}]}')
+        assert done_bytes == (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body)
+        ) + body
+        body = (b'{"error": "job job-0002: 1 task(s) failed, 0 quarantined '
+                b'(first: slot 0: ValueError: kaput)\\n--- worker '
+                b'traceback ---\\n' + json.dumps(tb)[1:-1].encode()
+                + b'", "state": "failed"}')
+        assert failed_bytes == (
+            b"HTTP/1.1 500 Internal Server Error\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body)
+        ) + body
+        body = (b'{"error": "job job-0003 still running", "state": "queued", '
+                b'"resolved": 0, "total": 1}')
+        assert running_bytes.endswith(b"\r\n\r\n" + body)
+        assert running_bytes.startswith(b"HTTP/1.1 409 Conflict\r\n")
+
     def test_rate_limit_maps_to_admission_error(self):
         tiny = AdmissionController(rate=0.0, burst=1.0)
-        service = CampaignService(None, workers=1, admission=tiny)
-        bound = {}
-        ready = threading.Event()
-        stop = threading.Event()
-
-        def run_loop():
-            async def main():
-                server = await start_http_server(service, port=0)
-                bound["port"] = server.sockets[0].getsockname()[1]
-                ready.set()
-                async with server:
-                    while not stop.is_set():
-                        await asyncio.sleep(0.01)
-            asyncio.run(main())
-
-        thread = threading.Thread(target=run_loop, daemon=True)
-        thread.start()
-        assert ready.wait(10.0)
-        try:
-            client = HttpClient(f"http://127.0.0.1:{bound['port']}")
-            client.submit("chaos-echo", [{"value": 1}])   # spends the burst
-            with pytest.raises(AdmissionError) as err:
-                client.submit("chaos-echo", [{"value": 2}])
-            assert err.value.reason == "rate-limited"
-        finally:
-            stop.set()
-            thread.join(timeout=10.0)
-            service.close()
+        with CampaignService(None, serial=True, admission=tiny) as service:
+            with serve_in_thread(service) as url:
+                client = HttpClient(url)
+                client.submit("chaos-echo", [{"value": 1}])  # spends the burst
+                with pytest.raises(AdmissionError) as err:
+                    client.submit("chaos-echo", [{"value": 2}])
+        assert err.value.reason == "rate-limited"
 
 
 # ----------------------------------------------------------------------
