@@ -3,8 +3,8 @@
 Guards the claims that make the compiled step every fast-path PE's
 default: on a workload-scale suite pass, running every PE compiled from
 cycle 0 pays for itself (compile time included) against the
-interpreter, and a pass compiles at most one module per config, which
-later passes reuse.
+interpreter, and a pass compiles at most one module per config (configs
+that differ only in queue policy share one), which later passes reuse.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 import repro.jit.cache as jit_cache
-from repro.jit import jit_metrics
+from repro.jit import body_name, jit_metrics
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.workloads.suite import WORKLOADS, get_workload
@@ -46,7 +46,7 @@ def test_compiled_pass_beats_the_interpreter_compiles_included(bench_scale):
 
     def compiled_pass() -> float:
         # Drop the process's module so this pass compiles it again.
-        jit_cache._MODULES.pop(config_by_name(configs[0]), None)
+        jit_cache._MODULES.pop(body_name(config_by_name(configs[0])), None)
         misses = jit_metrics()["misses"]
         seconds = _run_suite(scale, None, configs)
         assert jit_metrics()["misses"] == misses + 1

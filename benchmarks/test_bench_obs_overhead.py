@@ -95,10 +95,16 @@ def test_enabled_telemetry_overhead_bounded(benchmark):
 def test_disabled_seam_cost_is_noise():
     """A run with the seams compiled in but no sink attached must match
     the throughput of an identical second run (both uninstrumented) —
-    i.e. the seams themselves cost nothing measurable beyond jitter."""
+    i.e. the seams themselves cost nothing measurable beyond jitter.
+
+    Each side is the best of 15 repetitions, taken in five interleaved
+    rounds of three, so a stretch of host contention slows both sides
+    rather than one."""
     cycles = 20_000
-    first = _loop_throughput(cycles, None)
-    second = _loop_throughput(cycles, None)
+    first = second = 0.0
+    for _ in range(5):
+        first = max(first, _loop_throughput(cycles, None))
+        second = max(second, _loop_throughput(cycles, None))
     ratio = max(first, second) / min(first, second)
     assert ratio < 1.5, f"uninstrumented throughput unstable ({ratio:.2f}x)"
 

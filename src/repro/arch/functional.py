@@ -99,6 +99,9 @@ class FunctionalPE:
             for i in range(params.num_output_queues)
         ]
         self.regs = RegisterFile(params)
+        # The datapath reads and writes the storage directly (the
+        # program's indices were validated when it was lowered).
+        self._reg_words = self.regs.words
         self.preds = PredicateFile(params, initial_predicates)
         self.scratchpad = Scratchpad(params) if has_scratchpad else None
         self.scheduler = Scheduler()
@@ -190,11 +193,11 @@ class FunctionalPE:
         # sources.
         (code_a, a), (code_b, b) = meta.operand_plan
         if code_a == REG:
-            a = self.regs.read(a)
+            a = self._reg_words[a]
         elif code_a == IN:
             a = self.inputs[a].peek(0).value
         if code_b == REG:
-            b = self.regs.read(b)
+            b = self._reg_words[b]
         elif code_b == IN:
             b = self.inputs[b].peek(0).value
 
@@ -220,12 +223,15 @@ class FunctionalPE:
 
         dst_kind = meta.dst_kind
         if dst_kind == DST_REG:
-            self.regs.write(meta.dst_index, value)
+            self._reg_words[meta.dst_index] = value
         elif dst_kind == DST_OUT:
             self.outputs[meta.dst_index].enqueue(value, meta.out_tag)
             self.counters.enqueues += 1
         elif dst_kind == DST_PRED:
-            self.preds.write_bit(meta.dst_index, value & 1)
+            if value & 1:
+                preds.state |= 1 << meta.dst_index
+            else:
+                preds.state &= ~(1 << meta.dst_index)
             self.counters.predicate_writes += 1
 
         if meta.is_halt:

@@ -9,6 +9,12 @@ drives all control flow.  Two update paths exist:
   lowering (:class:`~repro.arch.trigger_cache.CompiledDatapath`), and
 * datapath writes — a comparison or logic result landing in one predicate
   bit at writeback, the triggered analogue of a branch.
+
+Both land in :attr:`PredicateFile.state` directly: the PEs' datapaths
+write the bit at an index
+:func:`~repro.arch.trigger_cache.lower_program` has validated.
+:meth:`PredicateFile.write_bit` and :meth:`~PredicateFile.read_bit`
+range-check for fault injection, host code and tests.
 """
 
 from __future__ import annotations

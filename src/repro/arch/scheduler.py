@@ -148,17 +148,22 @@ class Scheduler:
 
         ``compiled.candidates`` holds, per (predicate state, pending
         mask), the descriptors whose stable predicate bits match, in
-        priority order; every descriptor it leaves out is not triggered
-        whatever the queues hold.  Each candidate's queue conditions
-        are then checked (occupancy, tag checks, output space) and the
-        first that holds decides the cycle.  Every condition is a pure
-        read of the view, so checking predicates before queues yields
-        the reference walk's outcome.
+        priority order, up to the first with no queue condition; every
+        descriptor it leaves out is not triggered whatever the queues
+        hold.  Each conditional candidate's queue conditions are then
+        checked (occupancy, tag checks, output space) and the first
+        that holds decides the cycle; if none holds, the unconditional
+        candidate does (or nothing triggers).  Every condition is a
+        pure read of the view, so checking predicates before queues
+        yields the reference walk's outcome.
         """
-        candidates = compiled.candidates.get((pred_state, pending_predicates))
-        if candidates is None:
-            candidates = compiled.fill(pred_state, pending_predicates)
-        for required, tag_checks, out_queue, outcome, if_forbidden in candidates:
+        try:
+            entry = compiled.candidates[
+                pending_predicates << compiled.shift | pred_state]
+        except KeyError:
+            entry = compiled.fill(pred_state, pending_predicates)
+        conditional, outcome, if_forbidden = entry
+        for required, tag_checks, out_queue, fires, forbidden in conditional:
             for queue in required:
                 if view.input_count(queue) < 1:
                     break
@@ -169,8 +174,8 @@ class Scheduler:
                         break
                 else:
                     if out_queue < 0 or view.output_space(out_queue) >= 1:
-                        return if_forbidden if forbid_side_effects else outcome
-        return NONE_TRIGGERED
+                        return forbidden if forbid_side_effects else fires
+        return if_forbidden if forbid_side_effects else outcome
 
     def triggered_indices(
         self,

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.arch.scheduler import TriggerKind, TriggerOutcome
+from repro.arch.scheduler import NONE_TRIGGERED, TriggerKind, TriggerOutcome
 from repro.errors import SimulationError
 from repro.isa.alu import _SEMANTICS
 from repro.isa.instruction import DestinationType, Instruction, OperandType
@@ -98,32 +98,40 @@ class CompiledProgram:
     """The compiled descriptors of one PE's instruction store, and its
     trigger candidates by predicate state.
 
-    ``candidates`` maps ``(predicate state, pending mask)`` to one
-    ``(required_queues, tag_checks, out_queue, outcome, if_forbidden)``
-    tuple per descriptor whose stable predicate bits match, in priority
-    order.  ``outcome`` is the predicate hazard when the descriptor
-    watches a pending bit, else the fire; ``if_forbidden`` is the
-    outcome while speculation forbids side effects.  A candidate with
-    no queue condition ends the list: nothing below it can be reached.
-    The map fills lazily (:meth:`fill`) and depends on the program
-    alone, so every PE, config and checker state sharing the lowering
-    shares it.  It holds at most one entry per key, 4**NPreds keys
-    (65,536 at the default eight predicates).
+    ``candidates`` maps one int per (predicate state, pending mask),
+    ``pending << shift | state`` with ``shift`` = NPreds, to a triple
+    ``(conditional, outcome, if_forbidden)``.  Walking the descriptors
+    whose stable predicate bits match, in priority order,
+    ``conditional`` holds one ``(required_queues, tag_checks,
+    out_queue, outcome, if_forbidden)`` tuple per descriptor with a
+    queue condition, up to the first descriptor without one; that
+    descriptor's outcomes are the triple's own, or ``NONE_TRIGGERED``
+    when there is none.  ``outcome`` is the predicate hazard when the
+    descriptor watches a pending bit, else the fire; ``if_forbidden``
+    is the outcome while speculation forbids side effects.  The map
+    fills lazily (:meth:`fill`) and depends on the program alone, so
+    every PE, config and checker state sharing the lowering shares it.
+    It holds at most one entry per key, 4**NPreds keys (65,536 at the
+    default eight predicates).  The key is exact only for states and
+    masks of NPreds bits, which is all a PE's predicate file holds.
     """
 
-    __slots__ = ("descriptors", "candidates")
+    __slots__ = ("descriptors", "candidates", "shift")
 
-    def __init__(self, instructions: Sequence[Instruction]) -> None:
+    def __init__(self, instructions: Sequence[Instruction],
+                 num_preds: int) -> None:
         self.descriptors: tuple[CompiledTrigger, ...] = tuple(
             CompiledTrigger(index, ins)
             for index, ins in enumerate(instructions)
             if ins.valid
         )
-        self.candidates: dict[tuple[int, int], tuple[tuple, ...]] = {}
+        self.shift = num_preds
+        self.candidates: dict[int, tuple] = {}
 
-    def fill(self, pred_state: int, pending: int) -> tuple[tuple, ...]:
+    def fill(self, pred_state: int, pending: int) -> tuple:
         """Compute and keep the candidates for one predicate state."""
         found = []
+        outcome = if_forbidden = NONE_TRIGGERED
         for d in self.descriptors:
             stable = d.watched & ~pending
             on_stable = d.pred_on & stable
@@ -133,21 +141,25 @@ class CompiledProgram:
             if (~pred_state & off_stable) != off_stable:
                 continue
             if d.watched & pending:
-                outcome = if_forbidden = d.hazard
+                fires = forbidden = d.hazard
             else:
-                outcome = d.fired
-                if_forbidden = d.forbidden if d.side_effects else d.fired
-            found.append((d.required_queues, d.tag_checks, d.out_queue,
-                          outcome, if_forbidden))
+                fires = d.fired
+                forbidden = d.forbidden if d.side_effects else d.fired
             if not (d.required_queues or d.tag_checks or d.out_queue >= 0):
+                outcome, if_forbidden = fires, forbidden
                 break
-        found = self.candidates[pred_state, pending] = tuple(found)
-        return found
+            found.append((d.required_queues, d.tag_checks, d.out_queue,
+                          fires, forbidden))
+        entry = self.candidates[pending << self.shift | pred_state] = (
+            tuple(found), outcome, if_forbidden)
+        return entry
 
 
-def compile_program(instructions: Sequence[Instruction]) -> CompiledProgram:
-    """Lower a program's triggers for the scheduler fast path."""
-    return CompiledProgram(instructions)
+def compile_program(instructions: Sequence[Instruction],
+                    num_preds: int) -> CompiledProgram:
+    """Lower a program's triggers for the scheduler fast path, for a PE
+    of ``num_preds`` predicates."""
+    return CompiledProgram(instructions, num_preds)
 
 
 # Operand plan codes (CompiledDatapath.operand_plan): the payload is a
@@ -279,6 +291,6 @@ def lower_program(
             ins.validate(params)
     instructions = tuple(instructions)
     return Lowering(
-        instructions, params, compile_program(instructions),
+        instructions, params, compile_program(instructions, params.num_preds),
         tuple(compile_datapaths(instructions, params)),
     )

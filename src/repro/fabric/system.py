@@ -197,6 +197,15 @@ class System:
         self._channels = list(seen.values())
         return self._channels
 
+    def _producer_channels(self) -> list[TaggedQueue]:
+        """The channels an entry can be staged on while the fabric runs:
+        PE outputs (retirement enqueues there), read-port responses and
+        LSQ load responses.  Only the host stages anywhere else."""
+        queues = [queue for pe in self.pes for queue in pe.outputs]
+        queues += [port.response for port in self.read_ports]
+        queues += [lsq.load_response for lsq in self.lsqs]
+        return [queue for queue in dict.fromkeys(queues) if queue is not None]
+
     def wiring(self) -> list[ChannelInfo]:
         """Structured channel inventory: every distinct queue with its
         producing and consuming endpoints resolved.
@@ -316,9 +325,12 @@ class System:
         locals, halted PEs dropped, ports that provably cannot act
         skipped (an idle read port only advances its private clock,
         which is relative to acceptance time; a write port missing an
-        operand does nothing), and the progress predicate folded into
-        the same occupancy tests.  Each PE steps through its own
-        ``step``; a pipelined PE runs its config's compiled cycle from
+        operand does nothing), the progress predicate folded into the
+        same occupancy tests, and the commit pass after the first cycle
+        limited to the channels a producer can stage on
+        (:meth:`_producer_channels`); the first cycle's pass covers
+        every channel, so entries the host staged land when they did.
+        Each PE steps through its own ``step``; a pipelined PE runs its config's compiled cycle from
         cycle 0 unless it was built with ``backend="interp"`` or
         ``fast_path=False``.  When every PE is a fast-path pipelined PE
         and nothing is attached — no invariant checker, telemetry sink
@@ -351,7 +363,8 @@ class System:
         rports = self.read_ports
         wports = self.write_ports
         lsqs = self.lsqs
-        channels = self._all_channels()
+        commits = self._all_channels()    # the first cycle's pass
+        producers = self._producer_channels()
         counters = [pe.counters for pe in self.pes]
         dq_prev = -1
         idle_streak = 0
@@ -398,10 +411,11 @@ class System:
                 lsq.step()
                 if busy_before:
                     prog = True
-            for channel in channels:
+            for channel in commits:
                 if channel._staged:
                     channel.commit()
                     moved = True
+            commits = producers
             self.cycles += 1
             remaining -= 1
             if checker is not None:

@@ -9,8 +9,8 @@ pipe into straight-line Python generated for one pipeline config:
   through the PE's candidate table and queue-status view, issue).  The
   datapath is the interpreter's: generated code calls the PE's own
   issue, capture, compute and retire methods.
-* :mod:`repro.jit.cache` — compiles each config's cycle once per
-  process, keeps the JIT's process counters, and holds
+* :mod:`repro.jit.cache` — compiles each body once per process (the
+  configs that differ only in queue-status policy share one), keeps the JIT's process counters, and holds
   :func:`~repro.jit.cache.run_block`, the block loop that
   :meth:`System.run <repro.fabric.system.System.run>` alone enters,
   for stretches in which only the compiled PE works.
@@ -33,12 +33,13 @@ from repro.jit.cache import (
     jit_metrics,
     reset_metrics,
 )
-from repro.jit.codegen import CODEGEN_VERSION, generate_source
+from repro.jit.codegen import CODEGEN_VERSION, body_name, generate_source
 
 __all__ = [
     "CODEGEN_VERSION",
     "acquire",
     "block_exit_counts",
+    "body_name",
     "generate_source",
     "jit_metrics",
     "reset_metrics",

@@ -1,20 +1,23 @@
-"""Compiled PE cycles: one per pipeline config, kept for the process.
+"""Compiled PE cycles: one per generated body, kept for the process.
 
 :func:`acquire` returns the generated cycle function
 (:mod:`repro.jit.codegen`) for a pipeline config, compiling its module
 on first use.  The function takes the PE as its argument, holds no
 per-PE state and reads the program only through the PE, so every PE of
 a config — whatever its program and parameters — shares the one
-function.  There are 48 configs, so the process keeps at most that many;
-it never releases them.
+function, and so does every config with the same body
+(:func:`~repro.jit.codegen.body_name`: the queue-status policy never
+reaches the generated walk).  The 48 configs have 16 bodies, so the
+process keeps at most that many modules; it never releases them.
 
 :func:`run_block` is the block loop of the quiescent-sibling rule of
 :meth:`System.run <repro.fabric.system.System.run>`: it runs a compiled
 PE's cycles back to back and records why it stopped.
 
 :func:`jit_metrics` reports the process-wide counters: modules compiled
-(``misses``) and shared (``hits``), compile seconds, modules held
-(``entries``), and why block runs returned control.
+(``misses``, one per body) and shared (``hits``, every other bind),
+compile seconds, modules held (``entries``), and why block runs
+returned control.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.arch.scheduler import NONE_TRIGGERED, TriggerKind
-from repro.jit.codegen import generate_source
+from repro.jit.codegen import body_name, generate_source
 from repro.pipeline.config import PipelineConfig
 
 
@@ -39,8 +42,8 @@ class JitStats:
 
 STATS = JitStats()
 
-#: Pipeline config -> its compiled cycle, for the life of the process.
-_MODULES: dict[PipelineConfig, Callable[..., bool]] = {}
+#: Body name -> its compiled cycle, for the life of the process.
+_MODULES: dict[str, Callable[..., bool]] = {}
 
 #: Why block runs returned control: reason -> count.  Filled by
 #: :func:`run_block`; surfaced via :func:`block_exit_counts`, the
@@ -50,8 +53,9 @@ BLOCK_EXITS: dict[str, int] = {}
 
 
 def acquire(config: PipelineConfig) -> Callable[..., bool]:
-    """The compiled cycle for ``config``, compiled on first use."""
-    cycle = _MODULES.get(config)
+    """The compiled cycle for ``config``'s body, compiled on first use."""
+    name = body_name(config)
+    cycle = _MODULES.get(name)
     if cycle is not None:
         STATS.hits += 1
         return cycle
@@ -62,9 +66,9 @@ def acquire(config: PipelineConfig) -> Callable[..., bool]:
         "_FIRED": TriggerKind.FIRED,
         "_HAZARD": TriggerKind.PREDICATE_HAZARD,
     }
-    exec(compile(generate_source(config), f"<jit:{config.name}>", "exec"),
+    exec(compile(generate_source(config), f"<jit:{name}>", "exec"),
          namespace)
-    cycle = _MODULES[config] = namespace["cycle"]
+    cycle = _MODULES[name] = namespace["cycle"]
     STATS.compile_seconds += time.perf_counter() - started
     return cycle
 

@@ -14,7 +14,11 @@ telemetry clock).  It has the stage walk unrolled, capture and compute
 placed at the config's decode and result stages, and the
 pending-predicate mask gathered over the stages that can hold a writer.
 
-Nothing in a module depends on the program.  Trigger resolution is
+Nothing in a module depends on the program or on the queue-status
+policy, so configs that differ only in that policy share one body: the
+48 configs (:func:`~repro.pipeline.config.all_configs` with the padded
+policy) have 16, one per (stage partition, ±P), named by
+:func:`body_name`.  Trigger resolution is
 :meth:`Scheduler._evaluate_compiled
 <repro.arch.scheduler.Scheduler._evaluate_compiled>` over the PE's
 predicate-indexed candidate table and its queue-status view
@@ -35,9 +39,18 @@ from __future__ import annotations
 
 from repro.pipeline.config import PipelineConfig
 
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 8
 """Bumped whenever generated-source semantics change; named in the
 header line of every generated module."""
+
+
+def body_name(config: PipelineConfig) -> str:
+    """The name of ``config``'s generated body, e.g. ``"T|D|X1|X2 +P"``:
+    its stage partition and whether it offers predictions — everything
+    of the config that reaches the generated source."""
+    if config.predicate_prediction:
+        return config.partition + " +P"
+    return config.partition
 
 
 class _Codegen:
@@ -90,7 +103,6 @@ class _Codegen:
             line(1, f"e_ = pipe[{s}]")
             line(1, f"if e_ is not None and pipe[{s + 1}] is None{gate}:")
             line(2, f"pipe[{s}] = None")
-            line(2, f"e_.stage = {s + 1}")
             line(2, f"pipe[{s + 1}] = e_")
 
         # Phase 2: operand capture in D, then results deepest-first.
@@ -118,7 +130,7 @@ class _Codegen:
                 line(1, "specs = pe._specs")
             for s in range(1, depth):
                 line(1, f"e_ = pipe[{s}]")
-                line(1, "if e_ is not None and e_.writes_pred"
+                line(1, "if e_ is not None and e_.meta.writes_pred"
                         " and not e_.pred_committed:")
                 if self.predicts:
                     line(2, "for sp_ in specs:")
@@ -157,11 +169,12 @@ class _Codegen:
 
     def generate(self) -> str:
         self.line(0, f"# generated by repro.jit.codegen v{CODEGEN_VERSION}"
-                     f" for config {self.config.name!r}")
+                     f" for {body_name(self.config)!r}")
         self._emit_cycle()
         return "\n".join(self.lines)
 
 
 def generate_source(config: PipelineConfig) -> str:
-    """Emit the specialized module source for one pipeline config."""
+    """Emit the specialized module source for one pipeline config; every
+    config of one :func:`body_name` gets the same text."""
     return _Codegen(config).generate()

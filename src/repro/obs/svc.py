@@ -390,6 +390,7 @@ def stats_metrics(stats: dict, jit: dict | None = None) -> ServiceMetrics:
                   admission.get("backlog_tasks", 0))
     store = stats.get("store", {})
     metrics.gauge("repro_serve_store_rows", store.get("rows", 0))
+    metrics.gauge("repro_serve_store_stale_rows", store.get("stale_rows", 0))
     metrics.gauge("repro_serve_store_max_executions",
                   store.get("max_executions", 0))
     metrics.gauge("repro_serve_store_executions_total",

@@ -64,28 +64,27 @@ from repro.pipeline.queue_status import InFlightQueueState, make_queue_view
 
 
 class _InFlight:
-    """One instruction travelling down the pipe."""
+    """One instruction travelling down the pipe.
+
+    An entry does not record its stage: operands are captured only in
+    the decode stage, so forwarding scans a per-PE constant range of
+    deeper stages, and every other walk knows the stage it reads.
+    """
 
     __slots__ = (
-        "meta", "slot", "seq", "stage", "captured", "operands", "value",
-        "result_ready", "pred_committed", "writes_reg", "writes_pred",
+        "meta", "slot", "seq", "captured", "operands", "value",
+        "result_ready", "pred_committed",
     )
 
-    def __init__(self, meta: CompiledDatapath, slot: int, seq: int,
-                 stage: int) -> None:
+    def __init__(self, meta: CompiledDatapath, slot: int, seq: int) -> None:
         self.meta = meta
         self.slot = slot
         self.seq = seq
-        self.stage = stage
         self.captured = False
         self.operands = (0, 0)
         self.value: int | None = None   # the result word, once computed
         self.result_ready = False
         self.pred_committed = False   # predicate write already applied (+P)
-        # Destination kind, flattened once at issue — these are chased
-        # every cycle by hazard checks, where enum traffic is measurable.
-        self.writes_reg = meta.writes_reg
-        self.writes_pred = meta.writes_pred
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +162,9 @@ class PipelinedPE:
             for i in range(params.num_output_queues)
         ]
         self.regs = RegisterFile(params)
+        # The datapath reads and writes the storage directly (the
+        # program's indices were validated when it was lowered).
+        self._reg_words = self.regs.words
         self.preds = PredicateFile(params, initial_predicates)
         self.scratchpad = Scratchpad(params) if has_scratchpad else None
         self.scheduler = Scheduler()
@@ -186,6 +188,8 @@ class PipelinedPE:
         self._decode_stage = config.decode_stage
         self._early_stage = config.early_result_stage
         self._late_stage = config.late_result_stage
+        #: Stages that can hold an older producer of a decoding entry.
+        self._forward_stages = range(config.decode_stage + 1, config.depth)
         self._predicts = config.predicate_prediction
         self._spec_depth = config.speculative_depth
         # One queue-status view per PE, reading live state — rebuilding it
@@ -311,7 +315,6 @@ class PipelinedPE:
             if stage == decode_stage and not entry.captured:
                 continue  # data hazard: operands not captured yet
             pipe[stage] = None
-            entry.stage = stage + 1
             pipe[stage + 1] = entry
 
         # 2. End-of-stage work: operand capture in D, results where due.
@@ -320,10 +323,11 @@ class PipelinedPE:
             self._capture(decode_entry)
         # Oldest first: a mispredicting owner must flush younger entries
         # before any of them commits an early predicate write of its own.
-        for entry in reversed(pipe):
+        for stage in reversed(range(depth)):
+            entry = pipe[stage]
             if entry is None or entry.result_ready or not entry.captured:
                 continue
-            if entry.stage >= (
+            if stage >= (
                 self._late_stage if entry.meta.late_result else self._early_stage
             ):
                 self._compute(entry)
@@ -371,7 +375,8 @@ class PipelinedPE:
         mask = 0
         specs = self._specs
         for entry in self._pipe:
-            if entry is None or not entry.writes_pred or entry.pred_committed:
+            if (entry is None or not entry.meta.writes_pred
+                    or entry.pred_committed):
                 continue
             if specs and any(spec.owner_seq == entry.seq for spec in specs):
                 continue
@@ -384,48 +389,46 @@ class PipelinedPE:
         bookings the status views read, the +P prediction offer and a
         pending halt."""
         meta = self._dp_meta[slot]
-        entry = self._pipe[0] = _InFlight(meta, slot, self._next_seq, 0)
-        self._next_seq += 1
+        seq = self._next_seq
+        self._pipe[0] = _InFlight(meta, slot, seq)
+        self._next_seq = seq + 1
         counters = self.counters
         counters.issued += 1
         self.recent_fires.append((counters.cycles, slot))
         if self.telemetry is not None:
             self.telemetry.emit(
-                "issue", self.name, slot=slot, op=meta.mnemonic,
-                seq=entry.seq,
+                "issue", self.name, slot=slot, op=meta.mnemonic, seq=seq,
             )
 
         # Issue-time atomic predicate update (never survives a flush of
         # this instruction, so it touches only the live state).
         preds = self.preds
-        preds.state = (preds.state | meta.pred_set) & meta.pred_keep
+        state = (preds.state | meta.pred_set) & meta.pred_keep
 
         # Book pending queue activity for the status views.
         if meta.books_queues:
-            state = self._queue_state
+            booked = self._queue_state
             for queue in meta.deq:
-                state.pending_deqs[queue] += 1
-                state.sched_deqs[queue] += 1
+                booked.pending_deqs[queue] += 1
+                booked.sched_deqs[queue] += 1
             out = meta.out_queue
             if out >= 0:
-                state.pending_enqs[out] += 1
+                booked.pending_enqs[out] += 1
 
         # +P offers a prediction for a predicate write, unless
         # ``speculative_depth`` predictions are already outstanding.
-        if (entry.writes_pred and self._predicts
+        if (meta.writes_pred and self._predicts
                 and len(self._specs) < self._spec_depth):
             index = meta.dst_index
-            predicted = self.predictor.predict(index)
-            self._specs.append(
-                _Speculation(
-                    owner_seq=entry.seq,
-                    pred_index=index,
-                    predicted=predicted,
-                    fallback=self.preds.state,
-                    forced=self.predictor.last_forced,
-                )
-            )
-            self.preds.write_bit(index, predicted)
+            predictor = self.predictor
+            predicted = predictor.predict(index)
+            self._specs.append(_Speculation(
+                seq, index, predicted, state, predictor.last_forced))
+            if predicted:
+                state |= 1 << index
+            else:
+                state &= ~(1 << index)
+        preds.state = state
 
         if meta.is_halt:
             self._halt_pending = True
@@ -437,19 +440,20 @@ class PipelinedPE:
     def _capture(self, entry: _InFlight) -> bool:
         """Read operands, with forwarding, and perform the dequeues.
 
-        A register operand comes from its youngest older in-flight
-        producer, else from the register file.  The pipe is in order, so
-        that producer is the first writer of the register in a deeper
-        stage.  While its result is not ready (a data hazard) nothing is
-        captured or dequeued, and the return is False.
+        ``entry`` sits in the decode stage.  A register operand comes
+        from its youngest older in-flight producer, else from the
+        register file.  The pipe is in order, so that producer is the
+        first writer of the register in a deeper stage.  While its
+        result is not ready (a data hazard) nothing is captured or
+        dequeued, and the return is False.
         """
         meta = entry.meta
         (code_a, a), (code_b, b) = meta.operand_plan
         if meta.reads_reg:
             pipe = self._pipe
-            for stage in range(entry.stage + 1, self._depth):
+            for stage in self._forward_stages:
                 producer = pipe[stage]
-                if producer is None or not producer.writes_reg:
+                if producer is None or not producer.meta.writes_reg:
                     continue
                 written = producer.meta.dst_index
                 if code_a == REG and written == a:
@@ -461,9 +465,9 @@ class PipelinedPE:
                         return False
                     code_b, b = LIT, producer.value
             if code_a == REG:
-                a = self.regs.read(a)
+                a = self._reg_words[a]
             if code_b == REG:
-                b = self.regs.read(b)
+                b = self._reg_words[b]
         # LIT payloads are immediates (pre-masked) or absent sources.
         if code_a == IN:
             a = self.inputs[a].peek(0).value
@@ -497,7 +501,7 @@ class PipelinedPE:
         # soon as the ALU produces them: predictions verify here, and
         # unpredicted writes bypass into its live state early.  Without
         # +P there is no such unit, and predicates resolve at retirement.
-        if entry.writes_pred and self._predicts:
+        if meta.writes_pred and self._predicts:
             self._commit_predicate_write(entry, entry.value & 1)
             entry.pred_committed = True
 
@@ -519,7 +523,7 @@ class PipelinedPE:
             self.scratchpad.store(a & self._word_mask, b & self._word_mask)
 
         if dst_kind == DST_REG:
-            self.regs.write(meta.dst_index, value)
+            self._reg_words[meta.dst_index] = value
         elif dst_kind == DST_OUT:
             self.outputs[meta.dst_index].enqueue(value, meta.out_tag)
             self._queue_state.pending_enqs[meta.dst_index] -= 1
@@ -558,7 +562,11 @@ class PipelinedPE:
                 if other.pred_index == index and other.owner_seq > seq:
                     break
             else:
-                self.preds.write_bit(index, actual)
+                preds = self.preds
+                if actual:
+                    preds.state |= 1 << index
+                else:
+                    preds.state &= ~(1 << index)
             # The write must survive the rollback of any younger
             # speculation (their fallbacks absorb it), but a speculation
             # older than this writer would flush it, so its fallback
@@ -729,7 +737,7 @@ class PipelinedPE:
                     continue
                 (slot, seq, captured, operands, value, result_ready,
                  pred_committed) = enc
-                entry = _InFlight(self._dp_meta[slot], slot, seq, stage)
+                entry = _InFlight(self._dp_meta[slot], slot, seq)
                 entry.captured = captured
                 entry.operands = operands
                 entry.value = value
@@ -740,9 +748,7 @@ class PipelinedPE:
             self._specs = []
             for owner_seq, pred_index, predicted, fallback, forced in specs:
                 self._specs.append(_Speculation(
-                    owner_seq=owner_seq, pred_index=pred_index,
-                    predicted=predicted, fallback=fallback, forced=forced,
-                ))
+                    owner_seq, pred_index, predicted, fallback, forced))
                 next_seq = max(next_seq, owner_seq + 1)
             self._next_seq = next_seq
         if predictor != h_predictor:

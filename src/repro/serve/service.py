@@ -40,7 +40,7 @@ import time
 from repro.errors import CampaignError, WorkerTraceback
 from repro.serve import tasks as task_registry
 from repro.serve.admission import AdmissionController
-from repro.serve.store import ResultStore, task_fingerprint
+from repro.serve.store import ResultStore, canonical_json, text_fingerprint
 from repro.serve.supervisor import SupervisedTask, Supervisor, TaskOutcome
 
 #: Per-slot outcomes of a job (``Job.outcomes``).
@@ -50,9 +50,10 @@ SLOT_PENDING, SLOT_STORED, SLOT_FAILED = 0, 1, 2
 class Job:
     """One admitted campaign: an ordered list of same-kind tasks.
 
-    The payloads live only until activation hands them to their
-    :class:`~repro.serve.supervisor.SupervisedTask`; the results live
-    only in the store.  A job keeps its fingerprints and one outcome
+    The payloads and their canonical texts (encoded once, for the
+    fingerprint and the stored row) live only until activation hands
+    them to their :class:`~repro.serve.supervisor.SupervisedTask`; the
+    results live only in the store.  A job keeps its fingerprints and one outcome
     per slot (``SLOT_PENDING``, ``SLOT_STORED`` or ``SLOT_FAILED``).
     """
 
@@ -66,10 +67,13 @@ class Job:
         self.job_id = job_id
         self.kind = kind
         self.payloads: list | None = payloads
+        self.payload_texts: list[str] | None = [
+            canonical_json(payload) for payload in payloads
+        ]
         self.client = client
         self.priority = priority
         self.fingerprints = [
-            task_fingerprint(kind, payload) for payload in payloads
+            text_fingerprint(kind, text) for text in self.payload_texts
         ]
         self.state = Job.QUEUED
         self.outcomes = bytearray(len(payloads))   # every slot SLOT_PENDING
@@ -267,6 +271,7 @@ class CampaignService:
     def _activate(self, job: Job) -> None:
         self._move(job, Job.ACTIVE)
         payloads, job.payloads = job.payloads, None
+        texts, job.payload_texts = job.payload_texts, None
         stored = self.store.lookup(job.fingerprints)
         for slot, fingerprint in enumerate(job.fingerprints):
             if fingerprint in stored:
@@ -290,6 +295,7 @@ class CampaignService:
                 kind=job.kind,
                 payload=payloads[slot],
                 fingerprint=fingerprint,
+                payload_text=texts[slot],
             )
             if self.obs is not None and job.trace_id is not None:
                 span = self.obs.tracer.begin(
@@ -316,7 +322,7 @@ class CampaignService:
                     category="store",
                 )
             inserted = self.store.put(
-                task.fingerprint, task.kind, task.payload,
+                task.fingerprint, task.kind, task.payload_text,
                 outcome.result, outcome.seconds,
             )
             if commit_span is not None:

@@ -2,10 +2,11 @@
 
 The cache and checkpoint of every campaign, the CPI table's
 ``cache_path`` included.  Every task a campaign executes is keyed by a
-sha256 fingerprint over its ``(kind, payload)`` content, and the result
-of executing it is written durably — sqlite, one row per fingerprint,
-committed per put — before the service acknowledges the task as done.
-Three properties follow:
+sha256 fingerprint over its ``(kind, payload)`` content and the code
+that computes it (:func:`code_version`), and the result of executing it
+is written durably — sqlite, one row per fingerprint, committed per put
+— before the service acknowledges the task as done.  Four properties
+follow:
 
 * **dedup** — identical ``(kind, payload)`` work submitted by different
   jobs (or twice within one job) executes once; later submissions are
@@ -19,7 +20,11 @@ Three properties follow:
   rows were ever recorded per fingerprint.  ``INSERT OR IGNORE``
   semantics keep it at 1 even if two racing processes execute the same
   task, so "zero duplicated trial executions recorded in the store" is
-  checkable after a chaos run (:meth:`ResultStore.max_executions`).
+  checkable after a chaos run (:meth:`ResultStore.max_executions`);
+* **code-keyed** — an edit to any module of the ``repro`` package
+  changes every fingerprint, so a store written by other code serves
+  none of its rows; each row records the code that wrote it, and
+  ``stale_rows`` counts the rows another version wrote.
 
 A corrupt or truncated database file (torn by a mid-write power cut on
 a non-atomic filesystem, or just garbage) is moved aside to
@@ -30,6 +35,7 @@ aside the same way, and the table repopulates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,7 +50,8 @@ CREATE TABLE IF NOT EXISTS results (
     result      TEXT NOT NULL,
     seconds     REAL NOT NULL,
     created     REAL NOT NULL,
-    executions  INTEGER NOT NULL DEFAULT 1
+    executions  INTEGER NOT NULL DEFAULT 1,
+    code        TEXT NOT NULL DEFAULT ''
 );
 """
 
@@ -60,14 +67,43 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def code_version() -> str:
+    """sha256 over the ``repro`` package's module sources: every ``.py``
+    file's path (relative to the package) and content digest, in sorted
+    order.  Computed once per process (a few milliseconds)."""
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    digest = hashlib.sha256()
+    for directory, subdirs, files in os.walk(root):
+        subdirs.sort()
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, "rb") as source:
+                digest.update(f"{relative}\n".encode("utf-8"))
+                digest.update(hashlib.sha256(source.read()).digest())
+    return digest.hexdigest()
+
+
+def text_fingerprint(kind: str, payload_text: str) -> str:
+    """Fingerprint of one task whose payload is already canonical JSON
+    text: sha256 over the kind, :func:`code_version` and the text."""
+    blob = f"{kind}\n{code_version()}\n{payload_text}"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def task_fingerprint(kind: str, payload) -> str:
-    """Content fingerprint of one task: sha256 over ``(kind, payload)``.
+    """Content fingerprint of one task: sha256 over ``(kind, payload)``
+    and the code version.
 
     The payload is canonicalized (sorted keys, tight separators) so two
     dicts with different key orders fingerprint identically.
     """
-    blob = f"{kind}\n{canonical_json(payload)}"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return text_fingerprint(kind, canonical_json(payload))
 
 
 class ResultStore:
@@ -97,8 +133,7 @@ class ResultStore:
         # pump, so sqlite never sees concurrent use of the connection.
         try:
             conn = sqlite3.connect(target, check_same_thread=False)
-            conn.execute(_SCHEMA)
-            conn.commit()
+            self._prepare(conn)
             return conn
         except sqlite3.OperationalError:
             raise   # locked or unopenable: the file itself may be fine
@@ -112,9 +147,20 @@ class ResultStore:
             except OSError:
                 os.unlink(self.path)
             conn = sqlite3.connect(self.path, check_same_thread=False)
-            conn.execute(_SCHEMA)
-            conn.commit()
+            self._prepare(conn)
             return conn
+
+    @staticmethod
+    def _prepare(conn: sqlite3.Connection) -> None:
+        """Create the table, or add the ``code`` column to one written
+        before rows recorded their code (those rows then count as
+        stale: their code is unknown)."""
+        conn.execute(_SCHEMA)
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
+        if "code" not in columns:
+            conn.execute(
+                "ALTER TABLE results ADD COLUMN code TEXT NOT NULL DEFAULT ''")
+        conn.commit()
 
     # ------------------------------------------------------------------
 
@@ -173,26 +219,30 @@ class ResultStore:
         text = dict(self._select("result", fingerprints))
         return [json.loads(text[fingerprint]) for fingerprint in fingerprints]
 
-    def put(self, fingerprint: str, kind: str, payload, result,
+    def put(self, fingerprint: str, kind: str, payload_text: str, result,
             seconds: float = 0.0) -> bool:
         """Durably record one executed task's result.
 
-        Returns ``True`` when the row was inserted, ``False`` when the
-        fingerprint was already present (the stored result wins — first
-        writer take all, so the executions count never inflates).
+        ``payload_text`` is the payload's :func:`canonical_json` text,
+        the one its fingerprint was computed over; it is stored as
+        given.  Returns ``True`` when the row was inserted, ``False``
+        when the fingerprint was already present (the stored result
+        wins — first writer take all, so the executions count never
+        inflates).
         """
         self.puts += 1
         cursor = self._conn.execute(
             "INSERT OR IGNORE INTO results "
-            "(fingerprint, kind, payload, result, seconds, created) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
+            "(fingerprint, kind, payload, result, seconds, created, code) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
             (
                 fingerprint,
                 kind,
-                canonical_json(payload),
+                payload_text,
                 canonical_json(result),
                 float(seconds),
                 time.time(),
+                code_version(),
             ),
         )
         self._conn.commit()
@@ -239,6 +289,14 @@ class ResultStore:
         ).fetchone()
         return float(row[0])
 
+    def stale_rows(self) -> int:
+        """Rows written under another :func:`code_version` (or before
+        rows recorded one); no fingerprint of this code reaches them."""
+        row = self._conn.execute(
+            "SELECT COUNT(*) FROM results WHERE code != ?", (code_version(),)
+        ).fetchone()
+        return int(row[0])
+
     def kinds(self) -> dict[str, int]:
         """Stored row count per task kind."""
         return dict(
@@ -252,6 +310,7 @@ class ResultStore:
         return {
             "path": self.path,
             "rows": len(self),
+            "stale_rows": self.stale_rows(),
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,

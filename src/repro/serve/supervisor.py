@@ -129,18 +129,22 @@ class SupervisedTask:
     """One unit of work moving through the pool."""
 
     __slots__ = (
-        "task_id", "kind", "payload", "fingerprint",
+        "task_id", "kind", "payload", "fingerprint", "payload_text",
         "attempts", "failures", "submitted_at",
         "trace_id", "span_id", "queue_span", "enqueued_at",
     )
 
     def __init__(self, task_id: str, kind: str, payload: dict,
-                 fingerprint: str, trace_id: str | None = None,
+                 fingerprint: str, payload_text: str = "",
+                 trace_id: str | None = None,
                  span_id: str | None = None) -> None:
         self.task_id = task_id
         self.kind = kind
         self.payload = payload
         self.fingerprint = fingerprint
+        #: The payload's canonical JSON, as fingerprinted; the store
+        #: keeps it as the row's payload.
+        self.payload_text = payload_text
         self.attempts = 0
         #: Attempt-history records for the forensic report.
         self.failures: list[dict] = []

@@ -14,7 +14,7 @@ from repro.dse.sweep import close_grid, frequency_grid, sweep, voltage_grid
 from repro.errors import CampaignError, SynthesisError
 from repro.params import DEFAULT_PARAMS
 from repro.pipeline.config import all_configs, config_by_name
-from repro.serve.store import ResultStore, task_fingerprint
+from repro.serve.store import ResultStore, canonical_json, task_fingerprint
 from repro.vlsi.synthesis import fmax, synthesize
 from repro.vlsi.technology import TECH65, VtFlavor
 
@@ -324,7 +324,8 @@ class TestCpiTable:
                    "params": dataclasses.asdict(DEFAULT_PARAMS)}
         with ResultStore(cache) as store:
             store.put(task_fingerprint("cpi-config", payload), "cpi-config",
-                      payload, [config.name, 9.0, {"retired": 9.0}])
+                      canonical_json(payload),
+                      [config.name, 9.0, {"retired": 9.0}])
         table = CpiTable(scale=4, cache_path=cache)
         assert table.cpi(config) != 9.0
         assert cpi_runs == [config.name]

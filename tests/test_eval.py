@@ -1,6 +1,7 @@
 """The per-exhibit reproduction harness: shape claims of every figure."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -300,3 +301,60 @@ class TestWarmRerun:
         export_all(str(tmp_path / "csv"), scale=4, cache_path=cache)
         assert calls == [] and cpi_runs == []
         assert campaigns == [("suite-run", 33)]
+
+
+class TestStoreKeyedByCode:
+    #: A report in a fresh process on the package under ``src``: the
+    #: report's sha256 and the store's row counts afterwards.
+    _REPORT = (
+        "import hashlib, json, sys\n"
+        "from repro.eval.report import full_report\n"
+        "from repro.serve.store import ResultStore\n"
+        "text = full_report(scale=4, cache_path=sys.argv[1])\n"
+        "with ResultStore(sys.argv[1]) as store:\n"
+        "    stats = store.stats()\n"
+        "print(json.dumps({'sha': hashlib.sha256(text.encode()).hexdigest(),\n"
+        "                  'rows': stats['rows'],\n"
+        "                  'stale': stats['stale_rows']}))\n"
+    )
+
+    def _report(self, src, cache) -> dict:
+        import json
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_WORKERS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", self._REPORT, str(cache)], env=env,
+            capture_output=True, text=True, timeout=600, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_edited_simulator_resimulates_over_a_warm_store(self, tmp_path):
+        """A store written before a simulator edit serves none of its
+        rows: in a copy of the package whose +P issue offers no
+        prediction, a report over the store the unedited copy filled
+        simulates again and equals a cold report of the edited copy,
+        not the store's; the old rows count as stale."""
+        import shutil
+
+        import repro
+
+        src = tmp_path / "src"
+        shutil.copytree(os.path.dirname(repro.__file__), src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        store = tmp_path / "cpi.sqlite"
+        before = self._report(src, store)
+        assert (before["rows"], before["stale"]) == (33, 0)
+
+        core = src / "repro" / "pipeline" / "core.py"
+        text = core.read_text()
+        offer = "if (meta.writes_pred and self._predicts"
+        assert text.count(offer) == 1
+        core.write_text(text.replace(
+            offer, "if (meta.writes_pred and False and self._predicts"))
+        warm = self._report(src, store)
+        cold = self._report(src, tmp_path / "fresh.sqlite")
+        assert warm["sha"] == cold["sha"] != before["sha"]
+        assert (warm["rows"], warm["stale"]) == (66, 33)
+        assert (cold["rows"], cold["stale"]) == (33, 0)

@@ -22,7 +22,7 @@ import repro.jit.cache as jit_cache
 from repro.asm import assemble
 from repro.errors import SimulationError
 from repro.isa import alu
-from repro.jit import CODEGEN_VERSION, generate_source, jit_metrics
+from repro.jit import CODEGEN_VERSION, body_name, generate_source, jit_metrics
 from repro.params import DEFAULT_PARAMS as P
 from repro.pipeline import PipelinedPE, config_by_name
 from repro.pipeline.config import all_configs
@@ -247,12 +247,27 @@ def test_generated_source_holds_no_program_or_queue_status_constant():
         compile(src, cfg.name, "exec")
 
 
-def test_pes_of_one_config_share_one_module_for_the_process():
+def test_configs_of_one_body_share_its_source():
+    """The queue-status policy never reaches the generated walk: the 48
+    configs emit 16 distinct sources, one per body name (partition and
+    ±P), and every config of a body name emits the same text."""
+    sources: dict[str, set[str]] = {}
+    for cfg in ALL_CONFIGS:
+        sources.setdefault(body_name(cfg), set()).add(generate_source(cfg))
+    assert len(sources) == 16
+    assert all(len(texts) == 1 for texts in sources.values())
+    assert len({text for texts in sources.values() for text in texts}) == 16
+
+
+def test_pes_of_one_config_share_one_module_for_the_process(monkeypatch):
     """PEs of one config share its module whatever their programs, and
     the module outlives them: a PE built after they are gone binds the
-    same one without compiling."""
-    # A config no other test builds, so its first PE compiles.
+    same one without compiling.  A config of the same body but another
+    queue policy binds it too."""
     cfg = config_by_name("T|D|X1|X2 +P+Q").with_options(speculative_depth=7)
+    # Forget the body's module (restored at teardown), so the first PE
+    # compiles it.
+    monkeypatch.delitem(jit_cache._MODULES, body_name(cfg), raising=False)
     programs = [assemble(_LOOP, P), assemble(_LOOP.replace("$40", "$9"), P)]
     base = jit_metrics()
     pes = []
@@ -271,6 +286,9 @@ def test_pes_of_one_config_share_one_module_for_the_process():
     late = PipelinedPE(cfg, P, name="late")
     programs[0].configure(late)
     assert late._jit is module
+    sibling = PipelinedPE(config_by_name("T|D|X1|X2 +P"), P, name="sibling")
+    programs[1].configure(sibling)
+    assert sibling._jit is module
     assert jit_metrics()["misses"] == stats["misses"]
     assert jit_metrics()["entries"] == stats["entries"]
 
@@ -289,8 +307,8 @@ def _pipelined(name: str) -> PipelinedPE:
 @pytest.fixture
 def compiled(monkeypatch) -> list[str]:
     """Names of the PEs that ran ``_CFG``'s compiled cycle, one entry
-    per cycle: a spy replaces the config's function before any PE of
-    the test binds it."""
+    per cycle: a spy replaces its body's function before any PE of the
+    test binds it."""
     names: list[str] = []
     original = jit_cache.acquire(_CFG)
 
@@ -298,7 +316,7 @@ def compiled(monkeypatch) -> list[str]:
         names.append(pe.name)
         return original(pe)
 
-    monkeypatch.setitem(jit_cache._MODULES, _CFG, spy)
+    monkeypatch.setitem(jit_cache._MODULES, body_name(_CFG), spy)
     return names
 
 
@@ -310,7 +328,7 @@ def test_every_fast_path_pe_runs_compiled_from_cycle_0(compiled):
     run = run_workload("udiv", scale=8, make_pe=_pipelined)
     after = jit_metrics()
     for pe in run.system.pes:
-        assert pe._jit is jit_cache._MODULES[_CFG]
+        assert pe._jit is jit_cache._MODULES[body_name(_CFG)]
     worker = run.system.pe("worker")
     assert compiled.count("worker") == worker.counters.cycles > 0
     assert after["misses"] <= before["misses"] + 1
@@ -363,7 +381,9 @@ def test_fuzz_batches_and_short_kernels_compile_at_most_one_module_per_config(
     run_workload("gcd", scale=24, make_pe=_pipelined)
     assert not any(real_divergences(result) for result in first)
     after_first = jit_metrics()
-    assert after_first["entries"] - before <= len(ALL_CONFIGS)
+    # Modules are per body: 16 for the 48 configs.
+    assert after_first["entries"] - before <= len(
+        {body_name(cfg) for cfg in ALL_CONFIGS})
     again = fuzz_run(3, 7700, ref_configs=0)
     run_workload("gcd", scale=24, make_pe=_pipelined)
     after_again = jit_metrics()
@@ -460,16 +480,20 @@ def test_fault_trials_match_on_compiled_and_interpreted_workers(
 
 def test_module_memory_stays_bounded_after_a_cpi_campaign(monkeypatch):
     """A CPI campaign over eight configs holds at most one module per
-    config, and running it again compiles nothing."""
+    body (four: two partitions, ±P), and running it again compiles
+    nothing."""
     from repro.dse.cpi import CpiTable
 
     monkeypatch.setenv("REPRO_WORKERS", "1")    # run the tasks in-process
+    configs = all_configs()[:8]
     before = jit_metrics()
-    CpiTable(scale=8).populate(all_configs()[:8])
+    CpiTable(scale=8).populate(configs)
     first = jit_metrics()
-    CpiTable(scale=8).populate(all_configs()[:8])
+    CpiTable(scale=8).populate(configs)
     second = jit_metrics()
-    assert first["entries"] <= before["entries"] + 8
+    bodies = {body_name(cfg) for cfg in configs}
+    assert len(bodies) == 4
+    assert first["entries"] <= before["entries"] + len(bodies)
     assert first["hits"] - before["hits"] >= 8 * 10
     assert second["misses"] == first["misses"]
     assert second["entries"] == first["entries"]

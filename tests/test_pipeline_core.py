@@ -287,3 +287,50 @@ class TestReset:
             pe.step()
             pe.commit_queues()
         assert pe.regs.read(2) == (5 + 6 + 7) * 3
+
+
+class TestCaptureStage:
+    """Operands are captured only in the decode stage: forwarding scans
+    the stages past it, so an in-flight entry needs no stage field.
+    Every ``_capture`` call, from the compiled cycle, the interpreter or
+    the reference walk, must find its entry in ``pipe[decode_stage]``."""
+
+    @pytest.fixture
+    def captures(self, monkeypatch) -> list[str]:
+        """The config names of the checked ``_capture`` calls."""
+        seen: list[str] = []
+        original = PipelinedPE._capture
+
+        def checked(pe, entry):
+            assert pe._pipe[pe.config.decode_stage] is entry, pe.config.name
+            seen.append(pe.config.name)
+            return original(pe, entry)
+
+        monkeypatch.setattr(PipelinedPE, "_capture", checked)
+        return seen
+
+    def test_every_workload_on_every_config(self, captures):
+        from repro.workloads.suite import WORKLOADS, run_workload
+
+        configs = all_configs(include_padded=True)
+        for config in configs:
+            for workload in WORKLOADS():
+                run_workload(workload, scale=2, make_pe=lambda name, c=config:
+                             PipelinedPE(c, name=name))
+        assert {name for name in captures} == {c.name for c in configs}
+
+    def test_fuzz_corpus_on_every_config_and_executor(self, captures):
+        import os
+
+        from repro.params import DEFAULT_PARAMS
+        from repro.verify.corpus import load_corpus
+        from repro.verify.harness import check_case
+
+        corpus = load_corpus(os.path.join(os.path.dirname(__file__), "corpus"))
+        assert corpus
+        for path, case in corpus:
+            # Compiled and interpreter legs on all 48 configs, and the
+            # reference walk on all 48 too.
+            result = check_case(case, DEFAULT_PARAMS, ref_configs=48, jit=True)
+            assert result["divergences"] == [], path
+        assert len(set(captures)) == 48

@@ -207,7 +207,7 @@ class TestCompiledEvaluate:
         compiled = sched.evaluate(
             program, pred_state, view(queues),
             pending_predicates=pending, forbid_side_effects=forbid,
-            compiled=compile_program(program),
+            compiled=compile_program(program, P.num_preds),
         )
         assert compiled.kind is reference.kind
         assert compiled.index == reference.index
@@ -297,7 +297,7 @@ class TestIndexedWalk:
         program = _fuzz_program(seed)
         # One table for the three views: the later two read candidates
         # the first one filled.
-        compiled = compile_program(program)
+        compiled = compile_program(program, P.num_preds)
         inputs, outputs, in_flight = state
         sched = Scheduler()
         for view in (

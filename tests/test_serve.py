@@ -10,6 +10,7 @@ uninterrupted serial run, with zero duplicated executions) runs the
 same orchestrator as ``python -m repro.serve --chaos``, scaled down.
 """
 
+import contextlib
 import gc
 import json
 import multiprocessing
@@ -51,7 +52,7 @@ class TestResultStore:
     def test_put_get_roundtrip(self):
         with ResultStore() as store:
             fp = task_fingerprint("chaos-echo", {"value": 1})
-            assert store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
+            assert store.put(fp, "chaos-echo", canonical_json({"value": 1}), {"echo": 1})
             assert store.get(fp) == {"echo": 1}
             assert fp in store
             assert len(store) == 1
@@ -66,8 +67,8 @@ class TestResultStore:
     def test_duplicate_put_keeps_first_result(self):
         with ResultStore() as store:
             fp = task_fingerprint("chaos-echo", {"value": 1})
-            assert store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
-            assert not store.put(fp, "chaos-echo", {"value": 1}, {"echo": 99})
+            assert store.put(fp, "chaos-echo", canonical_json({"value": 1}), {"echo": 1})
+            assert not store.put(fp, "chaos-echo", canonical_json({"value": 1}), {"echo": 99})
             assert store.get(fp) == {"echo": 1}
             assert store.duplicate_puts == 1
             assert store.executions(fp) == 1
@@ -77,7 +78,7 @@ class TestResultStore:
         path = str(tmp_path / "store.sqlite")
         fp = task_fingerprint("chaos-echo", {"value": 7})
         with ResultStore(path) as store:
-            store.put(fp, "chaos-echo", {"value": 7}, {"echo": 7})
+            store.put(fp, "chaos-echo", canonical_json({"value": 7}), {"echo": 7})
         with ResultStore(path) as store:
             assert store.get(fp) == {"echo": 7}
             assert store.kinds() == {"chaos-echo": 1}
@@ -90,7 +91,7 @@ class TestResultStore:
             assert store.recovered_corrupt
             assert len(store) == 0
             fp = task_fingerprint("chaos-echo", {"value": 1})
-            store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
+            store.put(fp, "chaos-echo", canonical_json({"value": 1}), {"echo": 1})
             assert store.get(fp) == {"echo": 1}
         assert os.path.exists(path + ".corrupt")
 
@@ -111,7 +112,7 @@ class TestResultStore:
     def test_lookup_counts_a_hit_or_miss_per_entry(self):
         with ResultStore() as store:
             fp = task_fingerprint("chaos-echo", {"value": 1})
-            store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
+            store.put(fp, "chaos-echo", canonical_json({"value": 1}), {"echo": 1})
             assert store.lookup([fp, "absent", fp]) == {fp}
             assert (store.hits, store.misses) == (2, 1)
             store.read([fp])    # a read-back, not a lookup
@@ -123,7 +124,7 @@ class TestResultStore:
             fps = [task_fingerprint("chaos-echo", {"value": i})
                    for i in range(5)]
             for i, fp in enumerate(fps):
-                store.put(fp, "chaos-echo", {"value": i}, {"echo": [i]})
+                store.put(fp, "chaos-echo", canonical_json({"value": i}), {"echo": [i]})
             wanted = [fps[4], fps[0], fps[4], fps[2], fps[1], fps[3]]
             rows = store.read(wanted)
             assert rows == [{"echo": [i]} for i in (4, 0, 4, 2, 1, 3)]
@@ -137,7 +138,7 @@ class TestResultStore:
         # most 32,766 parameters.
         with ResultStore() as store:
             fp = task_fingerprint("chaos-echo", {"value": 1})
-            store.put(fp, "chaos-echo", {"value": 1}, {"echo": 1})
+            store.put(fp, "chaos-echo", canonical_json({"value": 1}), {"echo": 1})
             fps = [f"{i:064x}" for i in range(40_000)] + [fp]
             assert store.lookup(fps) == {fp}
             assert store.misses == 40_000
@@ -157,6 +158,39 @@ class TestFingerprint:
 
     def test_canonical_json_is_tight_and_sorted(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+    def test_code_version_is_folded_in(self, monkeypatch):
+        """Other code fingerprints every task differently, so a store
+        it wrote serves nothing here; its rows count as stale."""
+        version = store_mod.code_version()
+        assert len(version) == 64 and version == store_mod.code_version()
+        ours = task_fingerprint("k", {"x": 1})
+        with ResultStore() as store:
+            store.put(ours, "k", canonical_json({"x": 1}), {"y": 1})
+            monkeypatch.setattr(store_mod, "code_version", lambda: "edited")
+            theirs = task_fingerprint("k", {"x": 1})
+            assert theirs != ours
+            assert store.lookup([theirs]) == set()
+            store.put(theirs, "k", canonical_json({"x": 1}), {"y": 2})
+            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (2, 1)
+
+    def test_rows_of_a_store_without_code_are_stale(self, tmp_path):
+        """A store file written before rows recorded their code gains the
+        column on open, and its rows count as stale."""
+        import sqlite3
+
+        path = str(tmp_path / "old.sqlite")
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            conn.execute(
+                "CREATE TABLE results (fingerprint TEXT PRIMARY KEY, kind TEXT"
+                " NOT NULL, payload TEXT NOT NULL, result TEXT NOT NULL,"
+                " seconds REAL NOT NULL, created REAL NOT NULL,"
+                " executions INTEGER NOT NULL DEFAULT 1)")
+            conn.execute("INSERT INTO results VALUES ('f', 'k', '{}', '1', 0, 0, 1)")
+            conn.commit()
+        with ResultStore(path) as store:
+            assert store.get("f") == 1
+            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -455,6 +489,33 @@ class TestStoreHoldsTheResults:
     """A finished job keeps fingerprints and per-slot outcomes; its
     results are read back from the store's rows."""
 
+    def test_stored_payload_is_the_fingerprinted_text(self, tmp_path,
+                                                      monkeypatch):
+        """The payload column holds, byte for byte, the canonical text
+        the job's fingerprint was computed over, and landing a result
+        encodes the result alone."""
+        import sqlite3
+
+        encoded = []
+        canonical = store_mod.canonical_json
+
+        def spy(value):
+            encoded.append(value)
+            return canonical(value)
+
+        payloads = [{"value": i, "pad": {"b": 2, "a": [i, "é"]}}
+                    for i in range(4)]
+        path = str(tmp_path / "store.sqlite")
+        with CampaignService(path, serial=True) as service:
+            job = service.submit("chaos-echo", payloads)
+            monkeypatch.setattr(store_mod, "canonical_json", spy)
+            results = service.wait(job, timeout=60.0)
+        assert encoded == results == [{"echo": i} for i in range(4)]
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            rows = dict(conn.execute("SELECT fingerprint, payload FROM results"))
+        assert [rows[fp] for fp in job.fingerprints] == [
+            canonical(payload) for payload in payloads]
+
     def test_finished_jobs_retain_no_payloads_or_results(self):
         # Each job has four tasks whose payload and result are ~3 KB
         # each; a job that kept either would retain over 12 KB.
@@ -528,8 +589,8 @@ class TestStoreHoldsTheResults:
 
         def run(payload):
             with ResultStore(path) as rival:
-                rival.put(task_fingerprint(kind, payload), kind, payload,
-                          {"writer": "rival"})
+                rival.put(task_fingerprint(kind, payload), kind,
+                          canonical_json(payload), {"writer": "rival"})
             return {"writer": "service"}
 
         monkeypatch.setitem(task_registry._REGISTRY, kind,

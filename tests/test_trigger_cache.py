@@ -73,7 +73,7 @@ class TestCompiledTrigger:
                 deq=(1,),
             ),
         )
-        [d] = compile_program([ins]).descriptors
+        [d] = compile_program([ins], P.num_preds).descriptors
         assert d.index == 0
         assert d.pred_on == 0b0101 and d.pred_off == 0b1010
         assert d.watched == 0b1111
@@ -84,7 +84,7 @@ class TestCompiledTrigger:
 
     def test_invalid_slots_dropped_but_indices_kept(self):
         program = [make_nop(), _ins(), make_nop(), _ins()]
-        compiled = compile_program(program)
+        compiled = compile_program(program, P.num_preds)
         assert [d.index for d in compiled.descriptors] == [1, 3]
 
 
@@ -259,3 +259,43 @@ class TestLoweringIsShared:
         assert pe.instructions == tuple(program.instructions)
         with pytest.raises(SimulationError, match="NIns"):
             pe.load_program([_ins()] * (P.num_instructions + 1))
+
+
+class TestLoweringRejectsOutOfRangeIndices:
+    """The PEs index register and predicate storage and their queue
+    lists directly at the lowered indices, so :func:`lower_program`
+    must refuse every index outside the parameters."""
+
+    def _refused(self, **fields):
+        with pytest.raises(EncodingError, match="out of range|only"):
+            lower_program([_ins(**fields)], P)
+
+    def _dp(self, srcs=(Operand.reg(0),), dst=None, deq=()):
+        return DatapathOp(op=op_by_name("mov"), srcs=srcs,
+                          dst=dst or Destination.reg(0), deq=deq)
+
+    @pytest.mark.parametrize("index", [-1, P.num_regs])
+    def test_register_source_and_destination(self, index):
+        self._refused(dp=self._dp(srcs=(Operand.reg(index),)))
+        self._refused(dp=self._dp(dst=Destination.reg(index)))
+
+    @pytest.mark.parametrize("index", [-1, P.num_preds])
+    def test_predicate_destination(self, index):
+        self._refused(dp=self._dp(dst=Destination.predicate(index)))
+
+    @pytest.mark.parametrize("index", [-1, P.num_input_queues])
+    def test_input_queue_source_dequeue_and_tag_check(self, index):
+        self._refused(dp=self._dp(srcs=(Operand.input_queue(index),)))
+        self._refused(dp=self._dp(deq=(index,)))
+        self._refused(trigger=Trigger(tag_checks=(TagCheck(queue=index, tag=0),)))
+
+    @pytest.mark.parametrize("index", [-1, P.num_output_queues])
+    def test_output_queue_destination(self, index):
+        self._refused(dp=self._dp(dst=Destination.output_queue(index, 0)))
+
+    def test_in_range_indices_lower(self):
+        top = self._dp(srcs=(Operand.reg(P.num_regs - 1),),
+                       dst=Destination.output_queue(P.num_output_queues - 1, 0),
+                       deq=(P.num_input_queues - 1,))
+        lowering = lower_program([_ins(dp=top)], P)
+        assert lowering.datapaths[0].out_queue == P.num_output_queues - 1
