@@ -12,8 +12,7 @@ Three layers:
 * :mod:`repro.analyze.perf` — static CPI/throughput bounds per
   (program, pipeline config) by cycle-mean analysis over the weighted
   firing-transition graph (:mod:`repro.analyze.graph`), validated to
-  bracket the simulator and consumed by the DSE pruning oracle
-  (:mod:`repro.dse.prune`).
+  bracket the simulator.
 
 A fourth layer proves rather than lints:
 
@@ -66,7 +65,6 @@ from repro.analyze.perf import (
     PerfAnalyzer,
     PerfBounds,
     bracket_check,
-    config_lower_bounds,
     program_bounds,
     workload_bounds,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "check_program",
     "checkable_workloads",
     "checker_oracle",
-    "config_lower_bounds",
     "confirm_speculation_window",
     "count_by_severity",
     "crossval_case",

@@ -11,9 +11,7 @@ The two bounds have different contracts:
 * the **lower bound** is proved: every edge weight in the ``lower``
   graph is a minimum issue interval derived from the simulator's phase
   ordering, so the minimum cycle mean under-approximates steady-state
-  CPI.  This is the side the DSE pruning oracle (:mod:`repro.dse.prune`)
-  relies on — pruning is only sound because a design point's *best
-  possible* metrics come from a *lower* bound on its CPI.
+  CPI.
 * the **upper bound** is engineering-grade: worst-case local weights
   (mispredict flushes, RAW capture stalls, conservative queue status)
   plus generous environment slack (memory round trips, producer-PE
@@ -422,36 +420,6 @@ def workload_bounds(
     """Static bounds for one workload's worker under one config."""
     analyzer, worker = workload_analyzer(name, params, scale, seed)
     return analyzer.bounds(worker, config)
-
-
-def config_lower_bounds(
-    configs: list[PipelineConfig],
-    params: ArchParams = DEFAULT_PARAMS,
-    workloads: list[str] | None = None,
-    scale: int = 8,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Workload-average CPI lower bound per config — the pruning oracle.
-
-    The mean of per-workload lower bounds is a lower bound of the mean
-    measured CPI (the quantity :class:`repro.dse.cpi.CpiTable` records),
-    so :mod:`repro.dse.prune` may project a config's best-case design
-    points from these numbers without ever simulating.
-    """
-    from repro.workloads.suite import WORKLOADS
-
-    names = workloads if workloads is not None else WORKLOADS()
-    analyzers = [workload_analyzer(name, params, scale, seed)
-                 for name in names]
-    bounds: dict[str, float] = {}
-    for config in configs:
-        total = 0.0
-        for analyzer, worker in analyzers:
-            lower_graph, upper_graph = analyzer.graphs(worker, config)
-            lo, _up = _intra_bounds(lower_graph, upper_graph)
-            total += lo
-        bounds[config.name] = total / max(1, len(analyzers))
-    return bounds
 
 
 # ----------------------------------------------------------------------

@@ -177,27 +177,6 @@ class Scheduler:
                         return forbidden if forbid_side_effects else fires
         return if_forbidden if forbid_side_effects else outcome
 
-    def triggered_indices(
-        self,
-        instructions: list[Instruction],
-        pred_state: int,
-        view: QueueStatusView,
-        pending_predicates: int = 0,
-    ) -> list[int]:
-        """All instruction slots whose triggers are satisfied (telemetry).
-
-        Honors ``pending_predicates`` the way issue does: a slot whose
-        trigger inspects a predicate with an in-flight write has
-        *unknown* eligibility and is not reported as triggered, rather
-        than pending bits being silently read as stable.
-        """
-        return [
-            index
-            for index, ins in enumerate(instructions)
-            if self._eligibility(ins, pred_state, view, pending_predicates)
-            is _Eligibility.TRIGGERED
-        ]
-
     def _eligibility(
         self,
         ins: Instruction,

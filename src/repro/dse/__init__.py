@@ -2,15 +2,12 @@
 
 from repro.dse.design_point import DesignPoint
 from repro.dse.cpi import CpiTable
-from repro.dse.prune import PruneOracle, PruneStats
 from repro.dse.sweep import close_grid, sweep, voltage_grid, frequency_grid
 from repro.dse.pareto import pareto_frontier
 
 __all__ = [
     "DesignPoint",
     "CpiTable",
-    "PruneOracle",
-    "PruneStats",
     "close_grid",
     "sweep",
     "voltage_grid",

@@ -71,17 +71,13 @@ def corner_table(
     )
 
 
-def close_grid(
-    config: PipelineConfig,
-    tech: Technology = TECH65,
-    include_fmax_points: bool = True,
-):
-    """Close one config's (VT, VDD, f) synthesis grid — no CPI needed.
+def close_grid(config: PipelineConfig):
+    """Close one config's (VT, VDD, f) synthesis grid at ``TECH65``,
+    with each corner's f_max point — no CPI needed.
 
     Synthesis depends only on the microarchitecture and the electrical
     corner, so the grid can be closed before (or without) the expensive
-    CPI campaign; :mod:`repro.dse.prune` exploits exactly that to
-    project best-case metrics from static CPI lower bounds.
+    CPI campaign.
 
     Each point equals what :func:`repro.vlsi.synthesis.synthesize`
     returns for it, but what only the config fixes (critical path,
@@ -92,60 +88,36 @@ def close_grid(
     """
     constants = config_constants(config)
     results = []
-    for at, targets in corner_table(tech):
+    for at, targets in corner_table(TECH65):
         ceiling = corner_fmax(constants.critical_fo4, at)
         results += [close_point(constants, at, f, size, growth, ceiling)
                     for f, size, growth in targets if f <= ceiling]
-        if include_fmax_points:
-            results.append(close_point(constants, at, ceiling,
-                                       *target_terms(ceiling), ceiling))
+        results.append(close_point(constants, at, ceiling,
+                                   *target_terms(ceiling), ceiling))
     return results
 
 
 def sweep(
     configs: list[PipelineConfig] | None = None,
     cpi_table: CpiTable | None = None,
-    tech: Technology = TECH65,
-    include_fmax_points: bool = True,
-    service=None,
-    prune=None,
 ) -> list[DesignPoint]:
     """Close every feasible design point in the characterized space.
 
     The per-config CPI campaign runs through ``cpi_table.populate``
     (``suite-run`` tasks on the campaign service); the synthesis grids
     are then closed in-process by :func:`close_grid`, config-major, so
-    the returned point list is identical however the campaign ran.
-
-    ``service`` (a :mod:`repro.serve` client) runs the CPI campaign on
-    that service: results are unchanged, but identical work is deduped
-    against its durable store and an interrupted sweep resumes from its
-    completed configs.
-
-    ``prune`` (a :class:`repro.dse.prune.PruneOracle`) short-circuits
-    the CPI campaign for configs whose entire best-case grid — projected
-    from the static CPI lower bound of :mod:`repro.analyze.perf` — is
-    already dominated by measured points.  Pruned points are omitted
-    from the returned list, but the Pareto frontier of the result is
-    identical to the unpruned sweep's (see :mod:`repro.dse.prune` for
-    the argument); pruned/evaluated counts land in ``prune.stats`` and
-    the ``repro.dse.prune`` logger.
+    the returned point list is identical however the campaign ran.  To
+    run the campaign on a long-lived service, populate the table on it
+    first (``cpi_table.populate(configs, service=client)``); the
+    sweep's own ``populate`` then finds nothing missing.
     """
     if configs is None:
         configs = all_configs()
     if cpi_table is None:
         cpi_table = CpiTable()
-    if prune is not None:
-        from repro.dse.prune import pruned_sweep
-
-        return pruned_sweep(
-            configs, cpi_table, prune, tech=tech,
-            include_fmax_points=include_fmax_points, service=service,
-        )
-    cpi_table.populate(configs, service=service)
+    cpi_table.populate(configs)
     points: list[DesignPoint] = []
     for config in configs:
         cpi = cpi_table.cpi(config)
-        points += [DesignPoint(result, cpi)
-                   for result in close_grid(config, tech, include_fmax_points)]
+        points += [DesignPoint(result, cpi) for result in close_grid(config)]
     return points

@@ -48,10 +48,6 @@ class Operand:
     index: int = 0  # register / input queue index; ignored for NONE and IMM
 
     @staticmethod
-    def none() -> "Operand":
-        return Operand(OperandType.NONE)
-
-    @staticmethod
     def reg(index: int) -> "Operand":
         return Operand(OperandType.REG, index)
 

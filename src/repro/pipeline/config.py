@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from repro.errors import ConfigError
@@ -105,10 +105,6 @@ class PipelineConfig:
             if phase in stage:
                 return index
         raise ConfigError(f"no stage contains phase {phase!r}")
-
-    @property
-    def trigger_stage(self) -> int:
-        return 0
 
     @cached_property
     def decode_stage(self) -> int:

@@ -111,10 +111,6 @@ class FaultInjector:
         if pe.fault_hook == self._fire:
             pe.fault_hook = None
 
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self.specs)
-
     def _fire(self, pe) -> None:
         cycle = pe.counters.cycles
         while self._next < len(self.specs) and self.specs[self._next].cycle <= cycle:

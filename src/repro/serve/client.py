@@ -2,7 +2,7 @@
 
 Both clients expose the same one-call surface the in-tree campaigns
 need — ``map(kind, payloads) -> ordered results`` — so
-:meth:`repro.dse.cpi.CpiTable.populate`, :func:`repro.dse.sweep.sweep`,
+:meth:`repro.dse.cpi.CpiTable.populate`,
 :func:`repro.resilience.campaign.fault_campaign`, and
 :func:`repro.verify.runner.fuzz_run` can hand their fan-out to the
 hardened tier by passing ``service=<client>`` without changing their

@@ -12,7 +12,7 @@ timing loops around it, so the same service instance backs the
 in-process client, the HTTP frontend, and the tests' hand-cranked pumps.
 
 It is also the only campaign executor: :func:`run_campaign` is how
-:class:`repro.dse.cpi.CpiTable`, :func:`repro.dse.sweep.sweep`,
+:class:`repro.dse.cpi.CpiTable`,
 :func:`repro.resilience.campaign.fault_campaign` and
 :func:`repro.verify.runner.fuzz_run` run their tasks — on the caller's
 ``service=`` client, or on a throwaway in-process service that runs

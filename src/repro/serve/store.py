@@ -24,7 +24,8 @@ follow:
 * **code-keyed** — an edit to any module of the ``repro`` package
   changes every fingerprint, so a store written by other code serves
   none of its rows; each row records the code that wrote it, and
-  ``stale_rows`` counts the rows another version wrote.
+  opening a store deletes the rows another version wrote
+  (``stale_rows`` counts them).
 
 A corrupt or truncated database file (torn by a mid-write power cut on
 a non-atomic filesystem, or just garbage) is moved aside to
@@ -123,6 +124,8 @@ class ResultStore:
         #: writer won); the duplicate result is discarded, not recorded.
         self.duplicate_puts = 0
         self.recovered_corrupt = False
+        #: Rows written by another :func:`code_version`, deleted at open.
+        self.stale_rows = 0
         self._conn = self._connect()
 
     def _connect(self) -> sqlite3.Connection:
@@ -133,7 +136,7 @@ class ResultStore:
         # pump, so sqlite never sees concurrent use of the connection.
         try:
             conn = sqlite3.connect(target, check_same_thread=False)
-            self._prepare(conn)
+            self.stale_rows = self._prepare(conn)
             return conn
         except sqlite3.OperationalError:
             raise   # locked or unopenable: the file itself may be fine
@@ -151,16 +154,25 @@ class ResultStore:
             return conn
 
     @staticmethod
-    def _prepare(conn: sqlite3.Connection) -> None:
+    def _prepare(conn: sqlite3.Connection) -> int:
         """Create the table, or add the ``code`` column to one written
-        before rows recorded their code (those rows then count as
-        stale: their code is unknown)."""
+        before rows recorded their code, then delete the rows another
+        :func:`code_version` wrote (those without a code included): no
+        fingerprint of this code reaches them.  Returns how many went;
+        a store holding none is only read, so opening it takes no write
+        lock."""
         conn.execute(_SCHEMA)
         columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
         if "code" not in columns:
             conn.execute(
                 "ALTER TABLE results ADD COLUMN code TEXT NOT NULL DEFAULT ''")
+        version = (code_version(),)
+        stale = conn.execute("SELECT COUNT(*) FROM results WHERE code != ?",
+                             version).fetchone()[0]
+        if stale:
+            conn.execute("DELETE FROM results WHERE code != ?", version)
         conn.commit()
+        return stale
 
     # ------------------------------------------------------------------
 
@@ -289,14 +301,6 @@ class ResultStore:
         ).fetchone()
         return float(row[0])
 
-    def stale_rows(self) -> int:
-        """Rows written under another :func:`code_version` (or before
-        rows recorded one); no fingerprint of this code reaches them."""
-        row = self._conn.execute(
-            "SELECT COUNT(*) FROM results WHERE code != ?", (code_version(),)
-        ).fetchone()
-        return int(row[0])
-
     def kinds(self) -> dict[str, int]:
         """Stored row count per task kind."""
         return dict(
@@ -310,7 +314,7 @@ class ResultStore:
         return {
             "path": self.path,
             "rows": len(self),
-            "stale_rows": self.stale_rows(),
+            "stale_rows": self.stale_rows,
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,

@@ -30,7 +30,6 @@ from repro.verify.harness import (
     CONFIG_NAMES,
     CONFIGS,
     check_case,
-    check_roundtrip,
     real_divergences,
     reference_config_names,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "case_source",
     "case_streams",
     "check_case",
-    "check_roundtrip",
     "fuzz_run",
     "generate_case",
     "load_case",

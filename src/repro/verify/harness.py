@@ -218,15 +218,9 @@ def _diff_states(golden: dict, candidate: dict) -> list[str]:
     return fields
 
 
-def check_roundtrip(case: dict,
-                    params: ArchParams = DEFAULT_PARAMS) -> list[dict]:
-    """Assembler/disassembler and binary encode/decode round trips."""
-    program = assemble(case_source(case, params), params, name=case["name"])
-    return _roundtrip_divergences(program, params)
-
-
 def _roundtrip_divergences(program, params: ArchParams) -> list[dict]:
-    """:func:`check_roundtrip` on an assembled case."""
+    """Assembler/disassembler and binary encode/decode round trips of
+    an assembled case."""
     divergences = []
     redisassembled = disassemble(program.instructions, params,
                                  program.initial_predicates)

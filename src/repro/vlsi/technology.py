@@ -73,9 +73,6 @@ class Technology:
 
     name: str = "tsmc65gp-model"
 
-    def vth(self, vt: VtFlavor) -> float:
-        return _VTH[vt]
-
     def fo4_delay(self, vdd: float, vt: VtFlavor) -> float:
         """FO4 inverter delay in seconds at the given supply and flavor."""
         if not _VDD_MIN <= vdd <= _VDD_MAX:

@@ -9,7 +9,6 @@ import pytest
 from repro.dse.cpi import FUNCTIONAL, CpiTable
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import frontier_span, pareto_frontier
-from repro.dse.prune import PruneOracle
 from repro.dse.sweep import close_grid, frequency_grid, sweep, voltage_grid
 from repro.errors import CampaignError, SynthesisError
 from repro.params import DEFAULT_PARAMS
@@ -146,20 +145,13 @@ class TestSweep:
         assert len({p.cpi for p in points}) == 1
 
 
-def _point_key(point):
-    return (point.config_name, point.vt.value, point.vdd,
-            round(point.frequency_hz), point.cpi)
-
-
-def _close_grid_by_exception(config, include_fmax_points):
+def _close_grid_by_exception(config):
     """Oracle: the grid as closed before feasibility was decided per
     corner, by asking for every target and dropping each refusal."""
     results = []
     for vt in VtFlavor:
         for vdd in voltage_grid(vt):
-            targets = list(frequency_grid(vt, vdd))
-            if include_fmax_points:
-                targets.append(fmax(config, vdd, vt, TECH65))
+            targets = [*frequency_grid(vt, vdd), fmax(config, vdd, vt, TECH65)]
             for f_target in targets:
                 try:
                     results.append(synthesize(config, vdd, vt, f_target, TECH65))
@@ -169,35 +161,32 @@ def _close_grid_by_exception(config, include_fmax_points):
 
 
 #: sha256 over ``repr`` of every closed grid of the 48 configs, in
-#: ``all_configs(include_padded=True)`` order, keyed by
-#: ``include_fmax_points`` (5,382 and 4,758 points).  Bitwise: any
-#: drift of a closure formula, or of its operand order, moves it.
+#: ``all_configs(include_padded=True)`` order, keyed by whether the
+#: grids include the f_max points (5,382 points; ``close_grid`` always
+#: does).  Bitwise: any drift of a closure formula, or of its operand
+#: order, moves it.
 GRID_DIGESTS = {
     True: "a8116106e85c430ca71265c16ca9b18dcd57593235c5a0a141aabc12fcc9665f",
-    False: "fecbf33881e47e930dd586a28926525a4645d3d5a37c2f5331c9b04eeaa079f1",
 }
 
 
 class TestCloseGrid:
-    @pytest.mark.parametrize("include_fmax_points", [True, False])
-    def test_every_grid_is_pinned(self, include_fmax_points):
+    def test_every_grid_is_pinned(self):
         """``close_grid`` and ``synthesize`` share ``close_point``, so
         comparing them cannot see a formula drift; a fixed digest can."""
         configs = all_configs(include_padded=True)
         assert len(configs) == 48
         digest = hashlib.sha256()
         for config in configs:
-            grid = close_grid(config, include_fmax_points=include_fmax_points)
-            digest.update(repr(grid).encode())
-        assert digest.hexdigest() == GRID_DIGESTS[include_fmax_points]
+            digest.update(repr(close_grid(config)).encode())
+        assert digest.hexdigest() == GRID_DIGESTS[True]
 
-    @pytest.mark.parametrize("include_fmax_points", [True, False])
-    def test_every_grid_equals_the_exception_oracle(self, include_fmax_points):
+    def test_every_grid_equals_the_exception_oracle(self):
         configs = all_configs(include_padded=True)
         assert len(configs) == 48
         for config in configs:
-            assert close_grid(config, include_fmax_points=include_fmax_points) \
-                == _close_grid_by_exception(config, include_fmax_points), config.name
+            assert close_grid(config) == _close_grid_by_exception(config), \
+                config.name
 
     def test_every_point_equals_synthesize(self):
         """The per-config and per-corner constants change no bit: each
@@ -211,62 +200,7 @@ class TestCloseGrid:
             assert all(r.fmax_hz == fmax(config, r.vdd, r.vt)
                        for r in grid), config.name
 
-
-class TestPruning:
-    """Soundness of sweep(prune=...) on a small exhaustive sweep: no
-    Pareto-frontier member may ever be dropped, and pruning must carry
-    its weight (the ISSUE floor is 20% of points removed)."""
-
-    NAMES = ("TDX", "TD|X", "T|DX +P", "TD|X +Q",
-             "T|D|X", "T|D|X1|X2", "T|D|X1|X2 +P+pad")
-
-    def _configs(self):
-        return [config_by_name(name) for name in self.NAMES]
-
-    def test_pruned_sweep_preserves_frontier(self, cpi_table):
-        configs = self._configs()
-        full = sweep(configs=configs, cpi_table=cpi_table)
-        oracle = PruneOracle.from_workloads(configs, scale=cpi_table.scale)
-        pruned = sweep(configs=configs, cpi_table=cpi_table, prune=oracle)
-
-        full_keys = set(map(_point_key, full))
-        pruned_keys = set(map(_point_key, pruned))
-        assert pruned_keys <= full_keys          # never invents points
-        assert sorted(map(_point_key, pareto_frontier(pruned))) == \
-            sorted(map(_point_key, pareto_frontier(full)))
-
-        stats = oracle.stats
-        assert stats.points_total == len(full)
-        assert stats.points_evaluated == len(pruned)
-        assert stats.point_rate >= 0.20, stats.as_dict()
-
-    def test_config_level_pruning_skips_simulation(self, tmp_path):
-        # A config whose entire best-case grid is dominated must never
-        # reach the simulator.  A synthetic huge floor forces the case
-        # (mechanism test only — an unsound oracle voids the frontier
-        # guarantee, so nothing else is asserted about the output).
-        fast, slow = config_by_name("TDX"), config_by_name("T|D|X1|X2")
-        table = CpiTable(scale=8, cache_path=str(tmp_path / "cpi.sqlite"))
-        oracle = PruneOracle({fast.name: 1.0, slow.name: 1000.0}, batch=1)
-        points = sweep(configs=[fast, slow], cpi_table=table, prune=oracle)
-        assert oracle.stats.configs_pruned == 1
-        assert slow.name not in table._records   # no simulation spent
-        assert {p.config_name for p in points} == {fast.name}
-
-    def test_unknown_config_defaults_to_universal_floor(self):
-        oracle = PruneOracle({})
-        assert oracle.lower_bound(config_by_name("TDX")) == 1.0
-
-    def test_oracle_floors_are_sound(self, cpi_table):
-        # The static floor the pruning relies on: per config, the
-        # workload-mean lower bound never exceeds the measured mean CPI.
-        configs = self._configs()
-        oracle = PruneOracle.from_workloads(configs, scale=cpi_table.scale)
-        for config in configs:
-            assert oracle.lower_bound(config) <= \
-                cpi_table.cpi(config) + 1e-9, config.name
-
-    def test_close_grid_matches_unpruned_sweep(self, cpi_table):
+    def test_close_grid_matches_sweep(self, cpi_table):
         config = config_by_name("TDX")
         grid = close_grid(config)
         points = sweep(configs=[config], cpi_table=cpi_table)

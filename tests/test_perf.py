@@ -21,7 +21,6 @@ from repro.analyze.abstract import explore
 from repro.analyze.perf import (
     PerfAnalyzer,
     bracket_check,
-    config_lower_bounds,
     program_bounds,
     workload_bounds,
 )
@@ -331,20 +330,17 @@ class TestWorkloadBounds:
         deep = workload_bounds("gcd", config_by_name("T|D|X1|X2"), scale=8)
         assert deep.lower > shallow.lower
 
-    def test_config_lower_bounds_cover_and_floor(self):
-        configs = [config_by_name(n) for n in self.SAMPLE]
-        bounds = config_lower_bounds(configs, P, workloads=["gcd", "stream"],
-                                     scale=8)
-        assert set(bounds) == {c.name for c in configs}
-        assert all(value >= 1.0 for value in bounds.values())
-
     def test_oracle_mean_under_measured_mean(self, cpi_table):
-        """The pruning oracle's contract: workload-mean static floor
-        <= workload-mean measured CPI (the quantity CpiTable records)."""
-        configs = [config_by_name("TDX"), config_by_name("T|D|X1|X2")]
-        bounds = config_lower_bounds(configs, P, scale=cpi_table.scale)
-        for config in configs:
-            assert bounds[config.name] <= cpi_table.cpi(config) + 1e-9
+        """The proved floor, averaged over the ten workloads, is at most
+        the workload-mean measured CPI (the quantity CpiTable records)."""
+        from repro.workloads.suite import WORKLOADS
+
+        names = WORKLOADS()
+        assert len(names) == 10
+        for config in (config_by_name("TDX"), config_by_name("T|D|X1|X2")):
+            floor = sum(workload_bounds(name, config, P, scale=cpi_table.scale)
+                        .lower for name in names) / len(names)
+            assert floor <= cpi_table.cpi(config) + 1e-9, config.name
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ class TestConfig:
 
     def test_stage_lookup(self):
         config = config_by_name("T|D|X1|X2")
-        assert config.trigger_stage == 0
         assert config.decode_stage == 1
         assert config.early_result_stage == 2
         assert config.late_result_stage == 3

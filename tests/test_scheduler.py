@@ -72,11 +72,6 @@ class TestPriority:
         outcome = Scheduler().evaluate(program, 0, view(queues))
         assert outcome.kind is TriggerKind.NONE_TRIGGERED
 
-    def test_triggered_indices_telemetry(self, queues):
-        program = [ins(), ins(Trigger(pred_on=0b1)), ins()]
-        indices = Scheduler().triggered_indices(program, 0, view(queues))
-        assert indices == [0, 2]
-
 
 class TestQueueConditions:
     def test_source_queue_must_be_nonempty(self, queues):
@@ -171,26 +166,6 @@ class TestSpeculationRestrictions:
         outcome = Scheduler().evaluate(
             program, 0, view(queues), forbid_side_effects=True)
         assert outcome.fired
-
-
-class TestTriggeredIndicesPendingPredicates:
-    def test_pending_write_hides_watching_slots(self, queues):
-        program = [ins(Trigger(pred_on=0b1)), ins(Trigger(pred_off=0b1)), ins()]
-        sched = Scheduler()
-        # Stable state: p0=0 -> slots 1 and 2 trigger.
-        assert sched.triggered_indices(program, 0, view(queues)) == [1, 2]
-        # An in-flight write to p0 makes both watchers unknown, not
-        # "triggered under the stale value".
-        assert sched.triggered_indices(
-            program, 0, view(queues), pending_predicates=0b1
-        ) == [2]
-
-    def test_pending_bits_outside_the_watch_set_are_ignored(self, queues):
-        program = [ins(Trigger(pred_on=0b10)), ins()]
-        indices = Scheduler().triggered_indices(
-            program, 0b10, view(queues), pending_predicates=0b100
-        )
-        assert indices == [0, 1]
 
 
 class TestCompiledEvaluate:

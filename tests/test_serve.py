@@ -159,24 +159,40 @@ class TestFingerprint:
     def test_canonical_json_is_tight_and_sorted(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
-    def test_code_version_is_folded_in(self, monkeypatch):
+    def test_code_version_is_folded_in(self, monkeypatch, tmp_path):
         """Other code fingerprints every task differently, so a store
-        it wrote serves nothing here; its rows count as stale."""
+        it wrote serves nothing here: opening the store deletes its
+        rows, while opening a current store only reads it."""
+        import sqlite3
+
         version = store_mod.code_version()
         assert len(version) == 64 and version == store_mod.code_version()
+        path = str(tmp_path / "store.sqlite")
         ours = task_fingerprint("k", {"x": 1})
-        with ResultStore() as store:
+        with ResultStore(path) as store:
             store.put(ours, "k", canonical_json({"x": 1}), {"y": 1})
-            monkeypatch.setattr(store_mod, "code_version", lambda: "edited")
-            theirs = task_fingerprint("k", {"x": 1})
-            assert theirs != ours
-            assert store.lookup([theirs]) == set()
+        # Another connection's write lock does not stop a current open.
+        with contextlib.closing(sqlite3.connect(path, timeout=0,
+                                                isolation_level=None)) as other:
+            other.execute("BEGIN IMMEDIATE")
+            with ResultStore(path) as store:
+                assert (store.stats()["rows"], store.stats()["stale_rows"]) \
+                    == (1, 0)
+            other.execute("ROLLBACK")
+        monkeypatch.setattr(store_mod, "code_version", lambda: "edited")
+        theirs = task_fingerprint("k", {"x": 1})
+        assert theirs != ours
+        with ResultStore(path) as store:
+            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (0, 1)
+            assert store.lookup([ours, theirs]) == set()
             store.put(theirs, "k", canonical_json({"x": 1}), {"y": 2})
-            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (2, 1)
+        with ResultStore(path) as store:
+            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (1, 0)
+            assert store.get(theirs) == {"y": 2}
 
     def test_rows_of_a_store_without_code_are_stale(self, tmp_path):
         """A store file written before rows recorded their code gains the
-        column on open, and its rows count as stale."""
+        column on open, and its rows, of unknown code, are deleted."""
         import sqlite3
 
         path = str(tmp_path / "old.sqlite")
@@ -189,8 +205,8 @@ class TestFingerprint:
             conn.execute("INSERT INTO results VALUES ('f', 'k', '{}', '1', 0, 0, 1)")
             conn.commit()
         with ResultStore(path) as store:
-            assert store.get("f") == 1
-            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (1, 1)
+            assert store.get("f", None) is None
+            assert (store.stats()["rows"], store.stats()["stale_rows"]) == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -665,12 +681,10 @@ class TestCampaignClients:
 
         configs = [config_by_name("TDX")]
         direct = sweep(configs, cpi_table=CpiTable(scale=4, seed=0))
+        table = CpiTable(scale=4, seed=0)
         with CampaignService(None, workers=2) as service:
-            served = sweep(
-                configs, cpi_table=CpiTable(scale=4, seed=0),
-                service=InProcessClient(service),
-            )
-        assert served == direct
+            table.populate(configs, service=InProcessClient(service))
+        assert sweep(configs, cpi_table=table) == direct
 
 
 # ----------------------------------------------------------------------
